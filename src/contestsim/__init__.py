@@ -6,9 +6,10 @@ rank pressure, and fits the generating rates back from the resulting event
 logs.
 """
 
-from .core import (ContestConfig, Post, Ranking, RankEntry, WorkerProfile,
-                   compute_quality, is_eligible, k_neighbours_view,
-                   rank_workers, score_annotation, worker_utility)
+from .core import (ContestConfig, Leaderboard, Post, Ranking, RankEntry,
+                   WorkerProfile, compute_quality, is_eligible,
+                   k_neighbours_view, rank_workers, score_annotation,
+                   worker_utility)
 from .errors import (ConfigurationError, ContestError, ContractViolation,
                      DegenerateDataError)
 from .experiment import (AnovaResult, ContestSummary, ExperimentConfig,
@@ -43,7 +44,7 @@ __all__ = [
     # core
     "Post", "WorkerProfile", "ContestConfig", "RankEntry", "Ranking",
     "compute_quality", "worker_utility", "score_annotation", "rank_workers",
-    "is_eligible", "k_neighbours_view",
+    "is_eligible", "Leaderboard", "k_neighbours_view",
     # stream
     "Window", "Assignment", "DropQueue", "build_windows",
     "allocate_round_robin", "advance_queue", "task_intensity",

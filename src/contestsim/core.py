@@ -1,13 +1,14 @@
 """Contest domain model: posts, workers, configuration, scoring, ranking.
 
-Pure types and functions.  Nothing in this module draws random numbers or
-keeps mutable state; the simulation engine composes these primitives.
+Nothing here draws random numbers.  `Leaderboard` is the one stateful type:
+the ranking that the engine and the replay validator update as scores move.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import Collection, Hashable, Mapping, Optional, Sequence
 
 from .errors import ConfigurationError
 
@@ -112,6 +113,16 @@ class ContestConfig:
             )
 
 
+def rank_key(worker_id: Hashable, score: float,
+             stamp: Optional[int]) -> tuple:
+    """Leaderboard sort key, best first: score descending, then the earlier
+    ``stamp`` (when the score last increased; None, never scored, sorts
+    last), then worker id.  Keys are unique, so a worker's rank is one plus
+    the number of keys below theirs.
+    """
+    return (-score, _NEVER_SCORED if stamp is None else stamp, worker_id)
+
+
 class RankEntry:
     """One leaderboard row."""
 
@@ -125,8 +136,7 @@ class RankEntry:
         self.tie_break_stamp = tie_break_stamp
 
     def sort_key(self) -> tuple:
-        stamp = self.tie_break_stamp if self.tie_break_stamp is not None else _NEVER_SCORED
-        return (-self.score, stamp, self.worker_id)
+        return rank_key(self.worker_id, self.score, self.tie_break_stamp)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RankEntry):
@@ -141,11 +151,7 @@ class RankEntry:
 
 @dataclass(frozen=True)
 class Ranking:
-    """Leaderboard snapshot, best first.
-
-    Sorted by score descending; ties broken by earlier ``tie_break_stamp``
-    (the time the entry last gained points), then by worker id.
-    """
+    """Leaderboard snapshot, best first, in `rank_key` order."""
 
     entries: tuple[RankEntry, ...]
     _index: dict = field(init=False, repr=False, compare=False)
@@ -170,6 +176,41 @@ class Ranking:
 
     def entry(self, worker_id: Hashable) -> RankEntry:
         return self.entries[self._index[worker_id]]
+
+
+class Leaderboard:
+    """Incremental leaderboard in `rank_key` order.
+
+    The workers' keys sit in a sorted list, so `rank` is one binary search
+    and `update` one removal and one insertion: O(log W) comparisons, not an
+    O(W) scan of the field.  Workers start at score 0, never scored, and are
+    never removed; one who leaves the contest keeps their place.
+    """
+
+    __slots__ = ("_keys", "_key_of")
+
+    def __init__(self, worker_ids: Collection[Hashable]) -> None:
+        self._key_of = {w: rank_key(w, 0, None) for w in worker_ids}
+        if len(self._key_of) != len(worker_ids):
+            raise ConfigurationError("duplicate worker ids on the leaderboard")
+        self._keys = sorted(self._key_of.values())
+
+    def update(self, worker_id: Hashable, score: float, stamp: int) -> int:
+        """Move ``worker_id`` to ``score``, reached at ``stamp``, and return
+        their new rank.  The board is unchanged if the score is, since the
+        stamp marks the last change."""
+        old = self._key_of[worker_id]
+        if old[0] == -score:
+            return bisect_left(self._keys, old) + 1
+        new = self._key_of[worker_id] = rank_key(worker_id, score, stamp)
+        del self._keys[bisect_left(self._keys, old)]
+        pos = bisect_left(self._keys, new)
+        self._keys.insert(pos, new)
+        return pos + 1
+
+    def rank(self, worker_id: Hashable) -> int:
+        """1-based rank: one plus the number of workers strictly ahead."""
+        return bisect_left(self._keys, self._key_of[worker_id]) + 1
 
 
 def compute_quality(skill: float, effort: float, noise: float) -> float:

@@ -433,8 +433,11 @@ def anova_f(groups: Sequence[Sequence[float]]) -> AnovaResult:
     ss_within = math.fsum(math.fsum((x - m) ** 2 for x in g)
                           for g, m in zip(groups, group_means))
     ms_between = ss_between / df_between
-    if ss_within == 0.0:
-        f = float("inf") if ms_between > 0.0 else float("nan")
+    # Float residue can leave ss_within just above zero for groups that each
+    # hold one repeated value, so that case is also decided exactly.
+    if ss_within == 0.0 or all(x == g[0] for g in groups for x in g):
+        tied = ms_between == 0.0 or len({x for g in groups for x in g}) == 1
+        f = float("nan") if tied else float("inf")
         return AnovaResult(f, df_between, df_within, True)
     ms_within = ss_within / df_within
     return AnovaResult(ms_between / ms_within, df_between, df_within, False)

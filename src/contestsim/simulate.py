@@ -7,6 +7,9 @@ at the worker's own events, where the leaderboard is also updated, so every
 logged holding time is a single exponential draw at the rate recorded with
 the event.  The clock is integer milliseconds throughout.
 
+Ranks come from one shared `core.Leaderboard`, which the replay validator
+uses too: O(log W) per score update and per rank lookup in a field of W.
+
 Two dispatch modes share the engine:
 
 * ``"windowed"``: posts arrive in stream windows and are dealt round-robin
@@ -32,8 +35,8 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import rng as streams
-from .core import (ContestConfig, Post, RankEntry, Ranking, WorkerProfile,
-                   rank_workers, score_annotation)
+from .core import (ContestConfig, Leaderboard, Post, RankEntry, Ranking,
+                   WorkerProfile, rank_workers, score_annotation)
 from .errors import ConfigurationError, ContractViolation
 from .stream import DropQueue, advance_queue, allocate_round_robin, build_windows, total_contest_time
 
@@ -47,7 +50,6 @@ N_CHECKPOINTS = 20
 LOG_FORMAT = "contest-log-v1"
 
 _RATE_FLOOR = 1e-12
-_NEVER = float("inf")
 _PERTURBATIONS = (-2, -1, 1, 2)
 
 Seed = Union[int, Sequence[int]]
@@ -197,7 +199,7 @@ def simulate_annotated_count(post: Post, profile: WorkerProfile,
 
 
 class _WorkerState:
-    __slots__ = ("idx", "profile", "score", "stamp_key", "annotations",
+    __slots__ = ("idx", "profile", "score", "stamp", "annotations",
                  "last_ms", "alive", "gov_rank", "gov_elig",
                  "event_rng", "count_rng", "exit_rng", "bin")
 
@@ -205,7 +207,7 @@ class _WorkerState:
         self.idx = idx
         self.profile = profile
         self.score = 0
-        self.stamp_key = _NEVER  # sort key; real stamps are integer ms
+        self.stamp: Optional[int] = None  # when the score last increased
         self.annotations = 0
         self.last_ms = 0
         self.alive = True
@@ -249,24 +251,11 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
     workers = [_WorkerState(i, profiles[i], seed) for i in range(n)]
     by_id = {w.profile.id: w for w in workers}
     id_order = sorted(workers, key=lambda w: w.profile.id)
-    for pos, w in enumerate(id_order):
-        w.gov_rank = pos + 1
+    board = Leaderboard(by_id)
+    board_rank, board_update = board.rank, board.update
+    for w in workers:
+        w.gov_rank = board_rank(w.profile.id)
         w.gov_elig = w.gov_rank <= spread
-
-    def rank_of(w: _WorkerState) -> int:
-        # 1 + number of strictly better workers; exited workers keep their
-        # scores on the board.
-        s, st, wid = w.score, w.stamp_key, w.profile.id
-        r = 1
-        for v in workers:
-            if v is w:
-                continue
-            if v.score > s:
-                r += 1
-            elif v.score == s:
-                if v.stamp_key < st or (v.stamp_key == st and v.profile.id < wid):
-                    r += 1
-        return r
 
     def current_rate(w: _WorkerState, elapsed_ms: int, remaining: int) -> float:
         if rate_fns is not None and w.profile.id in rate_fns:
@@ -308,7 +297,7 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
             if not w.alive:
                 continue
             u = w.exit_rng.random()  # one draw per checkpoint, hazard or not
-            r = rank_of(w)
+            r = board_rank(w.profile.id)
             elig = r <= spread
             h = exit_hazard(elig, r - spread, frac, w.profile,
                             n_workers=n, base_hazard=base_hazard)
@@ -339,8 +328,8 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
         points = score_annotation(count, post.expected_entities, config.base_points)
         if points > 0:
             w.score += points
-            w.stamp_key = t
-        r = rank_of(w)
+            w.stamp = t
+        r = board_update(w.profile.id, w.score, t)
         w.gov_rank = r
         w.gov_elig = r <= spread
         return remaining
@@ -439,9 +428,7 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
 
     final_ranking = rank_workers(
         scores={w.profile.id: w.score for w in workers},
-        last_scored_ms={w.profile.id: (None if w.stamp_key == _NEVER
-                                       else int(w.stamp_key))
-                        for w in workers},
+        last_scored_ms={w.profile.id: w.stamp for w in workers},
         annotations={w.profile.id: w.annotations for w in workers},
     )
     return EventLog(config=config, seed=seed, dispatch=dispatch,
@@ -520,60 +507,60 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
     """Parse a log written by `write_event_log`, reconstructing derived fields.
 
     ``annotations_remaining`` is not stored; it is rebuilt by replaying the
-    solved count against the configured post total.
+    solved count against the configured post total.  Any malformed line
+    raises `ConfigurationError` naming ``path:line``.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ConfigurationError(f"{path}: empty event log")
-    header = json.loads(lines[0])
-    if header.get("format") != LOG_FORMAT:
-        raise ConfigurationError(f"{path}: not a {LOG_FORMAT} file")
-    config = ContestConfig(**header["config"])
-    seed = header["seed"]
-    if isinstance(seed, list):
-        seed = tuple(seed)
-    trailer = json.loads(lines[-1])
-    if "final_ranking" not in trailer:
-        raise ConfigurationError(f"{path}: missing final-ranking trailer")
-    events: list[AnnotationEvent] = []
-    exits: list[ExitEvent] = []
-    per_worker_index: dict[int, int] = {}
-    solved = 0
-    for line in lines[1:-1]:
-        obj = json.loads(line)
-        if "exit_time_ms" in obj:
-            exits.append(ExitEvent(obj["worker_id"], obj["exit_time_ms"],
-                                   obj["rank"], obj["eligible"]))
-            continue
-        solved += 1
-        expected_index = per_worker_index.get(obj["worker_id"], 0)
-        if obj["event_index"] != expected_index:
-            raise ConfigurationError(
-                f"{path}: worker {obj['worker_id']} event_index out of order")
-        per_worker_index[obj["worker_id"]] = expected_index + 1
-        events.append(AnnotationEvent(
-            worker_id=obj["worker_id"],
-            event_index=obj["event_index"],
-            event_time_ms=obj["event_time_ms"],
-            holding_time_ms=obj["holding_time_ms"],
-            post_id=obj["post_id"],
-            annotated_count=obj["annotated_count"],
-            rank_at_event=obj["rank"],
-            eligible_at_event=obj["eligible"],
-            annotations_remaining=config.n_posts - solved,
+    lineno = 1
+    try:
+        header = json.loads(lines[0])
+        if header.get("format") != LOG_FORMAT:
+            raise ConfigurationError(f"not a {LOG_FORMAT} file")
+        config = ContestConfig(**header["config"])
+        seed = header["seed"]
+        log = EventLog(
+            config=config, seed=tuple(seed) if isinstance(seed, list) else seed,
+            dispatch=header["dispatch"], horizon_ms=header["horizon_ms"],
+            base_hazard=header["base_hazard"],
+            accuracy_floor=header["accuracy_floor"], events=[], exits=[],
+            final_ranking=Ranking(entries=()),
+            counters=PostCounters(**header["counters"]))
+        events, exits = log.events, log.exits
+        per_worker_index: dict[int, int] = {}
+        solved = 0
+        for lineno, line in enumerate(lines[1:-1], 2):
+            obj = json.loads(line)
+            if "exit_time_ms" in obj:
+                exits.append(ExitEvent(obj["worker_id"], obj["exit_time_ms"],
+                                       obj["rank"], obj["eligible"]))
+                continue
+            solved += 1
+            wid, index = obj["worker_id"], obj["event_index"]
+            if index != per_worker_index.get(wid, 0):
+                raise ConfigurationError(f"worker {wid} event_index out of order")
+            per_worker_index[wid] = index + 1
+            events.append(AnnotationEvent(
+                wid, index, obj["event_time_ms"], obj["holding_time_ms"],
+                obj["post_id"], obj["annotated_count"], obj["rank"],
+                obj["eligible"], config.n_posts - solved))
+        lineno = len(lines)
+        trailer = json.loads(lines[-1])
+        if "final_ranking" not in trailer:
+            raise ConfigurationError("missing final-ranking trailer")
+        log.final_ranking = Ranking(entries=tuple(
+            RankEntry(r["worker_id"], r["score"], r["annotations"],
+                      r["last_scored_ms"])
+            for r in trailer["final_ranking"]
         ))
-    ranking = Ranking(entries=tuple(
-        RankEntry(r["worker_id"], r["score"], r["annotations"],
-                  r["last_scored_ms"])
-        for r in trailer["final_ranking"]
-    ))
-    return EventLog(
-        config=config, seed=seed, dispatch=header["dispatch"],
-        horizon_ms=header["horizon_ms"], base_hazard=header["base_hazard"],
-        accuracy_floor=header["accuracy_floor"], events=events, exits=exits,
-        final_ranking=ranking,
-        counters=PostCounters(**header["counters"]),
-    )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ConfigurationError(
+            f"{path}:{lineno}: malformed event log: {type(exc).__name__}: {exc}"
+        ) from exc
+    return log
 
 
 # --- replay validation -----------------------------------------------------
@@ -586,55 +573,48 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     eligibility equal the leaderboard state right after the worker's
     previous event, silence after exit, and that holding times sum to the
     final event time.  Globally: post conservation and the remaining-post
-    countdown.  Needs the post list to re-score events.
+    countdown.  Needs the post list to re-score events.  A violation at an
+    event names its position in ``log.events``, worker and event index.
     """
     expected = {p.id: p.expected_entities for p in posts}
     worker_ids = [e.worker_id for e in log.final_ranking]
     spread = log.config.reward_spread
+    board = Leaderboard(worker_ids)
     score = {w: 0 for w in worker_ids}
-    stamp = {w: _NEVER for w in worker_ids}
     last_ms = {w: 0 for w in worker_ids}
     hold_sum = {w: 0 for w in worker_ids}
     count = {w: 0 for w in worker_ids}
     exit_ms = {x.worker_id: x.exit_time_ms for x in log.exits}
-
-    def rank_scan(wid: int) -> int:
-        s, st = score[wid], stamp[wid]
-        r = 1
-        for v in worker_ids:
-            if v == wid:
-                continue
-            if score[v] > s or (score[v] == s and
-                                (stamp[v] < st or (stamp[v] == st and v < wid))):
-                r += 1
-        return r
-
-    gov_rank = {}
-    for pos, wid in enumerate(sorted(worker_ids)):
-        gov_rank[wid] = pos + 1
+    gov_rank = {w: board.rank(w) for w in worker_ids}
     solved = 0
     prev_t = 0
-    for e in log.events:
+
+    def violation(what: str) -> ContractViolation:
+        return ContractViolation(f"log.events[{pos}] (worker {e.worker_id}, "
+                                 f"event_index {e.event_index}): {what}")
+
+    for pos, e in enumerate(log.events):
         wid = e.worker_id
+        if wid not in count or e.post_id not in expected:
+            raise violation(f"worker or post {e.post_id} not in the contest")
         if e.event_time_ms < prev_t:
-            raise ContractViolation("event log is not globally time-sorted")
+            raise violation("event log is not globally time-sorted")
         prev_t = e.event_time_ms
         if wid in exit_ms and e.event_time_ms > exit_ms[wid]:
-            raise ContractViolation(f"worker {wid} annotated after exiting")
+            raise violation("annotated after exiting")
         if e.event_index != count[wid]:
-            raise ContractViolation(f"worker {wid} event_index mismatch")
+            raise violation(f"event_index != replay {count[wid]}")
         if e.event_time_ms - e.holding_time_ms != last_ms[wid]:
-            raise ContractViolation(f"worker {wid} holding-time recursion broken")
+            raise violation("holding-time recursion broken")
         if e.rank_at_event != gov_rank[wid]:
-            raise ContractViolation(
-                f"worker {wid} rank_at_event {e.rank_at_event} != replay {gov_rank[wid]}")
+            raise violation(f"rank_at_event {e.rank_at_event} != replay {gov_rank[wid]}")
         if e.eligible_at_event != (e.rank_at_event <= spread):
-            raise ContractViolation(f"worker {wid} eligibility flag inconsistent")
+            raise violation("eligibility flag inconsistent")
         if e.holding_time_ms < 1:
-            raise ContractViolation("holding_time_ms must be a positive integer")
+            raise violation("holding_time_ms must be a positive integer")
         solved += 1
         if e.annotations_remaining != log.config.n_posts - solved:
-            raise ContractViolation("annotations_remaining countdown broken")
+            raise violation("annotations_remaining countdown broken")
         count[wid] += 1
         last_ms[wid] = e.event_time_ms
         hold_sum[wid] += e.holding_time_ms
@@ -642,8 +622,7 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
                                   log.config.base_points)
         if points > 0:
             score[wid] += points
-            stamp[wid] = e.event_time_ms
-        gov_rank[wid] = rank_scan(wid)
+        gov_rank[wid] = board.update(wid, score[wid], e.event_time_ms)
 
     for wid in worker_ids:
         if hold_sum[wid] != last_ms[wid]:

@@ -179,6 +179,39 @@ def test_validate_flags_a_doctored_log(tmp_path, config_file, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _doctor_header(log_path, how):
+    lines = log_path.read_text("utf-8").splitlines()
+    if how == "truncated":
+        lines[0] = lines[0][: len(lines[0]) // 2]
+    else:
+        header = json.loads(lines[0])
+        header["config"] = {}
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("how", ["truncated", "empty config"])
+@pytest.mark.parametrize("command", ["validate", "fit"])
+def test_malformed_log_header_fails_cleanly(tmp_path, config_file, capsys,
+                                            how, command):
+    corpus = tmp_path / "corpus.jsonl"
+    log_path = tmp_path / "contest.jsonl"
+    assert main(["gen-corpus", "--n-posts", "40", "--seed", "7",
+                 "--out", str(corpus)]) == 0
+    assert main(["simulate", "--config", str(config_file),
+                 "--corpus", str(corpus), "--out", str(log_path)]) == 0
+    _doctor_header(log_path, how)
+    capsys.readouterr()
+    extra = (["--corpus", str(corpus)] if command == "validate"
+             else ["--out", str(tmp_path / "fits.jsonl")])
+    code = main([command, "--log", str(log_path)] + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{log_path}:1:" in err
+    assert "Traceback" not in err
+
+
 def test_missing_files_fail_cleanly(tmp_path, capsys):
     code = main(["fit", "--log", str(tmp_path / "nope.jsonl"),
                  "--out", str(tmp_path / "fits.jsonl")])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from contestsim import (ConfigurationError, ContestConfig, Post,
+from contestsim import (ConfigurationError, ContestConfig, Leaderboard, Post,
                         Ranking, RankEntry, WorkerProfile, compute_quality,
                         is_eligible, k_neighbours_view, rank_workers,
                         score_annotation, worker_utility)
@@ -121,6 +121,61 @@ def test_ranking_rejects_duplicate_workers():
     entry = RankEntry(1, 10, 2, 100)
     with pytest.raises(ConfigurationError):
         Ranking(entries=(entry, RankEntry(1, 5, 1, 200)))
+
+
+def test_fresh_leaderboard_ranks_by_id():
+    board = Leaderboard([7, 3, 5])
+    assert sorted([7, 3, 5], key=board.rank) == [3, 5, 7]
+    assert [board.rank(w) for w in (3, 5, 7)] == [1, 2, 3]
+
+
+def test_leaderboard_rejects_duplicate_workers():
+    with pytest.raises(ConfigurationError):
+        Leaderboard([1, 2, 1])
+
+
+def test_leaderboard_ignores_an_unchanged_score():
+    # The stamp records when the score last changed, so a zero-point event
+    # must not move the worker behind someone who scored later.
+    board = Leaderboard([1, 2])
+    board.update(2, 10, 100)
+    board.update(1, 10, 200)
+    board.update(2, 10, 300)
+    assert sorted([1, 2], key=board.rank) == [2, 1]
+
+
+_updates = st.lists(
+    st.tuples(st.integers(0, 5), st.sampled_from((0, 0, 10, 50)),
+              st.integers(0, 4)),
+    max_size=40)
+
+
+@given(ids=st.lists(st.integers(-20, 20), min_size=1, max_size=6,
+                    unique=True),
+       updates=_updates)
+def test_leaderboard_matches_a_scan_and_rank_workers(ids, updates):
+    board = Leaderboard(ids)
+    score = {w: 0 for w in ids}
+    stamp = {w: None for w in ids}
+
+    def ahead(v, w):
+        if score[v] != score[w]:
+            return score[v] > score[w]
+        sv, sw = stamp[v], stamp[w]
+        if sv != sw:
+            return sw is None or (sv is not None and sv < sw)
+        return v < w
+
+    for who, points, t in updates:
+        w = ids[who % len(ids)]
+        if points > 0:
+            score[w] += points
+            stamp[w] = t
+        assert board.update(w, score[w], t) == board.rank(w)
+        for v in ids:
+            assert board.rank(v) == 1 + sum(ahead(u, v) for u in ids if u != v)
+        assert (sorted(ids, key=board.rank)
+                == [e.worker_id for e in rank_workers(score, stamp)])
 
 
 # --- k-neighbours view -----------------------------------------------------

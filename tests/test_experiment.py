@@ -348,6 +348,19 @@ def test_anova_separated_constant_groups_is_degenerate_inf():
     assert result.degenerate
 
 
+def test_anova_degeneracy_survives_a_shift():
+    # Shifting all-zero groups by 0.1 leaves float residue in the
+    # within-group sum of squares; the groups are still constant.
+    for shift in (0.0, 0.1):
+        result = anova_f([[shift, shift], [shift, shift, shift]])
+        assert result.degenerate
+        assert math.isnan(result.f_value)
+    # The values differ, but every squared deviation underflows to zero.
+    result = anova_f([[0.0, 1e-200], [1.0, 1.0]])
+    assert result.degenerate
+    assert result.f_value == float("inf")
+
+
 def test_anova_validation():
     with pytest.raises(ConfigurationError):
         anova_f([(1.0, 2.0)])

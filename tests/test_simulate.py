@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +14,10 @@ from scipy import stats
 
 from contestsim import (BehaviorPrior, ConfigurationError, ContractViolation,
                         WorkerProfile, draw_behavior, event_log_lines,
-                        exit_hazard, holding_time, read_event_log,
-                        replay_validate, run_contest, simulate_annotated_count,
-                        write_event_log)
+                        exit_hazard, generate_corpus, holding_time,
+                        parse_experiment_config, read_event_log,
+                        replay_validate, run_condition, run_contest,
+                        simulate_annotated_count, write_event_log)
 from contestsim.simulate import DEFAULT_BASE_HAZARD, N_CHECKPOINTS
 
 
@@ -415,6 +419,39 @@ def test_event_log_round_trip_is_bit_exact(tmp_path, contest_config,
     assert path.read_bytes() == second.read_bytes()
 
 
+# The README's sweep configuration.
+README_CONFIG = """\
+config_version=1
+n_workers=20
+n_posts=1520
+window_size=200
+task_unit_time_s=10.0
+task_unit_size=10
+arrival_rate=20.0
+prize_value=0.10
+base_points=10
+quality_constraint=0
+reduction_rate=10.0
+spreads=1,5,10
+replications=50
+master_seed=0
+"""
+STOCK_LOG_SHA256 = (
+    "fccff22c0f24fb1028dc4cdcb39736a3691ac36777d631127fd64eba94006a4c")
+
+
+def test_stock_log_bytes_are_pinned(tmp_path):
+    # Logs replay byte for byte across versions: a change to the rank rule,
+    # the random streams or the log format moves this digest.
+    cfg = parse_experiment_config(README_CONFIG)
+    posts = generate_corpus(cfg.n_posts, cfg.mean_entities,
+                            seed=cfg.master_seed)
+    _, log = run_condition(cfg, 5, 0, posts)
+    path = tmp_path / "stock.jsonl"
+    write_event_log(log, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == STOCK_LOG_SHA256
+
+
 def test_read_event_log_rejects_malformed_files(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
@@ -424,6 +461,19 @@ def test_read_event_log_rejects_malformed_files(tmp_path):
     alien.write_text('{"format":"something-else"}\n', encoding="utf-8")
     with pytest.raises(ConfigurationError):
         read_event_log(alien)
+
+
+def test_read_event_log_names_the_bad_line(tmp_path, contest_config,
+                                          make_posts, make_profiles):
+    log, _ = _windowed_log(contest_config, make_posts, make_profiles)
+    path = tmp_path / "contest.jsonl"
+    write_event_log(log, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace('"post_id"', '"post"')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{path}:3: ") + ".*KeyError"):
+        read_event_log(path)
 
 
 def test_read_event_log_rejects_missing_trailer(tmp_path, contest_config,
@@ -455,3 +505,26 @@ def test_replay_detects_tampered_rank(contest_config, make_posts,
                                 eligible_at_event=(e.rank_at_event % 2) == 0)
     with pytest.raises(ContractViolation):
         replay_validate(log, posts)
+
+
+def test_replay_names_the_doctored_event(tmp_path, contest_config, make_posts,
+                                         make_profiles):
+    log, posts = _windowed_log(contest_config, make_posts, make_profiles)
+    path = tmp_path / "contest.jsonl"
+    write_event_log(log, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    annotation_lines = [i for i, line in enumerate(lines)
+                        if '"holding_time_ms"' in line]
+    target = len(annotation_lines) // 2
+    record = json.loads(lines[annotation_lines[target]])
+    record["rank"] += 1
+    lines[annotation_lines[target]] = json.dumps(
+        record, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ContractViolation) as info:
+        replay_validate(read_event_log(path), posts)
+    message = str(info.value)
+    assert f"log.events[{target}]" in message
+    assert f"worker {record['worker_id']}" in message
+    assert f"event_index {record['event_index']}" in message
+    assert "rank_at_event" in message
