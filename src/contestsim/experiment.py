@@ -209,12 +209,33 @@ def write_corpus(posts: Sequence[Post], path: Union[str, Path]) -> None:
 
 
 def read_corpus(path: Union[str, Path]) -> list[Post]:
+    """Parse a corpus written by `write_corpus`; line i is the i-th arrival.
+
+    A line that is not JSON, lacks a key, holds a value that is not an
+    integer or describes an invalid post raises `ConfigurationError` naming
+    ``path:line``; a file that is not UTF-8 text names the path.
+    """
     posts = []
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
-        obj = json.loads(line)
-        posts.append(Post(id=obj["id"], token_count=obj["token_count"],
-                          expected_entities=obj["expected_entities"],
-                          arrival_index=i))
+    lineno = 0
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
+            obj = json.loads(line)
+            values = {key: obj[key]
+                      for key in ("id", "token_count", "expected_entities")}
+            for key, value in values.items():
+                if type(value) is not int:
+                    raise ConfigurationError(
+                        f"{key} must be an integer, not {value!r}")
+            posts.append(Post(**values, arrival_index=lineno - 1))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigurationError(
+            f"{path}:{lineno}: malformed corpus line: "
+            f"{type(exc).__name__}: {exc}") from exc
     return posts
 
 

@@ -9,7 +9,11 @@ likelihood
 Two rate models share that loss: a two-state model (one rate inside the
 reward spread, one outside) with a closed-form maximum-likelihood solution,
 and a log-linear model r_j = exp(theta . x_j) over standardized leaderboard
-features, fitted by batch gradient descent with a backtracking line search.
+features.  The log-linear loss is a Poisson GLM with log exposure tau, so
+its Hessian X^T diag(r * tau) X is cheap; it is fitted by damped Newton
+steps (iteratively reweighted least squares) with a backtracking line
+search.  Each log-linear fit records why it stopped (``stop_reason``) and
+which features its data cannot identify (``unidentified``).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ FEATURE_NAMES = ("intercept", "rank", "elapsed_time", "annotations_remaining",
 FEATURES_VERSION = 1
 
 DEFAULT_TOLERANCE = 1e-8
-DEFAULT_MAX_ITERS = 10_000
+DEFAULT_MAX_ITERS = 100
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-20
 
@@ -89,7 +93,13 @@ class FeatureNorms:
 
 @dataclass(frozen=True)
 class FittedBehavior:
-    """Result of fitting one worker's rate model."""
+    """Result of fitting one worker's rate model.
+
+    ``stop_reason`` and ``unidentified`` describe log-linear fits only (two-
+    state fits leave them at None and ()): why `fit_log_linear` stopped, and
+    the names of the features whose design column is all zero, so the data
+    leave that component of theta at its start value.
+    """
 
     worker_id: Optional[int]
     model_kind: str
@@ -102,6 +112,8 @@ class FittedBehavior:
     converged: bool
     iterations: int = 0
     nll_history: tuple[float, ...] = field(default=(), repr=False, compare=False)
+    stop_reason: Optional[str] = None
+    unidentified: tuple[str, ...] = ()
 
 
 def _holding_seconds(events: Sequence[AnnotationEvent]) -> np.ndarray:
@@ -116,6 +128,43 @@ def _design_matrix(features: Sequence[FeatureVector],
     return np.array([norms.vector(fv) for fv in features], dtype=float)
 
 
+def _log_linear_data(events: Sequence[AnnotationEvent],
+                     norms: Optional[FeatureNorms]
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Design matrix and holding seconds of a non-empty event sequence."""
+    if norms is None:
+        raise ConfigurationError("log-linear likelihood needs feature norms")
+    tau = _holding_seconds(events)
+    return _design_matrix([FeatureVector.from_event(e) for e in events],
+                          norms), tau
+
+
+def _as_theta(theta: Sequence[float], name: str = "theta") -> np.ndarray:
+    th = np.array(theta, dtype=float)
+    if th.shape != (len(FEATURE_NAMES),):
+        raise ConfigurationError(
+            f"{name} must have {len(FEATURE_NAMES)} components")
+    return th
+
+
+def _log_linear_terms(x: np.ndarray, tau: np.ndarray, theta: np.ndarray
+                      ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Loss, gradient and Hessian of the log-linear model at ``theta``.
+
+    With eta = x theta and expected counts mu = exp(eta) * tau, the loss is
+    sum(mu - eta) = sum(tau) + sum(tau * expm1(eta) - eta).  The second sum
+    (the loss change from theta = 0) is returned first, then the gradient
+    x^T (mu - 1), the Hessian x^T diag(mu) x and mu itself.  The change
+    keeps its relative precision however small it is, so passing mu back
+    as ``tau`` and a step as ``theta`` gives the loss change of that step
+    even where the loss itself cannot resolve it.
+    """
+    eta = x @ theta
+    growth = tau * np.expm1(eta)
+    mu = tau + growth
+    return float(np.sum(growth - eta)), x.T @ (mu - 1.0), (x.T * mu) @ x, mu
+
+
 def negative_log_likelihood(events: Sequence[AnnotationEvent],
                             params: Sequence[float],
                             model_kind: str = "two_state",
@@ -123,38 +172,28 @@ def negative_log_likelihood(events: Sequence[AnnotationEvent],
     """Exponential-holding-time loss; 0 by convention for an empty log."""
     if not events:
         return 0.0
-    tau = _holding_seconds(events)
     if model_kind == "two_state":
+        tau = _holding_seconds(events)
         lam_in, lam_out = params
         if lam_in <= 0.0 or lam_out <= 0.0:
             raise ConfigurationError("two-state rates must be positive")
         rates = np.where([e.eligible_at_event for e in events], lam_in, lam_out)
         return float(np.sum(-np.log(rates) + rates * tau))
     if model_kind == "log_linear":
-        if norms is None:
-            raise ConfigurationError("log-linear likelihood needs feature norms")
-        theta = np.asarray(params, dtype=float)
-        if theta.shape != (len(FEATURE_NAMES),):
-            raise ConfigurationError(
-                f"theta must have {len(FEATURE_NAMES)} components")
-        x = _design_matrix([FeatureVector.from_event(e) for e in events], norms)
-        eta = x @ theta
-        return float(np.sum(-eta + np.exp(eta) * tau))
+        theta = _as_theta(params)
+        x, tau = _log_linear_data(events, norms)
+        return float(np.sum(tau)) + _log_linear_terms(x, tau, theta)[0]
     raise ConfigurationError(f"unknown model kind {model_kind!r}")
 
 
 def nll_gradient(events: Sequence[AnnotationEvent], theta: Sequence[float],
                  norms: FeatureNorms) -> np.ndarray:
     """Gradient of the log-linear loss: sum_j (r_j tau_j - 1) x_j."""
-    th = np.asarray(theta, dtype=float)
-    if th.shape != (len(FEATURE_NAMES),):
-        raise ConfigurationError(f"theta must have {len(FEATURE_NAMES)} components")
+    th = _as_theta(theta)
     if not events:
         return np.zeros(len(FEATURE_NAMES))
-    tau = _holding_seconds(events)
-    x = _design_matrix([FeatureVector.from_event(e) for e in events], norms)
-    rates = np.exp(x @ th)
-    return x.T @ (rates * tau - 1.0)
+    x, tau = _log_linear_data(events, norms)
+    return _log_linear_terms(x, tau, th)[1]
 
 
 def fit_two_state(events: Sequence[AnnotationEvent],
@@ -195,73 +234,87 @@ def fit_log_linear(events: Sequence[AnnotationEvent], norms: FeatureNorms,
                    step_size: float = 1.0,
                    max_iters: int = DEFAULT_MAX_ITERS,
                    tolerance: float = DEFAULT_TOLERANCE) -> FittedBehavior:
-    """Batch gradient descent on the log-linear loss.
+    """Damped Newton (IRLS) fit of the log-linear rate model.
 
-    Backtracking (Armijo) line search keeps the loss non-increasing across
-    accepted iterations; convergence is declared when the gradient's
-    infinity norm drops below ``tolerance``.
+    Each iteration solves H d = g for the Newton direction by least squares.
+    Its minimum-norm solution leaves the component of an all-zero design
+    column (a state the worker never visited) where it started, so a
+    rank-deficient Hessian needs no ridge.  A backtracking (Armijo) line
+    search starts at ``step_size`` times the Newton step and halves it.  It
+    tests each step's loss change, computed to its own precision, and the
+    fit's ``nll`` is the starting loss plus the accepted changes, so
+    ``nll_history`` never increases.  ``stop_reason`` is one of:
+
+    - ``"converged"``: the gradient's infinity norm fell below ``tolerance``;
+    - ``"max_iters"``: ``max_iters`` steps were taken without converging;
+    - ``"stalled"``: no step length passed the line search, because the
+      loss decrease fell below float resolution, and the full Newton step
+      either raised the loss or did not shrink the gradient's infinity
+      norm (if it did neither, it is taken and the fit goes on);
+    - ``"empty"``: there were no events, so nothing is identified.
+
+    Only ``"converged"`` sets ``converged``.
     """
     if max_iters < 1:
         raise ConfigurationError("max_iters must be >= 1")
     if tolerance <= 0.0 or step_size <= 0.0:
         raise ConfigurationError("tolerance and step_size must be positive")
-    dim = len(FEATURE_NAMES)
-    theta = (np.zeros(dim) if init_theta is None
-             else np.asarray(init_theta, dtype=float).copy())
-    if theta.shape != (dim,):
-        raise ConfigurationError(f"init_theta must have {dim} components")
+    theta = (np.zeros(len(FEATURE_NAMES)) if init_theta is None
+             else _as_theta(init_theta, "init_theta"))
     n_in = sum(1 for e in events if e.eligible_at_event)
     n_out = len(events) - n_in
     if not events:
         return FittedBehavior(worker_id=worker_id, model_kind="log_linear",
                               lambda_in_hat=None, lambda_out_hat=None,
                               theta_hat=tuple(theta), nll=0.0,
-                              n_in=0, n_out=0, converged=False)
+                              n_in=0, n_out=0, converged=False,
+                              stop_reason="empty", unidentified=FEATURE_NAMES)
 
-    tau = _holding_seconds(events)
-    x = _design_matrix([FeatureVector.from_event(e) for e in events], norms)
-
-    def loss(th: np.ndarray) -> float:
-        eta = x @ th
-        return float(np.sum(-eta + np.exp(eta) * tau))
-
-    def grad(th: np.ndarray) -> np.ndarray:
-        return x.T @ (np.exp(x @ th) * tau - 1.0)
-
-    nll = loss(theta)
+    x, tau = _log_linear_data(events, norms)
+    unidentified = tuple(name for name, column in zip(FEATURE_NAMES, x.T)
+                         if not column.any())
+    change, g, h, mu = _log_linear_terms(x, tau, theta)
+    nll = float(np.sum(tau)) + change
     if not math.isfinite(nll):
         raise DegenerateDataError("loss is non-finite at the starting point")
     history = [nll]
-    converged = False
-    iterations = 0
+    stop_reason = "max_iters"
     for iterations in range(max_iters + 1):
-        g = grad(theta)
-        if float(np.max(np.abs(g))) < tolerance:
-            converged = True
+        g_norm = float(np.max(np.abs(g)))
+        if g_norm < tolerance:
+            stop_reason = "converged"
             break
         if iterations == max_iters:
             break
-        g_sq = float(g @ g)
-        step = step_size
-        while True:
-            candidate = theta - step * g
-            nll_new = loss(candidate)
-            if math.isfinite(nll_new) and nll_new <= nll - _ARMIJO_C * step * g_sq:
+        newton = np.linalg.lstsq(h, g, rcond=None)[0]
+        slope = float(g @ newton)
+        step, trial = step_size, None
+        while slope > 0.0 and step >= _MIN_STEP:
+            # Loss change measured from theta, whose expected counts are mu.
+            candidate = _log_linear_terms(x, mu, -step * newton)
+            if candidate[0] <= -_ARMIJO_C * step * slope:
+                trial = candidate
                 break
             step *= 0.5
-            if step < _MIN_STEP:
-                candidate, nll_new = theta, nll  # no descent direction left
+        if trial is None:
+            # No step shows a decrease the loss change can resolve.  The
+            # full step is still progress if the loss holds and g shrinks.
+            step, trial = 1.0, _log_linear_terms(x, mu, -newton)
+            if not (trial[0] <= 0.0
+                    and float(np.max(np.abs(trial[1]))) < g_norm):
+                stop_reason = "stalled"
                 break
-        if nll_new >= nll and not converged:
-            # Line search stalled at numerical precision; report honestly.
-            break
-        theta, nll = candidate, nll_new
+        theta = theta - step * newton
+        change, g, h, mu = trial
+        nll += change
         history.append(nll)
     return FittedBehavior(
         worker_id=worker_id, model_kind="log_linear",
         lambda_in_hat=None, lambda_out_hat=None, theta_hat=tuple(theta),
-        nll=nll, n_in=n_in, n_out=n_out, converged=converged,
-        iterations=iterations, nll_history=tuple(history),
+        nll=nll, n_in=n_in, n_out=n_out,
+        converged=stop_reason == "converged", iterations=iterations,
+        nll_history=tuple(history), stop_reason=stop_reason,
+        unidentified=unidentified,
     )
 
 
@@ -310,6 +363,8 @@ def fitted_to_record(fit: FittedBehavior) -> dict:
         record["lambda_out_hat"] = fit.lambda_out_hat
     else:
         record["theta_hat"] = list(fit.theta_hat)
+        record["stop_reason"] = fit.stop_reason
+        record["unidentified"] = list(fit.unidentified)
     return record
 
 
@@ -331,7 +386,8 @@ def read_fitted(path: Union[str, Path]) -> list[FittedBehavior]:
             lambda_out_hat=obj.get("lambda_out_hat"),
             theta_hat=None if theta is None else tuple(theta),
             nll=obj["nll"], n_in=obj["n_in"], n_out=obj["n_out"],
-            converged=obj["converged"],
+            converged=obj["converged"], stop_reason=obj.get("stop_reason"),
+            unidentified=tuple(obj.get("unidentified", ())),
         ))
     return fits
 

@@ -508,13 +508,14 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
 
     ``annotations_remaining`` is not stored; it is rebuilt by replaying the
     solved count against the configured post total.  Any malformed line
-    raises `ConfigurationError` naming ``path:line``.
+    raises `ConfigurationError` naming ``path:line``; a file that is not
+    UTF-8 text raises it naming the path.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
-        raise ConfigurationError(f"{path}: empty event log")
     lineno = 1
     try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        if not lines:
+            raise ConfigurationError("empty event log")
         header = json.loads(lines[0])
         if header.get("format") != LOG_FORMAT:
             raise ConfigurationError(f"not a {LOG_FORMAT} file")
@@ -556,6 +557,8 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         ))
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise ConfigurationError(
             f"{path}:{lineno}: malformed event log: {type(exc).__name__}: {exc}"

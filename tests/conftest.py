@@ -4,7 +4,27 @@ from __future__ import annotations
 
 import pytest
 
-from contestsim import AnnotationEvent, ContestConfig, Post, WorkerProfile
+from contestsim import (AnnotationEvent, ContestConfig, Post, WorkerProfile,
+                        generate_corpus, parse_experiment_config,
+                        run_condition, write_event_log)
+
+# The README's sweep configuration.
+README_CONFIG = """\
+config_version=1
+n_workers=20
+n_posts=1520
+window_size=200
+task_unit_time_s=10.0
+task_unit_size=10
+arrival_rate=20.0
+prize_value=0.10
+base_points=10
+quality_constraint=0
+reduction_rate=10.0
+spreads=1,5,10
+replications=50
+master_seed=0
+"""
 
 # Populated by the criterion marker hook below; printed once per run so the
 # release gates are visible as a block regardless of verbosity flags.
@@ -105,3 +125,15 @@ def event_chain():
         return events
 
     return build
+
+
+@pytest.fixture(scope="session")
+def stock_log_path(tmp_path_factory):
+    """Log of the README config's contest at spread 5, replication 0."""
+    cfg = parse_experiment_config(README_CONFIG)
+    posts = generate_corpus(cfg.n_posts, cfg.mean_entities,
+                            seed=cfg.master_seed)
+    _, log = run_condition(cfg, 5, 0, posts)
+    path = tmp_path_factory.mktemp("stock") / "stock.jsonl"
+    write_event_log(log, path)
+    return path

@@ -212,6 +212,57 @@ def test_malformed_log_header_fails_cleanly(tmp_path, config_file, capsys,
     assert "Traceback" not in err
 
 
+def test_fit_log_linear_converges_on_every_stock_worker(tmp_path,
+                                                       stock_log_path, capsys):
+    out = tmp_path / "fits.jsonl"
+    assert main(["fit", "--log", str(stock_log_path), "--model", "log_linear",
+                 "--out", str(out)]) == 0
+    assert "fitted 20 worker(s) with log_linear (20 converged)" in \
+        capsys.readouterr().out
+    assert all(f.stop_reason == "converged" for f in read_fitted(out))
+
+
+def test_non_utf8_log_fails_cleanly(tmp_path, capsys):
+    log_path = tmp_path / "contest.jsonl"
+    log_path.write_bytes(b'{"format":\xff\xfe}\n')
+    code = main(["fit", "--log", str(log_path),
+                 "--out", str(tmp_path / "fits.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "UTF-8" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad_line", [
+    b'{"id":3,"token_count":10',
+    b'{"id":3,"token_count":10}',
+    b'{"id":3,"token_count":"10","expected_entities":1}',
+    b'{"id":3,"token_count":10.5,"expected_entities":1}',
+    b'[3,10,1]',
+    b'{"id":3,"token_count":10,"expected_entities":\xff}',
+])
+def test_malformed_corpus_fails_cleanly(tmp_path, config_file, capsys,
+                                        bad_line):
+    corpus = tmp_path / "corpus.jsonl"
+    log_path = tmp_path / "contest.jsonl"
+    assert main(["gen-corpus", "--n-posts", "40", "--seed", "7",
+                 "--out", str(corpus)]) == 0
+    assert main(["simulate", "--config", str(config_file),
+                 "--corpus", str(corpus), "--out", str(log_path)]) == 0
+    lines = corpus.read_bytes().splitlines()
+    lines[2] = bad_line
+    corpus.write_bytes(b"\n".join(lines) + b"\n")
+    capsys.readouterr()
+    code = main(["validate", "--log", str(log_path), "--corpus", str(corpus)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    where = "not UTF-8" if b"\xff" in bad_line else f"{corpus}:3:"
+    assert where in err
+    assert "Traceback" not in err
+
+
 def test_missing_files_fail_cleanly(tmp_path, capsys):
     code = main(["fit", "--log", str(tmp_path / "nope.jsonl"),
                  "--out", str(tmp_path / "fits.jsonl")])

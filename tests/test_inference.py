@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from contestsim import (ConfigurationError, DegenerateDataError, FeatureNorms,
                         FeatureVector, fit_log_linear, fit_two_state,
                         fitted_to_record, make_log_linear_rate_fn,
                         negative_log_likelihood, nll_gradient, predicted_rate,
-                        read_fitted, recovery_experiment, write_fitted)
+                        read_event_log, read_fitted, recovery_experiment,
+                        write_fitted)
 
 NORMS = FeatureNorms(n_workers=10, horizon_ms=20_000, n_posts=40)
 
@@ -256,11 +258,80 @@ def test_log_linear_recovers_state_rates_on_eligibility_only_data(event_chain):
         assert np.mean(rates) == pytest.approx(lam_hat, rel=0.02)
 
 
+def _grad_inf_norm(events, fit):
+    return float(np.max(np.abs(nll_gradient(events, fit.theta_hat, NORMS))))
+
+
+def test_log_linear_converges_on_every_stock_worker(stock_log_path):
+    log = read_event_log(stock_log_path)
+    by_worker = defaultdict(list)
+    for e in log.events:
+        by_worker[e.worker_id].append(e)
+    norms = FeatureNorms.from_log(log)
+    assert len(by_worker) == 20
+    for wid, events in sorted(by_worker.items()):
+        fit = fit_log_linear(events, norms, worker_id=wid)
+        grad = nll_gradient(events, fit.theta_hat, norms)
+        assert fit.converged and fit.stop_reason == "converged", wid
+        assert float(np.max(np.abs(grad))) < 1e-6, wid
+        assert fit.iterations <= 20, wid
+
+
+def test_log_linear_fit_matches_scipy_bfgs(event_chain):
+    gen = np.random.default_rng(53)
+    for _ in range(100):
+        events = _random_chain(event_chain, gen, int(gen.integers(3, 80)))
+        fit = fit_log_linear(events, NORMS)
+        oracle = optimize.minimize(
+            lambda th: negative_log_likelihood(events, th, "log_linear", NORMS),
+            np.zeros(5), jac=lambda th: nll_gradient(events, th, NORMS),
+            method="BFGS", options={"gtol": 1e-10})
+        assert fit.nll == pytest.approx(oracle.fun, rel=1e-9, abs=0.0)
+        assert fit.converged or (fit.stop_reason == "stalled"
+                                 and _grad_inf_norm(events, fit) <= 1e-5)
+
+
+def test_log_linear_never_eligible_worker_leaves_eligible_unidentified(
+        event_chain):
+    gen = np.random.default_rng(59)
+    specs = [(int(gen.integers(50, 3000)), False, int(gen.integers(2, 11)))
+             for _ in range(50)]
+    start = (0.1, -0.2, 0.3, -0.4, 0.5)
+    fit = fit_log_linear(event_chain(specs), NORMS, init_theta=start)
+    assert fit.converged
+    assert fit.stop_reason == "converged"
+    assert fit.unidentified == ("eligible",)
+    assert fit.theta_hat[4] == start[4]
+
+
+def test_log_linear_unreachable_tolerance_is_not_reported_converged(
+        event_chain):
+    # No float gradient gets below 1e-300: the fit must stop on its own and
+    # say why, with the loss still non-increasing.
+    gen = np.random.default_rng(61)
+    events = _random_chain(event_chain, gen, 60)
+    fit = fit_log_linear(events, NORMS, tolerance=1e-300)
+    assert not fit.converged
+    assert fit.stop_reason in ("stalled", "max_iters")
+    assert all(b <= a for a, b in zip(fit.nll_history, fit.nll_history[1:]))
+    assert _grad_inf_norm(events, fit) < 1e-9
+
+
+def test_log_linear_max_iters_is_reported(event_chain):
+    gen = np.random.default_rng(67)
+    events = _random_chain(event_chain, gen, 60)
+    fit = fit_log_linear(events, NORMS, max_iters=1)
+    assert fit.iterations == 1
+    assert not fit.converged
+    assert fit.stop_reason == "max_iters"
+
+
 def test_log_linear_empty_log_is_reported_unconverged():
     fit = fit_log_linear([], NORMS)
     assert fit.theta_hat == (0.0,) * 5
     assert fit.nll == 0.0
     assert not fit.converged
+    assert fit.stop_reason == "empty"
 
 
 def test_log_linear_validation(event_chain):
@@ -325,6 +396,35 @@ def test_fitted_models_round_trip_through_disk(tmp_path, event_chain):
     loaded = read_fitted(path)
     assert [fitted_to_record(f) for f in loaded] == \
         [fitted_to_record(f) for f in fits]
+
+
+def test_fit_records_carry_stop_reasons_for_log_linear_only(tmp_path,
+                                                            event_chain):
+    events = event_chain([(500, False, 4)] * 10)
+    log_linear = fit_log_linear(events, NORMS, worker_id=0)
+    two_state = fit_two_state(events, worker_id=0)
+    record = fitted_to_record(log_linear)
+    assert record["stop_reason"] == "converged"
+    assert record["unidentified"] == ["eligible"]
+    assert "stop_reason" not in fitted_to_record(two_state)
+    assert "unidentified" not in fitted_to_record(two_state)
+    path = tmp_path / "fits.jsonl"
+    write_fitted([log_linear, two_state], path)
+    loaded, _ = read_fitted(path)
+    assert loaded.stop_reason == "converged"
+    assert loaded.unidentified == ("eligible",)
+    assert all(isinstance(t, float) for t in loaded.theta_hat)
+
+
+def test_read_fitted_accepts_records_without_stop_reasons(tmp_path):
+    path = tmp_path / "old.jsonl"
+    path.write_text('{"converged":false,"model_kind":"log_linear","n_in":0,'
+                    '"n_out":0,"nll":0.0,"theta_hat":[0.0,0.0,0.0,0.0,0.0],'
+                    '"worker_id":3}\n', encoding="utf-8")
+    (fit,) = read_fitted(path)
+    assert fit.worker_id == 3
+    assert fit.stop_reason is None
+    assert fit.unidentified == ()
 
 
 def test_write_fitted_empty_list_makes_an_empty_file(tmp_path):

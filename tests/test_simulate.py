@@ -14,9 +14,8 @@ from scipy import stats
 
 from contestsim import (BehaviorPrior, ConfigurationError, ContractViolation,
                         WorkerProfile, draw_behavior, event_log_lines,
-                        exit_hazard, generate_corpus, holding_time,
-                        parse_experiment_config, read_event_log,
-                        replay_validate, run_condition, run_contest,
+                        exit_hazard, holding_time, read_event_log,
+                        replay_validate, run_contest,
                         simulate_annotated_count, write_event_log)
 from contestsim.simulate import DEFAULT_BASE_HAZARD, N_CHECKPOINTS
 
@@ -419,37 +418,15 @@ def test_event_log_round_trip_is_bit_exact(tmp_path, contest_config,
     assert path.read_bytes() == second.read_bytes()
 
 
-# The README's sweep configuration.
-README_CONFIG = """\
-config_version=1
-n_workers=20
-n_posts=1520
-window_size=200
-task_unit_time_s=10.0
-task_unit_size=10
-arrival_rate=20.0
-prize_value=0.10
-base_points=10
-quality_constraint=0
-reduction_rate=10.0
-spreads=1,5,10
-replications=50
-master_seed=0
-"""
 STOCK_LOG_SHA256 = (
     "fccff22c0f24fb1028dc4cdcb39736a3691ac36777d631127fd64eba94006a4c")
 
 
-def test_stock_log_bytes_are_pinned(tmp_path):
+def test_stock_log_bytes_are_pinned(stock_log_path):
     # Logs replay byte for byte across versions: a change to the rank rule,
     # the random streams or the log format moves this digest.
-    cfg = parse_experiment_config(README_CONFIG)
-    posts = generate_corpus(cfg.n_posts, cfg.mean_entities,
-                            seed=cfg.master_seed)
-    _, log = run_condition(cfg, 5, 0, posts)
-    path = tmp_path / "stock.jsonl"
-    write_event_log(log, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == STOCK_LOG_SHA256
+    digest = hashlib.sha256(stock_log_path.read_bytes()).hexdigest()
+    assert digest == STOCK_LOG_SHA256
 
 
 def test_read_event_log_rejects_malformed_files(tmp_path):
