@@ -19,8 +19,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 from . import rng as streams
 from .core import ContestConfig, Post, WorkerProfile
 from .errors import ConfigurationError, ContestError
-from .simulate import (DEFAULT_BASE_HAZARD, BehaviorPrior, EventLog,
-                       draw_behavior, run_contest)
+from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, BehaviorPrior,
+                       EventLog, draw_behavior, run_contest)
 
 CONFIG_VERSION = 1
 TREND_ALPHA = 0.05
@@ -157,7 +157,13 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
 
 
 def read_experiment_config(path: Union[str, Path]) -> ExperimentConfig:
-    return parse_experiment_config(Path(path).read_text(encoding="utf-8"))
+    """Read a config file; one that is not UTF-8 text raises
+    `ConfigurationError` naming the path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parse_experiment_config(text)
 
 
 def write_experiment_config(config: ExperimentConfig,
@@ -312,10 +318,9 @@ def summarize(log: EventLog, replication: int = 0) -> ContestSummary:
     total = len(log.events)
     distinct = len({(e.post_id, e.annotated_count) for e in log.events})
     exit_times = sorted(x.exit_time_ms for x in log.exits)
-    n_checkpoints = 20
     active_counts = []
-    for k in range(n_checkpoints + 1):
-        t = round(log.horizon_ms * k / n_checkpoints)
+    for k in range(N_CHECKPOINTS + 1):
+        t = round(log.horizon_ms * k / N_CHECKPOINTS)
         exited = sum(1 for ms in exit_times if ms <= t)
         active_counts.append(config.n_workers - exited)
     n_active_end = config.n_workers - len(log.exits)
@@ -570,8 +575,8 @@ def _exit_curves_bytes(result: SweepResult) -> bytes:
     header = ",".join(["checkpoint_fraction",
                        *(f"spread_{s}" for s in spreads)])
     rows = [header]
-    for k in range(21):
-        cells = [f"{k * 5 / 100:.2f}"]
+    for k in range(N_CHECKPOINTS + 1):
+        cells = [f"{k / N_CHECKPOINTS:.2f}"]
         for s in spreads:
             curves = by_spread[s]
             mean_active = math.fsum(c[k] for c in curves) / len(curves)

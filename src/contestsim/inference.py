@@ -376,19 +376,34 @@ def write_fitted(fits: Sequence[FittedBehavior], path: Union[str, Path]) -> None
 
 
 def read_fitted(path: Union[str, Path]) -> list[FittedBehavior]:
+    """Parse a file written by `write_fitted`.
+
+    A line that is not a JSON record or lacks a key raises
+    `ConfigurationError` naming ``path:line``; a file that is not UTF-8
+    text names the path.
+    """
     fits = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        obj = json.loads(line)
-        theta = obj.get("theta_hat")
-        fits.append(FittedBehavior(
-            worker_id=obj["worker_id"], model_kind=obj["model_kind"],
-            lambda_in_hat=obj.get("lambda_in_hat"),
-            lambda_out_hat=obj.get("lambda_out_hat"),
-            theta_hat=None if theta is None else tuple(theta),
-            nll=obj["nll"], n_in=obj["n_in"], n_out=obj["n_out"],
-            converged=obj["converged"], stop_reason=obj.get("stop_reason"),
-            unidentified=tuple(obj.get("unidentified", ())),
-        ))
+    lineno = 0
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
+            obj = json.loads(line)
+            theta = obj.get("theta_hat")
+            fits.append(FittedBehavior(
+                worker_id=obj["worker_id"], model_kind=obj["model_kind"],
+                lambda_in_hat=obj.get("lambda_in_hat"),
+                lambda_out_hat=obj.get("lambda_out_hat"),
+                theta_hat=None if theta is None else tuple(theta),
+                nll=obj["nll"], n_in=obj["n_in"], n_out=obj["n_out"],
+                converged=obj["converged"], stop_reason=obj.get("stop_reason"),
+                unidentified=tuple(obj.get("unidentified", ())),
+            ))
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ConfigurationError(
+            f"{path}:{lineno}: malformed fitted record: "
+            f"{type(exc).__name__}: {exc}") from exc
     return fits
 
 

@@ -20,12 +20,27 @@ Two dispatch modes share the engine:
 Exit decisions happen at twenty evenly spaced checkpoints: a worker outside
 the spread leaves with a hazard that grows with their distance below the
 spread and with elapsed contest time.
+
+Each worker draws from three substreams of the contest seed:
+
+* EVENTS: one standard-exponential draw per holding time, scaled by the
+  reciprocal of the governing rate;
+* COUNTS: one uniform per annotation, and on a miss one perturbation index
+  in 0..3;
+* EXITS: one uniform per checkpoint the worker is still in the contest.
+
+The engine takes these draws in blocks (32 per numpy call; the twenty exit
+draws at once) and reads them as plain Python numbers.  They equal, draw
+for draw, the scalar calls `holding_time` and `simulate_annotated_count`
+make on the same substream, so a log does not depend on the block size;
+the engine calls neither function.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from collections import deque
 from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
@@ -191,19 +206,70 @@ def simulate_annotated_count(post: Post, profile: WorkerProfile,
     clamped at zero (so a miss on a zero-entity post can still land on the
     truth, but a miss on a non-empty post never can).
     """
-    p_correct = min(1.0, max(0.0, profile.skill + accuracy_floor))
+    p_correct = _p_correct(profile.skill, accuracy_floor)
     if rng.random() < p_correct:
         return post.expected_entities
     delta = _PERTURBATIONS[rng.integers(0, len(_PERTURBATIONS))]
     return max(0, post.expected_entities + delta)
 
 
+def _p_correct(skill: float, accuracy_floor: float) -> float:
+    return min(1.0, max(0.0, skill + accuracy_floor))
+
+
+# --- block-buffered draws ---------------------------------------------------
+#
+# Draws per numpy call.  Logs do not depend on it: each sequence equals the
+# scalar calls above draw for draw (tests/test_simulate.py checks this).
+_BLOCK = 32
+_TWO_POW_M53 = 1.0 / 9007199254740992.0
+
+
+def _blocks(draw: Callable[[int], np.ndarray]):
+    """Yield the values of ``draw(_BLOCK)``, one block after another."""
+    while True:
+        yield from draw(_BLOCK).tolist()
+
+
+def _count_offsets(bit_generator: np.random.BitGenerator, p_correct: float):
+    """Yield, per annotation, the offset added to the true count (0 on a hit).
+
+    Rebuilds `simulate_annotated_count`'s ``rng.random()`` and
+    ``rng.integers(0, 4)`` from raw 64-bit words: ``random()`` is the top 53
+    bits of one word; ``integers(0, 4)`` is the top two bits of a 32-bit
+    half, the low half of a fresh word first and its high half, kept as a
+    spare, on the next call, as numpy's buffered Lemire draw does for PCG64.
+    """
+    words = _blocks(bit_generator.random_raw)
+    next_word = words.__next__
+    spare = None
+    for word in words:
+        if (word >> 11) * _TWO_POW_M53 < p_correct:
+            yield 0
+        elif spare is None:
+            word = next_word()
+            spare = word >> 32
+            yield _PERTURBATIONS[(word & 0xFFFFFFFF) >> 30]
+        else:
+            yield _PERTURBATIONS[spare >> 30]
+            spare = None
+
+
 class _WorkerState:
+    """One worker's contest state and random draws.
+
+    ``next_exp`` yields standard-exponential draws from the EVENTS stream,
+    ``next_offset`` count offsets from the COUNTS stream, and
+    ``exit_draws[ci]`` is the EXITS stream's draw at checkpoint ``ci``: a
+    worker alive there drew at every earlier checkpoint.
+    """
+
     __slots__ = ("idx", "profile", "score", "stamp", "annotations",
                  "last_ms", "alive", "gov_rank", "gov_elig",
-                 "event_rng", "count_rng", "exit_rng", "bin")
+                 "next_exp", "next_offset", "exit_draws", "bin")
 
-    def __init__(self, idx: int, profile: WorkerProfile, seed: Seed) -> None:
+    def __init__(self, idx: int, profile: WorkerProfile, seed: Seed,
+                 accuracy_floor: float) -> None:
         self.idx = idx
         self.profile = profile
         self.score = 0
@@ -213,9 +279,14 @@ class _WorkerState:
         self.alive = True
         self.gov_rank = 0
         self.gov_elig = False
-        self.event_rng = streams.substream(seed, streams.EVENTS, idx)
-        self.count_rng = streams.substream(seed, streams.COUNTS, idx)
-        self.exit_rng = streams.substream(seed, streams.EXITS, idx)
+        event_rng = streams.substream(seed, streams.EVENTS, idx)
+        count_rng = streams.substream(seed, streams.COUNTS, idx)
+        exit_rng = streams.substream(seed, streams.EXITS, idx)
+        self.next_exp = _blocks(event_rng.standard_exponential).__next__
+        self.next_offset = _count_offsets(
+            count_rng.bit_generator,
+            _p_correct(profile.skill, accuracy_floor)).__next__
+        self.exit_draws = exit_rng.random(N_CHECKPOINTS).tolist()
         self.bin: deque[Post] = deque()
 
 
@@ -248,7 +319,8 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
 
     n = config.n_workers
     spread = config.reward_spread
-    workers = [_WorkerState(i, profiles[i], seed) for i in range(n)]
+    workers = [_WorkerState(i, profiles[i], seed, accuracy_floor)
+               for i in range(n)]
     by_id = {w.profile.id: w for w in workers}
     id_order = sorted(workers, key=lambda w: w.profile.id)
     board = Leaderboard(by_id)
@@ -267,8 +339,12 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
         return w.profile.lambda_in if w.gov_elig else w.profile.lambda_out
 
     def gap_ms(w: _WorkerState, elapsed_ms: int, remaining: int) -> int:
-        tau_s = holding_time(current_rate(w, elapsed_ms, remaining), 1.0,
-                             w.event_rng)
+        # The product is `holding_time`'s draw: numpy's exponential(scale)
+        # is scale * standard_exponential().
+        rate = current_rate(w, elapsed_ms, remaining)
+        if not rate > 0.0:
+            raise ConfigurationError("holding_time requires a positive rate")
+        tau_s = w.next_exp() * (1.0 / rate)
         return max(1, math.ceil(tau_s * 1000.0))
 
     unit_ms = int(round(config.task_unit_time_s * 1000.0))
@@ -296,7 +372,7 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
         for w in id_order:
             if not w.alive:
                 continue
-            u = w.exit_rng.random()  # one draw per checkpoint, hazard or not
+            u = w.exit_draws[ci]  # one draw per checkpoint, hazard or not
             r = board_rank(w.profile.id)
             elig = r <= spread
             h = exit_hazard(elig, r - spread, frac, w.profile,
@@ -308,8 +384,7 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
     def handle_event(w: _WorkerState, t: int, post: Post) -> int:
         nonlocal solved
         hold = t - w.last_ms
-        count = simulate_annotated_count(post, w.profile, w.count_rng,
-                                         accuracy_floor=accuracy_floor)
+        count = max(0, post.expected_entities + w.next_offset())
         solved += 1
         remaining = config.n_posts - solved
         events.append(AnnotationEvent(
@@ -499,61 +574,85 @@ def event_log_lines(log: EventLog):
 
 
 def write_event_log(log: EventLog, path: Union[str, Path]) -> None:
-    Path(path).write_text("\n".join(event_log_lines(log)) + "\n",
-                          encoding="utf-8")
+    """Write `event_log_lines` to ``path``, one line at a time.
+
+    The lines go to a temporary file in the same directory, which then
+    replaces ``path``, so a crash never leaves a truncated log behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+            for line in event_log_lines(log):
+                fh.write(line)
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_event_log(path: Union[str, Path]) -> EventLog:
     """Parse a log written by `write_event_log`, reconstructing derived fields.
 
-    ``annotations_remaining`` is not stored; it is rebuilt by replaying the
-    solved count against the configured post total.  Any malformed line
-    raises `ConfigurationError` naming ``path:line``; a file that is not
-    UTF-8 text raises it naming the path.
+    The file is read in one pass, line by line.  ``annotations_remaining``
+    is not stored; it is rebuilt by replaying the solved count against the
+    configured post total.  Any malformed line, a missing trailer or data
+    after the trailer raises `ConfigurationError` naming ``path:line``; a
+    file that is not UTF-8 text raises it naming the path.
     """
     lineno = 1
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if not lines:
-            raise ConfigurationError("empty event log")
-        header = json.loads(lines[0])
-        if header.get("format") != LOG_FORMAT:
-            raise ConfigurationError(f"not a {LOG_FORMAT} file")
-        config = ContestConfig(**header["config"])
-        seed = header["seed"]
-        log = EventLog(
-            config=config, seed=tuple(seed) if isinstance(seed, list) else seed,
-            dispatch=header["dispatch"], horizon_ms=header["horizon_ms"],
-            base_hazard=header["base_hazard"],
-            accuracy_floor=header["accuracy_floor"], events=[], exits=[],
-            final_ranking=Ranking(entries=()),
-            counters=PostCounters(**header["counters"]))
-        events, exits = log.events, log.exits
-        per_worker_index: dict[int, int] = {}
-        solved = 0
-        for lineno, line in enumerate(lines[1:-1], 2):
-            obj = json.loads(line)
-            if "exit_time_ms" in obj:
-                exits.append(ExitEvent(obj["worker_id"], obj["exit_time_ms"],
-                                       obj["rank"], obj["eligible"]))
-                continue
-            solved += 1
-            wid, index = obj["worker_id"], obj["event_index"]
-            if index != per_worker_index.get(wid, 0):
-                raise ConfigurationError(f"worker {wid} event_index out of order")
-            per_worker_index[wid] = index + 1
-            events.append(AnnotationEvent(
-                wid, index, obj["event_time_ms"], obj["holding_time_ms"],
-                obj["post_id"], obj["annotated_count"], obj["rank"],
-                obj["eligible"], config.n_posts - solved))
-        lineno = len(lines)
-        trailer = json.loads(lines[-1])
-        if "final_ranking" not in trailer:
+        with Path(path).open(encoding="utf-8") as lines:
+            first = next(lines, None)
+            if first is None:
+                raise ConfigurationError("empty event log")
+            header = json.loads(first)
+            if header.get("format") != LOG_FORMAT:
+                raise ConfigurationError(f"not a {LOG_FORMAT} file")
+            config = ContestConfig(**header["config"])
+            seed = header["seed"]
+            log = EventLog(
+                config=config,
+                seed=tuple(seed) if isinstance(seed, list) else seed,
+                dispatch=header["dispatch"], horizon_ms=header["horizon_ms"],
+                base_hazard=header["base_hazard"],
+                accuracy_floor=header["accuracy_floor"], events=[], exits=[],
+                final_ranking=Ranking(entries=()),
+                counters=PostCounters(**header["counters"]))
+            events, exits = log.events, log.exits
+            per_worker_index: dict[int, int] = {}
+            solved = 0
+            final = None
+            for lineno, line in enumerate(lines, 2):
+                if final is not None:
+                    raise ConfigurationError(
+                        "data after the final-ranking trailer")
+                obj = json.loads(line)
+                if "exit_time_ms" in obj:
+                    exits.append(ExitEvent(obj["worker_id"],
+                                           obj["exit_time_ms"], obj["rank"],
+                                           obj["eligible"]))
+                    continue
+                if "final_ranking" in obj:
+                    final = obj["final_ranking"]
+                    continue
+                solved += 1
+                wid, index = obj["worker_id"], obj["event_index"]
+                if index != per_worker_index.get(wid, 0):
+                    raise ConfigurationError(
+                        f"worker {wid} event_index out of order")
+                per_worker_index[wid] = index + 1
+                events.append(AnnotationEvent(
+                    wid, index, obj["event_time_ms"], obj["holding_time_ms"],
+                    obj["post_id"], obj["annotated_count"], obj["rank"],
+                    obj["eligible"], config.n_posts - solved))
+        if final is None:
             raise ConfigurationError("missing final-ranking trailer")
         log.final_ranking = Ranking(entries=tuple(
             RankEntry(r["worker_id"], r["score"], r["annotations"],
                       r["last_scored_ms"])
-            for r in trailer["final_ranking"]
+            for r in final
         ))
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc

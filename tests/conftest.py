@@ -137,3 +137,17 @@ def stock_log_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("stock") / "stock.jsonl"
     write_event_log(log, path)
     return path
+
+
+@pytest.fixture(scope="session")
+def shared_log_path(tmp_path_factory):
+    """Log of the README config's contest at spread 5, replication 0, with
+    shared dispatch and a 0.25 accuracy floor."""
+    cfg = parse_experiment_config(
+        README_CONFIG + "dispatch=shared\naccuracy_floor=0.25\n")
+    posts = generate_corpus(cfg.n_posts, cfg.mean_entities,
+                            seed=cfg.master_seed)
+    _, log = run_condition(cfg, 5, 0, posts)
+    path = tmp_path_factory.mktemp("shared") / "shared.jsonl"
+    write_event_log(log, path)
+    return path

@@ -234,6 +234,20 @@ def test_non_utf8_log_fails_cleanly(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+def test_non_utf8_config_fails_cleanly(tmp_path, capsys, command):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(CONFIG.encode("utf-8") + b"# caf\xe9\n")
+    extra = (["--out", str(tmp_path / "contest.jsonl")]
+             if command == "simulate" else ["--out-dir", str(tmp_path / "out")])
+    code = main([command, "--config", str(config)] + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{config}: not UTF-8" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("bad_line", [
     b'{"id":3,"token_count":10',
     b'{"id":3,"token_count":10}',

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -425,6 +426,31 @@ def test_read_fitted_accepts_records_without_stop_reasons(tmp_path):
     assert fit.worker_id == 3
     assert fit.stop_reason is None
     assert fit.unidentified == ()
+
+
+@pytest.mark.parametrize("bad_line", [
+    b'{"worker_id":1}',
+    b'{"worker_id":1,"model_kind":"two_state"',
+    b'[1,2,3]',
+    b'{"worker_id":1,"model_kind":"log_linear","theta_hat":7,"nll":0.0,'
+    b'"n_in":0,"n_out":0,"converged":false}',
+])
+def test_read_fitted_names_the_bad_line(tmp_path, bad_line):
+    path = tmp_path / "fits.jsonl"
+    good = ('{"converged":true,"lambda_in_hat":1.0,"lambda_out_hat":1.0,'
+            '"model_kind":"two_state","n_in":3,"n_out":2,"nll":1.5,'
+            '"worker_id":0}').encode()
+    path.write_bytes(good + b"\n" + bad_line + b"\n")
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{path}:2: malformed fitted record")):
+        read_fitted(path)
+
+
+def test_read_fitted_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "fits.jsonl"
+    path.write_bytes(b'{"worker_id":\xff}\n')
+    with pytest.raises(ConfigurationError, match="not UTF-8"):
+        read_fitted(path)
 
 
 def test_write_fitted_empty_list_makes_an_empty_file(tmp_path):

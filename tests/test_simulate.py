@@ -13,11 +13,13 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from contestsim import (BehaviorPrior, ConfigurationError, ContractViolation,
-                        WorkerProfile, draw_behavior, event_log_lines,
+                        Post, WorkerProfile, draw_behavior, event_log_lines,
                         exit_hazard, holding_time, read_event_log,
                         replay_validate, run_contest,
                         simulate_annotated_count, write_event_log)
-from contestsim.simulate import DEFAULT_BASE_HAZARD, N_CHECKPOINTS
+from contestsim import rng as streams
+from contestsim.simulate import (_BLOCK, DEFAULT_BASE_HAZARD, N_CHECKPOINTS,
+                                 _WorkerState)
 
 
 def _profile(**overrides) -> WorkerProfile:
@@ -195,6 +197,52 @@ def test_accuracy_floor_lifts_the_hit_probability(make_posts):
     assert all(simulate_annotated_count(post, _profile(skill=0.0), gen,
                                         accuracy_floor=1.0) == 2
                for _ in range(100))
+
+
+# --- block-buffered draws ----------------------------------------------------
+#
+# The engine reads each worker's draws from per-worker blocks.  The public
+# scalar functions, called on a fresh copy of the same substream, are the
+# oracle: the sequences must agree draw for draw, past several blocks.
+
+_SEEDS = [*range(40), (0, 0), (0, 49), (7, 3), (2**40, 1)]
+_N_DRAWS = 3 * _BLOCK + 5
+
+
+def test_block_holding_times_match_holding_time():
+    for seed in _SEEDS:
+        worker = _WorkerState(2, _profile(), seed, accuracy_floor=0.0)
+        oracle = streams.substream(seed, streams.EVENTS, 2)
+        for i in range(_N_DRAWS):
+            rate = 0.05 + (i % 11) * 0.37
+            assert worker.next_exp() * (1.0 / rate) == \
+                holding_time(rate, 1.0, oracle), (seed, i)
+
+
+@pytest.mark.parametrize("skill, accuracy_floor", [
+    (0.0, 0.0), (1.0, 0.0), (0.5, 0.0), (0.3, 0.25), (0.0, 0.6),
+    (0.9, -0.4), (1.0, -1.0),
+])
+def test_block_counts_match_simulate_annotated_count(skill, accuracy_floor):
+    profile = _profile(skill=skill)
+    posts = [Post(id=i, token_count=10, expected_entities=i % 5,
+                  arrival_index=i) for i in range(_N_DRAWS)]
+    for seed in _SEEDS:
+        worker = _WorkerState(5, profile, seed, accuracy_floor)
+        oracle = streams.substream(seed, streams.COUNTS, 5)
+        for post in posts:
+            expected = simulate_annotated_count(post, profile, oracle,
+                                                accuracy_floor=accuracy_floor)
+            assert max(0, post.expected_entities + worker.next_offset()) \
+                == expected, (seed, post.id)
+
+
+def test_block_exit_draws_match_one_random_per_checkpoint():
+    for seed in _SEEDS:
+        worker = _WorkerState(1, _profile(), seed, accuracy_floor=0.0)
+        oracle = streams.substream(seed, streams.EXITS, 1)
+        assert worker.exit_draws == [oracle.random()
+                                     for _ in range(N_CHECKPOINTS)], seed
 
 
 # --- run_contest: validation ------------------------------------------------
@@ -427,6 +475,48 @@ def test_stock_log_bytes_are_pinned(stock_log_path):
     # the random streams or the log format moves this digest.
     digest = hashlib.sha256(stock_log_path.read_bytes()).hexdigest()
     assert digest == STOCK_LOG_SHA256
+
+
+SHARED_LOG_SHA256 = (
+    "11604a1325b4fb468feb0bd5f33996f10181137c2fff0516d880619d4166fe35")
+
+
+def test_shared_dispatch_log_bytes_are_pinned(shared_log_path):
+    # The shared-pool loop, with exits and a non-zero accuracy floor.
+    digest = hashlib.sha256(shared_log_path.read_bytes()).hexdigest()
+    assert digest == SHARED_LOG_SHA256
+
+
+def test_write_event_log_replaces_the_file_in_one_step(tmp_path,
+                                                       contest_config,
+                                                       make_posts,
+                                                       make_profiles):
+    log, _ = _windowed_log(contest_config, make_posts, make_profiles)
+    path = tmp_path / "contest.jsonl"
+    write_event_log(log, path)
+    before = path.read_bytes()
+    assert before == ("\n".join(event_log_lines(log)) + "\n").encode()
+    # A log that fails to serialize part-way leaves the old file in place
+    # and no temporary file behind.
+    log.events.append(log.events[-1]._replace(post_id={1, 2}))
+    log.events.append(log.events[0])
+    with pytest.raises(TypeError):
+        write_event_log(log, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["contest.jsonl"]
+
+
+def test_read_event_log_rejects_data_after_the_trailer(
+        tmp_path, contest_config, make_posts, make_profiles):
+    log, _ = _windowed_log(contest_config, make_posts, make_profiles)
+    path = tmp_path / "contest.jsonl"
+    write_event_log(log, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines + [lines[1]]) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{path}:{len(lines) + 1}: ")
+                       + "data after"):
+        read_event_log(path)
 
 
 def test_read_event_log_rejects_malformed_files(tmp_path):
