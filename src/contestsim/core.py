@@ -57,7 +57,7 @@ class WorkerProfile:
     def __post_init__(self) -> None:
         if not 0.0 <= self.skill <= 1.0:
             raise ConfigurationError(f"worker {self.id}: skill must lie in [0, 1]")
-        if self.lambda_in <= 0.0 or self.lambda_out <= 0.0:
+        if not (self.lambda_in > 0.0 and self.lambda_out > 0.0):  # and not NaN
             raise ConfigurationError(f"worker {self.id}: rates must be positive")
         if self.cost_per_effort < 0.0:
             raise ConfigurationError(f"worker {self.id}: cost_per_effort must be >= 0")

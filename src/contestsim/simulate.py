@@ -32,8 +32,10 @@ Each worker draws from three substreams of the contest seed:
 The engine takes these draws in blocks (32 per numpy call; the twenty exit
 draws at once) and reads them as plain Python numbers.  They equal, draw
 for draw, the scalar calls `holding_time` and `simulate_annotated_count`
-make on the same substream, so a log does not depend on the block size;
-the engine calls neither function.
+make on the same substream, so a log does not depend on the block size.
+The EVENTS blocks are unit-rate `holding_time` calls with ``size=32``;
+the COUNTS draws are rebuilt from raw words, so the engine does not call
+`simulate_annotated_count`.
 """
 
 from __future__ import annotations
@@ -282,7 +284,11 @@ class _WorkerState:
         event_rng = streams.substream(seed, streams.EVENTS, idx)
         count_rng = streams.substream(seed, streams.COUNTS, idx)
         exit_rng = streams.substream(seed, streams.EXITS, idx)
-        self.next_exp = _blocks(event_rng.standard_exponential).__next__
+        # Unit-rate holding times; a holding time at rate r is one of these
+        # times 1/r, as numpy's exponential(scale) is
+        # scale * standard_exponential().
+        self.next_exp = _blocks(
+            lambda size: holding_time(1.0, 1.0, event_rng, size)).__next__
         self.next_offset = _count_offsets(
             count_rng.bit_generator,
             _p_correct(profile.skill, accuracy_floor)).__next__
@@ -339,12 +345,7 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
         return w.profile.lambda_in if w.gov_elig else w.profile.lambda_out
 
     def gap_ms(w: _WorkerState, elapsed_ms: int, remaining: int) -> int:
-        # The product is `holding_time`'s draw: numpy's exponential(scale)
-        # is scale * standard_exponential().
-        rate = current_rate(w, elapsed_ms, remaining)
-        if not rate > 0.0:
-            raise ConfigurationError("holding_time requires a positive rate")
-        tau_s = w.next_exp() * (1.0 / rate)
+        tau_s = w.next_exp() * (1.0 / current_rate(w, elapsed_ms, remaining))
         return max(1, math.ceil(tau_s * 1000.0))
 
     unit_ms = int(round(config.task_unit_time_s * 1000.0))
@@ -577,7 +578,9 @@ def write_event_log(log: EventLog, path: Union[str, Path]) -> None:
     """Write `event_log_lines` to ``path``, one line at a time.
 
     The lines go to a temporary file in the same directory, which then
-    replaces ``path``, so a crash never leaves a truncated log behind.
+    replaces ``path``, so an interrupted or failed write never leaves a
+    truncated log behind.  The file is not fsynced: after a power loss or
+    an operating-system crash the new log may still be empty or short.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -595,64 +598,54 @@ def write_event_log(log: EventLog, path: Union[str, Path]) -> None:
 def read_event_log(path: Union[str, Path]) -> EventLog:
     """Parse a log written by `write_event_log`, reconstructing derived fields.
 
-    The file is read in one pass, line by line.  ``annotations_remaining``
-    is not stored; it is rebuilt by replaying the solved count against the
-    configured post total.  Any malformed line, a missing trailer or data
-    after the trailer raises `ConfigurationError` naming ``path:line``; a
-    file that is not UTF-8 text raises it naming the path.
+    ``annotations_remaining`` is not stored; it is rebuilt by replaying the
+    solved count against the configured post total.  Any malformed line
+    raises `ConfigurationError` naming ``path:line``; a file that is not
+    UTF-8 text raises it naming the path.
     """
     lineno = 1
     try:
-        with Path(path).open(encoding="utf-8") as lines:
-            first = next(lines, None)
-            if first is None:
-                raise ConfigurationError("empty event log")
-            header = json.loads(first)
-            if header.get("format") != LOG_FORMAT:
-                raise ConfigurationError(f"not a {LOG_FORMAT} file")
-            config = ContestConfig(**header["config"])
-            seed = header["seed"]
-            log = EventLog(
-                config=config,
-                seed=tuple(seed) if isinstance(seed, list) else seed,
-                dispatch=header["dispatch"], horizon_ms=header["horizon_ms"],
-                base_hazard=header["base_hazard"],
-                accuracy_floor=header["accuracy_floor"], events=[], exits=[],
-                final_ranking=Ranking(entries=()),
-                counters=PostCounters(**header["counters"]))
-            events, exits = log.events, log.exits
-            per_worker_index: dict[int, int] = {}
-            solved = 0
-            final = None
-            for lineno, line in enumerate(lines, 2):
-                if final is not None:
-                    raise ConfigurationError(
-                        "data after the final-ranking trailer")
-                obj = json.loads(line)
-                if "exit_time_ms" in obj:
-                    exits.append(ExitEvent(obj["worker_id"],
-                                           obj["exit_time_ms"], obj["rank"],
-                                           obj["eligible"]))
-                    continue
-                if "final_ranking" in obj:
-                    final = obj["final_ranking"]
-                    continue
-                solved += 1
-                wid, index = obj["worker_id"], obj["event_index"]
-                if index != per_worker_index.get(wid, 0):
-                    raise ConfigurationError(
-                        f"worker {wid} event_index out of order")
-                per_worker_index[wid] = index + 1
-                events.append(AnnotationEvent(
-                    wid, index, obj["event_time_ms"], obj["holding_time_ms"],
-                    obj["post_id"], obj["annotated_count"], obj["rank"],
-                    obj["eligible"], config.n_posts - solved))
-        if final is None:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        if not lines:
+            raise ConfigurationError("empty event log")
+        header = json.loads(lines[0])
+        if header.get("format") != LOG_FORMAT:
+            raise ConfigurationError(f"not a {LOG_FORMAT} file")
+        config = ContestConfig(**header["config"])
+        seed = header["seed"]
+        log = EventLog(
+            config=config, seed=tuple(seed) if isinstance(seed, list) else seed,
+            dispatch=header["dispatch"], horizon_ms=header["horizon_ms"],
+            base_hazard=header["base_hazard"],
+            accuracy_floor=header["accuracy_floor"], events=[], exits=[],
+            final_ranking=Ranking(entries=()),
+            counters=PostCounters(**header["counters"]))
+        events, exits = log.events, log.exits
+        per_worker_index: dict[int, int] = {}
+        solved = 0
+        for lineno, line in enumerate(lines[1:-1], 2):
+            obj = json.loads(line)
+            if "exit_time_ms" in obj:
+                exits.append(ExitEvent(obj["worker_id"], obj["exit_time_ms"],
+                                       obj["rank"], obj["eligible"]))
+                continue
+            solved += 1
+            wid, index = obj["worker_id"], obj["event_index"]
+            if index != per_worker_index.get(wid, 0):
+                raise ConfigurationError(f"worker {wid} event_index out of order")
+            per_worker_index[wid] = index + 1
+            events.append(AnnotationEvent(
+                wid, index, obj["event_time_ms"], obj["holding_time_ms"],
+                obj["post_id"], obj["annotated_count"], obj["rank"],
+                obj["eligible"], config.n_posts - solved))
+        lineno = len(lines)
+        trailer = json.loads(lines[-1])
+        if "final_ranking" not in trailer:
             raise ConfigurationError("missing final-ranking trailer")
         log.final_ranking = Ranking(entries=tuple(
             RankEntry(r["worker_id"], r["score"], r["annotations"],
                       r["last_scored_ms"])
-            for r in final
+            for r in trailer["final_ranking"]
         ))
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc

@@ -264,6 +264,13 @@ def test_worker_profile_validation():
         WorkerProfile(**{**ok, "exit_threshold": 1.5})
 
 
+@pytest.mark.parametrize("field", ["lambda_in", "lambda_out"])
+def test_worker_profile_rejects_a_nan_rate(field):
+    ok = dict(id=3, skill=0.5, lambda_in=1.0, lambda_out=1.0)
+    with pytest.raises(ConfigurationError, match="worker 3: rates"):
+        WorkerProfile(**{**ok, field: float("nan")})
+
+
 def test_contest_config_accepts_exactly_provisioned_stream(contest_config):
     # service rate = 10/10 = 1 post/s per worker; arrival 2.0 means the
     # offered load equals the two-worker workforce, which is allowed.
