@@ -9,12 +9,12 @@ stderr and a nonzero exit status.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import defaultdict
 from dataclasses import asdict
 from pathlib import Path
 
+from .core import canonical_json
 from .errors import ContestError
 from .experiment import (emit_outputs, generate_corpus, read_corpus,
                          read_experiment_config, run_condition, sweep,
@@ -120,9 +120,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     if args.out:
         record = report.to_record()
         record["rows"] = [asdict(r) for r in report.rows]
-        Path(args.out).write_text(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n",
-            encoding="utf-8")
+        Path(args.out).write_text(canonical_json(record) + "\n",
+                                  encoding="utf-8")
     print(f"recovery over {len(report.rows)} fits: "
           f"mean rel err in={report.mean_rel_err_in:.4f} "
           f"out={report.mean_rel_err_out:.4f} "

@@ -6,6 +6,7 @@ the ranking that the engine and the replay validator update as scores move.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Collection, Hashable, Mapping, Optional, Sequence
@@ -16,6 +17,15 @@ from .errors import ConfigurationError
 _NEVER_SCORED = float("inf")
 
 EXACT_MATCH_MULTIPLIER = 5
+
+
+def canonical_json(obj) -> str:
+    """``obj`` as JSON with sorted keys and no spaces.
+
+    Every JSON record the package writes is in this form, so equal values
+    give equal bytes.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import rng as streams
-from .core import ContestConfig, Post, WorkerProfile
+from .core import ContestConfig, Post, WorkerProfile, canonical_json
 from .errors import ConfigurationError, ContestError
 from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, BehaviorPrior,
                        EventLog, draw_behavior, run_contest)
@@ -206,9 +206,8 @@ def generate_corpus(n_posts: int, mean_entities: float,
 
 
 def write_corpus(posts: Sequence[Post], path: Union[str, Path]) -> None:
-    lines = [json.dumps({"id": p.id, "token_count": p.token_count,
-                         "expected_entities": p.expected_entities},
-                        sort_keys=True, separators=(",", ":"))
+    lines = [canonical_json({"id": p.id, "token_count": p.token_count,
+                             "expected_entities": p.expected_entities})
              for p in posts]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
                           encoding="utf-8")
@@ -586,7 +585,7 @@ def _exit_curves_bytes(result: SweepResult) -> bytes:
 
 
 def _summaries_bytes(result: SweepResult) -> bytes:
-    lines = [json.dumps(s.to_record(), sort_keys=True, separators=(",", ":"))
+    lines = [canonical_json(s.to_record())
              for s in sorted(result.summaries,
                              key=lambda s: (s.reward_spread, s.replication))]
     if not lines:
@@ -620,24 +619,22 @@ def emit_outputs(result: SweepResult, output_dir: Union[str, Path], *,
         "sweep_table.csv": _sweep_table_bytes(result),
         "summaries.jsonl": _summaries_bytes(result),
         "exit_curves.csv": _exit_curves_bytes(result),
-        "trend.json": (json.dumps(result.trend.to_record(), sort_keys=True,
-                                  separators=(",", ":")) + "\n").encode("utf-8"),
+        "trend.json": (canonical_json(result.trend.to_record())
+                       + "\n").encode("utf-8"),
     }
     if result.errors:
-        lines = [json.dumps(e, sort_keys=True, separators=(",", ":"))
-                 for e in result.errors]
+        lines = [canonical_json(e) for e in result.errors]
         payload["errors.jsonl"] = ("\n".join(lines) + "\n").encode("utf-8")
     if trajectory_log is not None:
         payload["trajectories.csv"] = _trajectories_bytes(trajectory_log)
     if fitted is not None:
-        lines = [json.dumps(fitted_to_record(f), sort_keys=True,
-                            separators=(",", ":")) for f in fitted]
+        lines = [canonical_json(fitted_to_record(f)) for f in fitted]
         payload["fitted.jsonl"] = ("\n".join(lines) + "\n").encode("utf-8")
 
     digests = {name: hashlib.sha256(data).hexdigest()
                for name, data in payload.items()}
-    manifest = json.dumps({"format": MANIFEST_FORMAT, "files": digests},
-                          sort_keys=True, separators=(",", ":")) + "\n"
+    manifest = canonical_json({"format": MANIFEST_FORMAT,
+                               "files": digests}) + "\n"
 
     written: list[Path] = []
     paths: dict[str, Path] = {}

@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ContestConfig, Post, WorkerProfile
+from .core import ContestConfig, Post, WorkerProfile, canonical_json
 from .errors import ConfigurationError, DegenerateDataError
 from .simulate import AnnotationEvent, EventLog, RateFn, run_contest
 
@@ -369,8 +369,7 @@ def fitted_to_record(fit: FittedBehavior) -> dict:
 
 
 def write_fitted(fits: Sequence[FittedBehavior], path: Union[str, Path]) -> None:
-    lines = [json.dumps(fitted_to_record(f), sort_keys=True,
-                        separators=(",", ":")) for f in fits]
+    lines = [canonical_json(fitted_to_record(f)) for f in fits]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
                           encoding="utf-8")
 

@@ -36,6 +36,14 @@ make on the same substream, so a log does not depend on the block size.
 The EVENTS blocks are unit-rate `holding_time` calls with ``size=32``;
 the COUNTS draws are rebuilt from raw words, so the engine does not call
 `simulate_annotated_count`.
+
+A log (``contest-log-v1``) is one JSON object per line: a header with the
+configuration, one line per annotation or exit in time order (annotations
+first on ties), and a trailer with the final leaderboard.  Its bytes are
+the format contract: keys in sorted order, no spaces, integer fields as
+JSON integers and flags as ``true``/``false``, so equal logs are equal
+files.  `read_event_log` decodes the body in chunks of lines, holds every
+field to its exact type, and names ``path:line`` for a malformed line.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ import os
 from collections import deque
 from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -53,7 +62,8 @@ import numpy as np
 
 from . import rng as streams
 from .core import (ContestConfig, Leaderboard, Post, RankEntry, Ranking,
-                   WorkerProfile, rank_workers, score_annotation)
+                   WorkerProfile, canonical_json, rank_workers,
+                   score_annotation)
 from .errors import ConfigurationError, ContractViolation
 from .stream import DropQueue, advance_queue, allocate_round_robin, build_windows, total_contest_time
 
@@ -514,9 +524,55 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
 
 
 # --- serialization ---------------------------------------------------------
+#
+# Annotation and exit lines are filled into fixed templates: keys in sorted
+# order, no spaces, integer fields through ``{:d}`` (which raises on a
+# non-integer, where ``%d`` would write 1.5 as 1) and booleans as JSON
+# literals, so each line equals `canonical_json` of its record.  The header
+# and the trailer go through `canonical_json` itself.
+_EVENT_LINE = (
+    '{{"annotated_count":{:d},"eligible":{},"event_index":{:d},'
+    '"event_time_ms":{:d},"holding_time_ms":{:d},"post_id":{:d},'
+    '"rank":{:d},"worker_id":{:d}}}').format
+_EXIT_LINE = (
+    '{{"eligible":{},"exit_time_ms":{:d},"rank":{:d},"worker_id":{:d}}}'
+).format
+_JSON_BOOL = {True: "true", False: "false"}
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# Body lines `read_event_log` decodes per `json.loads` call.  It bounds the
+# memory one call holds; what a log reads back as does not depend on it.
+_CHUNK_LINES = 512
+
+# What a reader accepts in each field, in the order of the record's tuple.
+# Types are exact: JSON ``true`` is not an integer, nor ``1`` a boolean.
+_INTEGER = ("an integer", int)
+_BOOLEAN = ("true or false", bool)
+_EVENT_FIELDS = {"worker_id": _INTEGER, "event_index": _INTEGER,
+                 "event_time_ms": _INTEGER, "holding_time_ms": _INTEGER,
+                 "post_id": _INTEGER, "annotated_count": _INTEGER,
+                 "rank": _INTEGER, "eligible": _BOOLEAN}
+_EXIT_FIELDS = {"worker_id": _INTEGER, "exit_time_ms": _INTEGER,
+                "rank": _INTEGER, "eligible": _BOOLEAN}
+_RANK_FIELDS = {"worker_id": _INTEGER, "score": _INTEGER,
+                "annotations": _INTEGER,
+                "last_scored_ms": ("an integer or null", int, type(None))}
+
+_event_values = itemgetter(*_EVENT_FIELDS)
+_exit_values = itemgetter(*_EXIT_FIELDS)
+_rank_values = itemgetter(*_RANK_FIELDS)
+# The one type each annotation and exit field takes, to check a whole
+# record with one comparison.  Lists, not tuples: `tuple(map(...))` resizes
+# its result, and the resized tuples pile up on the interpreter's free list.
+_EVENT_TYPES = [kind[1] for kind in _EVENT_FIELDS.values()]
+_EXIT_TYPES = [kind[1] for kind in _EXIT_FIELDS.values()]
+
+
+def _check_types(values: tuple, fields: dict) -> None:
+    """Raise `ConfigurationError` naming the first value of a wrong type."""
+    for value, (name, (what, *types)) in zip(values, fields.items()):
+        if type(value) not in types:
+            raise ConfigurationError(
+                f"{name} must be {what}, got {canonical_json(value)}")
 
 
 def event_log_lines(log: EventLog):
@@ -527,7 +583,7 @@ def event_log_lines(log: EventLog):
     and a trailer with the final leaderboard.
     """
     seed = list(log.seed) if isinstance(log.seed, (list, tuple)) else log.seed
-    yield _dump({
+    yield canonical_json({
         "format": LOG_FORMAT,
         "seed": seed,
         "dispatch": log.dispatch,
@@ -537,34 +593,25 @@ def event_log_lines(log: EventLog):
         "config": asdict(log.config),
         "counters": asdict(log.counters),
     })
-    ei, xi = 0, 0
-    while ei < len(log.events) or xi < len(log.exits):
-        take_event = xi >= len(log.exits) or (
-            ei < len(log.events)
-            and log.events[ei].event_time_ms <= log.exits[xi].exit_time_ms)
-        if take_event:
-            e = log.events[ei]
-            ei += 1
-            yield _dump({
-                "worker_id": e.worker_id,
-                "event_index": e.event_index,
-                "event_time_ms": e.event_time_ms,
-                "holding_time_ms": e.holding_time_ms,
-                "post_id": e.post_id,
-                "annotated_count": e.annotated_count,
-                "rank": e.rank_at_event,
-                "eligible": e.eligible_at_event,
-            })
-        else:
-            x = log.exits[xi]
-            xi += 1
-            yield _dump({
-                "worker_id": x.worker_id,
-                "exit_time_ms": x.exit_time_ms,
-                "rank": x.rank_at_exit,
-                "eligible": x.eligible_at_exit,
-            })
-    yield _dump({
+    events = log.events
+    event_line, json_bool = _EVENT_LINE, _JSON_BOOL
+
+    def annotation_lines(lo: int, hi: int):
+        return (event_line(count, json_bool[elig], index, t, hold, post,
+                           rank, wid)
+                for wid, index, t, hold, post, count, rank, elig, _
+                in events[lo:hi])
+
+    start = 0
+    for wid, exit_ms, rank, elig in log.exits:
+        stop = start
+        while stop < len(events) and events[stop].event_time_ms <= exit_ms:
+            stop += 1
+        yield from annotation_lines(start, stop)
+        yield _EXIT_LINE(json_bool[elig], exit_ms, rank, wid)
+        start = stop
+    yield from annotation_lines(start, len(events))
+    yield canonical_json({
         "final_ranking": [
             {"worker_id": e.worker_id, "score": e.score,
              "annotations": e.annotations,
@@ -595,13 +642,28 @@ def write_event_log(log: EventLog, path: Union[str, Path]) -> None:
         raise
 
 
+def _decode_chunk(lines: list[str]) -> Optional[list]:
+    """Decode ``lines`` in one `json.loads` call; None if that fails.
+
+    None too when the values do not pair off with the lines: a line holding
+    ``1,2``, or one object split over two lines, can join into valid JSON.
+    """
+    try:
+        values = json.loads("[" + ",".join(lines) + "]")
+    except (ValueError, RecursionError):
+        return None
+    return values if len(values) == len(lines) else None
+
+
 def read_event_log(path: Union[str, Path]) -> EventLog:
     """Parse a log written by `write_event_log`, reconstructing derived fields.
 
     ``annotations_remaining`` is not stored; it is rebuilt by replaying the
-    solved count against the configured post total.  Any malformed line
-    raises `ConfigurationError` naming ``path:line``; a file that is not
-    UTF-8 text raises it naming the path.
+    solved count against the configured post total.  Body lines are decoded
+    `_CHUNK_LINES` at a time, and a chunk that does not decode into one
+    value per line is decoded again line by line.  Any malformed line,
+    including a field of the wrong type, raises `ConfigurationError` naming
+    ``path:line``; a file that is not UTF-8 text raises it naming the path.
     """
     lineno = 1
     try:
@@ -621,37 +683,50 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
             final_ranking=Ranking(entries=()),
             counters=PostCounters(**header["counters"]))
         events, exits = log.events, log.exits
+        event_values, exit_values = _event_values, _exit_values
         per_worker_index: dict[int, int] = {}
+        n_posts = config.n_posts
         solved = 0
-        for lineno, line in enumerate(lines[1:-1], 2):
-            obj = json.loads(line)
-            if "exit_time_ms" in obj:
-                exits.append(ExitEvent(obj["worker_id"], obj["exit_time_ms"],
-                                       obj["rank"], obj["eligible"]))
-                continue
-            solved += 1
-            wid, index = obj["worker_id"], obj["event_index"]
-            if index != per_worker_index.get(wid, 0):
-                raise ConfigurationError(f"worker {wid} event_index out of order")
-            per_worker_index[wid] = index + 1
-            events.append(AnnotationEvent(
-                wid, index, obj["event_time_ms"], obj["holding_time_ms"],
-                obj["post_id"], obj["annotated_count"], obj["rank"],
-                obj["eligible"], config.n_posts - solved))
+        end = len(lines) - 1  # the trailer
+        for first in range(1, end, _CHUNK_LINES):
+            chunk = lines[first:min(first + _CHUNK_LINES, end)]
+            values = _decode_chunk(chunk)
+            for lineno, obj in enumerate(
+                    chunk if values is None else values, first + 1):
+                if values is None:
+                    obj = json.loads(obj)
+                if "exit_time_ms" in obj:
+                    x = exit_values(obj)
+                    if list(map(type, x)) != _EXIT_TYPES:
+                        _check_types(x, _EXIT_FIELDS)
+                    exits.append(ExitEvent._make(x))
+                    continue
+                e = event_values(obj)
+                if list(map(type, e)) != _EVENT_TYPES:
+                    _check_types(e, _EVENT_FIELDS)
+                wid, index = e[0], e[1]
+                if index != per_worker_index.get(wid, 0):
+                    raise ConfigurationError(
+                        f"worker {wid} event_index out of order")
+                per_worker_index[wid] = index + 1
+                solved += 1
+                events.append(AnnotationEvent._make(e + (n_posts - solved,)))
         lineno = len(lines)
         trailer = json.loads(lines[-1])
         if "final_ranking" not in trailer:
             raise ConfigurationError("missing final-ranking trailer")
-        log.final_ranking = Ranking(entries=tuple(
-            RankEntry(r["worker_id"], r["score"], r["annotations"],
-                      r["last_scored_ms"])
-            for r in trailer["final_ranking"]
-        ))
+        entries = []
+        for r in trailer["final_ranking"]:
+            values = _rank_values(r)
+            _check_types(values, _RANK_FIELDS)
+            entries.append(RankEntry(*values))
+        log.final_ranking = Ranking(entries=tuple(entries))
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError, ArithmeticError,
+            RecursionError) as exc:
         raise ConfigurationError(
             f"{path}:{lineno}: malformed event log: {type(exc).__name__}: {exc}"
         ) from exc

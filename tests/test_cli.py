@@ -212,6 +212,33 @@ def test_malformed_log_header_fails_cleanly(tmp_path, config_file, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [("post_id", 1.5), ("rank", "3")])
+@pytest.mark.parametrize("command", ["validate", "fit"])
+def test_wrong_typed_log_value_fails_cleanly(tmp_path, config_file, capsys,
+                                            command, key, value):
+    corpus = tmp_path / "corpus.jsonl"
+    log_path = tmp_path / "contest.jsonl"
+    assert main(["gen-corpus", "--n-posts", "40", "--seed", "7",
+                 "--out", str(corpus)]) == 0
+    assert main(["simulate", "--config", str(config_file),
+                 "--corpus", str(corpus), "--out", str(log_path)]) == 0
+    lines = log_path.read_text("utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if '"holding_time_ms"' in line)
+    record = json.loads(lines[i])
+    record[key] = value
+    lines[i] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    extra = (["--corpus", str(corpus)] if command == "validate"
+             else ["--out", str(tmp_path / "fits.jsonl")])
+    code = main([command, "--log", str(log_path)] + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{log_path}:{i + 1}: {key} must be an integer" in err
+    assert "Traceback" not in err
+
+
 def test_fit_log_linear_converges_on_every_stock_worker(tmp_path,
                                                        stock_log_path, capsys):
     out = tmp_path / "fits.jsonl"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,17 +10,19 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from contestsim import (BehaviorPrior, ConfigurationError, ContractViolation,
-                        Post, WorkerProfile, draw_behavior, event_log_lines,
-                        exit_hazard, holding_time, read_event_log,
-                        replay_validate, run_contest,
-                        simulate_annotated_count, write_event_log)
+from contestsim import (AnnotationEvent, BehaviorPrior, ConfigurationError,
+                        ContestConfig, ContractViolation, EventLog, Post,
+                        PostCounters, RankEntry, Ranking, WorkerProfile,
+                        draw_behavior, event_log_lines, exit_hazard,
+                        holding_time, read_event_log, replay_validate,
+                        run_contest, simulate_annotated_count,
+                        write_event_log)
 from contestsim import rng as streams
-from contestsim.simulate import (_BLOCK, DEFAULT_BASE_HAZARD, N_CHECKPOINTS,
-                                 _WorkerState)
+from contestsim.simulate import (_BLOCK, _CHUNK_LINES, DEFAULT_BASE_HAZARD,
+                                 N_CHECKPOINTS, _WorkerState)
 
 
 def _profile(**overrides) -> WorkerProfile:
@@ -531,6 +534,32 @@ def test_read_event_log_rejects_malformed_files(tmp_path):
         read_event_log(alien)
 
 
+def test_read_event_log_names_a_too_deeply_nested_line(
+        tmp_path, contest_config, make_posts, make_profiles):
+    log, _ = _windowed_log(contest_config, make_posts, make_profiles)
+    path = tmp_path / "contest.jsonl"
+    write_event_log(log, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[3] = "[" * 100_000 + "]" * 100_000
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{path}:4: ") + ".*RecursionError"):
+        read_event_log(path)
+
+
+def test_read_event_log_names_a_header_the_config_cannot_take(
+        tmp_path, contest_config, make_posts, make_profiles):
+    log, _ = _windowed_log(contest_config, make_posts, make_profiles)
+    path = tmp_path / "contest.jsonl"
+    write_event_log(log, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0] = lines[0].replace('"task_unit_time_s":10.0',
+                                '"task_unit_time_s":Infinity')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}:1: ")):
+        read_event_log(path)
+
+
 def test_read_event_log_names_the_bad_line(tmp_path, contest_config,
                                           make_posts, make_profiles):
     log, _ = _windowed_log(contest_config, make_posts, make_profiles)
@@ -553,6 +582,292 @@ def test_read_event_log_rejects_missing_trailer(tmp_path, contest_config,
     path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
     with pytest.raises(ConfigurationError):
         read_event_log(path)
+
+
+# --- log codec ----------------------------------------------------------------
+#
+# The writer fills fixed templates and the reader decodes body lines in
+# chunks.  The oracle for both is the plain form: one canonical
+# `json.dumps` per record, one `json.loads` per line.
+
+def _canonical(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _reference_lines(log: EventLog) -> list[str]:
+    """``log``'s lines, one `json.dumps` per record, merged record by record
+    with annotations first on ties."""
+    seed = list(log.seed) if isinstance(log.seed, (list, tuple)) else log.seed
+    lines = [_canonical({
+        "format": "contest-log-v1", "seed": seed, "dispatch": log.dispatch,
+        "horizon_ms": log.horizon_ms, "base_hazard": log.base_hazard,
+        "accuracy_floor": log.accuracy_floor,
+        "config": dataclasses.asdict(log.config),
+        "counters": dataclasses.asdict(log.counters)})]
+    ei, xi = 0, 0
+    while ei < len(log.events) or xi < len(log.exits):
+        if xi >= len(log.exits) or (
+                ei < len(log.events)
+                and log.events[ei].event_time_ms <= log.exits[xi].exit_time_ms):
+            e = log.events[ei]
+            ei += 1
+            lines.append(_canonical({
+                "worker_id": e.worker_id, "event_index": e.event_index,
+                "event_time_ms": e.event_time_ms,
+                "holding_time_ms": e.holding_time_ms, "post_id": e.post_id,
+                "annotated_count": e.annotated_count,
+                "rank": e.rank_at_event, "eligible": e.eligible_at_event}))
+        else:
+            x = log.exits[xi]
+            xi += 1
+            lines.append(_canonical({
+                "worker_id": x.worker_id, "exit_time_ms": x.exit_time_ms,
+                "rank": x.rank_at_exit, "eligible": x.eligible_at_exit}))
+    lines.append(_canonical({"final_ranking": [
+        {"worker_id": e.worker_id, "score": e.score,
+         "annotations": e.annotations, "last_scored_ms": e.tie_break_stamp}
+        for e in log.final_ranking]}))
+    return lines
+
+
+def _random_contest(seed: int) -> EventLog:
+    gen = np.random.default_rng(seed)
+    n_workers = int(gen.integers(2, 7))
+    n_posts = int(gen.integers(20, 81))
+    config = ContestConfig(
+        n_workers=n_workers, n_posts=n_posts, window_size=20,
+        task_unit_time_s=5.0, task_unit_size=5, arrival_rate=float(n_workers),
+        reward_spread=int(gen.integers(1, n_workers)), prize_value=1.0,
+        base_points=10, leaderboard_k=3, quality_constraint=0,
+        reduction_rate=2.0)
+    profiles = [WorkerProfile(id=i, skill=float(gen.uniform()),
+                              lambda_in=float(gen.uniform(0.3, 2.0)),
+                              lambda_out=float(gen.uniform(0.3, 2.0)),
+                              exit_threshold=1.0)
+                for i in range(n_workers)]
+    posts = [Post(id=i, token_count=10,
+                  expected_entities=int(gen.integers(0, 4)), arrival_index=i)
+             for i in range(n_posts)]
+    return run_contest(config, profiles, posts, seed=seed,
+                       dispatch=("windowed", "shared")[seed % 2],
+                       base_hazard=float(gen.uniform(0.0, 3.0)),
+                       accuracy_floor=float(gen.uniform(-0.2, 0.3)))
+
+
+def test_event_log_lines_match_the_reference_encoder(stock_log_path,
+                                                     shared_log_path):
+    for path in (stock_log_path, shared_log_path):
+        log = read_event_log(path)
+        assert list(event_log_lines(log)) == _reference_lines(log)
+    dispatches, tied = set(), 0
+    for seed in range(50):
+        log = _random_contest(seed)
+        dispatches.add(log.dispatch)
+        assert list(event_log_lines(log)) == _reference_lines(log), seed
+        if log.exits and log.events:
+            # Move every exit onto an annotation's time: the tie order.
+            gen = np.random.default_rng(seed)
+            times = [log.events[int(i)].event_time_ms
+                     for i in gen.integers(0, len(log.events), len(log.exits))]
+            log = dataclasses.replace(log, exits=[
+                x._replace(exit_time_ms=t) for x, t in zip(log.exits, times)])
+            assert list(event_log_lines(log)) == _reference_lines(log), seed
+            tied += 1
+    assert dispatches == {"windowed", "shared"}
+    assert tied >= 10
+
+
+def test_read_then_write_round_trips_byte_for_byte(tmp_path, stock_log_path,
+                                                   shared_log_path):
+    for path in (stock_log_path, shared_log_path):
+        out = tmp_path / path.name
+        write_event_log(read_event_log(path), out)
+        assert out.read_bytes() == path.read_bytes()
+
+
+def test_write_event_log_rejects_a_float_integer_field(tmp_path,
+                                                       contest_config):
+    def one_event_log(post_id):
+        return EventLog(
+            config=contest_config(), seed=0, dispatch="windowed",
+            horizon_ms=40_000, base_hazard=0.0, accuracy_floor=0.0,
+            events=[AnnotationEvent(0, 0, 700, 700, post_id, 1, 1, True, 39)],
+            exits=[], final_ranking=Ranking(entries=(
+                RankEntry(0, 50, 1, 700), RankEntry(1, 0, 0, None))),
+            counters=PostCounters(ingested=40, solved=1, dropped=0,
+                                  pending=39))
+
+    path = tmp_path / "contest.jsonl"
+    # `%d` would write 1.5 as 1; the log is refused and no file is left.
+    with pytest.raises(ValueError):
+        write_event_log(one_event_log(1.5), path)
+    assert list(tmp_path.iterdir()) == []
+    write_event_log(one_event_log(1), path)
+    assert '"post_id":1,' in path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("line, key, value", [
+    *[("annotation", key, value) for key, value in [
+        ("worker_id", 1.5), ("event_index", "0"), ("event_time_ms", True),
+        ("holding_time_ms", 2.0), ("post_id", 1.5),
+        ("annotated_count", None), ("rank", "3"), ("eligible", 1),
+        ("eligible", "true")]],
+    *[("exit", key, value) for key, value in [
+        ("worker_id", True), ("exit_time_ms", 1.5), ("rank", "3"),
+        ("eligible", 0)]],
+    *[("trailer", key, value) for key, value in [
+        ("worker_id", "0"), ("score", 1.5), ("annotations", True),
+        ("last_scored_ms", 2.5), ("last_scored_ms", False)]],
+])
+def test_read_event_log_rejects_a_wrong_typed_field(tmp_path, make_posts,
+                                                   line, key, value):
+    log, _ = _exit_heavy_run(make_posts)
+    path = tmp_path / "contest.jsonl"
+    write_event_log(log, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    marker = {"annotation": '"holding_time_ms"', "exit": '"exit_time_ms"',
+              "trailer": '"final_ranking"'}[line]
+    i = next(i for i, text in enumerate(lines) if marker in text)
+    record = json.loads(lines[i])
+    (record["final_ranking"][-1] if line == "trailer" else record)[key] = value
+    lines[i] = _canonical(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{path}:{i + 1}: {key} must be ")):
+        read_event_log(path)
+
+
+def test_read_event_log_accepts_a_never_scored_worker(tmp_path,
+                                                      contest_config,
+                                                      make_posts,
+                                                      make_profiles):
+    config = contest_config(n_workers=1, n_posts=30, arrival_rate=0.5)
+    # Every post is empty, so no annotation scores.
+    log = run_contest(config, make_profiles(1), make_posts(30, expected=0),
+                      seed=4)
+    assert log.final_ranking.entries[0].tie_break_stamp is None
+    path = tmp_path / "contest.jsonl"
+    write_event_log(log, path)
+    assert read_event_log(path) == log
+
+
+# A log whose body spans two decode chunks, with exits.
+_MUTATION_CONFIG = dict(n_workers=8, n_posts=800, window_size=20,
+                        task_unit_time_s=5.0, task_unit_size=5,
+                        arrival_rate=4.0, reward_spread=2, prize_value=1.0,
+                        base_points=10, leaderboard_k=3, quality_constraint=0,
+                        reduction_rate=2.0)
+
+
+@pytest.fixture(scope="module")
+def mutation_log(tmp_path_factory):
+    config = ContestConfig(**_MUTATION_CONFIG)
+    profiles = [WorkerProfile(id=i, skill=0.5, lambda_in=1.2, lambda_out=1.0,
+                              exit_threshold=1.0) for i in range(8)]
+    posts = [Post(id=i, token_count=10, expected_entities=i % 3,
+                  arrival_index=i) for i in range(800)]
+    log = run_contest(config, profiles, posts, seed=2, base_hazard=0.5)
+    lines = list(event_log_lines(log))
+    assert len(lines) - 2 > _CHUNK_LINES and log.exits
+    return tmp_path_factory.mktemp("mutations") / "contest.jsonl", lines
+
+
+def _named_line(path, exc: ConfigurationError) -> int:
+    found = re.match(re.escape(f"{path}:") + r"(\d+): ", str(exc))
+    assert found, str(exc)
+    return int(found.group(1))
+
+
+def _leaves(obj, trail=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, trail + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, trail + (i,))
+    else:
+        yield trail
+
+
+_MUTATIONS = ("delete", "duplicate", "split", "join", "join with a comma",
+              "1,2", "swap a value", "truncate")
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(_MUTATIONS), data=st.data())
+def test_single_line_mutations_parse_or_name_the_line(mutation_log, kind,
+                                                      data):
+    path, lines = mutation_log
+    joins = kind.startswith("join")
+    k = data.draw(st.integers(1, len(lines) - joins), label="line")
+    i = k - 1
+    mutated = list(lines)
+    named = {k}        # the lines a rejection may name
+    must_fail = True   # the mutated line no longer holds one JSON value
+    if kind == "delete":
+        del mutated[i]
+        named, must_fail = range(k - 1, len(lines)), False
+    elif kind == "duplicate":
+        mutated.insert(i, lines[i])
+        named, must_fail = {k, k + 1}, False
+    elif kind == "split":
+        cut = data.draw(st.integers(1, len(lines[i]) - 1), label="cut")
+        mutated[i:k] = [lines[i][:cut], lines[i][cut:]]
+    elif joins:
+        mutated[i:k + 1] = [lines[i] + ("," if "comma" in kind else "")
+                            + lines[k]]
+    elif kind == "1,2":
+        mutated[i] = "1,2"
+    elif kind == "truncate":
+        cut = data.draw(st.integers(0, len(lines[i]) - 1), label="cut")
+        mutated[i] = lines[i][:cut]
+    else:
+        record = json.loads(lines[i])
+        trail = data.draw(st.sampled_from(list(_leaves(record))),
+                          label="field")
+        value = data.draw(st.one_of(st.floats(), st.text(max_size=4),
+                                    st.booleans()), label="value")
+        parent = record
+        for step in trail[:-1]:
+            parent = parent[step]
+        parent[trail[-1]] = value
+        mutated[i] = _canonical(record)
+        # Every body and ranking field is an integer, except the
+        # annotation and exit ``eligible`` flag; the header is not typed.
+        must_fail = 1 < k and not (trail == ("eligible",)
+                                   and isinstance(value, bool))
+    path.write_text("\n".join(mutated) + "\n", encoding="utf-8")
+    try:
+        read_event_log(path)
+    except ConfigurationError as exc:
+        assert _named_line(path, exc) in named, (kind, k, str(exc))
+    else:
+        assert not must_fail, (kind, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob=st.binary(max_size=300))
+def test_arbitrary_bytes_parse_or_raise_configuration_error(mutation_log,
+                                                            blob):
+    path, _ = mutation_log
+    path.write_bytes(blob)
+    try:
+        read_event_log(path)
+    except ConfigurationError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=st.lists(st.text(max_size=40), max_size=20))
+def test_arbitrary_body_lines_parse_or_name_a_line(mutation_log, body):
+    path, lines = mutation_log
+    body = [line for text in body for line in (text.splitlines() or [""])]
+    path.write_text("\n".join([lines[0], *body, lines[-1]]) + "\n",
+                    encoding="utf-8")
+    try:
+        read_event_log(path)
+    except ConfigurationError as exc:
+        assert 2 <= _named_line(path, exc) <= len(body) + 2
 
 
 def test_replay_detects_tampered_holding_time(contest_config, make_posts,
