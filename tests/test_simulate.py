@@ -21,6 +21,7 @@ from contestsim import (AnnotationEvent, BehaviorPrior, ConfigurationError,
                         run_contest, simulate_annotated_count,
                         write_event_log)
 from contestsim import rng as streams
+from contestsim.inference import FeatureNorms, make_log_linear_rate_fn
 from contestsim.simulate import (_BLOCK, _CHUNK_LINES, DEFAULT_BASE_HAZARD,
                                  N_CHECKPOINTS, _WorkerState)
 
@@ -445,6 +446,40 @@ def test_constant_rate_fn_matches_two_state_with_equal_rates(
                            rate_fns={0: mimic, 1: mimic})
     assert "\n".join(event_log_lines(baseline)) == \
         "\n".join(event_log_lines(mimicked))
+
+
+CUSTOM_RATE_LOG_SHA256 = {
+    "windowed":
+        "443f60c84c3dc5913c6c5b1673c647b225c45f417735ea5233e4fdab3a681a34",
+    "shared":
+        "b780709ec72f2a6ce1f37ec5a6cc02d3b3be1b474cd529962a16f9dde3b07c08",
+}
+
+
+@pytest.mark.parametrize("dispatch", sorted(CUSTOM_RATE_LOG_SHA256))
+def test_log_linear_rate_fn_log_bytes_are_pinned(contest_config, dispatch):
+    # Two workers run on log-linear rates that move with rank, elapsed time
+    # and remaining posts, so the engine must hand each argument its own
+    # value at every draw, both at a window's open and after an event.
+    config = contest_config(n_workers=6, n_posts=240, window_size=20,
+                            task_unit_time_s=5.0, task_unit_size=5,
+                            arrival_rate=4.0, reward_spread=2)
+    profiles = [WorkerProfile(id=i, skill=0.6, lambda_in=1.1,
+                              lambda_out=0.9, exit_threshold=1.0)
+                for i in range(6)]
+    posts = [Post(id=i, token_count=10, expected_entities=i % 3,
+                  arrival_index=i) for i in range(240)]
+    norms = FeatureNorms(n_workers=6, horizon_ms=60_000, n_posts=240)
+    rate_fns = {
+        1: make_log_linear_rate_fn((0.2, -0.6, 0.5, 0.4, 0.3), norms),
+        4: make_log_linear_rate_fn((-0.1, 0.8, -0.4, 0.7, -0.2), norms)}
+    log = run_contest(config, profiles, posts, seed=17, dispatch=dispatch,
+                      base_hazard=1.0, rate_fns=rate_fns)
+    assert log.exits and {1, 4} <= {e.worker_id for e in log.events}
+    replay_validate(log, posts)
+    digest = hashlib.sha256(
+        "\n".join(event_log_lines(log)).encode("utf-8")).hexdigest()
+    assert digest == CUSTOM_RATE_LOG_SHA256[dispatch]
 
 
 def test_non_positive_custom_rate_is_rejected(contest_config, make_posts,
