@@ -61,9 +61,9 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import rng as streams
-from .core import (ContestConfig, Leaderboard, Post, RankEntry, Ranking,
-                   WorkerProfile, canonical_json, rank_workers,
-                   score_annotation)
+from .core import (EXACT_MATCH_MULTIPLIER, ContestConfig, Leaderboard, Post,
+                   RankEntry, Ranking, WorkerProfile, canonical_json,
+                   rank_workers, score_annotation)
 from .errors import ConfigurationError, ContractViolation
 from .stream import DropQueue, advance_queue, allocate_round_robin, build_windows, total_contest_time
 
@@ -273,11 +273,12 @@ class _WorkerState:
     ``next_exp`` yields standard-exponential draws from the EVENTS stream,
     ``next_offset`` count offsets from the COUNTS stream, and
     ``exit_draws[ci]`` is the EXITS stream's draw at checkpoint ``ci``: a
-    worker alive there drew at every earlier checkpoint.
+    worker alive there drew at every earlier checkpoint.  ``rate_fn`` is the
+    worker's custom rate model, or None for the two-state rate.
     """
 
     __slots__ = ("idx", "profile", "score", "stamp", "annotations",
-                 "last_ms", "alive", "gov_rank", "gov_elig",
+                 "last_ms", "alive", "gov_rank", "gov_elig", "rate_fn",
                  "next_exp", "next_offset", "exit_draws", "bin")
 
     def __init__(self, idx: int, profile: WorkerProfile, seed: Seed,
@@ -291,6 +292,7 @@ class _WorkerState:
         self.alive = True
         self.gov_rank = 0
         self.gov_elig = False
+        self.rate_fn: Optional[RateFn] = None
         event_rng = streams.substream(seed, streams.EVENTS, idx)
         count_rng = streams.substream(seed, streams.COUNTS, idx)
         exit_rng = streams.substream(seed, streams.EXITS, idx)
@@ -334,7 +336,10 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
         raise ConfigurationError("post ids must be unique")
 
     n = config.n_workers
+    n_posts = config.n_posts
     spread = config.reward_spread
+    base_points = config.base_points
+    hit_points = EXACT_MATCH_MULTIPLIER * base_points
     workers = [_WorkerState(i, profiles[i], seed, accuracy_floor)
                for i in range(n)]
     by_id = {w.profile.id: w for w in workers}
@@ -344,19 +349,17 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
     for w in workers:
         w.gov_rank = board_rank(w.profile.id)
         w.gov_elig = w.gov_rank <= spread
-
-    def current_rate(w: _WorkerState, elapsed_ms: int, remaining: int) -> float:
-        if rate_fns is not None and w.profile.id in rate_fns:
-            rate = rate_fns[w.profile.id](w.gov_rank, elapsed_ms, remaining,
-                                          w.gov_elig)
-            if not rate > 0.0:
-                raise ConfigurationError("custom rate model returned a non-positive rate")
-            return rate
-        return w.profile.lambda_in if w.gov_elig else w.profile.lambda_out
+        if rate_fns:
+            w.rate_fn = rate_fns.get(w.profile.id)
 
     def gap_ms(w: _WorkerState, elapsed_ms: int, remaining: int) -> int:
-        tau_s = w.next_exp() * (1.0 / current_rate(w, elapsed_ms, remaining))
-        return max(1, math.ceil(tau_s * 1000.0))
+        if w.rate_fn is None:
+            rate = w.profile.lambda_in if w.gov_elig else w.profile.lambda_out
+        else:
+            rate = w.rate_fn(w.gov_rank, elapsed_ms, remaining, w.gov_elig)
+            if not rate > 0.0:
+                raise ConfigurationError("custom rate model returned a non-positive rate")
+        return max(1, math.ceil(w.next_exp() * (1.0 / rate) * 1000.0))
 
     unit_ms = int(round(config.task_unit_time_s * 1000.0))
     if unit_ms < 1:
@@ -370,145 +373,116 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
         windows = build_windows(posts, config.window_size, config.task_unit_time_s)
         horizon_ms = len(windows) * unit_ms
     else:
-        horizon_s = total_contest_time(config.n_posts, config.task_unit_time_s,
+        horizon_s = total_contest_time(n_posts, config.task_unit_time_s,
                                        config.window_size)
         horizon_ms = int(round(horizon_s * 1000.0))
     checkpoint_ms = [int(round(k * horizon_ms / N_CHECKPOINTS))
                      for k in range(1, N_CHECKPOINTS + 1)]
     cp_idx = 0
 
-    def process_checkpoint(ci: int) -> None:
-        t_cp = checkpoint_ms[ci]
-        frac = (ci + 1) / N_CHECKPOINTS
-        for w in id_order:
-            if not w.alive:
-                continue
-            u = w.exit_draws[ci]  # one draw per checkpoint, hazard or not
-            r = board_rank(w.profile.id)
-            elig = r <= spread
-            h = exit_hazard(elig, r - spread, frac, w.profile,
-                            n_workers=n, base_hazard=base_hazard)
-            if u < h:
-                w.alive = False
-                exits.append(ExitEvent(w.profile.id, t_cp, r, elig))
+    def run_checkpoints(through_ms: int) -> None:
+        """Run every checkpoint not yet run at or before ``through_ms``."""
+        nonlocal cp_idx
+        while cp_idx < N_CHECKPOINTS and checkpoint_ms[cp_idx] <= through_ms:
+            ci = cp_idx
+            cp_idx += 1
+            frac = (ci + 1) / N_CHECKPOINTS
+            for w in id_order:
+                if not w.alive:
+                    continue
+                u = w.exit_draws[ci]  # one draw per checkpoint, hazard or not
+                r = board_rank(w.profile.id)
+                elig = r <= spread
+                h = exit_hazard(elig, r - spread, frac, w.profile,
+                                n_workers=n, base_hazard=base_hazard)
+                if u < h:
+                    w.alive = False
+                    exits.append(ExitEvent(w.profile.id, checkpoint_ms[ci],
+                                           r, elig))
 
-    def handle_event(w: _WorkerState, t: int, post: Post) -> int:
+    def run_period(holders: Sequence[_WorkerState], open_ms: int,
+                   close_ms: int) -> None:
+        """Run ``holders`` from ``open_ms`` until ``close_ms`` or until their
+        bins run dry, then every checkpoint up to ``close_ms``.
+
+        A worker annotates the head of ``w.bin``; in shared dispatch every
+        worker's bin is the one pool.  Checkpoints run before the events at
+        later milliseconds, and after those at their own.
+        """
         nonlocal solved
-        hold = t - w.last_ms
-        count = max(0, post.expected_entities + w.next_offset())
-        solved += 1
-        remaining = config.n_posts - solved
-        events.append(AnnotationEvent(
-            worker_id=w.profile.id,
-            event_index=w.annotations,
-            event_time_ms=t,
-            holding_time_ms=hold,
-            post_id=post.id,
-            annotated_count=count,
-            rank_at_event=w.gov_rank,
-            eligible_at_event=w.gov_elig,
-            annotations_remaining=remaining,
-        ))
-        w.annotations += 1
-        w.last_ms = t
-        points = score_annotation(count, post.expected_entities, config.base_points)
-        if points > 0:
-            w.score += points
-            w.stamp = t
-        r = board_update(w.profile.id, w.score, t)
-        w.gov_rank = r
-        w.gov_elig = r <= spread
-        return remaining
-
-    if dispatch == "windowed":
-        queue = DropQueue()
-        posts_by_id = {p.id: p for p in posts}
-        ingested = 0
-        rr_offset = 0
-        for win in windows:
-            open_ms = win.index * unit_ms
-            close_ms = open_ms + unit_ms
-            ingested += len(win.posts)
-            active = [w for w in id_order if w.alive]
-            holders: list[_WorkerState] = []
-            if active:
-                assignments = allocate_round_robin(
-                    win, [w.profile.id for w in active],
-                    config.task_unit_size, start_offset=rr_offset)
-                rr_offset = (rr_offset + len(assignments)) % len(active)
-                assigned: set[int] = set()
-                for a in assignments:
-                    holder = by_id[a.worker_id]
-                    holder.bin = deque(posts_by_id[pid] for pid in a.bin)
-                    holders.append(holder)
-                    assigned.update(a.bin)
-                for p in win.posts:
-                    if p.id not in assigned:
-                        queue.push(p, win.close_time_s)
-            else:
-                for p in win.posts:
-                    queue.push(p, win.close_time_s)
-
-            heap: list[tuple[int, int]] = []
-            for w in holders:
-                base = w.last_ms if w.last_ms > open_ms else open_ms
-                t = base + gap_ms(w, base, config.n_posts - solved)
-                if t <= close_ms:
-                    heappush(heap, (t, w.idx))
-            while heap:
-                t, widx = heappop(heap)
-                w = workers[widx]
-                if not w.alive:
-                    continue
-                while cp_idx < N_CHECKPOINTS and checkpoint_ms[cp_idx] < t:
-                    process_checkpoint(cp_idx)
-                    cp_idx += 1
-                if not w.alive:
-                    continue
-                remaining = handle_event(w, t, w.bin.popleft())
-                if w.bin:
-                    t2 = t + gap_ms(w, t, remaining)
-                    if t2 <= close_ms:
-                        heappush(heap, (t2, widx))
-            for w in holders:
-                while w.bin:
-                    queue.push(w.bin.popleft(), win.close_time_s)
-            advance_queue(queue, win.close_time_s)
-            while cp_idx < N_CHECKPOINTS and checkpoint_ms[cp_idx] <= close_ms:
-                process_checkpoint(cp_idx)
-                cp_idx += 1
-        counters = PostCounters(ingested=ingested, solved=solved,
-                                dropped=queue.dropped_count,
-                                pending=len(queue))
-    else:
-        pool = deque(posts)
-        ingested = len(pool)
-        heap = []
-        for w in id_order:
-            t = gap_ms(w, 0, config.n_posts - solved)
-            if t <= horizon_ms:
+        heap: list[tuple[int, int]] = []
+        for w in holders:
+            base = w.last_ms if w.last_ms > open_ms else open_ms
+            t = base + gap_ms(w, base, n_posts - solved)
+            if t <= close_ms:
                 heappush(heap, (t, w.idx))
         while heap:
             t, widx = heappop(heap)
             w = workers[widx]
             if not w.alive:
                 continue
-            while cp_idx < N_CHECKPOINTS and checkpoint_ms[cp_idx] < t:
-                process_checkpoint(cp_idx)
-                cp_idx += 1
-            if not w.alive or not pool:
+            run_checkpoints(t - 1)
+            if not w.alive or not w.bin:
                 continue
-            remaining = handle_event(w, t, pool.popleft())
-            if pool:
-                t2 = t + gap_ms(w, t, remaining)
-                if t2 <= horizon_ms:
-                    heappush(heap, (t2, widx))
-        while cp_idx < N_CHECKPOINTS:
-            process_checkpoint(cp_idx)
-            cp_idx += 1
-        counters = PostCounters(ingested=ingested, solved=solved,
-                                dropped=0, pending=len(pool))
+            post = w.bin.popleft()
+            # A miss (non-zero offset) never lands on a non-zero true count,
+            # so this is `score_annotation`'s rule.
+            offset = w.next_offset()
+            count = max(0, post.expected_entities + offset)
+            solved += 1
+            remaining = n_posts - solved
+            wid = w.profile.id
+            events.append(AnnotationEvent(
+                wid, w.annotations, t, t - w.last_ms, post.id, count,
+                w.gov_rank, w.gov_elig, remaining))
+            w.annotations += 1
+            w.last_ms = t
+            if count:
+                w.score += base_points if offset else hit_points
+                w.stamp = t
+            r = w.gov_rank = board_update(wid, w.score, t)
+            w.gov_elig = r <= spread
+            if w.bin:
+                t = t + gap_ms(w, t, remaining)
+                if t <= close_ms:
+                    heappush(heap, (t, widx))
+        run_checkpoints(close_ms)
 
+    if dispatch == "windowed":
+        queue = DropQueue()
+        size = config.task_unit_size
+        rr_offset = 0
+        for win in windows:
+            active = [w for w in id_order if w.alive]
+            holders: list[_WorkerState] = []
+            if active:
+                assignments = allocate_round_robin(
+                    win, [w.profile.id for w in active], size,
+                    start_offset=rr_offset)
+                rr_offset = (rr_offset + len(assignments)) % len(active)
+                # Bin b is the window's b-th slice of `size` posts.
+                for b, a in enumerate(assignments):
+                    holder = by_id[a.worker_id]
+                    holder.bin = deque(win.posts[b * size:(b + 1) * size])
+                    holders.append(holder)
+            for p in win.posts[len(holders) * size:]:
+                queue.push(p, win.close_time_s)
+            run_period(holders, win.index * unit_ms, (win.index + 1) * unit_ms)
+            for w in holders:
+                while w.bin:
+                    queue.push(w.bin.popleft(), win.close_time_s)
+            advance_queue(queue, win.close_time_s)
+        dropped, pending = queue.dropped_count, len(queue)
+    else:
+        pool = deque(posts)
+        for w in workers:
+            w.bin = pool
+        # The last checkpoint is at the horizon, so this runs all twenty.
+        run_period(id_order, 0, horizon_ms)
+        dropped, pending = 0, len(pool)
+
+    counters = PostCounters(ingested=len(posts), solved=solved,
+                            dropped=dropped, pending=pending)
     if counters.ingested != counters.solved + counters.dropped + counters.pending:
         raise ContractViolation(f"post conservation violated: {counters}")
 
