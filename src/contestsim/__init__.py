@@ -7,14 +7,12 @@ logs.
 """
 
 from .core import (ContestConfig, Leaderboard, Post, Ranking, RankEntry,
-                   WorkerProfile, compute_quality, is_eligible,
-                   k_neighbours_view, rank_workers, score_annotation,
-                   worker_utility)
+                   WorkerProfile, rank_workers, score_annotation)
 from .errors import (ConfigurationError, ContestError, ContractViolation,
                      DegenerateDataError)
 from .experiment import (AnovaResult, ContestSummary, ExperimentConfig,
                          SweepResult, TrendResult, anova_f, emit_outputs,
-                         generate_corpus, generate_profiles, merge_annotations,
+                         generate_corpus, generate_profiles,
                          parse_experiment_config, read_corpus,
                          read_experiment_config, run_condition,
                          sign_test_one_sided, summarize, sweep,
@@ -31,8 +29,8 @@ from .simulate import (AnnotationEvent, BehaviorPrior, EventLog, ExitEvent,
                        replay_validate, run_contest,
                        simulate_annotated_count, write_event_log)
 from .stream import (Assignment, DropQueue, Window, advance_queue,
-                     allocate_round_robin, build_windows, task_intensity,
-                     total_contest_time, warp_out_rate)
+                     allocate_round_robin, build_windows, total_contest_time,
+                     warp_out_rate)
 
 __version__ = "0.1.0"
 
@@ -43,12 +41,11 @@ __all__ = [
     "ContractViolation",
     # core
     "Post", "WorkerProfile", "ContestConfig", "RankEntry", "Ranking",
-    "compute_quality", "worker_utility", "score_annotation", "rank_workers",
-    "is_eligible", "Leaderboard", "k_neighbours_view",
+    "score_annotation", "rank_workers", "Leaderboard",
     # stream
     "Window", "Assignment", "DropQueue", "build_windows",
-    "allocate_round_robin", "advance_queue", "task_intensity",
-    "total_contest_time", "warp_out_rate",
+    "allocate_round_robin", "advance_queue", "total_contest_time",
+    "warp_out_rate",
     # simulate
     "BehaviorPrior", "AnnotationEvent", "ExitEvent", "PostCounters",
     "EventLog", "draw_behavior", "holding_time", "exit_hazard",
@@ -64,7 +61,7 @@ __all__ = [
     "ExperimentConfig", "parse_experiment_config", "read_experiment_config",
     "write_experiment_config", "generate_corpus", "write_corpus",
     "read_corpus", "generate_profiles", "ContestSummary", "summarize",
-    "merge_annotations", "sign_test_one_sided", "TrendResult",
+    "sign_test_one_sided", "TrendResult",
     "trend_from_summaries", "AnovaResult", "anova_f", "SweepResult",
     "run_condition", "sweep", "emit_outputs", "verify_manifest",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Collection, Hashable, Mapping, Optional, Sequence
+from typing import Collection, Hashable, Mapping, Optional
 
 from .errors import ConfigurationError
 
@@ -223,16 +223,6 @@ class Leaderboard:
         return bisect_left(self._keys, self._key_of[worker_id]) + 1
 
 
-def compute_quality(skill: float, effort: float, noise: float) -> float:
-    """Annotation quality: skill scaled by effort plus an additive disturbance."""
-    return skill * effort + noise
-
-
-def worker_utility(prize: float, won: bool, effort: float,
-                   cost_per_effort: float) -> float:
-    """Net payoff of one worker: prize if won, minus linear effort cost either way."""
-    cost = cost_per_effort * effort
-    return prize - cost if won else -cost
 
 
 def score_annotation(annotated_count: int, expected_count: int,
@@ -278,26 +268,3 @@ def rank_workers(scores: Mapping[Hashable, float],
     ]
     entries.sort(key=RankEntry.sort_key)
     return Ranking(entries=tuple(entries))
-
-
-def is_eligible(rank: int, reward_spread: int) -> bool:
-    """A worker is payment-eligible while ranked inside the reward spread."""
-    if rank < 1:
-        raise ConfigurationError("rank is 1-based")
-    if reward_spread < 1:
-        raise ConfigurationError("reward_spread must be >= 1")
-    return rank <= reward_spread
-
-
-def k_neighbours_view(ranking: Ranking, worker_id: Hashable,
-                      k: int) -> Sequence[RankEntry]:
-    """The leaderboard slice a worker sees: themselves plus k rows either side.
-
-    Truncated at the top and bottom of the board (no wrap-around).
-    """
-    if k < 0:
-        raise ConfigurationError("k must be >= 0")
-    pos = ranking.rank_of(worker_id) - 1
-    lo = max(0, pos - k)
-    hi = min(len(ranking), pos + k + 1)
-    return list(ranking.entries[lo:hi])

@@ -344,18 +344,6 @@ def summarize(log: EventLog, replication: int = 0) -> ContestSummary:
     )
 
 
-def merge_annotations(logs: Sequence[EventLog]) -> dict[int, int]:
-    """Majority-vote entity count per post across logs; ties pick the lower."""
-    votes: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    for log in logs:
-        for e in log.events:
-            votes[e.post_id][e.annotated_count] += 1
-    merged = {}
-    for post_id, counts in votes.items():
-        best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-        merged[post_id] = best[0]
-    return merged
-
 
 # --- trend and variance tests ----------------------------------------------
 
@@ -603,16 +591,13 @@ def _trajectories_bytes(log: EventLog) -> bytes:
 
 
 def emit_outputs(result: SweepResult, output_dir: Union[str, Path], *,
-                 fitted=None, trajectory_log: Optional[EventLog] = None
-                 ) -> dict[str, Path]:
+                 trajectory_log: Optional[EventLog] = None) -> dict[str, Path]:
     """Write the sweep's files plus a manifest of their sha256 digests.
 
     Bytes are fully determined by the result object.  On a write failure
     everything already written is removed so a partial directory never
     masquerades as a finished one.
     """
-    from .inference import fitted_to_record
-
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload: dict[str, bytes] = {
@@ -627,9 +612,6 @@ def emit_outputs(result: SweepResult, output_dir: Union[str, Path], *,
         payload["errors.jsonl"] = ("\n".join(lines) + "\n").encode("utf-8")
     if trajectory_log is not None:
         payload["trajectories.csv"] = _trajectories_bytes(trajectory_log)
-    if fitted is not None:
-        lines = [canonical_json(fitted_to_record(f)) for f in fitted]
-        payload["fitted.jsonl"] = ("\n".join(lines) + "\n").encode("utf-8")
 
     digests = {name: hashlib.sha256(data).hexdigest()
                for name, data in payload.items()}

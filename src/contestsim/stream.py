@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import Post
 from .errors import ConfigurationError, ContractViolation
@@ -114,18 +114,6 @@ def allocate_round_robin(window: Window, worker_ids: Sequence[int],
     return assignments
 
 
-def task_intensity(arrival_rate: float, service_rate: float) -> float:
-    """Offered load L: how many workers' worth of service the stream demands.
-
-    Callers are responsible for checking L against the workforce size;
-    `ContestConfig` rejects configurations where L exceeds it.
-    """
-    if service_rate <= 0.0:
-        raise ConfigurationError("service_rate must be positive")
-    if arrival_rate < 0.0:
-        raise ConfigurationError("arrival_rate must be >= 0")
-    return arrival_rate / service_rate
-
 
 def total_contest_time(n_posts: int, task_unit_time_s: float,
                        window_size: int) -> float:
@@ -150,8 +138,7 @@ def warp_out_rate(n_posts: int, reduction_rate: float) -> float:
     return (n_posts - 1) / (n_posts - reduction_rate)
 
 
-def advance_queue(queue: DropQueue, now_s: float,
-                  open_assignments: Iterable[Assignment] = ()) -> DropQueue:
+def advance_queue(queue: DropQueue, now_s: float) -> DropQueue:
     """Move every pending post whose deadline has passed into the drop count.
 
     ``now_s`` must never move backwards across calls.  Solving happens
@@ -162,12 +149,6 @@ def advance_queue(queue: DropQueue, now_s: float,
         raise ContractViolation(
             f"advance_queue time regression: {now_s} < {queue._last_now}")
     queue._last_now = now_s
-    assigned = {pid for a in open_assignments for pid in a.bin}
-    if assigned:
-        for post, _ in queue.pending:
-            if post.id in assigned:
-                raise ContractViolation(
-                    f"post {post.id} is both pending and assigned")
     survivors = deque()
     for post, deadline in queue.pending:
         if deadline <= now_s:

@@ -1,4 +1,4 @@
-"""Domain model: scoring, eligibility, ranking, quality, configuration."""
+"""Domain model: scoring, ranking, configuration."""
 
 from __future__ import annotations
 
@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from contestsim import (ConfigurationError, ContestConfig, Leaderboard, Post,
-                        Ranking, RankEntry, WorkerProfile, compute_quality,
-                        is_eligible, k_neighbours_view, rank_workers,
-                        score_annotation, worker_utility)
+                        Ranking, RankEntry, WorkerProfile, rank_workers,
+                        score_annotation)
 from contestsim.core import EXACT_MATCH_MULTIPLIER
 
 
@@ -43,29 +42,6 @@ def test_score_rejects_bad_inputs():
         score_annotation(1, -3, 10)
     with pytest.raises(ConfigurationError):
         score_annotation(1, 3, 0)
-
-
-# --- eligibility -----------------------------------------------------------
-
-def test_eligibility_boundary_cases():
-    assert is_eligible(1, 1) is True
-    assert is_eligible(2, 1) is False
-    assert is_eligible(10, 10) is True
-
-
-@given(rank=st.integers(1, 200), spread=st.integers(1, 200))
-def test_eligibility_monotone_in_rank_and_spread(rank, spread):
-    if is_eligible(rank, spread):
-        if rank > 1:
-            assert is_eligible(rank - 1, spread)
-        assert is_eligible(rank, spread + 1)
-
-
-def test_eligibility_rejects_non_positive_arguments():
-    with pytest.raises(ConfigurationError):
-        is_eligible(0, 1)
-    with pytest.raises(ConfigurationError):
-        is_eligible(1, 0)
 
 
 # --- ranking ---------------------------------------------------------------
@@ -176,66 +152,6 @@ def test_leaderboard_matches_a_scan_and_rank_workers(ids, updates):
             assert board.rank(v) == 1 + sum(ahead(u, v) for u in ids if u != v)
         assert (sorted(ids, key=board.rank)
                 == [e.worker_id for e in rank_workers(score, stamp)])
-
-
-# --- k-neighbours view -----------------------------------------------------
-
-def _descending_ranking(n: int) -> Ranking:
-    # Worker i sits at rank i: strictly decreasing scores by id.
-    scores = {i: 10 * (n - i) for i in range(1, n + 1)}
-    stamps = {i: 1000 for i in range(1, n + 1)}
-    return rank_workers(scores, stamps)
-
-
-def test_k_neighbours_middle_of_a_small_board():
-    ranking = _descending_ranking(7)
-    view = k_neighbours_view(ranking, 4, 1)
-    assert [e.worker_id for e in view] == [3, 4, 5]
-
-
-def test_k_neighbours_truncates_at_the_top():
-    ranking = _descending_ranking(7)
-    view = k_neighbours_view(ranking, 1, 3)
-    assert [e.worker_id for e in view] == [1, 2, 3, 4]
-
-
-def test_k_neighbours_wide_board_window():
-    ranking = _descending_ranking(100)
-    view = k_neighbours_view(ranking, 50, 3)
-    assert [e.worker_id for e in view] == [47, 48, 49, 50, 51, 52, 53]
-
-
-def test_k_neighbours_k_zero_is_self_only():
-    ranking = _descending_ranking(5)
-    assert [e.worker_id for e in k_neighbours_view(ranking, 3, 0)] == [3]
-
-
-def test_k_neighbours_rejects_negative_k():
-    with pytest.raises(ConfigurationError):
-        k_neighbours_view(_descending_ranking(3), 1, -1)
-
-
-# --- quality and utility ---------------------------------------------------
-
-@given(skill=st.floats(0, 1), effort=st.floats(0, 100),
-       scale=st.floats(0.01, 50), anchor=st.floats(-10, 10))
-def test_quality_is_linear_in_effort_about_the_anchor(skill, effort, scale, anchor):
-    direct = compute_quality(skill, scale * effort, anchor) - anchor
-    scaled = scale * (compute_quality(skill, effort, anchor) - anchor)
-    assert direct == pytest.approx(scaled, rel=1e-9, abs=1e-9)
-
-
-@given(prize=st.floats(0, 100), effort=st.floats(0, 1000),
-       cost=st.floats(0, 10))
-def test_winning_dominates_losing_by_exactly_the_prize(prize, effort, cost):
-    won = worker_utility(prize, True, effort, cost)
-    lost = worker_utility(prize, False, effort, cost)
-    assert won - lost == pytest.approx(prize, rel=1e-9, abs=1e-9)
-
-
-def test_utility_charges_effort_cost_either_way():
-    assert worker_utility(10.0, True, 4.0, 0.5) == 8.0
-    assert worker_utility(10.0, False, 4.0, 0.5) == -2.0
 
 
 # --- input validation ------------------------------------------------------

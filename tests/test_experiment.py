@@ -11,11 +11,9 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 import contestsim.experiment as experiment
-from contestsim import (AnnotationEvent, ConfigurationError, ContestError,
-                        ContestSummary, EventLog, PostCounters, Ranking,
+from contestsim import (ConfigurationError, ContestError, ContestSummary,
                         SweepResult, anova_f, emit_outputs, generate_corpus,
-                        generate_profiles, merge_annotations,
-                        parse_experiment_config, read_corpus,
+                        generate_profiles, parse_experiment_config, read_corpus,
                         read_experiment_config, run_condition,
                         sign_test_one_sided, summarize, sweep,
                         trend_from_summaries, verify_manifest, write_corpus,
@@ -226,36 +224,6 @@ def test_summary_record_maps_nan_to_null():
     record = s.to_record()
     assert record["mean_annotations_per_active"] is None
     json.dumps(record)
-
-
-# --- annotation merging ----------------------------------------------------------
-
-def _stub_log(contest_config, events):
-    return EventLog(config=contest_config(), seed=(0,), dispatch="shared",
-                    horizon_ms=1000, base_hazard=0.0, accuracy_floor=0.0,
-                    events=list(events), exits=[],
-                    final_ranking=Ranking(entries=()),
-                    counters=PostCounters(0, 0, 0, 0))
-
-
-def _vote(post_id, count, worker=0):
-    return AnnotationEvent(worker_id=worker, event_index=0, event_time_ms=1,
-                           holding_time_ms=1, post_id=post_id,
-                           annotated_count=count, rank_at_event=1,
-                           eligible_at_event=True, annotations_remaining=0)
-
-
-def test_merge_takes_the_majority_and_breaks_ties_low(contest_config):
-    log_a = _stub_log(contest_config,
-                      [_vote(7, 2), _vote(8, 1), _vote(9, 4)])
-    log_b = _stub_log(contest_config, [_vote(7, 2), _vote(8, 3)])
-    log_c = _stub_log(contest_config, [_vote(7, 3)])
-    merged = merge_annotations([log_a, log_b, log_c])
-    assert merged == {7: 2, 8: 1, 9: 4}
-
-
-def test_merge_of_nothing_is_empty(contest_config):
-    assert merge_annotations([_stub_log(contest_config, [])]) == {}
 
 
 # --- sign test -------------------------------------------------------------------

@@ -5,10 +5,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from contestsim import (Assignment, ConfigurationError, ContractViolation,
-                        DropQueue, Post, advance_queue, allocate_round_robin,
-                        build_windows, task_intensity, total_contest_time,
-                        warp_out_rate)
+from contestsim import (ConfigurationError, ContractViolation, DropQueue, Post,
+                        advance_queue, allocate_round_robin, build_windows,
+                        total_contest_time, warp_out_rate)
 
 
 def posts(n: int) -> list[Post]:
@@ -147,19 +146,6 @@ def test_allocation_validation():
 
 # --- flow formulas ---------------------------------------------------------
 
-def test_task_intensity_fixtures():
-    assert task_intensity(20.0, 1.0) == 20.0
-    assert task_intensity(0.0, 1.0) == 0.0
-    assert task_intensity(200.0, 10.0) == 20.0
-
-
-def test_task_intensity_validation():
-    with pytest.raises(ConfigurationError):
-        task_intensity(1.0, 0.0)
-    with pytest.raises(ConfigurationError):
-        task_intensity(-1.0, 1.0)
-
-
 def test_total_contest_time_fixtures():
     assert total_contest_time(7600, 10.0, 200) == 380.0
     assert total_contest_time(200, 10.0, 200) == 10.0
@@ -258,11 +244,3 @@ def test_advance_queue_rejects_time_regression():
     advance_queue(queue, 10.0)
     with pytest.raises(ContractViolation):
         advance_queue(queue, 9.0)
-
-
-def test_advance_queue_rejects_pending_and_assigned_overlap():
-    queue = DropQueue()
-    queue.push(posts(1)[0], 10.0)
-    assignment = Assignment(worker_id=0, window_index=0, bin=(0,))
-    with pytest.raises(ContractViolation):
-        advance_queue(queue, 5.0, open_assignments=[assignment])
