@@ -7,8 +7,9 @@ the ranking that the engine and the replay validator update as scores move.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Collection, Hashable, Mapping, Optional
 
 from .errors import ConfigurationError
@@ -26,6 +27,15 @@ def canonical_json(obj) -> str:
     give equal bytes.
     """
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def require_finite(config) -> None:
+    """Raise `ConfigurationError` naming the first float field of the
+    dataclass ``config`` that is NaN or infinite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +105,7 @@ class ContestConfig:
     reduction_rate: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in ("n_workers", "n_posts", "window_size", "task_unit_size",
                      "base_points", "leaderboard_k", "reward_spread"):
             if getattr(self, name) < 1:

@@ -17,7 +17,8 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import rng as streams
-from .core import ContestConfig, Post, WorkerProfile, canonical_json
+from .core import (ContestConfig, Post, WorkerProfile, canonical_json,
+                   require_finite)
 from .errors import ConfigurationError, ContestError
 from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, BehaviorPrior,
                        EventLog, draw_behavior, run_contest)
@@ -61,6 +62,7 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.config_version != CONFIG_VERSION:
             raise ConfigurationError(
                 f"unsupported config_version {self.config_version}; "

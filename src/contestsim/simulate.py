@@ -63,7 +63,7 @@ import numpy as np
 from . import rng as streams
 from .core import (EXACT_MATCH_MULTIPLIER, ContestConfig, Leaderboard, Post,
                    RankEntry, Ranking, WorkerProfile, canonical_json,
-                   rank_workers, score_annotation)
+                   rank_workers, require_finite, score_annotation)
 from .errors import ConfigurationError, ContractViolation
 from .stream import DropQueue, advance_queue, allocate_round_robin, build_windows, total_contest_time
 
@@ -99,6 +99,7 @@ class BehaviorPrior:
     halfnormal_sigma: float = 0.01
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in ("gamma_shape", "gamma_rate", "halfnormal_sigma"):
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"{name} must be strictly positive")

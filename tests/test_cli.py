@@ -275,6 +275,22 @@ def test_non_utf8_config_fails_cleanly(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+def test_non_finite_config_value_fails_cleanly(tmp_path, capsys, command):
+    config = tmp_path / "bad.cfg"
+    config.write_text(CONFIG.replace("task_unit_time_s=5.0",
+                                     "task_unit_time_s=inf"), encoding="utf-8")
+    extra = (["--out", str(tmp_path / "contest.jsonl")]
+             if command == "simulate" else ["--out-dir", str(tmp_path / "out")])
+    code = main([command, "--config", str(config)] + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "task_unit_time_s must be finite" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize("bad_line", [
     b'{"id":3,"token_count":10',
     b'{"id":3,"token_count":10}',

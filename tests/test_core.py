@@ -217,3 +217,13 @@ def test_contest_config_rejects_non_positive_fields(contest_config):
                        ("prize_value", -1.0)]:
         with pytest.raises(ConfigurationError):
             contest_config(**{field: bad})
+
+
+@pytest.mark.parametrize("field", ["task_unit_time_s", "arrival_rate",
+                                   "prize_value", "reduction_rate",
+                                   "n_workers"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_contest_config_rejects_non_finite_fields(contest_config, field, bad):
+    # An infinite task-unit time used to divide by zero in the load check.
+    with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+        contest_config(**{field: bad})

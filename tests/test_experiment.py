@@ -106,6 +106,12 @@ def test_config_round_trips_through_disk(tmp_path):
     (MINIMAL.replace("spreads = 1,2", "spreads = 2,2"), "distinct"),
     (MINIMAL + "dispatch = catapult\n", "unknown dispatch"),
     (MINIMAL + "mean_entities = 0.0\n", "mean_entities"),
+    (MINIMAL.replace("task_unit_time_s = 5.0", "task_unit_time_s = inf"),
+     "task_unit_time_s must be finite"),
+    (MINIMAL.replace("arrival_rate = 2.0", "arrival_rate = nan"),
+     "arrival_rate must be finite"),
+    (MINIMAL + "base_hazard = -inf\n", "base_hazard must be finite"),
+    (MINIMAL + "gamma_rate = nan\n", "gamma_rate must be finite"),
 ])
 def test_parse_rejects_bad_configs(mangle, fragment):
     with pytest.raises(ConfigurationError, match=fragment):

@@ -39,6 +39,9 @@ def test_prior_rejects_non_positive_parameters():
     for field in ("gamma_shape", "gamma_rate", "halfnormal_sigma"):
         with pytest.raises(ConfigurationError):
             BehaviorPrior(**{field: 0.0})
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                BehaviorPrior(**{field: bad})
 
 
 def test_draw_behavior_gamma_mean_matches_shape_over_rate():
