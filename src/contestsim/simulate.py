@@ -618,16 +618,29 @@ def write_event_log(log: EventLog, path: Union[str, Path]) -> None:
 
 
 def _decode_chunk(lines: list[str]) -> Optional[list]:
-    """Decode ``lines`` in one `json.loads` call; None if that fails.
+    """Decode ``lines`` in one `json.loads` call; None if they might not
+    decode to one value per line, each the value of its own line.
 
-    None too when the values do not pair off with the lines: a line holding
-    ``1,2``, or one object split over two lines, can join into valid JSON.
+    A body line holds one flat object of integers and booleans, so each
+    line must have the shape ``{...}`` with no other brace.  Then every
+    value of the joined text starts at a line's ``{`` and ends at a line's
+    ``}``, and there are as many values as lines only if each value is
+    exactly one line.  Without the shape check, a line holding two records
+    and a record split over two lines at a comma join into valid JSON with
+    one value per line.  Lines hold no newline, so the counts over the
+    joined text check every line at once.
     """
+    text = ",\n".join(lines)
+    n = len(lines)
+    if not (text.count("{") == text.count("}") == n
+            and text.count("\n{") == text.count("},\n") == n - 1
+            and text.startswith("{") and text.endswith("}")):
+        return None
     try:
-        values = json.loads("[" + ",".join(lines) + "]")
+        values = json.loads("[" + text + "]")
     except (ValueError, RecursionError):
         return None
-    return values if len(values) == len(lines) else None
+    return values if len(values) == n else None
 
 
 def read_event_log(path: Union[str, Path]) -> EventLog:

@@ -827,8 +827,63 @@ def _leaves(obj, trail=()):
         yield trail
 
 
-_MUTATIONS = ("delete", "duplicate", "split", "join", "join with a comma",
-              "1,2", "swap a value", "truncate")
+_MUTATIONS = ("delete", "duplicate", "split", "split at a comma", "join",
+              "join with a comma", "1,2", "swap a value", "truncate")
+
+
+def _mutation(lines, kind, k, data):
+    """Mutate 1-based line ``k`` of ``lines`` by ``kind``.
+
+    Returns ``(new, used, named, must_fail)``: ``new`` replaces the ``used``
+    lines from line ``k`` on; ``named`` holds the lines of the mutated file
+    that a rejection may name; ``must_fail`` is set when a mutated line no
+    longer holds one JSON value, or holds a body value of the wrong type.
+    """
+    i = k - 1
+    line = lines[i]
+    if kind == "delete":
+        return [], 1, range(k - 1, len(lines)), False
+    if kind == "duplicate":
+        return [line, line], 1, {k, k + 1}, False
+    if kind == "split":
+        cut = data.draw(st.integers(1, len(line) - 1), label="cut")
+        return [line[:cut], line[cut:]], 1, {k}, True
+    if kind == "split at a comma":
+        # A comma turned into a line break: the halves rejoin on a comma.
+        commas = [j for j, char in enumerate(line) if char == ","]
+        cut = data.draw(st.sampled_from(commas), label="comma")
+        return [line[:cut], line[cut + 1:]], 1, {k}, True
+    if kind.startswith("join"):
+        glue = "," if "comma" in kind else ""
+        return [line + glue + lines[k]], 2, {k}, True
+    if kind == "1,2":
+        return ["1,2"], 1, {k}, True
+    if kind == "truncate":
+        cut = data.draw(st.integers(0, len(line) - 1), label="cut")
+        return [line[:cut]], 1, {k}, True
+    record = json.loads(line)
+    trail = data.draw(st.sampled_from(list(_leaves(record))), label="field")
+    value = data.draw(st.one_of(st.floats(), st.text(max_size=4),
+                                st.booleans()), label="value")
+    parent = record
+    for step in trail[:-1]:
+        parent = parent[step]
+    parent[trail[-1]] = value
+    # Every body and ranking field is an integer, except the annotation and
+    # exit ``eligible`` flag; the header is not typed.
+    must_fail = 1 < k and not (trail == ("eligible",)
+                               and isinstance(value, bool))
+    return [_canonical(record)], 1, {k}, must_fail
+
+
+def _read_mutated(path, mutated, named, must_fail, note):
+    path.write_text("\n".join(mutated) + "\n", encoding="utf-8")
+    try:
+        read_event_log(path)
+    except ConfigurationError as exc:
+        assert _named_line(path, exc) in named, (note, str(exc))
+    else:
+        assert not must_fail, note
 
 
 @settings(max_examples=300, deadline=None)
@@ -836,51 +891,54 @@ _MUTATIONS = ("delete", "duplicate", "split", "join", "join with a comma",
 def test_single_line_mutations_parse_or_name_the_line(mutation_log, kind,
                                                       data):
     path, lines = mutation_log
-    joins = kind.startswith("join")
-    k = data.draw(st.integers(1, len(lines) - joins), label="line")
-    i = k - 1
+    if kind == "split at a comma":
+        # The header and the body lines hold commas; the trailer may not.
+        last = len(lines) - 1
+    else:
+        last = len(lines) - kind.startswith("join")
+    k = data.draw(st.integers(1, last), label="line")
+    new, used, named, must_fail = _mutation(lines, kind, k, data)
+    mutated = lines[:k - 1] + new + lines[k - 1 + used:]
+    _read_mutated(path, mutated, named, must_fail, (kind, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kinds=st.tuples(st.sampled_from(_MUTATIONS),
+                       st.sampled_from(_MUTATIONS)),
+       chunk=st.integers(0, 1), data=st.data())
+def test_two_mutations_in_one_chunk_parse_or_name_a_line(mutation_log, kinds,
+                                                         chunk, data):
+    # Two faults can cancel out in a chunk's value count: a line holding
+    # two records and a record split over two lines at a comma.
+    path, lines = mutation_log
+    first = 2 + chunk * _CHUNK_LINES
+    last = min(first + _CHUNK_LINES, len(lines) - 1) - 1
+    k1 = data.draw(st.integers(first, last - 2), label="first line")
+    new1, used1, named1, fail1 = _mutation(lines, kinds[0], k1, data)
+    k2 = data.draw(st.integers(k1 + used1, last), label="second line")
+    new2, used2, named2, fail2 = _mutation(lines, kinds[1], k2, data)
+    shift = len(new1) - used1
+    mutated = (lines[:k1 - 1] + new1 + lines[k1 - 1 + used1:k2 - 1] + new2
+               + lines[k2 - 1 + used2:])
+    named = set(named1) | {line + shift for line in named2}
+    _read_mutated(path, mutated, named, fail1 or fail2, (kinds, k1, k2))
+
+
+def test_a_doubled_line_and_a_line_split_at_a_comma_are_rejected(
+        tmp_path, mutation_log):
+    # One line holding two records joined by a comma, and one record broken
+    # over two lines where a comma was: the chunk still decodes into one
+    # value per line, but neither line is one record on its own.
+    _, lines = mutation_log
     mutated = list(lines)
-    named = {k}        # the lines a rejection may name
-    must_fail = True   # the mutated line no longer holds one JSON value
-    if kind == "delete":
-        del mutated[i]
-        named, must_fail = range(k - 1, len(lines)), False
-    elif kind == "duplicate":
-        mutated.insert(i, lines[i])
-        named, must_fail = {k, k + 1}, False
-    elif kind == "split":
-        cut = data.draw(st.integers(1, len(lines[i]) - 1), label="cut")
-        mutated[i:k] = [lines[i][:cut], lines[i][cut:]]
-    elif joins:
-        mutated[i:k + 1] = [lines[i] + ("," if "comma" in kind else "")
-                            + lines[k]]
-    elif kind == "1,2":
-        mutated[i] = "1,2"
-    elif kind == "truncate":
-        cut = data.draw(st.integers(0, len(lines[i]) - 1), label="cut")
-        mutated[i] = lines[i][:cut]
-    else:
-        record = json.loads(lines[i])
-        trail = data.draw(st.sampled_from(list(_leaves(record))),
-                          label="field")
-        value = data.draw(st.one_of(st.floats(), st.text(max_size=4),
-                                    st.booleans()), label="value")
-        parent = record
-        for step in trail[:-1]:
-            parent = parent[step]
-        parent[trail[-1]] = value
-        mutated[i] = _canonical(record)
-        # Every body and ranking field is an integer, except the
-        # annotation and exit ``eligible`` flag; the header is not typed.
-        must_fail = 1 < k and not (trail == ("eligible",)
-                                   and isinstance(value, bool))
+    mutated[10:12] = [lines[10] + "," + lines[11]]
+    before, _, after = mutated[20].partition(",")
+    mutated[20:21] = [before, after]
+    assert len(mutated) == len(lines)
+    path = tmp_path / "contest.jsonl"
     path.write_text("\n".join(mutated) + "\n", encoding="utf-8")
-    try:
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}:11: ")):
         read_event_log(path)
-    except ConfigurationError as exc:
-        assert _named_line(path, exc) in named, (kind, k, str(exc))
-    else:
-        assert not must_fail, (kind, k)
 
 
 @settings(max_examples=200, deadline=None)
