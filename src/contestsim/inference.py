@@ -23,7 +23,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -511,6 +511,8 @@ def recovery_experiment(prior, n_workers: int, n_events_target: int,
             for i in range(n_workers)
         ]
         pooled: dict[int, list[AnnotationEvent]] = defaultdict(list)
+        # Pooled events per worker, out of and inside the spread.
+        n_state = [[0, 0] for _ in range(n_workers)]
         runs = 0
         while runs < max_runs:
             log = run_contest(config, profiles, posts, seed=(seed, runs),
@@ -518,12 +520,8 @@ def recovery_experiment(prior, n_workers: int, n_events_target: int,
             runs += 1
             for e in log.events:
                 pooled[e.worker_id].append(e)
-            done = all(
-                sum(1 for e in pooled[w] if e.eligible_at_event) >= n_events_target
-                and sum(1 for e in pooled[w] if not e.eligible_at_event) >= n_events_target
-                for w in range(n_workers)
-            )
-            if done:
+                n_state[e.worker_id][e.eligible_at_event] += 1
+            if min(min(counts) for counts in n_state) >= n_events_target:
                 break
         for w in range(n_workers):
             fit = fit_two_state(pooled[w], worker_id=w)
