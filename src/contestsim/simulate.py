@@ -10,16 +10,25 @@ the event.  The clock is integer milliseconds throughout.
 Ranks come from one shared `core.Leaderboard`, which the replay validator
 uses too: O(log W) per score update and per rank lookup in a field of W.
 
-Two dispatch modes share the engine:
+One event loop runs the contest in periods.  In a period, each worker
+given a bin annotates the head of it, from the period's opening until its
+close or until the bin runs dry; then the checkpoints up to the close run.
+The two dispatch modes differ only in their periods:
 
-* ``"windowed"``: posts arrive in stream windows and are dealt round-robin
-  into per-worker bins; unsolved posts drop when their window closes.
-* ``"shared"``: every worker draws from one FIFO pool until the pool or the
-  clock runs out.  No post is ever dropped.
+* ``"windowed"``: one period per stream window.  The window's posts are
+  dealt round-robin into per-worker bins; unsolved posts drop when their
+  window closes.
+* ``"shared"``: one period over the whole horizon, in which every worker's
+  bin is the same FIFO pool.  No post is ever dropped.
 
-Exit decisions happen at twenty evenly spaced checkpoints: a worker outside
-the spread leaves with a hazard that grows with their distance below the
-spread and with elapsed contest time.
+Exit decisions happen at twenty evenly spaced checkpoints, the last at the
+horizon: a worker outside the spread leaves with a hazard that grows with
+their distance below the spread and with elapsed contest time.
+
+The loop scores annotations itself: a hit on a post with entities earns
+the exact-match multiple of the base points, any other non-empty count the
+base points, an empty count nothing.  That is `score_annotation`'s rule,
+which `replay_validate` applies.
 
 Each worker draws from three substreams of the contest seed:
 
@@ -42,8 +51,9 @@ configuration, one line per annotation or exit in time order (annotations
 first on ties), and a trailer with the final leaderboard.  Its bytes are
 the format contract: keys in sorted order, no spaces, integer fields as
 JSON integers and flags as ``true``/``false``, so equal logs are equal
-files.  `read_event_log` decodes the body in chunks of lines, holds every
-field to its exact type, and names ``path:line`` for a malformed line.
+files.  `read_event_log` decodes the body in chunks of lines whose every
+line is one flat object, holds every field to its exact type, and names
+``path:line`` for a malformed line.
 """
 
 from __future__ import annotations
