@@ -668,7 +668,7 @@ def _reference_lines(log: EventLog) -> list[str]:
     return lines
 
 
-def _random_contest(seed: int) -> EventLog:
+def _random_contest(seed: int) -> tuple[EventLog, list[Post]]:
     gen = np.random.default_rng(seed)
     n_workers = int(gen.integers(2, 7))
     n_posts = int(gen.integers(20, 81))
@@ -686,10 +686,11 @@ def _random_contest(seed: int) -> EventLog:
     posts = [Post(id=i, token_count=10,
                   expected_entities=int(gen.integers(0, 4)), arrival_index=i)
              for i in range(n_posts)]
-    return run_contest(config, profiles, posts, seed=seed,
-                       dispatch=("windowed", "shared")[seed % 2],
-                       base_hazard=float(gen.uniform(0.0, 3.0)),
-                       accuracy_floor=float(gen.uniform(-0.2, 0.3)))
+    log = run_contest(config, profiles, posts, seed=seed,
+                      dispatch=("windowed", "shared")[seed % 2],
+                      base_hazard=float(gen.uniform(0.0, 3.0)),
+                      accuracy_floor=float(gen.uniform(-0.2, 0.3)))
+    return log, posts
 
 
 def test_event_log_lines_match_the_reference_encoder(stock_log_path,
@@ -699,7 +700,7 @@ def test_event_log_lines_match_the_reference_encoder(stock_log_path,
         assert list(event_log_lines(log)) == _reference_lines(log)
     dispatches, tied = set(), 0
     for seed in range(50):
-        log = _random_contest(seed)
+        log, _ = _random_contest(seed)
         dispatches.add(log.dispatch)
         assert list(event_log_lines(log)) == _reference_lines(log), seed
         if log.exits and log.events:
@@ -713,6 +714,19 @@ def test_event_log_lines_match_the_reference_encoder(stock_log_path,
             tied += 1
     assert dispatches == {"windowed", "shared"}
     assert tied >= 10
+
+
+def test_engine_scores_follow_score_annotation():
+    # The engine scores annotations inline; replay re-scores each one with
+    # `score_annotation` and compares ranks and final scores, here with
+    # empty posts (where a miss can clamp onto the truth) in both modes.
+    empty_post_events = 0
+    for seed in range(50):
+        log, posts = _random_contest(seed)
+        replay_validate(log, posts)
+        empty = {p.id for p in posts if p.expected_entities == 0}
+        empty_post_events += sum(e.post_id in empty for e in log.events)
+    assert empty_post_events > 100
 
 
 def test_read_then_write_round_trips_byte_for_byte(tmp_path, stock_log_path,
