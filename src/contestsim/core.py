@@ -234,8 +234,6 @@ class Leaderboard:
         return bisect_left(self._keys, self._key_of[worker_id]) + 1
 
 
-
-
 def score_annotation(annotated_count: int, expected_count: int,
                      base_points: int) -> int:
     """Points for one annotation.

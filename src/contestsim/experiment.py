@@ -346,7 +346,6 @@ def summarize(log: EventLog, replication: int = 0) -> ContestSummary:
     )
 
 
-
 # --- trend and variance tests ----------------------------------------------
 
 def sign_test_one_sided(diffs: Sequence[float]) -> float:

@@ -454,7 +454,7 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
             r = w.gov_rank = board_update(wid, w.score, t)
             w.gov_elig = r <= spread
             if w.bin:
-                t = t + gap_ms(w, t, remaining)
+                t += gap_ms(w, t, remaining)
                 if t <= close_ms:
                     heappush(heap, (t, widx))
         run_checkpoints(close_ms)
@@ -631,19 +631,19 @@ def _decode_chunk(lines: list[str]) -> Optional[list]:
     """Decode ``lines`` in one `json.loads` call; None if they might not
     decode to one value per line, each the value of its own line.
 
-    A body line holds one flat object of integers and booleans, so each
-    line must have the shape ``{...}`` with no other brace.  Then every
-    value of the joined text starts at a line's ``{`` and ends at a line's
-    ``}``, and there are as many values as lines only if each value is
-    exactly one line.  Without the shape check, a line holding two records
-    and a record split over two lines at a comma join into valid JSON with
-    one value per line.  Lines hold no newline, so the counts over the
-    joined text check every line at once.
+    The lines are joined with ``",\n"``.  No line holds a line break and no
+    JSON string a raw one, so nothing but that whitespace spans a joint.  A
+    body line is one flat object of integers and booleans, so the check is
+    that every line starts with ``{``, ends with ``}``, and holds no other
+    ``{``.  Then the object a line opens can close neither before the
+    line's last ``}`` (which would be left unmatched) nor after it (no
+    string or nested object can hold it), so each value is exactly one
+    line.  Counting values alone is not enough: a line holding two records
+    and a record split over two lines at a comma cancel out.
     """
     text = ",\n".join(lines)
     n = len(lines)
-    if not (text.count("{") == text.count("}") == n
-            and text.count("\n{") == text.count("},\n") == n - 1
+    if not (text.count("{") == n and text.count("},\n{") == n - 1
             and text.startswith("{") and text.endswith("}")):
         return None
     try:

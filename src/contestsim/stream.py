@@ -114,7 +114,6 @@ def allocate_round_robin(window: Window, worker_ids: Sequence[int],
     return assignments
 
 
-
 def total_contest_time(n_posts: int, task_unit_time_s: float,
                        window_size: int) -> float:
     """Nominal contest duration in seconds: posts / window throughput."""

@@ -905,12 +905,8 @@ def _read_mutated(path, mutated, named, must_fail, note):
 def test_single_line_mutations_parse_or_name_the_line(mutation_log, kind,
                                                       data):
     path, lines = mutation_log
-    if kind == "split at a comma":
-        # The header and the body lines hold commas; the trailer may not.
-        last = len(lines) - 1
-    else:
-        last = len(lines) - kind.startswith("join")
-    k = data.draw(st.integers(1, last), label="line")
+    k = data.draw(st.integers(1, len(lines) - kind.startswith("join")),
+                  label="line")
     new, used, named, must_fail = _mutation(lines, kind, k, data)
     mutated = lines[:k - 1] + new + lines[k - 1 + used:]
     _read_mutated(path, mutated, named, must_fail, (kind, k))
@@ -938,16 +934,21 @@ def test_two_mutations_in_one_chunk_parse_or_name_a_line(mutation_log, kinds,
     _read_mutated(path, mutated, named, fail1 or fail2, (kinds, k1, k2))
 
 
-def test_a_doubled_line_and_a_line_split_at_a_comma_are_rejected(
-        tmp_path, mutation_log):
-    # One line holding two records joined by a comma, and one record broken
-    # over two lines where a comma was: the chunk still decodes into one
-    # value per line, but neither line is one record on its own.
+@pytest.mark.parametrize("merge", ["split at a comma", "open array"])
+def test_a_doubled_line_and_two_merging_lines_are_rejected(
+        tmp_path, mutation_log, merge):
+    # One line holds two records joined by a comma, and two other lines
+    # decode as one value: the chunk still decodes into one value per line,
+    # but neither faulty line is one record on its own.
     _, lines = mutation_log
     mutated = list(lines)
     mutated[10:12] = [lines[10] + "," + lines[11]]
-    before, _, after = mutated[20].partition(",")
-    mutated[20:21] = [before, after]
+    if merge == "split at a comma":
+        before, _, after = mutated[20].partition(",")
+        mutated[20:21] = [before, after]
+    else:
+        # An extra key opens an array that the next line is an element of.
+        mutated[20:21] = [mutated[20][:-1] + ',"x":[{"y":1}', '{"z":2}]}']
     assert len(mutated) == len(lines)
     path = tmp_path / "contest.jsonl"
     path.write_text("\n".join(mutated) + "\n", encoding="utf-8")
