@@ -29,13 +29,14 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def require_finite(config) -> None:
+def require_finite(config, context: str = "") -> None:
     """Raise `ConfigurationError` naming the first float field of the
-    dataclass ``config`` that is NaN or infinite."""
+    dataclass ``config`` that is NaN or infinite, after ``context``."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigurationError(f"{f.name} must be finite, got {value}")
+            raise ConfigurationError(
+                f"{context}{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,7 @@ class WorkerProfile:
             raise ConfigurationError(
                 f"worker {self.id}: exit_threshold must lie in [0, 1]"
             )
+        require_finite(self, f"worker {self.id}: ")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .core import (ContestConfig, Post, WorkerProfile, canonical_json,
                    require_finite)
 from .errors import ConfigurationError, ContestError
 from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, BehaviorPrior,
-                       EventLog, draw_behavior, run_contest)
+                       EventLog, checkpoint_times, draw_behavior, run_contest)
 
 CONFIG_VERSION = 1
 TREND_ALPHA = 0.05
@@ -320,8 +320,7 @@ def summarize(log: EventLog, replication: int = 0) -> ContestSummary:
     distinct = len({(e.post_id, e.annotated_count) for e in log.events})
     exit_times = sorted(x.exit_time_ms for x in log.exits)
     active_counts = []
-    for k in range(N_CHECKPOINTS + 1):
-        t = round(log.horizon_ms * k / N_CHECKPOINTS)
+    for t in (0, *checkpoint_times(log.horizon_ms)):
         exited = sum(1 for ms in exit_times if ms <= t)
         active_counts.append(config.n_workers - exited)
     n_active_end = config.n_workers - len(log.exits)

@@ -21,19 +21,24 @@ The two dispatch modes differ only in their periods:
 * ``"shared"``: one period over the whole horizon, in which every worker's
   bin is the same FIFO pool.  No post is ever dropped.
 
-Exit decisions happen at twenty evenly spaced checkpoints, the last at the
-horizon: a worker outside the spread leaves with a hazard that grows with
-their distance below the spread and with elapsed contest time.
+Exit decisions happen at twenty evenly spaced checkpoints
+(`checkpoint_times`), the last at the horizon: a worker outside the spread
+leaves with a hazard that grows with their distance below the spread and
+with elapsed contest time.  The loop keeps the next checkpoint's time and
+runs checkpoints only when an event lies past it.
 
 The loop scores annotations itself: a hit on a post with entities earns
 the exact-match multiple of the base points, any other non-empty count the
 base points, an empty count nothing.  That is `score_annotation`'s rule,
 which `replay_validate` applies.
 
-Each worker draws from three substreams of the contest seed:
+Each worker draws from three substreams of the contest seed, built for
+the whole field in one `rng.substreams` call (equal bit for bit to one
+`rng.substream` call per stream):
 
 * EVENTS: one standard-exponential draw per holding time, scaled by the
-  reciprocal of the governing rate;
+  reciprocal of the governing rate (for the two-state rate, the worker's
+  ``1.0 / lambda_in`` or ``1.0 / lambda_out``, computed once);
 * COUNTS: one uniform per annotation, and on a miss one perturbation index
   in 0..3;
 * EXITS: one uniform per checkpoint the worker is still in the contest.
@@ -64,6 +69,7 @@ import os
 from collections import deque
 from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
+from math import ceil
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -281,18 +287,23 @@ def _count_offsets(bit_generator: np.random.BitGenerator, p_correct: float):
 class _WorkerState:
     """One worker's contest state and random draws.
 
-    ``next_exp`` yields standard-exponential draws from the EVENTS stream,
-    ``next_offset`` count offsets from the COUNTS stream, and
-    ``exit_draws[ci]`` is the EXITS stream's draw at checkpoint ``ci``: a
-    worker alive there drew at every earlier checkpoint.  ``rate_fn`` is the
-    worker's custom rate model, or None for the two-state rate.
+    ``next_exp`` yields standard-exponential draws from ``event_rng``,
+    ``next_offset`` count offsets from ``count_rng``, and ``exit_draws[ci]``
+    is ``exit_rng``'s draw at checkpoint ``ci``: a worker alive there drew
+    at every earlier checkpoint.  ``inv_in`` / ``inv_out`` are the
+    reciprocal two-state rates.  ``rate_fn`` is the worker's custom rate
+    model, or None for the two-state rate.
     """
 
     __slots__ = ("idx", "profile", "score", "stamp", "annotations",
                  "last_ms", "alive", "gov_rank", "gov_elig", "rate_fn",
-                 "next_exp", "next_offset", "exit_draws", "bin")
+                 "inv_in", "inv_out", "next_exp", "next_offset",
+                 "exit_draws", "bin")
 
-    def __init__(self, idx: int, profile: WorkerProfile, seed: Seed,
+    def __init__(self, idx: int, profile: WorkerProfile,
+                 event_rng: np.random.Generator,
+                 count_rng: np.random.Generator,
+                 exit_rng: np.random.Generator,
                  accuracy_floor: float) -> None:
         self.idx = idx
         self.profile = profile
@@ -304,9 +315,8 @@ class _WorkerState:
         self.gov_rank = 0
         self.gov_elig = False
         self.rate_fn: Optional[RateFn] = None
-        event_rng = streams.substream(seed, streams.EVENTS, idx)
-        count_rng = streams.substream(seed, streams.COUNTS, idx)
-        exit_rng = streams.substream(seed, streams.EXITS, idx)
+        self.inv_in = 1.0 / profile.lambda_in
+        self.inv_out = 1.0 / profile.lambda_out
         # Unit-rate holding times; a holding time at rate r is one of these
         # times 1/r, as numpy's exponential(scale) is
         # scale * standard_exponential().
@@ -317,6 +327,13 @@ class _WorkerState:
             _p_correct(profile.skill, accuracy_floor)).__next__
         self.exit_draws = exit_rng.random(N_CHECKPOINTS).tolist()
         self.bin: deque[Post] = deque()
+
+
+def checkpoint_times(horizon_ms: int) -> list[int]:
+    """The `N_CHECKPOINTS` exit-checkpoint times of a contest, in ms; the
+    last is the horizon."""
+    return [int(round(k * horizon_ms / N_CHECKPOINTS))
+            for k in range(1, N_CHECKPOINTS + 1)]
 
 
 def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
@@ -351,7 +368,10 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
     spread = config.reward_spread
     base_points = config.base_points
     hit_points = EXACT_MATCH_MULTIPLIER * base_points
-    workers = [_WorkerState(i, profiles[i], seed, accuracy_floor)
+    rngs = streams.substreams(
+        seed, (streams.EVENTS, streams.COUNTS, streams.EXITS), n)
+    workers = [_WorkerState(i, profiles[i], *(r[i] for r in rngs),
+                            accuracy_floor=accuracy_floor)
                for i in range(n)]
     by_id = {w.profile.id: w for w in workers}
     id_order = sorted(workers, key=lambda w: w.profile.id)
@@ -364,13 +384,16 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
             w.rate_fn = rate_fns.get(w.profile.id)
 
     def gap_ms(w: _WorkerState, elapsed_ms: int, remaining: int) -> int:
+        """The worker's next holding time in ms; the period loop computes
+        the two-state one inline, with the same arithmetic."""
         if w.rate_fn is None:
-            rate = w.profile.lambda_in if w.gov_elig else w.profile.lambda_out
+            inv_rate = w.inv_in if w.gov_elig else w.inv_out
         else:
             rate = w.rate_fn(w.gov_rank, elapsed_ms, remaining, w.gov_elig)
             if not rate > 0.0:
                 raise ConfigurationError("custom rate model returned a non-positive rate")
-        return max(1, math.ceil(w.next_exp() * (1.0 / rate) * 1000.0))
+            inv_rate = 1.0 / rate
+        return max(1, ceil(w.next_exp() * inv_rate * 1000.0))
 
     unit_ms = int(round(config.task_unit_time_s * 1000.0))
     if unit_ms < 1:
@@ -387,12 +410,12 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
         horizon_s = total_contest_time(n_posts, config.task_unit_time_s,
                                        config.window_size)
         horizon_ms = int(round(horizon_s * 1000.0))
-    checkpoint_ms = [int(round(k * horizon_ms / N_CHECKPOINTS))
-                     for k in range(1, N_CHECKPOINTS + 1)]
+    checkpoint_ms = checkpoint_times(horizon_ms)
     cp_idx = 0
 
-    def run_checkpoints(through_ms: int) -> None:
-        """Run every checkpoint not yet run at or before ``through_ms``."""
+    def run_checkpoints(through_ms: int) -> float:
+        """Run every checkpoint not yet run at or before ``through_ms``;
+        return the time of the next one (infinity after the last)."""
         nonlocal cp_idx
         while cp_idx < N_CHECKPOINTS and checkpoint_ms[cp_idx] <= through_ms:
             ci = cp_idx
@@ -410,6 +433,7 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
                     w.alive = False
                     exits.append(ExitEvent(w.profile.id, checkpoint_ms[ci],
                                            r, elig))
+        return checkpoint_ms[cp_idx] if cp_idx < N_CHECKPOINTS else math.inf
 
     def run_period(holders: Sequence[_WorkerState], open_ms: int,
                    close_ms: int) -> None:
@@ -427,19 +451,23 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
             t = base + gap_ms(w, base, n_posts - solved)
             if t <= close_ms:
                 heappush(heap, (t, w.idx))
+        next_cp = run_checkpoints(open_ms - 1)  # none is due: finds the next
         while heap:
             t, widx = heappop(heap)
             w = workers[widx]
             if not w.alive:
                 continue
-            run_checkpoints(t - 1)
+            if next_cp < t:
+                next_cp = run_checkpoints(t - 1)
             if not w.alive or not w.bin:
                 continue
             post = w.bin.popleft()
             # A miss (non-zero offset) never lands on a non-zero true count,
             # so this is `score_annotation`'s rule.
             offset = w.next_offset()
-            count = max(0, post.expected_entities + offset)
+            count = post.expected_entities + offset
+            if count < 0:
+                count = 0
             solved += 1
             remaining = n_posts - solved
             wid = w.profile.id
@@ -452,9 +480,14 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
                 w.score += base_points if offset else hit_points
                 w.stamp = t
             r = w.gov_rank = board_update(wid, w.score, t)
-            w.gov_elig = r <= spread
+            elig = w.gov_elig = r <= spread
             if w.bin:
-                t += gap_ms(w, t, remaining)
+                if w.rate_fn is None:
+                    gap = ceil(w.next_exp() * (w.inv_in if elig else w.inv_out)
+                               * 1000.0)
+                    t += gap if gap > 1 else 1
+                else:
+                    t += gap_ms(w, t, remaining)
                 if t <= close_ms:
                     heappush(heap, (t, widx))
         run_checkpoints(close_ms)
@@ -740,9 +773,13 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     holding_time_ms after the previous one), that the recorded rank and
     eligibility equal the leaderboard state right after the worker's
     previous event, silence after exit, and that holding times sum to the
-    final event time.  Globally: post conservation and the remaining-post
-    countdown.  Needs the post list to re-score events.  A violation at an
-    event names its position in ``log.events``, worker and event index.
+    final event time.  Per exit: that it falls on a checkpoint time, in time
+    order, once per worker, and that its rank and eligibility equal the
+    leaderboard state after every event at or before it.  Globally: post
+    conservation and the remaining-post countdown.  Needs the post list to
+    re-score events.  A violation names its position in ``log.events``,
+    worker and event index, or its position in ``log.exits``, worker and
+    exit time.
     """
     expected = {p.id: p.expected_entities for p in posts}
     worker_ids = [e.worker_id for e in log.final_ranking]
@@ -752,17 +789,56 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     last_ms = {w: 0 for w in worker_ids}
     hold_sum = {w: 0 for w in worker_ids}
     count = {w: 0 for w in worker_ids}
-    exit_ms = {x.worker_id: x.exit_time_ms for x in log.exits}
     gov_rank = {w: board.rank(w) for w in worker_ids}
     solved = 0
     prev_t = 0
+
+    def exit_violation(i: int, what: str) -> ContractViolation:
+        x = log.exits[i]
+        return ContractViolation(f"log.exits[{i}] (worker {x.worker_id}, "
+                                 f"exit_time_ms {x.exit_time_ms}): {what}")
+
+    checkpoints = set(checkpoint_times(log.horizon_ms))
+    exit_ms = {}
+    for i, x in enumerate(log.exits):
+        if x.worker_id not in count:
+            raise exit_violation(i, "worker not in the contest")
+        if i and x.exit_time_ms < log.exits[i - 1].exit_time_ms:
+            raise exit_violation(i, "exits out of time order")
+        if x.exit_time_ms not in checkpoints:
+            raise exit_violation(i, "exit_time_ms is not a checkpoint time")
+        if x.worker_id in exit_ms:
+            raise exit_violation(i, f"worker {x.worker_id} exits more than once")
+        if x.eligible_at_exit != (x.rank_at_exit <= spread):
+            raise exit_violation(i, "eligibility flag inconsistent")
+        exit_ms[x.worker_id] = x.exit_time_ms
+    next_exit = 0
+
+    def check_exits(before_ms: float) -> float:
+        """Check the rank of each exit before ``before_ms`` against the board
+        after every event at or before the exit; return the time of the
+        next exit (infinity after the last)."""
+        nonlocal next_exit
+        while (next_exit < len(log.exits)
+               and log.exits[next_exit].exit_time_ms < before_ms):
+            x = log.exits[next_exit]
+            rank = board.rank(x.worker_id)
+            if x.rank_at_exit != rank:
+                raise exit_violation(
+                    next_exit, f"rank_at_exit {x.rank_at_exit} != replay {rank}")
+            next_exit += 1
+        return (log.exits[next_exit].exit_time_ms
+                if next_exit < len(log.exits) else math.inf)
 
     def violation(what: str) -> ContractViolation:
         return ContractViolation(f"log.events[{pos}] (worker {e.worker_id}, "
                                  f"event_index {e.event_index}): {what}")
 
+    next_exit_ms = check_exits(0)
     for pos, e in enumerate(log.events):
         wid = e.worker_id
+        if next_exit_ms < e.event_time_ms:
+            next_exit_ms = check_exits(e.event_time_ms)
         if wid not in count or e.post_id not in expected:
             raise violation(f"worker or post {e.post_id} not in the contest")
         if e.event_time_ms < prev_t:
@@ -791,6 +867,7 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
         if points > 0:
             score[wid] += points
         gov_rank[wid] = board.update(wid, score[wid], e.event_time_ms)
+    check_exits(math.inf)
 
     for wid in worker_ids:
         if hold_sum[wid] != last_ms[wid]:

@@ -6,7 +6,7 @@ import pytest
 
 from contestsim import (AnnotationEvent, ContestConfig, Post, WorkerProfile,
                         generate_corpus, parse_experiment_config,
-                        run_condition, write_event_log)
+                        run_condition, run_contest, write_event_log)
 
 # The README's sweep configuration.
 README_CONFIG = """\
@@ -151,3 +151,27 @@ def shared_log_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("shared") / "shared.jsonl"
     write_event_log(log, path)
     return path
+
+
+@pytest.fixture
+def spread_two_contest():
+    """Run a 6-worker, spread-2 contest under a heavy exit hazard; returns
+    (log, posts).  At seed 4 its exits are worker 4 at 12000 ms (rank 6),
+    then workers 2, 3 and 0, all outside the spread."""
+
+    def run(seed=4):
+        config = ContestConfig(n_workers=6, n_posts=240, window_size=20,
+                               task_unit_time_s=5.0, task_unit_size=5,
+                               arrival_rate=4.0, reward_spread=2,
+                               prize_value=1.0, base_points=10,
+                               leaderboard_k=3, quality_constraint=0,
+                               reduction_rate=2.0)
+        profiles = [WorkerProfile(id=i, skill=0.6, lambda_in=1.1,
+                                  lambda_out=0.9, exit_threshold=1.0)
+                    for i in range(6)]
+        posts = [Post(id=i, token_count=10, expected_entities=i % 3,
+                      arrival_index=i) for i in range(240)]
+        log = run_contest(config, profiles, posts, seed=seed, base_hazard=1.0)
+        return log, posts
+
+    return run

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from contestsim import read_corpus, read_event_log, read_fitted, verify_manifest
+from contestsim import (read_corpus, read_event_log, read_fitted,
+                        verify_manifest, write_corpus, write_event_log)
 from contestsim.cli import main
 
 CONFIG = """\
@@ -143,6 +144,15 @@ def test_recover_rejects_a_malformed_seed_list(capsys):
                  "--lambda-in", "1.0", "--lambda-out", "1.0"])
     assert code == 2
     assert "bad seed list" in capsys.readouterr().err
+
+
+def test_recover_rejects_an_infinite_rate(capsys):
+    code = main(["recover", "--target", "200", "--seeds", "0",
+                 "--lambda-in", "inf", "--lambda-out", "1.0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: worker 0: lambda_in must be finite")
+    assert "Traceback" not in err
 
 
 def test_validate_accepts_an_untouched_log(tmp_path, config_file, capsys):
@@ -342,3 +352,28 @@ def test_unknown_arguments_exit_via_argparse(config_file):
         main(["gen-corpus"])
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_validate_names_a_doctored_exit(tmp_path, capsys,
+                                        spread_two_contest):
+    # The first exit moved off its 12000 ms checkpoint and given rank 1
+    # while still flagged as outside the spread of 2.
+    log, posts = spread_two_contest()
+    corpus = tmp_path / "corpus.jsonl"
+    log_path = tmp_path / "contest.jsonl"
+    write_corpus(posts, corpus)
+    write_event_log(log, log_path)
+    assert main(["validate", "--log", str(log_path),
+                 "--corpus", str(corpus)]) == 0
+    lines = log_path.read_text("utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if '"exit_time_ms"' in line)
+    assert lines[i] == ('{"eligible":false,"exit_time_ms":12000,"rank":6,'
+                        '"worker_id":4}')
+    lines[i] = '{"eligible":false,"exit_time_ms":12001,"rank":1,"worker_id":4}'
+    log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["validate", "--log", str(log_path), "--corpus", str(corpus)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: log.exits[0] (worker 4, exit_time_ms 12001)")
+    assert "Traceback" not in err

@@ -187,6 +187,17 @@ def test_worker_profile_rejects_a_nan_rate(field):
         WorkerProfile(**{**ok, field: float("nan")})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lambda_in", float("inf")), ("lambda_out", float("inf")),
+    ("cost_per_effort", float("nan")), ("cost_per_effort", float("inf")),
+])
+def test_worker_profile_rejects_non_finite_floats(field, value):
+    ok = dict(id=3, skill=0.5, lambda_in=1.0, lambda_out=1.0)
+    with pytest.raises(ConfigurationError,
+                       match=f"worker 3: {field} must be finite"):
+        WorkerProfile(**{**ok, field: value})
+
+
 def test_contest_config_accepts_exactly_provisioned_stream(contest_config):
     # service rate = 10/10 = 1 post/s per worker; arrival 2.0 means the
     # offered load equals the two-worker workforce, which is allowed.

@@ -216,9 +216,17 @@ _SEEDS = [*range(40), (0, 0), (0, 49), (7, 3), (2**40, 1)]
 _N_DRAWS = 3 * _BLOCK + 5
 
 
+def _worker(idx, profile, seed, accuracy_floor):
+    """Worker ``idx`` seeded as `run_contest` seeds it."""
+    rngs = streams.substreams(
+        seed, (streams.EVENTS, streams.COUNTS, streams.EXITS), idx + 1)
+    return _WorkerState(idx, profile, *(r[idx] for r in rngs),
+                        accuracy_floor=accuracy_floor)
+
+
 def test_block_holding_times_match_holding_time():
     for seed in _SEEDS:
-        worker = _WorkerState(2, _profile(), seed, accuracy_floor=0.0)
+        worker = _worker(2, _profile(), seed, accuracy_floor=0.0)
         oracle = streams.substream(seed, streams.EVENTS, 2)
         for i in range(_N_DRAWS):
             rate = 0.05 + (i % 11) * 0.37
@@ -235,7 +243,7 @@ def test_block_counts_match_simulate_annotated_count(skill, accuracy_floor):
     posts = [Post(id=i, token_count=10, expected_entities=i % 5,
                   arrival_index=i) for i in range(_N_DRAWS)]
     for seed in _SEEDS:
-        worker = _WorkerState(5, profile, seed, accuracy_floor)
+        worker = _worker(5, profile, seed, accuracy_floor)
         oracle = streams.substream(seed, streams.COUNTS, 5)
         for post in posts:
             expected = simulate_annotated_count(post, profile, oracle,
@@ -246,7 +254,7 @@ def test_block_counts_match_simulate_annotated_count(skill, accuracy_floor):
 
 def test_block_exit_draws_match_one_random_per_checkpoint():
     for seed in _SEEDS:
-        worker = _WorkerState(1, _profile(), seed, accuracy_floor=0.0)
+        worker = _worker(1, _profile(), seed, accuracy_floor=0.0)
         oracle = streams.substream(seed, streams.EXITS, 1)
         assert worker.exit_draws == [oracle.random()
                                      for _ in range(N_CHECKPOINTS)], seed
@@ -1022,3 +1030,50 @@ def test_replay_names_the_doctored_event(tmp_path, contest_config, make_posts,
     assert f"worker {record['worker_id']}" in message
     assert f"event_index {record['event_index']}" in message
     assert "rank_at_event" in message
+
+
+# --- replay validation of exit lines ------------------------------------------
+
+@pytest.mark.parametrize("seed", range(8))
+def test_replay_accepts_the_engine_exits(spread_two_contest, seed):
+    # Seed 6 has two exits at one checkpoint.
+    log, posts = spread_two_contest(seed)
+    assert log.exits
+    replay_validate(log, posts)
+
+
+def _with_exit(exits, i, **changes):
+    return [x._replace(**changes) if k == i else x
+            for k, x in enumerate(exits)]
+
+
+@pytest.mark.parametrize("tamper, position, what", [
+    (lambda xs: _with_exit(xs, 0, exit_time_ms=12001), 0,
+     "exit_time_ms is not a checkpoint time"),
+    (lambda xs: _with_exit(xs, 0, rank_at_exit=5), 0,
+     "rank_at_exit 5 != replay 6"),
+    (lambda xs: _with_exit(xs, 0, eligible_at_exit=True), 0,
+     "eligibility flag inconsistent"),
+    (lambda xs: xs + [xs[-1]._replace(exit_time_ms=60000)], 4,
+     "worker 0 exits more than once"),
+    (lambda xs: [xs[1], xs[0], *xs[2:]], 1, "exits out of time order"),
+    (lambda xs: _with_exit(xs, 0, exit_time_ms=12001, rank_at_exit=1), 0,
+     "exit_time_ms is not a checkpoint time"),
+    (lambda xs: _with_exit(xs, 3, rank_at_exit=4), 3,
+     "rank_at_exit 4 != replay 3"),
+    (lambda xs: _with_exit(xs, 0, worker_id=6), 0,
+     "worker not in the contest"),
+], ids=["time", "rank", "flag", "repeat", "order", "time, rank and flag",
+        "last rank", "stranger"])
+def test_replay_names_a_bad_exit(spread_two_contest, tamper, position,
+                                 what):
+    log, posts = spread_two_contest()
+    assert [x[:2] for x in log.exits] == [(4, 12000), (2, 33000), (3, 45000),
+                                          (0, 51000)]
+    log = dataclasses.replace(log, exits=tamper(log.exits))
+    x = log.exits[position]
+    with pytest.raises(ContractViolation) as info:
+        replay_validate(log, posts)
+    assert str(info.value) == (
+        f"log.exits[{position}] (worker {x.worker_id}, exit_time_ms "
+        f"{x.exit_time_ms}): {what}")
