@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import defaultdict
-from dataclasses import asdict
-from pathlib import Path
 
-from .core import canonical_json
+from .core import canonical_json, json_record, write_atomic
 from .errors import ContestError
 from .experiment import (emit_outputs, generate_corpus, read_corpus,
                          read_experiment_config, run_condition, sweep,
@@ -119,9 +117,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
                                  fixed_rates=fixed)
     if args.out:
         record = report.to_record()
-        record["rows"] = [asdict(r) for r in report.rows]
-        Path(args.out).write_text(canonical_json(record) + "\n",
-                                  encoding="utf-8")
+        record["rows"] = [json_record(r) for r in report.rows]
+        write_atomic(args.out, [canonical_json(record) + "\n"])
     print(f"recovery over {len(report.rows)} fits: "
           f"mean rel err in={report.mean_rel_err_in:.4f} "
           f"out={report.mean_rel_err_out:.4f} "
@@ -207,10 +204,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ContestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ContestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

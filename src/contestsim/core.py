@@ -2,15 +2,19 @@
 
 Nothing here draws random numbers.  `Leaderboard` is the one stateful type:
 the ranking that the engine and the replay validator update as scores move.
+`write_atomic` and `TextLines` are the package's one file writer and one
+line reader.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from typing import Collection, Hashable, Mapping, Optional
+from pathlib import Path
+from typing import Collection, Hashable, Iterable, Mapping, Optional, Union
 
 from .errors import ConfigurationError
 
@@ -24,9 +28,83 @@ def canonical_json(obj) -> str:
     """``obj`` as JSON with sorted keys and no spaces.
 
     Every JSON record the package writes is in this form, so equal values
-    give equal bytes.
+    give equal bytes.  NaN and infinities raise `ValueError`, since JSON has
+    no token for them; `json_record` writes NaN as null.
     """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
+def json_record(obj) -> dict:
+    """The fields of the dataclass ``obj`` by name, for `canonical_json`,
+    with a NaN float as None (null)."""
+    record = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        nan = isinstance(value, float) and math.isnan(value)
+        record[f.name] = None if nan else value
+    return record
+
+
+def write_atomic(path: Union[str, Path], chunks: Iterable[str]) -> None:
+    """Write the strings ``chunks`` to ``path`` as UTF-8 text, one at a time.
+
+    Every file the package writes goes through here.  The chunks go to a
+    temporary file in the same directory, which then replaces ``path``; on
+    any error it is removed and ``path`` is left as it was.  The file is not
+    fsynced: after a power loss or an operating-system crash the new file
+    may still be empty or short.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# What parsing a malformed line raises, besides `ConfigurationError`.
+_MALFORMED = (ValueError, TypeError, KeyError, AttributeError, ArithmeticError,
+              RecursionError)
+
+
+class TextLines:
+    """The lines of the UTF-8 file ``source`` (or of ``text``), for a reader
+    to parse in a ``with`` block.  Every reader in the package uses it.
+
+    The reader sets ``lineno`` to the 1-based number of the line it is on;
+    0 stands for the text as a whole.  A `ConfigurationError` raised in the
+    block is raised again naming ``source:lineno``, and so is a `_MALFORMED`
+    error, as a malformed ``what``.  A file that is not UTF-8 text raises
+    `ConfigurationError` naming ``source``.
+    """
+
+    __slots__ = ("source", "what", "lines", "lineno")
+
+    def __init__(self, source: Union[str, Path], what: str,
+                 text: Optional[str] = None) -> None:
+        if text is None:
+            try:
+                text = Path(source).read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigurationError(f"{source}: not UTF-8 text: {exc}") from exc
+        self.source, self.what = source, what
+        self.lines = text.splitlines()
+        self.lineno = 0
+
+    def __enter__(self) -> TextLines:
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        where = f"{self.source}:{self.lineno}" if self.lineno else self.source
+        if isinstance(exc, ConfigurationError):
+            raise ConfigurationError(f"{where}: {exc}") from exc
+        if isinstance(exc, _MALFORMED):
+            raise ConfigurationError(f"{where}: malformed {self.what}: "
+                                     f"{type(exc).__name__}: {exc}") from exc
 
 
 def require_finite(config, context: str = "") -> None:

@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import rng as streams
-from .core import (ContestConfig, Post, WorkerProfile, canonical_json,
-                   require_finite)
+from .core import (ContestConfig, Post, TextLines, WorkerProfile,
+                   canonical_json, json_record, require_finite, write_atomic)
 from .errors import ConfigurationError, ContestError
 from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, BehaviorPrior,
                        EventLog, checkpoint_times, draw_behavior, run_contest)
@@ -102,70 +102,72 @@ class ExperimentConfig:
         )
 
 
-_BOOL_WORDS = {"true": True, "false": False}
+# Per config value type: what it must be, and the parser of its text.
+_VALUE_PARSERS = {
+    bool: ("true or false", lambda raw: {"true": True, "false": False}[raw.lower()]),
+    int: ("an integer", int),
+    float: ("a number", float),
+}
 
 
 def _parse_value(name: str, raw: str, target_type: type):
-    if target_type is bool:
-        try:
-            return _BOOL_WORDS[raw.lower()]
-        except KeyError:
-            raise ConfigurationError(f"{name} must be true or false, got {raw!r}")
-    if target_type is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigurationError(f"{name} must be an integer, got {raw!r}")
-    if target_type is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigurationError(f"{name} must be a number, got {raw!r}")
-    return raw
+    if target_type not in _VALUE_PARSERS:
+        return raw
+    what, parse = _VALUE_PARSERS[target_type]
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigurationError(f"{name} must be {what}, got {raw!r}") from None
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
-    """Parse ``key=value`` lines; ``#`` starts a comment, blanks are skipped."""
+    """Parse ``key=value`` lines; ``#`` starts a comment, blanks are skipped.
+
+    An error names ``<string>:line``, or ``<string>`` alone when it is about
+    the config as a whole."""
+    with TextLines("<string>", "config", text) as lines:
+        return _parse_config(lines)
+
+
+def read_experiment_config(path: Union[str, Path]) -> ExperimentConfig:
+    """Read a config file; an error names ``path:line``, or the path alone
+    when it is about the config as a whole or the file is not UTF-8 text."""
+    with TextLines(path, "config") as text:
+        return _parse_config(text)
+
+
+def _parse_config(text: TextLines) -> ExperimentConfig:
     field_types = {f.name: f.type for f in fields(ExperimentConfig)}
     seen: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for text.lineno, line in enumerate(text.lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigurationError(f"line {lineno}: expected key=value")
+            raise ConfigurationError("expected key=value")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
         if key not in field_types:
-            raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigurationError(f"unknown key {key!r}")
         if key in seen:
-            raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
+            raise ConfigurationError(f"duplicate key {key!r}")
         if key == "spreads":
             parts = [p.strip() for p in raw.split(",") if p.strip()]
             if not parts:
-                raise ConfigurationError(f"line {lineno}: spreads is empty")
+                raise ConfigurationError("spreads is empty")
             seen[key] = tuple(_parse_value("spreads", p, int) for p in parts)
             continue
         annotation = field_types[key]
         base = {"int": int, "float": float, "str": str, "bool": bool}.get(
             str(annotation), str)
         seen[key] = _parse_value(key, raw, base)
+    text.lineno = 0
     missing = [f.name for f in fields(ExperimentConfig)
                if f.name not in seen and f.default is MISSING
                and f.default_factory is MISSING]
     if missing:
         raise ConfigurationError(f"missing required keys: {', '.join(missing)}")
     return ExperimentConfig(**seen)  # type: ignore[arg-type]
-
-
-def read_experiment_config(path: Union[str, Path]) -> ExperimentConfig:
-    """Read a config file; one that is not UTF-8 text raises
-    `ConfigurationError` naming the path."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
-    return parse_experiment_config(text)
 
 
 def write_experiment_config(config: ExperimentConfig,
@@ -179,8 +181,8 @@ def write_experiment_config(config: ExperimentConfig,
             rendered = "true" if value else "false"
         else:
             rendered = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{f.name}={rendered}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines.append(f"{f.name}={rendered}\n")
+    write_atomic(path, lines)
 
 
 # --- corpus ----------------------------------------------------------------
@@ -208,11 +210,9 @@ def generate_corpus(n_posts: int, mean_entities: float,
 
 
 def write_corpus(posts: Sequence[Post], path: Union[str, Path]) -> None:
-    lines = [canonical_json({"id": p.id, "token_count": p.token_count,
-                             "expected_entities": p.expected_entities})
-             for p in posts]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")
+    write_atomic(path, [canonical_json({"id": p.id, "token_count": p.token_count,
+                                        "expected_entities": p.expected_entities})
+                        + "\n" for p in posts])
 
 
 def read_corpus(path: Union[str, Path]) -> list[Post]:
@@ -223,10 +223,8 @@ def read_corpus(path: Union[str, Path]) -> list[Post]:
     ``path:line``; a file that is not UTF-8 text names the path.
     """
     posts = []
-    lineno = 0
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines, 1):
+    with TextLines(path, "corpus line") as text:
+        for text.lineno, line in enumerate(text.lines, 1):
             obj = json.loads(line)
             values = {key: obj[key]
                       for key in ("id", "token_count", "expected_entities")}
@@ -234,15 +232,7 @@ def read_corpus(path: Union[str, Path]) -> list[Post]:
                 if type(value) is not int:
                     raise ConfigurationError(
                         f"{key} must be an integer, not {value!r}")
-            posts.append(Post(**values, arrival_index=lineno - 1))
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigurationError(
-            f"{path}:{lineno}: malformed corpus line: "
-            f"{type(exc).__name__}: {exc}") from exc
+            posts.append(Post(**values, arrival_index=text.lineno - 1))
     return posts
 
 
@@ -294,24 +284,7 @@ class ContestSummary:
     duration_ms: int
 
     def to_record(self) -> dict:
-        def num(x: float):
-            return None if math.isnan(x) else x
-        return {
-            "reward_spread": self.reward_spread,
-            "replication": self.replication,
-            "total_annotations": self.total_annotations,
-            "distinct_annotations": self.distinct_annotations,
-            "n_exits": self.n_exits,
-            "active_worker_counts": list(self.active_worker_counts),
-            "mean_annotations_per_active": num(self.mean_annotations_per_active),
-            "mean_annotation_time_s_per_entity":
-                num(self.mean_annotation_time_s_per_entity),
-            "top1_annotations": self.top1_annotations,
-            "top10_annotations": self.top10_annotations,
-            "winners": list(self.winners),
-            "payout_total": self.payout_total,
-            "duration_ms": self.duration_ms,
-        }
+        return json_record(self)
 
 
 def summarize(log: EventLog, replication: int = 0) -> ContestSummary:
@@ -376,17 +349,7 @@ class TrendResult:
     applicable: bool
 
     def to_record(self) -> dict:
-        return {
-            "spreads": list(self.spreads),
-            "mean_total_annotations": list(self.mean_total_annotations),
-            "strictly_increasing": self.strictly_increasing,
-            "n_pairs": self.n_pairs,
-            "n_positive": self.n_positive,
-            "n_ties": self.n_ties,
-            "p_value": self.p_value,
-            "detected": self.detected,
-            "applicable": self.applicable,
-        }
+        return json_record(self)
 
 
 def trend_from_summaries(summaries: Sequence[ContestSummary]) -> TrendResult:
@@ -540,20 +503,17 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _sweep_table_bytes(result: SweepResult) -> bytes:
+def _sweep_table_text(result: SweepResult) -> str:
     rows = [",".join(_SWEEP_COLUMNS)]
     for s in sorted(result.summaries,
                     key=lambda s: (s.reward_spread, s.replication)):
-        record = s.to_record()
-        record["n_winners"] = len(s.winners)
-        record["mean_annotations_per_active"] = s.mean_annotations_per_active
-        record["mean_annotation_time_s_per_entity"] = \
-            s.mean_annotation_time_s_per_entity
-        rows.append(",".join(_csv_cell(record[c]) for c in _SWEEP_COLUMNS))
-    return ("\n".join(rows) + "\n").encode("utf-8")
+        rows.append(",".join(
+            _csv_cell(len(s.winners) if c == "n_winners" else getattr(s, c))
+            for c in _SWEEP_COLUMNS))
+    return "\n".join(rows) + "\n"
 
 
-def _exit_curves_bytes(result: SweepResult) -> bytes:
+def _exit_curves_text(result: SweepResult) -> str:
     spreads = tuple(sorted({s.reward_spread for s in result.summaries}))
     by_spread: dict[int, list[tuple[int, ...]]] = defaultdict(list)
     for s in result.summaries:
@@ -569,85 +529,76 @@ def _exit_curves_bytes(result: SweepResult) -> bytes:
             mean_active = math.fsum(c[k] for c in curves) / len(curves)
             cells.append(repr(mean_active / n_workers))
         rows.append(",".join(cells))
-    return ("\n".join(rows) + "\n").encode("utf-8")
+    return "\n".join(rows) + "\n"
 
 
-def _summaries_bytes(result: SweepResult) -> bytes:
-    lines = [canonical_json(s.to_record())
-             for s in sorted(result.summaries,
-                             key=lambda s: (s.reward_spread, s.replication))]
-    if not lines:
-        return b""
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def _summaries_text(result: SweepResult) -> str:
+    return "".join(canonical_json(s.to_record()) + "\n"
+                   for s in sorted(result.summaries,
+                                   key=lambda s: (s.reward_spread, s.replication)))
 
 
-def _trajectories_bytes(log: EventLog) -> bytes:
+def _trajectories_text(log: EventLog) -> str:
     rows = ["worker_id,event_time_ms,cumulative_annotations"]
     cumulative: dict[int, int] = defaultdict(int)
     for e in log.events:
         cumulative[e.worker_id] += 1
         rows.append(f"{e.worker_id},{e.event_time_ms},{cumulative[e.worker_id]}")
-    return ("\n".join(rows) + "\n").encode("utf-8")
+    return "\n".join(rows) + "\n"
 
 
 def emit_outputs(result: SweepResult, output_dir: Union[str, Path], *,
                  trajectory_log: Optional[EventLog] = None) -> dict[str, Path]:
     """Write the sweep's files plus a manifest of their sha256 digests.
 
-    Bytes are fully determined by the result object.  On a write failure
-    everything already written is removed so a partial directory never
-    masquerades as a finished one.
+    Bytes are fully determined by the result object.  A stale
+    ``manifest.json`` is removed first, each file is written through
+    `write_atomic`, and the manifest is written last, so a write that fails
+    part-way leaves a directory that `verify_manifest` does not pass.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload: dict[str, bytes] = {
-        "sweep_table.csv": _sweep_table_bytes(result),
-        "summaries.jsonl": _summaries_bytes(result),
-        "exit_curves.csv": _exit_curves_bytes(result),
-        "trend.json": (canonical_json(result.trend.to_record())
-                       + "\n").encode("utf-8"),
+    payload: dict[str, str] = {
+        "sweep_table.csv": _sweep_table_text(result),
+        "summaries.jsonl": _summaries_text(result),
+        "exit_curves.csv": _exit_curves_text(result),
+        "trend.json": canonical_json(result.trend.to_record()) + "\n",
     }
     if result.errors:
-        lines = [canonical_json(e) for e in result.errors]
-        payload["errors.jsonl"] = ("\n".join(lines) + "\n").encode("utf-8")
+        payload["errors.jsonl"] = "".join(canonical_json(e) + "\n"
+                                          for e in result.errors)
     if trajectory_log is not None:
-        payload["trajectories.csv"] = _trajectories_bytes(trajectory_log)
+        payload["trajectories.csv"] = _trajectories_text(trajectory_log)
 
-    digests = {name: hashlib.sha256(data).hexdigest()
-               for name, data in payload.items()}
+    digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+               for name, text in payload.items()}
     manifest = canonical_json({"format": MANIFEST_FORMAT,
                                "files": digests}) + "\n"
 
-    written: list[Path] = []
+    manifest_path = out / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     paths: dict[str, Path] = {}
-    try:
-        for name in sorted(payload):
-            path = out / name
-            path.write_bytes(payload[name])
-            written.append(path)
-            paths[name] = path
-        manifest_path = out / "manifest.json"
-        manifest_path.write_bytes(manifest.encode("utf-8"))
-        written.append(manifest_path)
-        paths["manifest.json"] = manifest_path
-    except OSError:
-        for path in written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        raise
+    for name in sorted(payload):
+        paths[name] = out / name
+        write_atomic(paths[name], [payload[name]])
+    write_atomic(manifest_path, [manifest])
+    paths["manifest.json"] = manifest_path
     return paths
 
 
 def verify_manifest(output_dir: Union[str, Path]) -> bool:
-    """Recompute digests for a finished output directory."""
+    """Recompute digests for a finished output directory.
+
+    A missing or malformed ``manifest.json`` raises `ConfigurationError`
+    naming its path."""
     out = Path(output_dir)
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise ConfigurationError("unrecognized manifest format")
-    for name, digest in manifest["files"].items():
-        actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        if actual != digest:
-            return False
-    return True
+    path = out / "manifest.json"
+    if not path.exists():
+        raise ConfigurationError(f"{path}: no manifest; the tree is unfinished")
+    with TextLines(path, "manifest") as text:
+        text.lineno = 1
+        manifest = json.loads("\n".join(text.lines))
+        if manifest.get("format") != MANIFEST_FORMAT:
+            raise ConfigurationError("unrecognized manifest format")
+        return all(hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+                   for name, digest in manifest["files"].items())

@@ -27,9 +27,12 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import ContestConfig, Post, WorkerProfile, canonical_json
+from . import rng as streams
+from .core import (ContestConfig, Post, TextLines, WorkerProfile,
+                   canonical_json, json_record, write_atomic)
 from .errors import ConfigurationError, DegenerateDataError
-from .simulate import AnnotationEvent, EventLog, RateFn, run_contest
+from .simulate import (AnnotationEvent, EventLog, RateFn, draw_behavior,
+                       run_contest)
 
 # Fixed, versioned feature layout for the log-linear model.
 FEATURE_NAMES = ("intercept", "rank", "elapsed_time", "annotations_remaining",
@@ -231,7 +234,6 @@ def fit_two_state(events: Sequence[AnnotationEvent],
 def fit_log_linear(events: Sequence[AnnotationEvent], norms: FeatureNorms,
                    worker_id: Optional[int] = None,
                    init_theta: Optional[Sequence[float]] = None,
-                   step_size: float = 1.0,
                    max_iters: int = DEFAULT_MAX_ITERS,
                    tolerance: float = DEFAULT_TOLERANCE) -> FittedBehavior:
     """Damped Newton (IRLS) fit of the log-linear rate model.
@@ -240,7 +242,7 @@ def fit_log_linear(events: Sequence[AnnotationEvent], norms: FeatureNorms,
     Its minimum-norm solution leaves the component of an all-zero design
     column (a state the worker never visited) where it started, so a
     rank-deficient Hessian needs no ridge.  A backtracking (Armijo) line
-    search starts at ``step_size`` times the Newton step and halves it.  It
+    search starts at the full Newton step and halves it.  It
     tests each step's loss change, computed to its own precision, and the
     fit's ``nll`` is the starting loss plus the accepted changes, so
     ``nll_history`` never increases.  ``stop_reason`` is one of:
@@ -257,8 +259,8 @@ def fit_log_linear(events: Sequence[AnnotationEvent], norms: FeatureNorms,
     """
     if max_iters < 1:
         raise ConfigurationError("max_iters must be >= 1")
-    if tolerance <= 0.0 or step_size <= 0.0:
-        raise ConfigurationError("tolerance and step_size must be positive")
+    if tolerance <= 0.0:
+        raise ConfigurationError("tolerance must be positive")
     theta = (np.zeros(len(FEATURE_NAMES)) if init_theta is None
              else _as_theta(init_theta, "init_theta"))
     n_in = sum(1 for e in events if e.eligible_at_event)
@@ -288,7 +290,7 @@ def fit_log_linear(events: Sequence[AnnotationEvent], norms: FeatureNorms,
             break
         newton = np.linalg.lstsq(h, g, rcond=None)[0]
         slope = float(g @ newton)
-        step, trial = step_size, None
+        step, trial = 1.0, None
         while slope > 0.0 and step >= _MIN_STEP:
             # Loss change measured from theta, whose expected counts are mu.
             candidate = _log_linear_terms(x, mu, -step * newton)
@@ -369,9 +371,8 @@ def fitted_to_record(fit: FittedBehavior) -> dict:
 
 
 def write_fitted(fits: Sequence[FittedBehavior], path: Union[str, Path]) -> None:
-    lines = [canonical_json(fitted_to_record(f)) for f in fits]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""),
-                          encoding="utf-8")
+    write_atomic(path, [canonical_json(fitted_to_record(f)) + "\n"
+                        for f in fits])
 
 
 def read_fitted(path: Union[str, Path]) -> list[FittedBehavior]:
@@ -382,10 +383,8 @@ def read_fitted(path: Union[str, Path]) -> list[FittedBehavior]:
     text names the path.
     """
     fits = []
-    lineno = 0
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(lines, 1):
+    with TextLines(path, "fitted record") as text:
+        for text.lineno, line in enumerate(text.lines, 1):
             obj = json.loads(line)
             theta = obj.get("theta_hat")
             fits.append(FittedBehavior(
@@ -397,12 +396,6 @@ def read_fitted(path: Union[str, Path]) -> list[FittedBehavior]:
                 converged=obj["converged"], stop_reason=obj.get("stop_reason"),
                 unidentified=tuple(obj.get("unidentified", ())),
             ))
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
-        raise ConfigurationError(
-            f"{path}:{lineno}: malformed fitted record: "
-            f"{type(exc).__name__}: {exc}") from exc
     return fits
 
 
@@ -434,15 +427,9 @@ class RecoveryReport:
     unidentifiable: int
 
     def to_record(self) -> dict:
-        return {
-            "n_events_target": self.n_events_target,
-            "mean_rel_err_in": self.mean_rel_err_in,
-            "mean_rel_err_out": self.mean_rel_err_out,
-            "max_rel_err_in": self.max_rel_err_in,
-            "max_rel_err_out": self.max_rel_err_out,
-            "unidentifiable": self.unidentifiable,
-            "n_rows": len(self.rows),
-        }
+        record = json_record(self)
+        record["n_rows"] = len(record.pop("rows"))
+        return record
 
 
 def _recovery_config(n_workers: int, posts_per_run: int) -> ContestConfig:
@@ -481,9 +468,6 @@ def recovery_experiment(prior, n_workers: int, n_events_target: int,
     contested so both states stay populated.  ``prior`` is consulted only
     when ``fixed_rates`` is None.
     """
-    from . import rng as streams  # local import keeps module load light
-    from .simulate import BehaviorPrior, draw_behavior
-
     if n_workers < 2:
         raise ConfigurationError("recovery needs at least two workers")
     if n_events_target < 0:

@@ -57,15 +57,15 @@ first on ties), and a trailer with the final leaderboard.  Its bytes are
 the format contract: keys in sorted order, no spaces, integer fields as
 JSON integers and flags as ``true``/``false``, so equal logs are equal
 files.  `read_event_log` decodes the body in chunks of lines whose every
-line is one flat object, holds every field to its exact type, and names
-``path:line`` for a malformed line.
+line is one flat object, holds every field to its exact type and each
+exit line to its place among the annotations, and names ``path:line``
+for a malformed line.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from collections import deque
 from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
@@ -78,8 +78,8 @@ import numpy as np
 
 from . import rng as streams
 from .core import (EXACT_MATCH_MULTIPLIER, ContestConfig, Leaderboard, Post,
-                   RankEntry, Ranking, WorkerProfile, canonical_json,
-                   rank_workers, require_finite, score_annotation)
+                   RankEntry, Ranking, TextLines, WorkerProfile, canonical_json,
+                   rank_workers, require_finite, score_annotation, write_atomic)
 from .errors import ConfigurationError, ContractViolation
 from .stream import DropQueue, advance_queue, allocate_round_robin, build_windows, total_contest_time
 
@@ -640,24 +640,10 @@ def event_log_lines(log: EventLog):
 
 
 def write_event_log(log: EventLog, path: Union[str, Path]) -> None:
-    """Write `event_log_lines` to ``path``, one line at a time.
-
-    The lines go to a temporary file in the same directory, which then
-    replaces ``path``, so an interrupted or failed write never leaves a
-    truncated log behind.  The file is not fsynced: after a power loss or
-    an operating-system crash the new log may still be empty or short.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
-            for line in event_log_lines(log):
-                fh.write(line)
-                fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write `event_log_lines` to ``path`` through `write_atomic`, one line
+    at a time, so an interrupted or failed write never leaves a truncated
+    log behind.  The file is not fsynced."""
+    write_atomic(path, (line + "\n" for line in event_log_lines(log)))
 
 
 def _decode_chunk(lines: list[str]) -> Optional[list]:
@@ -692,13 +678,16 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
     ``annotations_remaining`` is not stored; it is rebuilt by replaying the
     solved count against the configured post total.  Body lines are decoded
     `_CHUNK_LINES` at a time, and a chunk that does not decode into one
-    value per line is decoded again line by line.  Any malformed line,
-    including a field of the wrong type, raises `ConfigurationError` naming
-    ``path:line``; a file that is not UTF-8 text raises it naming the path.
+    value per line is decoded again line by line.  Each exit line must sit
+    where the writer puts it: after every annotation at or before its time
+    and before the first one after it.  Any malformed line, including a
+    field of the wrong type or a misplaced exit line, raises
+    `ConfigurationError` naming ``path:line``; a file that is not UTF-8
+    text raises it naming the path.
     """
-    lineno = 1
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with TextLines(path, "event log") as text:
+        lines = text.lines
+        text.lineno = 1
         if not lines:
             raise ConfigurationError("empty event log")
         header = json.loads(lines[0])
@@ -716,13 +705,15 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         events, exits = log.events, log.exits
         event_values, exit_values = _event_values, _exit_values
         per_worker_index: dict[int, int] = {}
+        # (line number, annotation lines before it) of each exit line.
+        exit_at: list[tuple[int, int]] = []
         n_posts = config.n_posts
         solved = 0
         end = len(lines) - 1  # the trailer
         for first in range(1, end, _CHUNK_LINES):
             chunk = lines[first:min(first + _CHUNK_LINES, end)]
             values = _decode_chunk(chunk)
-            for lineno, obj in enumerate(
+            for text.lineno, obj in enumerate(
                     chunk if values is None else values, first + 1):
                 if values is None:
                     obj = json.loads(obj)
@@ -731,6 +722,7 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
                     if list(map(type, x)) != _EXIT_TYPES:
                         _check_types(x, _EXIT_FIELDS)
                     exits.append(ExitEvent._make(x))
+                    exit_at.append((text.lineno, len(events)))
                     continue
                 e = event_values(obj)
                 if list(map(type, e)) != _EVENT_TYPES:
@@ -742,7 +734,14 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
                 per_worker_index[wid] = index + 1
                 solved += 1
                 events.append(AnnotationEvent._make(e + (n_posts - solved,)))
-        lineno = len(lines)
+        for (text.lineno, k), x in zip(exit_at, exits):
+            t = x.exit_time_ms
+            if (k and events[k - 1].event_time_ms > t
+                    or k < len(events) and events[k].event_time_ms <= t):
+                raise ConfigurationError(
+                    f"exit of worker {x.worker_id} at {t} ms is out of place "
+                    "among the annotation lines")
+        text.lineno = len(lines)
         trailer = json.loads(lines[-1])
         if "final_ranking" not in trailer:
             raise ConfigurationError("missing final-ranking trailer")
@@ -752,15 +751,6 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
             _check_types(values, _RANK_FIELDS)
             entries.append(RankEntry(*values))
         log.final_ranking = Ranking(entries=tuple(entries))
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
-    except (ValueError, TypeError, KeyError, AttributeError, ArithmeticError,
-            RecursionError) as exc:
-        raise ConfigurationError(
-            f"{path}:{lineno}: malformed event log: {type(exc).__name__}: {exc}"
-        ) from exc
     return log
 
 

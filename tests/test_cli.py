@@ -354,6 +354,52 @@ def test_unknown_arguments_exit_via_argparse(config_file):
         main([])
 
 
+def test_validate_names_a_misplaced_exit_line(tmp_path, capsys,
+                                             spread_two_contest):
+    # The last exit line moved from line 168 to just before the trailer.
+    log, posts = spread_two_contest()
+    corpus = tmp_path / "corpus.jsonl"
+    log_path = tmp_path / "contest.jsonl"
+    write_corpus(posts, corpus)
+    write_event_log(log, log_path)
+    lines = log_path.read_text("utf-8").splitlines()
+    exit_line = lines.pop(167)
+    lines.insert(len(lines) - 1, exit_line)
+    log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["validate", "--log", str(log_path), "--corpus", str(corpus)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log_path}:{len(lines) - 1}: exit of worker 0")
+    assert "Traceback" not in err
+
+
+def test_recover_out_is_json_without_nan(tmp_path, capsys):
+    out = tmp_path / "recovery.json"
+    assert main(["recover", "--target", "0", "--seeds", "0",
+                 "--lambda-in", "1", "--lambda-out", "2",
+                 "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    record = json.loads(out.read_text(encoding="utf-8"),
+                        parse_constant=reject)
+    assert record["mean_rel_err_in"] is None
+    assert record["n_rows"] == len(record["rows"]) == 2
+    assert record["unidentifiable"] == 2
+
+
+def test_a_config_error_names_the_file_and_line(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text(CONFIG.replace("n_posts=40", "n_posts=forty"),
+                      encoding="utf-8")
+    code = main(["sweep", "--config", str(config),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}:3: n_posts must be an integer")
+
+
 def test_validate_names_a_doctored_exit(tmp_path, capsys,
                                         spread_two_contest):
     # The first exit moved off its 12000 ms checkpoint and given rank 1

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, strategies as st
 
 from contestsim import (ConfigurationError, ContestConfig, Leaderboard, Post,
                         Ranking, RankEntry, WorkerProfile, rank_workers,
                         score_annotation)
-from contestsim.core import EXACT_MATCH_MULTIPLIER
+from contestsim.core import EXACT_MATCH_MULTIPLIER, canonical_json, json_record
 
 
 # --- scoring ---------------------------------------------------------------
@@ -238,3 +240,23 @@ def test_contest_config_rejects_non_finite_fields(contest_config, field, bad):
     # An infinite task-unit time used to divide by zero in the load check.
     with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
         contest_config(**{field: bad})
+
+
+# --- JSON records ----------------------------------------------------------
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_canonical_json_writes_no_token_json_lacks(value):
+    with pytest.raises(ValueError):
+        canonical_json({"x": value})
+
+
+def test_json_record_writes_nan_as_null():
+    @dataclass(frozen=True)
+    class Stub:
+        a: float
+        b: tuple
+
+    record = json_record(Stub(a=float("nan"), b=(1, 2)))
+    assert record == {"a": None, "b": (1, 2)}
+    assert canonical_json(record) == '{"a":null,"b":[1,2]}'
+    assert json_record(Stub(a=0.5, b=())) == {"a": 0.5, "b": ()}

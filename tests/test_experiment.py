@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +20,9 @@ from contestsim import (ConfigurationError, ContestError, ContestSummary,
                         read_experiment_config, run_condition,
                         sign_test_one_sided, summarize, sweep,
                         trend_from_summaries, verify_manifest, write_corpus,
-                        write_experiment_config)
+                        write_event_log, write_experiment_config, write_fitted)
+from contestsim.cli import main
+from contestsim.inference import fit_two_state
 
 MINIMAL = """\
 config_version = 1
@@ -447,6 +452,109 @@ def test_sweep_fails_loudly_when_everything_fails(monkeypatch):
     monkeypatch.setattr(experiment, "run_condition", broken)
     with pytest.raises(ContestError):
         experiment.sweep(_config())
+
+
+# --- writing files ---------------------------------------------------------------
+
+def _recover(path, n):
+    if main(["recover", "--target", "10", "--seeds", str(n),
+             "--out", str(path)]):
+        raise OSError("contestsim recover failed")
+
+
+def _log(n):
+    return run_condition(_config(), 1, n, _corpus(_config()))[1]
+
+
+# Each writer, called with a path and a number that picks what it writes.
+_WRITERS = {
+    "event_log": lambda path, n: write_event_log(_log(n), path),
+    "corpus": lambda path, n: write_corpus(generate_corpus(10 + n, 1.2, n),
+                                           path),
+    "fitted": lambda path, n: write_fitted(
+        [fit_two_state(_log(0).events, worker_id=n)], path),
+    "experiment_config": lambda path, n: write_experiment_config(
+        _config(master_seed=n), path),
+    "recover_out": _recover,
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_a_failed_write_leaves_the_old_file_and_no_temporary(
+        tmp_path, monkeypatch, writer):
+    write = _WRITERS[writer]
+    path = tmp_path / "file"
+    write(path, 0)
+    before = path.read_bytes()
+    staged = []
+
+    def fail(src, dst):
+        # The new text is all in a temporary file beside the target.
+        assert Path(src).parent == Path(dst).parent == tmp_path
+        staged.append(Path(src).read_bytes())
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        write(path, 1)
+    assert staged and staged[0] != before
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_a_failed_emit_outputs_leaves_no_manifest(tmp_path, monkeypatch):
+    result = sweep(_config())
+    out = tmp_path / "out"
+    emit_outputs(result, out)
+    assert verify_manifest(out)
+    real_replace, replaced = os.replace, []
+
+    def fail_the_second(src, dst):
+        replaced.append(Path(dst).name)
+        if len(replaced) == 2:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_the_second)
+    with pytest.raises(OSError, match="disk full"):
+        emit_outputs(result, out)
+    monkeypatch.undo()
+    assert "manifest.json" not in replaced
+    assert not (out / "manifest.json").exists()
+    assert not any(p.name.endswith(".tmp") for p in out.iterdir())
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{out / 'manifest.json'}: ")):
+        verify_manifest(out)
+
+
+@pytest.mark.parametrize("text", [
+    None, b"", b"not json\n", b'{"format":"other"}\n',
+    b'{"format":"sweep-outputs-v1","files":[1]}\n', b"\xff\n",
+])
+def test_a_missing_or_garbled_manifest_names_its_path(tmp_path, text):
+    path = tmp_path / "manifest.json"
+    if text is not None:
+        path.write_bytes(text)
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}")):
+        verify_manifest(tmp_path)
+
+
+def test_config_errors_name_the_line(tmp_path):
+    bad = MINIMAL.replace("n_posts = 40", "n_posts = forty")
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "<string>:3: n_posts must be an integer, got 'forty'")):
+        parse_experiment_config(bad)
+    path = tmp_path / "bad.cfg"
+    path.write_text(bad, encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"{path}:3: n_posts must be an integer, got 'forty'")):
+        read_experiment_config(path)
+    # An error about the config as a whole names the file alone.
+    path.write_text(MINIMAL.replace("replications = 2", "replications = 0"),
+                    encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"{path}: replications must be >= 1")):
+        read_experiment_config(path)
 
 
 # --- output files ----------------------------------------------------------------

@@ -342,8 +342,6 @@ def test_log_linear_validation(event_chain):
     with pytest.raises(ConfigurationError):
         fit_log_linear(events, NORMS, tolerance=0.0)
     with pytest.raises(ConfigurationError):
-        fit_log_linear(events, NORMS, step_size=0.0)
-    with pytest.raises(ConfigurationError):
         fit_log_linear(events, NORMS, init_theta=[0.0, 1.0])
 
 

@@ -569,6 +569,27 @@ def test_read_event_log_rejects_data_after_the_trailer(
         read_event_log(path)
 
 
+# The seed-4 spread-two log's last exit line (line 168) sits after the
+# annotation at 49599 ms (line 167) and before the one at 51521 ms.
+_LAST_EXIT = '{"eligible":false,"exit_time_ms":51000,"rank":3,"worker_id":0}'
+
+
+@pytest.mark.parametrize("to", ["before the trailer", "one line up"])
+def test_read_event_log_names_a_misplaced_exit_line(tmp_path,
+                                                    spread_two_contest, to):
+    log, _ = spread_two_contest()
+    path = tmp_path / "contest.jsonl"
+    write_event_log(log, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines.pop(167) == _LAST_EXIT
+    at = len(lines) - 1 if to == "before the trailer" else 166
+    lines.insert(at, _LAST_EXIT)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"{path}:{at + 1}: exit of worker 0 at 51000 ms is out of place")):
+        read_event_log(path)
+
+
 def test_read_event_log_rejects_malformed_files(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
