@@ -58,10 +58,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = read_experiment_config(args.config)
     out_dir = args.out_dir if args.out_dir else config.output_dir
-    result = sweep(config)
+    posts = _load_corpus(config, None)
+    result = sweep(config, posts)
     trajectory_log = None
     if args.trajectories:
-        posts = _load_corpus(config, None)
         _, trajectory_log = run_condition(config, config.spreads[0], 0, posts)
     paths = emit_outputs(result, out_dir, trajectory_log=trajectory_log)
     trend = result.trend

@@ -79,7 +79,8 @@ class TextLines:
     0 stands for the text as a whole.  A `ConfigurationError` raised in the
     block is raised again naming ``source:lineno``, and so is a `_MALFORMED`
     error, as a malformed ``what``.  A file that is not UTF-8 text raises
-    `ConfigurationError` naming ``source``.
+    `ConfigurationError` naming ``source``, and so does one that cannot be
+    read (missing, a directory, not permitted).
     """
 
     __slots__ = ("source", "what", "lines", "lineno")
@@ -91,6 +92,9 @@ class TextLines:
                 text = Path(source).read_text(encoding="utf-8")
             except UnicodeDecodeError as exc:
                 raise ConfigurationError(f"{source}: not UTF-8 text: {exc}") from exc
+            except OSError as exc:
+                raise ConfigurationError(
+                    f"{source}: cannot read: {exc.strerror or exc}") from exc
         self.source, self.what = source, what
         self.lines = text.splitlines()
         self.lineno = 0

@@ -13,15 +13,19 @@ import json
 import math
 from collections import defaultdict
 from dataclasses import MISSING, dataclass, fields
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from . import rng as streams
 from .core import (ContestConfig, Post, TextLines, WorkerProfile,
                    canonical_json, json_record, require_finite, write_atomic)
-from .errors import ConfigurationError, ContestError
-from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, BehaviorPrior,
-                       EventLog, checkpoint_times, draw_behavior, run_contest)
+from .errors import ConfigurationError, ContestError, DegenerateDataError
+from .simulate import (_TWO_POW_M53, DEFAULT_BASE_HAZARD, N_CHECKPOINTS,
+                       BehaviorPrior, EventLog, checkpoint_times, draw_behavior,
+                       run_contest)
 
 CONFIG_VERSION = 1
 TREND_ALPHA = 0.05
@@ -199,14 +203,68 @@ def generate_corpus(n_posts: int, mean_entities: float,
     if mean_entities <= 0.0:
         raise ConfigurationError("mean_entities must be positive")
     gen = streams.substream(seed, streams.CORPUS)
+    if mean_entities < _POISSON_MULT_MAX:
+        counts = _corpus_counts(gen.bit_generator, n_posts, mean_entities)
+    else:
+        lo, hi = TOKEN_RANGE
+        counts = ((int(gen.integers(lo, hi + 1)), int(gen.poisson(mean_entities)))
+                  for _ in range(n_posts))
+    return [Post(id=i, token_count=tokens,
+                 expected_entities=entities if entities < tokens else tokens,
+                 arrival_index=i)
+            for i, (tokens, entities) in enumerate(counts)]
+
+
+# numpy's Poisson sampler multiplies uniforms below this mean and switches
+# to PTRS at or above it (and rejects NaN), so only such means take
+# `_corpus_counts`; the others keep the scalar calls.
+_POISSON_MULT_MAX = 10.0
+
+
+def _corpus_counts(bit_generator: np.random.BitGenerator, n_posts: int,
+                   mean_entities: float) -> list[tuple[int, int]]:
+    """Per post, ``(int(gen.integers(lo, hi + 1)), int(gen.poisson(mean)))``
+    for ``mean < 10``, rebuilt from raw 64-bit words bit for bit.
+
+    * ``integers`` is numpy's Lemire draw on one 32-bit value: ``m = u *
+      span``, redone with the next 32-bit value while ``m``'s low half is
+      below ``(2**32 - span) % span``; the count is ``lo + (m >> 32)``.
+      32-bit values come as in `simulate._count_offsets`: the low half of a
+      fresh word, its high half kept as the spare for the next one.
+    * ``poisson`` multiplies ``random()`` values (the top 53 bits of a whole
+      word; the spare is left alone) until the product is at most
+      ``exp(-mean)``; the count is the number of factors before that one.
+    """
     lo, hi = TOKEN_RANGE
-    posts = []
-    for i in range(n_posts):
-        tokens = int(gen.integers(lo, hi + 1))
-        entities = int(min(gen.poisson(mean_entities), tokens))
-        posts.append(Post(id=i, token_count=tokens, expected_entities=entities,
-                          arrival_index=i))
-    return posts
+    span = hi - lo + 1
+    threshold = (_MASK32 + 1 - span) % span
+    limit = math.exp(-mean_entities)
+    blocks = map(bit_generator.random_raw, repeat(_CORPUS_BLOCK))
+    next_word = chain.from_iterable(map(np.ndarray.tolist, blocks)).__next__
+    spare = None
+    counts = []
+    for _ in range(n_posts):
+        while True:
+            if spare is None:
+                word = next_word()
+                spare = word >> 32
+                m = (word & _MASK32) * span
+            else:
+                m = spare * span
+                spare = None
+            if m & _MASK32 >= threshold:
+                break
+        entities = 0
+        product = (next_word() >> 11) * _TWO_POW_M53
+        while product > limit:
+            entities += 1
+            product *= (next_word() >> 11) * _TWO_POW_M53
+        counts.append((lo + (m >> 32), entities))
+    return counts
+
+
+_CORPUS_BLOCK = 4096
+_MASK32 = 0xFFFFFFFF
 
 
 def write_corpus(posts: Sequence[Post], path: Union[str, Path]) -> None:
@@ -461,10 +519,12 @@ def run_condition(config: ExperimentConfig, reward_spread: int,
 
 def sweep(config: ExperimentConfig,
           posts: Optional[Sequence[Post]] = None) -> SweepResult:
-    """Run every (spread, replication) cell; isolate per-cell failures.
+    """Run every (spread, replication) cell; isolate per-cell input failures.
 
-    A failed replication becomes a diagnostic record and the sweep moves
-    on; it never silently shrinks another cell's sample.
+    A replication that raises `ConfigurationError` or `DegenerateDataError`
+    becomes a diagnostic record and the sweep moves on; it never silently
+    shrinks another cell's sample.  Any other exception, a
+    `ContractViolation` included, means a bug and stops the sweep.
     """
     corpus = _load_corpus(config, posts)
     summaries: list[ContestSummary] = []
@@ -473,7 +533,7 @@ def sweep(config: ExperimentConfig,
         for rep in range(config.replications):
             try:
                 summary, _ = run_condition(config, spread, rep, corpus)
-            except Exception as exc:  # noqa: BLE001 - diagnostic containment
+            except (ConfigurationError, DegenerateDataError) as exc:
                 errors.append({
                     "reward_spread": spread, "replication": rep,
                     "error": f"{type(exc).__name__}: {exc}",

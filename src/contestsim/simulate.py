@@ -504,10 +504,9 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
                     win, [w.profile.id for w in active], size,
                     start_offset=rr_offset)
                 rr_offset = (rr_offset + len(assignments)) % len(active)
-                # Bin b is the window's b-th slice of `size` posts.
-                for b, a in enumerate(assignments):
-                    holder = by_id[a.worker_id]
-                    holder.bin = deque(win.posts[b * size:(b + 1) * size])
+                for wid, _, bin_posts in assignments:
+                    holder = by_id[wid]
+                    holder.bin = deque(bin_posts)
                     holders.append(holder)
             for p in win.posts[len(holders) * size:]:
                 queue.push(p, win.close_time_s)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import Post
 from .errors import ConfigurationError, ContractViolation
@@ -32,13 +32,12 @@ class Window:
             raise ConfigurationError("window must close after it opens")
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A bin of post ids handed to one worker for one window."""
+class Assignment(NamedTuple):
+    """A bin of the window's posts, in stream order, handed to one worker."""
 
     worker_id: int
     window_index: int
-    bin: tuple[int, ...]
+    posts: tuple[Post, ...]
 
 
 class DropQueue:
@@ -103,15 +102,10 @@ def allocate_round_robin(window: Window, worker_ids: Sequence[int],
     if task_unit_size < 1:
         raise ConfigurationError("task_unit_size must be >= 1")
     n_workers = len(worker_ids)
-    assignments = []
-    for b in range(min(n_workers, -(-len(window.posts) // task_unit_size))):
-        chunk = window.posts[b * task_unit_size:(b + 1) * task_unit_size]
-        assignments.append(Assignment(
-            worker_id=worker_ids[(start_offset + b) % n_workers],
-            window_index=window.index,
-            bin=tuple(p.id for p in chunk),
-        ))
-    return assignments
+    posts, index = window.posts, window.index
+    return [Assignment(worker_ids[(start_offset + b) % n_workers], index,
+                       posts[b * task_unit_size:(b + 1) * task_unit_size])
+            for b in range(min(n_workers, -(-len(posts) // task_unit_size)))]
 
 
 def total_contest_time(n_posts: int, task_unit_time_s: float,

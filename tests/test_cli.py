@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -91,6 +92,22 @@ def test_sweep_emits_a_verified_tree(tmp_path, config_file, capsys):
     assert "trend:" in captured.out
 
 
+# The sha256 of each file of the ``--trajectories`` sweep of CONFIG; a
+# change to the corpus, the engine or the output writers moves them.
+PINNED_SWEEP_FILES = {
+    "exit_curves.csv":
+        "a2f5bf48a82ba309c744757ce3a93e6310fb8d5cbee847bf7c3dc1299d82c9b6",
+    "summaries.jsonl":
+        "82883012159b498eb5f911cf44d683a4a116bbf178f0e9f74bf4fc0b19d3f225",
+    "sweep_table.csv":
+        "653939d26b2e36244a875aaf5b27283adb0278a668dfb8bae0d691335afd4757",
+    "trajectories.csv":
+        "93302a2fd1b4216d77264f67608e85e0aea90c67ea61828aa84306fd5265b66d",
+    "trend.json":
+        "5c3c7697664192a06df117632b6dafdc491698adf30e628026f806091874a54d",
+}
+
+
 def test_sweep_can_add_trajectories(tmp_path, config_file):
     out_dir = tmp_path / "out"
     code = main(["sweep", "--config", str(config_file),
@@ -100,6 +117,9 @@ def test_sweep_can_add_trajectories(tmp_path, config_file):
     manifest = json.loads((out_dir / "manifest.json").read_text("utf-8"))
     assert "trajectories.csv" in manifest["files"]
     assert verify_manifest(out_dir)
+    assert manifest["files"] == PINNED_SWEEP_FILES
+    assert {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in PINNED_SWEEP_FILES} == PINNED_SWEEP_FILES
 
 
 def test_fit_covers_all_workers_or_just_one(tmp_path, config_file):

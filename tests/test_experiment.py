@@ -10,19 +10,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import contestsim.experiment as experiment
 from contestsim import (ConfigurationError, ContestError, ContestSummary,
+                        ContractViolation, DegenerateDataError, Post,
                         SweepResult, anova_f, emit_outputs, generate_corpus,
                         generate_profiles, parse_experiment_config, read_corpus,
-                        read_experiment_config, run_condition,
+                        read_event_log, read_experiment_config, run_condition,
                         sign_test_one_sided, summarize, sweep,
                         trend_from_summaries, verify_manifest, write_corpus,
                         write_event_log, write_experiment_config, write_fitted)
+from contestsim import rng as streams
 from contestsim.cli import main
-from contestsim.inference import fit_two_state
+from contestsim.inference import fit_two_state, read_fitted
+from contestsim.rng import substream
 
 MINIMAL = """\
 config_version = 1
@@ -169,6 +172,58 @@ def test_generate_corpus_validation():
         generate_corpus(-1, 1.2, seed=0)
     with pytest.raises(ConfigurationError):
         generate_corpus(10, 0.0, seed=0)
+
+
+def _scalar_corpus(n_posts, mean_entities, gen):
+    """The corpus drawn with numpy's per-post scalar calls."""
+    posts = []
+    for i in range(n_posts):
+        tokens = int(gen.integers(5, 31))
+        entities = int(min(gen.poisson(mean_entities), tokens))
+        posts.append(Post(id=i, token_count=tokens,
+                          expected_entities=entities, arrival_index=i))
+    return posts
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_posts=st.integers(0, 300),
+       mean_entities=st.one_of(st.floats(1e-3, 9.999), st.floats(10.0, 40.0),
+                               st.sampled_from([1.2, 10.0, 9.999999999])),
+       seed=st.one_of(st.integers(0, 2**70),
+                      st.tuples(st.integers(0, 2**40), st.integers(0, 99))))
+def test_generated_corpus_equals_numpys_scalar_calls(n_posts, mean_entities,
+                                                     seed):
+    want = _scalar_corpus(n_posts, mean_entities,
+                          substream(seed, streams.CORPUS))
+    assert generate_corpus(n_posts, mean_entities, seed) == want
+
+
+# PCG64 steps its 128-bit state by this multiplier before each output.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def test_a_rejected_token_draw_is_redrawn_from_the_spare(monkeypatch):
+    # The state after the step: the top 6 bits clear make the output hi ^ lo,
+    # and equal low halves make the output's low half 0, which Lemire's draw
+    # rejects; the token count then comes from the output's high half.
+    hi, lo = 0x0123456789ABCDEF, 0x9ABCDEF089ABCDEF
+    spare = (hi ^ lo) >> 32
+    assert (hi ^ lo) & 0xFFFFFFFF == 0 and (spare * 26) & 0xFFFFFFFF >= 22
+
+    def crafted(*_):
+        gen = substream(0, streams.CORPUS)
+        state = gen.bit_generator.state
+        inc = state["state"]["inc"]
+        before = ((hi << 64 | lo) - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128
+        state["state"]["state"] = before
+        gen.bit_generator.state = state
+        return gen
+
+    assert crafted().bit_generator.random_raw() == hi ^ lo
+    want = _scalar_corpus(50, 1.2, crafted())
+    assert want[0].token_count == 5 + ((spare * 26) >> 32)
+    monkeypatch.setattr(experiment.streams, "substream", crafted)
+    assert generate_corpus(50, 1.2, seed=0) == want
 
 
 # --- worker profiles ----------------------------------------------------------
@@ -433,7 +488,7 @@ def test_sweep_contains_per_cell_failures(monkeypatch):
 
     def flaky(config, spread, rep, posts):
         if (spread, rep) == (2, 1):
-            raise ValueError("synthetic fault")
+            raise ConfigurationError("synthetic fault")
         return real(config, spread, rep, posts)
 
     monkeypatch.setattr(experiment, "run_condition", flaky)
@@ -442,15 +497,44 @@ def test_sweep_contains_per_cell_failures(monkeypatch):
     assert len(result.errors) == 1
     assert result.errors[0]["reward_spread"] == 2
     assert result.errors[0]["replication"] == 1
-    assert "ValueError" in result.errors[0]["error"]
+    assert "ConfigurationError" in result.errors[0]["error"]
 
 
 def test_sweep_fails_loudly_when_everything_fails(monkeypatch):
     def broken(config, spread, rep, posts):
-        raise ValueError("synthetic fault")
+        raise ConfigurationError("synthetic fault")
 
     monkeypatch.setattr(experiment, "run_condition", broken)
-    with pytest.raises(ContestError):
+    with pytest.raises(ContestError, match="every replication failed"):
+        experiment.sweep(_config())
+
+
+def test_sweep_files_degenerate_data_as_an_error_row(monkeypatch):
+    real = experiment.run_condition
+
+    def degenerate(config, spread, rep, posts):
+        if (spread, rep) == (1, 0):
+            raise DegenerateDataError("synthetic fault")
+        return real(config, spread, rep, posts)
+
+    monkeypatch.setattr(experiment, "run_condition", degenerate)
+    result = experiment.sweep(_config())
+    assert len(result.summaries) == 3
+    assert [e["error"] for e in result.errors] == [
+        "DegenerateDataError: synthetic fault"]
+
+
+@pytest.mark.parametrize("fault", [ContractViolation, ValueError, KeyError])
+def test_a_bug_in_one_cell_stops_the_sweep(monkeypatch, fault):
+    real = experiment.run_condition
+
+    def buggy(config, spread, rep, posts):
+        if (spread, rep) == (2, 0):
+            raise fault("synthetic bug")
+        return real(config, spread, rep, posts)
+
+    monkeypatch.setattr(experiment, "run_condition", buggy)
+    with pytest.raises(fault, match="synthetic bug"):
         experiment.sweep(_config())
 
 
@@ -500,6 +584,24 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary(
     assert staged and staged[0] != before
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+_READERS = {
+    "event_log": read_event_log,
+    "corpus": read_corpus,
+    "fitted": read_fitted,
+    "experiment_config": read_experiment_config,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize("name", ["missing.jsonl", "."])
+def test_a_missing_or_unreadable_input_file_names_its_path(tmp_path, reader,
+                                                           name):
+    path = tmp_path / name
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{path}: cannot read: ")):
+        _READERS[reader](path)
 
 
 def test_a_failed_emit_outputs_leaves_no_manifest(tmp_path, monkeypatch):

@@ -72,7 +72,7 @@ def test_allocation_full_window_one_bin_per_worker():
     assignments = allocate_round_robin(window, list(range(20)), 10)
     assert len(assignments) == 20
     assert sorted(a.worker_id for a in assignments) == list(range(20))
-    assert all(len(a.bin) == 10 for a in assignments)
+    assert all(len(a.posts) == 10 for a in assignments)
 
 
 def test_allocation_underfull_window_leaves_workers_idle():
@@ -80,7 +80,7 @@ def test_allocation_underfull_window_leaves_workers_idle():
     assignments = allocate_round_robin(window, [1, 2], 10)
     assert len(assignments) == 1
     assert assignments[0].worker_id == 1
-    assert assignments[0].bin == (0, 1, 2, 3, 4)
+    assert [p.id for p in assignments[0].posts] == [0, 1, 2, 3, 4]
 
 
 def test_allocation_more_workers_than_bins():
@@ -125,9 +125,10 @@ def test_allocation_bins_are_disjoint_and_within_size(n_posts, n_workers,
                                        start_offset=offset)
     seen: set[int] = set()
     for a in assignments:
-        assert 1 <= len(a.bin) <= unit
-        assert seen.isdisjoint(a.bin)
-        seen.update(a.bin)
+        ids = {p.id for p in a.posts}
+        assert 1 <= len(a.posts) <= unit
+        assert seen.isdisjoint(ids)
+        seen.update(ids)
     # One bin per worker at most.
     ids = [a.worker_id for a in assignments]
     assert len(ids) == len(set(ids))
