@@ -210,8 +210,7 @@ def generate_corpus(n_posts: int, mean_entities: float,
         counts = ((int(gen.integers(lo, hi + 1)), int(gen.poisson(mean_entities)))
                   for _ in range(n_posts))
     return [Post(id=i, token_count=tokens,
-                 expected_entities=entities if entities < tokens else tokens,
-                 arrival_index=i)
+                 expected_entities=min(entities, tokens), arrival_index=i)
             for i, (tokens, entities) in enumerate(counts)]
 
 
@@ -219,6 +218,8 @@ def generate_corpus(n_posts: int, mean_entities: float,
 # to PTRS at or above it (and rejects NaN), so only such means take
 # `_corpus_counts`; the others keep the scalar calls.
 _POISSON_MULT_MAX = 10.0
+# Raw words per numpy call; the corpus does not depend on it.
+_CORPUS_BLOCK = 4096
 
 
 def _corpus_counts(bit_generator: np.random.BitGenerator, n_posts: int,
@@ -237,7 +238,7 @@ def _corpus_counts(bit_generator: np.random.BitGenerator, n_posts: int,
     """
     lo, hi = TOKEN_RANGE
     span = hi - lo + 1
-    threshold = (_MASK32 + 1 - span) % span
+    threshold = (2**32 - span) % span
     limit = math.exp(-mean_entities)
     blocks = map(bit_generator.random_raw, repeat(_CORPUS_BLOCK))
     next_word = chain.from_iterable(map(np.ndarray.tolist, blocks)).__next__
@@ -248,11 +249,11 @@ def _corpus_counts(bit_generator: np.random.BitGenerator, n_posts: int,
             if spare is None:
                 word = next_word()
                 spare = word >> 32
-                m = (word & _MASK32) * span
+                m = (word & 0xFFFFFFFF) * span
             else:
                 m = spare * span
                 spare = None
-            if m & _MASK32 >= threshold:
+            if m & 0xFFFFFFFF >= threshold:
                 break
         entities = 0
         product = (next_word() >> 11) * _TWO_POW_M53
@@ -261,10 +262,6 @@ def _corpus_counts(bit_generator: np.random.BitGenerator, n_posts: int,
             product *= (next_word() >> 11) * _TWO_POW_M53
         counts.append((lo + (m >> 32), entities))
     return counts
-
-
-_CORPUS_BLOCK = 4096
-_MASK32 = 0xFFFFFFFF
 
 
 def write_corpus(posts: Sequence[Post], path: Union[str, Path]) -> None:
