@@ -18,11 +18,11 @@ from .experiment import (AnovaResult, ContestSummary, ExperimentConfig,
                          sign_test_one_sided, summarize, sweep,
                          trend_from_summaries, verify_manifest, write_corpus,
                          write_experiment_config)
-from .inference import (FeatureNorms, FeatureVector, FittedBehavior,
-                        RecoveryReport, RecoveryRow, fit_log_linear,
-                        fit_two_state, fitted_to_record, make_log_linear_rate_fn,
-                        negative_log_likelihood, nll_gradient, predicted_rate,
-                        read_fitted, recovery_experiment, write_fitted)
+from .inference import (FeatureNorms, FittedBehavior, RecoveryReport,
+                        RecoveryRow, fit_log_linear, fit_two_state,
+                        fitted_to_record, make_log_linear_rate_fn,
+                        negative_log_likelihood, nll_gradient, read_fitted,
+                        recovery_experiment, write_fitted)
 from .simulate import (AnnotationEvent, BehaviorPrior, EventLog, ExitEvent,
                        PostCounters, draw_behavior, event_log_lines,
                        exit_hazard, holding_time, read_event_log,
@@ -52,9 +52,9 @@ __all__ = [
     "simulate_annotated_count", "run_contest", "event_log_lines",
     "write_event_log", "read_event_log", "replay_validate",
     # inference
-    "FeatureVector", "FeatureNorms", "FittedBehavior",
+    "FeatureNorms", "FittedBehavior",
     "negative_log_likelihood", "nll_gradient", "fit_two_state",
-    "fit_log_linear", "make_log_linear_rate_fn", "predicted_rate",
+    "fit_log_linear", "make_log_linear_rate_fn",
     "fitted_to_record", "write_fitted", "read_fitted", "RecoveryRow", "RecoveryReport",
     "recovery_experiment",
     # experiment

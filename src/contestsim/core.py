@@ -12,9 +12,10 @@ import json
 import math
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Collection, Hashable, Iterable, Mapping, Optional, Union
+from typing import (Collection, Hashable, Iterable, Mapping, NamedTuple,
+                    Optional, Union)
 
 from .errors import ConfigurationError
 
@@ -228,30 +229,16 @@ def rank_key(worker_id: Hashable, score: float,
     return (-score, _NEVER_SCORED if stamp is None else stamp, worker_id)
 
 
-class RankEntry:
+class RankEntry(NamedTuple):
     """One leaderboard row."""
 
-    __slots__ = ("worker_id", "score", "annotations", "tie_break_stamp")
-
-    def __init__(self, worker_id: Hashable, score: float, annotations: int,
-                 tie_break_stamp: Optional[int]) -> None:
-        self.worker_id = worker_id
-        self.score = score
-        self.annotations = annotations
-        self.tie_break_stamp = tie_break_stamp
+    worker_id: Hashable
+    score: float
+    annotations: int
+    tie_break_stamp: Optional[int]
 
     def sort_key(self) -> tuple:
         return rank_key(self.worker_id, self.score, self.tie_break_stamp)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RankEntry):
-            return NotImplemented
-        return (self.worker_id, self.score, self.annotations, self.tie_break_stamp) == (
-            other.worker_id, other.score, other.annotations, other.tie_break_stamp)
-
-    def __repr__(self) -> str:
-        return (f"RankEntry({self.worker_id!r}, score={self.score!r}, "
-                f"annotations={self.annotations!r}, tie_break_stamp={self.tie_break_stamp!r})")
 
 
 @dataclass(frozen=True)
@@ -259,28 +246,19 @@ class Ranking:
     """Leaderboard snapshot, best first, in `rank_key` order."""
 
     entries: tuple[RankEntry, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        index = {}
-        for pos, entry in enumerate(self.entries):
-            if entry.worker_id in index:
+        seen = set()
+        for entry in self.entries:
+            if entry.worker_id in seen:
                 raise ConfigurationError(f"duplicate worker {entry.worker_id} in ranking")
-            index[entry.worker_id] = pos
-        object.__setattr__(self, "_index", index)
+            seen.add(entry.worker_id)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
-
-    def rank_of(self, worker_id: Hashable) -> int:
-        """1-based rank of ``worker_id``; raises KeyError if absent."""
-        return self._index[worker_id] + 1
-
-    def entry(self, worker_id: Hashable) -> RankEntry:
-        return self.entries[self._index[worker_id]]
 
 
 class Leaderboard:

@@ -85,6 +85,13 @@ class ExperimentConfig:
             raise ConfigurationError("mean_entities must be positive")
         if self.dispatch not in ("windowed", "shared"):
             raise ConfigurationError(f"unknown dispatch {self.dispatch!r}")
+        if self.base_hazard < 0.0:
+            raise ConfigurationError("base_hazard must be >= 0")
+        # A fault shared by every contest is the config's, so it is raised
+        # here and never filed as one error row per sweep cell.
+        for s in self.spreads:
+            self.contest_config(s)
+        _ = self.prior
 
     @property
     def prior(self) -> BehaviorPrior:
@@ -93,17 +100,9 @@ class ExperimentConfig:
                              halfnormal_sigma=self.halfnormal_sigma)
 
     def contest_config(self, reward_spread: int) -> ContestConfig:
-        return ContestConfig(
-            n_workers=self.n_workers, n_posts=self.n_posts,
-            window_size=self.window_size,
-            task_unit_time_s=self.task_unit_time_s,
-            task_unit_size=self.task_unit_size,
-            arrival_rate=self.arrival_rate, reward_spread=reward_spread,
-            prize_value=self.prize_value, base_points=self.base_points,
-            leaderboard_k=self.leaderboard_k,
-            quality_constraint=self.quality_constraint,
-            reduction_rate=self.reduction_rate,
-        )
+        fixed = {f.name: getattr(self, f.name) for f in fields(ContestConfig)
+                 if f.name != "reward_spread"}
+        return ContestConfig(reward_spread=reward_spread, **fixed)
 
 
 # Per config value type: what it must be, and the parser of its text.
@@ -200,8 +199,8 @@ def generate_corpus(n_posts: int, mean_entities: float,
     """
     if n_posts < 0:
         raise ConfigurationError("n_posts must be >= 0")
-    if mean_entities <= 0.0:
-        raise ConfigurationError("mean_entities must be positive")
+    if not 0.0 < mean_entities < math.inf:
+        raise ConfigurationError("mean_entities must be positive and finite")
     gen = streams.substream(seed, streams.CORPUS)
     if mean_entities < _POISSON_MULT_MAX:
         counts = _corpus_counts(gen.bit_generator, n_posts, mean_entities)
@@ -215,8 +214,8 @@ def generate_corpus(n_posts: int, mean_entities: float,
 
 
 # numpy's Poisson sampler multiplies uniforms below this mean and switches
-# to PTRS at or above it (and rejects NaN), so only such means take
-# `_corpus_counts`; the others keep the scalar calls.
+# to PTRS at or above it, so only such means take `_corpus_counts`; larger
+# ones (finite: `generate_corpus` rejects NaN and inf) keep the scalar calls.
 _POISSON_MULT_MAX = 10.0
 # Raw words per numpy call; the corpus does not depend on it.
 _CORPUS_BLOCK = 4096
@@ -538,7 +537,8 @@ def sweep(config: ExperimentConfig,
                 continue
             summaries.append(summary)
     if not summaries:
-        raise ContestError("every replication failed; see diagnostics")
+        raise ContestError(
+            f"every replication failed; the first: {canonical_json(errors[0])}")
     return SweepResult(config=config, summaries=tuple(summaries),
                        errors=tuple(errors),
                        trend=trend_from_summaries(summaries))
@@ -646,6 +646,8 @@ def emit_outputs(result: SweepResult, output_dir: Union[str, Path], *,
 def verify_manifest(output_dir: Union[str, Path]) -> bool:
     """Recompute digests for a finished output directory.
 
+    False if a listed file differs from its digest, is missing or cannot be
+    read, or is named by anything but a plain file name in the directory.
     A missing or malformed ``manifest.json`` raises `ConfigurationError`
     naming its path."""
     out = Path(output_dir)
@@ -657,5 +659,14 @@ def verify_manifest(output_dir: Union[str, Path]) -> bool:
         manifest = json.loads("\n".join(text.lines))
         if manifest.get("format") != MANIFEST_FORMAT:
             raise ConfigurationError("unrecognized manifest format")
-        return all(hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
-                   for name, digest in manifest["files"].items())
+        files = manifest["files"].items()
+    for name, digest in files:
+        if name in ("", "..") or Path(name).name != name:
+            return False
+        try:
+            data = (out / name).read_bytes()
+        except OSError:
+            return False
+        if hashlib.sha256(data).hexdigest() != digest:
+            return False
+    return True

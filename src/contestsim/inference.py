@@ -37,34 +37,11 @@ from .simulate import (AnnotationEvent, EventLog, RateFn, draw_behavior,
 # Fixed, versioned feature layout for the log-linear model.
 FEATURE_NAMES = ("intercept", "rank", "elapsed_time", "annotations_remaining",
                  "eligible")
-FEATURES_VERSION = 1
 
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_MAX_ITERS = 100
 _ARMIJO_C = 1e-4
 _MIN_STEP = 1e-20
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Raw observables describing the interval that produced one event."""
-
-    rank: int
-    elapsed_time_ms: int
-    annotations_remaining: int
-    eligible: bool
-
-    @classmethod
-    def from_event(cls, event: AnnotationEvent) -> "FeatureVector":
-        # The event's rank/eligibility already describe the interval start;
-        # elapsed time is recovered from the holding-time recursion, and the
-        # remaining-post count is stepped back over the event itself.
-        return cls(
-            rank=event.rank_at_event,
-            elapsed_time_ms=event.event_time_ms - event.holding_time_ms,
-            annotations_remaining=event.annotations_remaining + 1,
-            eligible=event.eligible_at_event,
-        )
 
 
 @dataclass(frozen=True)
@@ -84,14 +61,13 @@ class FeatureNorms:
         return cls(n_workers=log.config.n_workers, horizon_ms=log.horizon_ms,
                    n_posts=log.config.n_posts)
 
-    def vector(self, fv: FeatureVector) -> tuple[float, ...]:
-        return (
-            1.0,
-            fv.rank / self.n_workers,
-            fv.elapsed_time_ms / self.horizon_ms,
-            fv.annotations_remaining / self.n_posts,
-            1.0 if fv.eligible else 0.0,
-        )
+    def vector(self, rank: int, elapsed_ms: int, remaining: int,
+               eligible: bool) -> tuple[float, ...]:
+        """Standardized features, in `FEATURE_NAMES` order, of a worker at
+        ``rank`` ``elapsed_ms`` into the contest with ``remaining`` posts
+        left to annotate."""
+        return (1.0, rank / self.n_workers, elapsed_ms / self.horizon_ms,
+                remaining / self.n_posts, 1.0 if eligible else 0.0)
 
 
 @dataclass(frozen=True)
@@ -126,11 +102,6 @@ def _holding_seconds(events: Sequence[AnnotationEvent]) -> np.ndarray:
     return tau
 
 
-def _design_matrix(features: Sequence[FeatureVector],
-                   norms: FeatureNorms) -> np.ndarray:
-    return np.array([norms.vector(fv) for fv in features], dtype=float)
-
-
 def _log_linear_data(events: Sequence[AnnotationEvent],
                      norms: Optional[FeatureNorms]
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -138,8 +109,15 @@ def _log_linear_data(events: Sequence[AnnotationEvent],
     if norms is None:
         raise ConfigurationError("log-linear likelihood needs feature norms")
     tau = _holding_seconds(events)
-    return _design_matrix([FeatureVector.from_event(e) for e in events],
-                          norms), tau
+    # Each row describes the interval that ended with the event: its rank
+    # and eligibility already do, the elapsed time comes from the
+    # holding-time recursion, and the remaining-post count is stepped back
+    # over the event itself.
+    return np.array([norms.vector(e.rank_at_event,
+                                  e.event_time_ms - e.holding_time_ms,
+                                  e.annotations_remaining + 1,
+                                  e.eligible_at_event)
+                     for e in events], dtype=float), tau
 
 
 def _as_theta(theta: Sequence[float], name: str = "theta") -> np.ndarray:
@@ -323,30 +301,13 @@ def fit_log_linear(events: Sequence[AnnotationEvent], norms: FeatureNorms,
 def make_log_linear_rate_fn(theta: Sequence[float],
                             norms: FeatureNorms) -> RateFn:
     """Adapt a theta vector into the engine's custom-rate callback."""
-    th = tuple(float(t) for t in theta)
-    if len(th) != len(FEATURE_NAMES):
-        raise ConfigurationError(f"theta must have {len(FEATURE_NAMES)} components")
+    th = _as_theta(theta).tolist()
 
     def rate(rank: int, elapsed_ms: int, remaining: int, eligible: bool) -> float:
-        x = (1.0, rank / norms.n_workers, elapsed_ms / norms.horizon_ms,
-             remaining / norms.n_posts, 1.0 if eligible else 0.0)
+        x = norms.vector(rank, elapsed_ms, remaining, eligible)
         return math.exp(sum(t * xi for t, xi in zip(th, x)))
 
     return rate
-
-
-def predicted_rate(fit: FittedBehavior, fv: FeatureVector,
-                   norms: Optional[FeatureNorms] = None) -> float:
-    """Rate a fitted model assigns to one feature vector."""
-    if fit.model_kind == "two_state":
-        lam = fit.lambda_in_hat if fv.eligible else fit.lambda_out_hat
-        if lam is None:
-            raise DegenerateDataError("requested state was unidentifiable")
-        return lam
-    if norms is None:
-        raise ConfigurationError("log-linear prediction needs feature norms")
-    eta = sum(t * xi for t, xi in zip(fit.theta_hat, norms.vector(fv)))
-    return math.exp(eta)
 
 
 # --- serialization ---------------------------------------------------------

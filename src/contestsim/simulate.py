@@ -628,14 +628,8 @@ def event_log_lines(log: EventLog):
         yield _EXIT_LINE(json_bool[elig], exit_ms, rank, wid)
         start = stop
     yield from annotation_lines(start, len(events))
-    yield canonical_json({
-        "final_ranking": [
-            {"worker_id": e.worker_id, "score": e.score,
-             "annotations": e.annotations,
-             "last_scored_ms": e.tie_break_stamp}
-            for e in log.final_ranking
-        ],
-    })
+    yield canonical_json({"final_ranking": [dict(zip(_RANK_FIELDS, e))
+                                            for e in log.final_ranking]})
 
 
 def write_event_log(log: EventLog, path: Union[str, Path]) -> None:
@@ -765,16 +759,18 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     final event time.  Per exit: that it falls on a checkpoint time, in time
     order, once per worker, and that its rank and eligibility equal the
     leaderboard state after every event at or before it.  Globally: post
-    conservation and the remaining-post countdown.  Needs the post list to
-    re-score events.  A violation names its position in ``log.events``,
-    worker and event index, or its position in ``log.exits``, worker and
-    exit time.
+    conservation, the remaining-post countdown, and that the trailer equals
+    `rank_workers` of the replayed scores, last scoring times and counts.
+    Needs the post list to re-score events.  A violation names its position
+    in ``log.events``, worker and event index, its position in
+    ``log.exits``, worker and exit time, or its ``final_ranking`` row.
     """
     expected = {p.id: p.expected_entities for p in posts}
     worker_ids = [e.worker_id for e in log.final_ranking]
     spread = log.config.reward_spread
     board = Leaderboard(worker_ids)
     score = {w: 0 for w in worker_ids}
+    stamp = dict.fromkeys(worker_ids)  # when the score last increased
     last_ms = {w: 0 for w in worker_ids}
     hold_sum = {w: 0 for w in worker_ids}
     count = {w: 0 for w in worker_ids}
@@ -855,6 +851,7 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
                                   log.config.base_points)
         if points > 0:
             score[wid] += points
+            stamp[wid] = e.event_time_ms
         gov_rank[wid] = board.update(wid, score[wid], e.event_time_ms)
     check_exits(math.inf)
 
@@ -863,10 +860,12 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
             raise ContractViolation(
                 f"worker {wid}: holding times sum to {hold_sum[wid]}, "
                 f"last event at {last_ms[wid]}")
-        if count[wid] != log.final_ranking.entry(wid).annotations:
-            raise ContractViolation(f"worker {wid} annotation count mismatch")
-        if score[wid] != log.final_ranking.entry(wid).score:
-            raise ContractViolation(f"worker {wid} final score mismatch")
+    replayed = rank_workers(score, stamp, count).entries
+    for i, (entry, want) in enumerate(zip(log.final_ranking, replayed)):
+        if entry != want:
+            raise ContractViolation(
+                f"final_ranking[{i}] (worker {entry.worker_id}): {entry} "
+                f"!= replay {want}")
     c = log.counters
     if c.ingested != c.solved + c.dropped + c.pending:
         raise ContractViolation(f"post conservation violated: {c}")

@@ -51,6 +51,18 @@ def test_gen_corpus_rejects_bad_arguments(tmp_path, capsys):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("mean", ["nan", "inf"])
+def test_gen_corpus_rejects_a_non_finite_mean(tmp_path, capsys, mean):
+    out = tmp_path / "corpus.jsonl"
+    code = main(["gen-corpus", "--n-posts", "5", "--mean-entities", mean,
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mean_entities must be positive and finite")
+    assert "Traceback" not in err
+    assert not out.exists()
+
 def test_simulate_writes_a_readable_log(tmp_path, config_file, capsys):
     out = tmp_path / "contest.jsonl"
     code = main(["simulate", "--config", str(config_file),
@@ -208,6 +220,28 @@ def test_validate_flags_a_doctored_log(tmp_path, config_file, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
 
+
+
+def test_validate_flags_swapped_trailer_rows(tmp_path, config_file, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    log_path = tmp_path / "contest.jsonl"
+    main(["gen-corpus", "--n-posts", "40", "--seed", "7",
+          "--out", str(corpus)])
+    main(["simulate", "--config", str(config_file),
+          "--corpus", str(corpus), "--out", str(log_path)])
+    lines = log_path.read_text("utf-8").splitlines()
+    trailer = json.loads(lines[-1])
+    rows = trailer["final_ranking"]
+    rows[0], rows[1] = rows[1], rows[0]
+    lines[-1] = json.dumps(trailer, sort_keys=True, separators=(",", ":"))
+    log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["validate", "--log", str(log_path), "--corpus", str(corpus)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: final_ranking[0] (worker {rows[0]['worker_id']}): ")
+    assert "Traceback" not in err
 
 def _doctor_header(log_path, how):
     lines = log_path.read_text("utf-8").splitlines()
@@ -419,6 +453,24 @@ def test_a_config_error_names_the_file_and_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}:3: n_posts must be an integer")
 
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("task_unit_size=5", "task_unit_size=20", "task_unit_size"),
+    ("master_seed=7", "master_seed=7\ngamma_shape=-1.0", "gamma_shape"),
+    ("master_seed=7", "master_seed=7\nbase_hazard=-1", "base_hazard"),
+], ids=["task unit", "prior", "hazard"])
+def test_a_contest_level_config_fault_stops_the_sweep(tmp_path, capsys, old,
+                                                      new, field):
+    config = tmp_path / "bad.cfg"
+    config.write_text(CONFIG.replace(old, new), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(config), "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: {field} ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 def test_validate_names_a_doctored_exit(tmp_path, capsys,
                                         spread_two_contest):

@@ -54,9 +54,9 @@ def test_rank_workers_orders_by_score_then_stamp_then_id():
         last_scored_ms={1: 1000, 2: 500, 3: 2000},
     )
     assert [e.worker_id for e in ranking] == [3, 2, 1]
-    assert ranking.rank_of(3) == 1
-    assert ranking.rank_of(2) == 2
-    assert ranking.rank_of(1) == 3
+    assert ranking.entries == (RankEntry(3, 100, 0, 2000),
+                               RankEntry(2, 50, 0, 500),
+                               RankEntry(1, 50, 0, 1000))
 
 
 def test_rank_workers_never_scored_sorts_last():
@@ -90,9 +90,9 @@ def test_rank_workers_validates_key_sets():
 def test_ranking_accessors_and_unknown_worker():
     ranking = rank_workers(scores={1: 5, 2: 3}, last_scored_ms={1: 10, 2: 20})
     assert len(ranking) == 2
-    assert ranking.entry(2).score == 3
-    with pytest.raises(KeyError):
-        ranking.rank_of(99)
+    assert list(ranking) == list(ranking.entries)
+    assert ranking.entries[1] == RankEntry(2, 3, 0, 20)
+    assert 99 not in [e.worker_id for e in ranking]
 
 
 def test_ranking_rejects_duplicate_workers():

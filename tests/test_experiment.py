@@ -172,6 +172,9 @@ def test_generate_corpus_validation():
         generate_corpus(-1, 1.2, seed=0)
     with pytest.raises(ConfigurationError):
         generate_corpus(10, 0.0, seed=0)
+    for mean in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="mean_entities"):
+            generate_corpus(10, mean, seed=0)
 
 
 def _scalar_corpus(n_posts, mean_entities, gen):
@@ -509,6 +512,18 @@ def test_sweep_fails_loudly_when_everything_fails(monkeypatch):
         experiment.sweep(_config())
 
 
+
+def test_a_sweep_that_fails_everywhere_names_the_first_error(monkeypatch):
+    def broken(config, spread, rep, posts):
+        raise ConfigurationError(f"synthetic fault {spread}/{rep}")
+
+    monkeypatch.setattr(experiment, "run_condition", broken)
+    with pytest.raises(ContestError) as info:
+        experiment.sweep(_config())
+    assert str(info.value) == (
+        'every replication failed; the first: {"error":"ConfigurationError: '
+        'synthetic fault 1/0","replication":0,"reward_spread":1}')
+
 def test_sweep_files_degenerate_data_as_an_error_row(monkeypatch):
     real = experiment.run_condition
 
@@ -681,6 +696,31 @@ def test_tampering_breaks_the_manifest(tmp_path):
         fh.write(b" ")
     assert not verify_manifest(tmp_path / "out")
 
+
+
+@pytest.mark.parametrize("fault", ["missing", "unreadable", "parent",
+                                   "absolute"])
+def test_a_listed_file_missing_unreadable_or_outside_fails_verification(
+        tmp_path, fault):
+    out = tmp_path / "out"
+    emit_outputs(sweep(_config()), out)
+    assert verify_manifest(out)
+    listed = out / "trend.json"
+    if fault in ("missing", "unreadable"):
+        listed.unlink()
+        if fault == "unreadable":
+            listed.mkdir()
+    else:
+        # A true copy of a listed file, reached by a name that leaves the
+        # tree, so only the name can fail it.
+        outside = tmp_path / "trend.json"
+        outside.write_bytes(listed.read_bytes())
+        name = "../trend.json" if fault == "parent" else str(outside)
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["files"][name] = manifest["files"].pop("trend.json")
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert not verify_manifest(out)
 
 def test_emitted_bytes_are_reproducible(tmp_path):
     cfg = _config()

@@ -11,11 +11,11 @@ import pytest
 from scipy import optimize
 
 from contestsim import (ConfigurationError, DegenerateDataError, FeatureNorms,
-                        FeatureVector, fit_log_linear, fit_two_state,
-                        fitted_to_record, make_log_linear_rate_fn,
-                        negative_log_likelihood, nll_gradient, predicted_rate,
-                        read_event_log, read_fitted, recovery_experiment,
-                        write_fitted)
+                        fit_log_linear, fit_two_state, fitted_to_record,
+                        make_log_linear_rate_fn, negative_log_likelihood,
+                        nll_gradient, read_event_log, read_fitted,
+                        recovery_experiment, write_fitted)
+from contestsim.inference import _log_linear_data
 
 NORMS = FeatureNorms(n_workers=10, horizon_ms=20_000, n_posts=40)
 
@@ -34,10 +34,9 @@ def _random_chain(event_chain, gen, n):
 def test_feature_vector_describes_the_interval_start(event_chain):
     (event,) = event_chain([(500, False, 5)], n_posts=8)
     moved = event._replace(event_time_ms=10_500)
-    fv = FeatureVector.from_event(moved)
-    assert fv.elapsed_time_ms == 10_000
-    assert fv.annotations_remaining == 8
-    assert NORMS.vector(fv) == (1.0, 0.5, 0.5, 0.2, 0.0)
+    # Elapsed time 10,000 ms and 8 posts remaining at the interval start.
+    x, _ = _log_linear_data([moved], NORMS)
+    assert tuple(x[0]) == (1.0, 0.5, 0.5, 0.2, 0.0)
 
 
 def test_feature_norms_require_positive_totals():
@@ -251,10 +250,12 @@ def test_log_linear_recovers_state_rates_on_eligibility_only_data(event_chain):
     specs = [(500, True), (1250, False)] * 40
     events = event_chain(specs)
     two = fit_two_state(events)
-    fit = fit_log_linear(events, NORMS)
+    rate = make_log_linear_rate_fn(fit_log_linear(events, NORMS).theta_hat,
+                                   NORMS)
     for state, lam_hat in ((True, two.lambda_in_hat),
                            (False, two.lambda_out_hat)):
-        rates = [predicted_rate(fit, FeatureVector.from_event(e), NORMS)
+        rates = [rate(e.rank_at_event, e.event_time_ms - e.holding_time_ms,
+                      e.annotations_remaining + 1, state)
                  for e in events if e.eligible_at_event == state]
         assert np.mean(rates) == pytest.approx(lam_hat, rel=0.02)
 
@@ -343,34 +344,6 @@ def test_log_linear_validation(event_chain):
         fit_log_linear(events, NORMS, tolerance=0.0)
     with pytest.raises(ConfigurationError):
         fit_log_linear(events, NORMS, init_theta=[0.0, 1.0])
-
-
-# --- prediction ----------------------------------------------------------------
-
-def test_predicted_rate_two_state_switches_on_eligibility(event_chain):
-    fit = fit_two_state(event_chain([(500, True)] * 4 + [(1250, False)] * 6))
-    fv_in = FeatureVector(rank=1, elapsed_time_ms=0, annotations_remaining=5,
-                          eligible=True)
-    fv_out = fv_in.__class__(rank=4, elapsed_time_ms=0,
-                             annotations_remaining=5, eligible=False)
-    assert predicted_rate(fit, fv_in) == pytest.approx(2.0, rel=1e-12)
-    assert predicted_rate(fit, fv_out) == pytest.approx(0.8, rel=1e-12)
-
-
-def test_predicted_rate_raises_for_an_unidentifiable_state(event_chain):
-    fit = fit_two_state(event_chain([(500, True)] * 3))
-    fv = FeatureVector(rank=4, elapsed_time_ms=0, annotations_remaining=5,
-                       eligible=False)
-    with pytest.raises(DegenerateDataError):
-        predicted_rate(fit, fv)
-
-
-def test_predicted_rate_log_linear_needs_norms(event_chain):
-    fit = fit_log_linear(event_chain([(500, True)] * 3), NORMS, max_iters=5)
-    fv = FeatureVector(rank=1, elapsed_time_ms=0, annotations_remaining=5,
-                       eligible=True)
-    with pytest.raises(ConfigurationError):
-        predicted_rate(fit, fv)
 
 
 def test_rate_fn_exponentiates_the_linear_predictor():

@@ -1053,6 +1053,40 @@ def test_replay_names_the_doctored_event(tmp_path, contest_config, make_posts,
     assert "rank_at_event" in message
 
 
+
+def _doctor_trailer(rows, kind):
+    if kind == "order":
+        rows[0], rows[1] = rows[1], rows[0]
+    elif kind == "stamp":
+        rows[1]["last_scored_ms"] += 1
+    else:
+        rows[1][kind] += 1
+
+
+@pytest.mark.parametrize("kind, position", [
+    ("order", 0), ("stamp", 1), ("score", 1), ("annotations", 1)],
+    ids=["order", "stamp", "score", "annotations"])
+def test_replay_names_a_bad_trailer(tmp_path, contest_config, make_posts,
+                                    make_profiles, kind, position):
+    log, posts = _windowed_log(contest_config, make_posts, make_profiles)
+    path = tmp_path / "contest.jsonl"
+    write_event_log(log, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    trailer = json.loads(lines[-1])
+    rows = trailer["final_ranking"]
+    assert all(r["last_scored_ms"] is not None for r in rows)
+    assert rows[0]["score"] != rows[1]["score"]
+    _doctor_trailer(rows, kind)
+    lines[-1] = _canonical(trailer)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    doctored = read_event_log(path)
+    replay_validate(log, posts)
+    with pytest.raises(ContractViolation) as info:
+        replay_validate(doctored, posts)
+    worker = rows[position]["worker_id"]
+    assert str(info.value).startswith(
+        f"final_ranking[{position}] (worker {worker}): ")
+
 # --- replay validation of exit lines ------------------------------------------
 
 @pytest.mark.parametrize("seed", range(8))
