@@ -83,6 +83,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     log = read_event_log(args.log)
+    if (args.worker is not None
+            and all(e.worker_id != args.worker for e in log.final_ranking)):
+        raise ContestError(f"worker {args.worker} is not in {args.log}")
     by_worker = defaultdict(list)
     for e in log.events:
         by_worker[e.worker_id].append(e)

@@ -281,14 +281,20 @@ class Leaderboard:
     def update(self, worker_id: Hashable, score: float, stamp: int) -> int:
         """Move ``worker_id`` to ``score``, reached at ``stamp``, and return
         their new rank.  The board is unchanged if the score is, since the
-        stamp marks the last change."""
-        old = self._key_of[worker_id]
+        stamp marks the last change.
+
+        The engine calls this once per annotation, so the new key is built
+        here in `rank_key`'s layout rather than through it: ``stamp`` is an
+        int, never None.
+        """
+        key_of, keys = self._key_of, self._keys
+        old = key_of[worker_id]
         if old[0] == -score:
-            return bisect_left(self._keys, old) + 1
-        new = self._key_of[worker_id] = rank_key(worker_id, score, stamp)
-        del self._keys[bisect_left(self._keys, old)]
-        pos = bisect_left(self._keys, new)
-        self._keys.insert(pos, new)
+            return bisect_left(keys, old) + 1
+        new = key_of[worker_id] = (-score, stamp, worker_id)
+        del keys[bisect_left(keys, old)]
+        pos = bisect_left(keys, new)
+        keys.insert(pos, new)
         return pos + 1
 
     def rank(self, worker_id: Hashable) -> int:

@@ -47,9 +47,15 @@ The engine takes these draws in blocks (32 per numpy call; the twenty exit
 draws at once) and reads them as plain Python numbers.  They equal, draw
 for draw, the scalar calls `holding_time` and `simulate_annotated_count`
 make on the same substream, so a log does not depend on the block size.
-The EVENTS blocks are unit-rate `holding_time` calls with ``size=32``;
-the COUNTS draws are rebuilt from raw words, so the engine does not call
-`simulate_annotated_count`.
+The EVENTS blocks are unit-rate `holding_time` calls with ``size=32``.
+The COUNTS draws are rebuilt from blocks of raw words, so the engine does
+not call `simulate_annotated_count`; its hit test is one integer
+comparison, ``word < ceil(p_correct * 2**53) << 11``, which is exactly
+``random() < p_correct`` with ``random()`` the word's top 53 bits times
+``2**-53``.  A worker's EXITS draw for a checkpoint is taken whether or
+not it is read: the hazard is 0 inside the spread, so `exit_hazard` is
+consulted only for workers outside it, and the benchmark's
+``simulate.exit_hazard.calls`` counts out-of-spread worker-checkpoints.
 
 A log (``contest-log-v1``) is one JSON object per line: a header with the
 configuration, one line per annotation or exit in time order (annotations
@@ -264,24 +270,35 @@ def _count_offsets(bit_generator: np.random.BitGenerator, p_correct: float):
     """Yield, per annotation, the offset added to the true count (0 on a hit).
 
     Rebuilds `simulate_annotated_count`'s ``rng.random()`` and
-    ``rng.integers(0, 4)`` from raw 64-bit words: ``random()`` is the top 53
-    bits of one word; ``integers(0, 4)`` is the top two bits of a 32-bit
-    half, the low half of a fresh word first and its high half, kept as a
-    spare, on the next call, as numpy's buffered Lemire draw does for PCG64.
+    ``rng.integers(0, 4)`` from raw 64-bit words, read ``_BLOCK`` at a time:
+    ``random()`` is the top 53 bits of one word, ``(word >> 11) * 2**-53``,
+    so it is below ``p_correct`` exactly when ``word`` is below
+    ``ceil(p_correct * 2**53) << 11``, one integer comparison.
+    ``integers(0, 4)`` is the top two bits of a 32-bit half, the low half of
+    a fresh word first and its high half, kept as a spare, on the next call,
+    as numpy's buffered Lemire draw does for PCG64.  A miss on a block's
+    last word takes its fresh word from the next block.
     """
-    words = _blocks(bit_generator.random_raw)
-    next_word = words.__next__
+    cut = ceil(p_correct * 2.0**53) << 11
+    random_raw = bit_generator.random_raw
     spare = None
-    for word in words:
-        if (word >> 11) * _TWO_POW_M53 < p_correct:
-            yield 0
-        elif spare is None:
-            word = next_word()
-            spare = word >> 32
-            yield _PERTURBATIONS[(word & 0xFFFFFFFF) >> 30]
-        else:
-            yield _PERTURBATIONS[spare >> 30]
-            spare = None
+    ahead: list[int] = []  # the next block, once a miss has read its head
+    while True:
+        words = iter(ahead or random_raw(_BLOCK).tolist())
+        ahead = []
+        for word in words:
+            if word < cut:
+                yield 0
+            elif spare is None:
+                word = next(words, None)
+                if word is None:
+                    ahead = random_raw(_BLOCK).tolist()
+                    word = ahead.pop(0)
+                spare = word >> 32
+                yield _PERTURBATIONS[(word & 0xFFFFFFFF) >> 30]
+            else:
+                yield _PERTURBATIONS[spare >> 30]
+                spare = None
 
 
 class _WorkerState:
@@ -362,6 +379,12 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
         raise ConfigurationError("worker ids must be unique")
     if len({p.id for p in posts}) != len(posts):
         raise ConfigurationError("post ids must be unique")
+    if not (math.isfinite(base_hazard) and base_hazard >= 0.0):
+        raise ConfigurationError(
+            f"base_hazard must be finite and >= 0, got {base_hazard}")
+    if not math.isfinite(accuracy_floor):
+        raise ConfigurationError(
+            f"accuracy_floor must be finite, got {accuracy_floor}")
 
     n = config.n_workers
     n_posts = config.n_posts
@@ -424,15 +447,15 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
             for w in id_order:
                 if not w.alive:
                     continue
-                u = w.exit_draws[ci]  # one draw per checkpoint, hazard or not
+                # The hazard is 0 inside the spread; the worker's draw for
+                # this checkpoint, `exit_draws[ci]`, goes unread.
                 r = board_rank(w.profile.id)
-                elig = r <= spread
-                h = exit_hazard(elig, r - spread, frac, w.profile,
-                                n_workers=n, base_hazard=base_hazard)
-                if u < h:
+                if r > spread and w.exit_draws[ci] < exit_hazard(
+                        False, r - spread, frac, w.profile, n_workers=n,
+                        base_hazard=base_hazard):
                     w.alive = False
                     exits.append(ExitEvent(w.profile.id, checkpoint_ms[ci],
-                                           r, elig))
+                                           r, False))
         return checkpoint_ms[cp_idx] if cp_idx < N_CHECKPOINTS else math.inf
 
     def run_period(holders: Sequence[_WorkerState], open_ms: int,
@@ -445,6 +468,8 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
         later milliseconds, and after those at their own.
         """
         nonlocal solved
+        # `AnnotationEvent(...)` less its Python-level `__new__`.
+        new_tuple = tuple.__new__
         heap: list[tuple[int, int]] = []
         for w in holders:
             base = w.last_ms if w.last_ms > open_ms else open_ms
@@ -471,9 +496,9 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
             solved += 1
             remaining = n_posts - solved
             wid = w.profile.id
-            events.append(AnnotationEvent(
+            events.append(new_tuple(AnnotationEvent, (
                 wid, w.annotations, t, t - w.last_ms, post.id, count,
-                w.gov_rank, w.gov_elig, remaining))
+                w.gov_rank, w.gov_elig, remaining)))
             w.annotations += 1
             w.last_ms = t
             if count:
@@ -753,10 +778,10 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     """Re-derive every structural invariant of a log; raise on any mismatch.
 
     Checks, per worker: the holding-time recursion (each event lands exactly
-    holding_time_ms after the previous one), that the recorded rank and
-    eligibility equal the leaderboard state right after the worker's
-    previous event, silence after exit, and that holding times sum to the
-    final event time.  Per exit: that it falls on a checkpoint time, in time
+    holding_time_ms after the previous one, so the holding times sum to the
+    last event time), that the recorded rank and eligibility equal the
+    leaderboard state right after the worker's previous event, and silence
+    after exit.  Per exit: that it falls on a checkpoint time, in time
     order, once per worker, and that its rank and eligibility equal the
     leaderboard state after every event at or before it.  Globally: post
     conservation, the remaining-post countdown, and that the trailer equals
@@ -772,7 +797,6 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     score = {w: 0 for w in worker_ids}
     stamp = dict.fromkeys(worker_ids)  # when the score last increased
     last_ms = {w: 0 for w in worker_ids}
-    hold_sum = {w: 0 for w in worker_ids}
     count = {w: 0 for w in worker_ids}
     gov_rank = {w: board.rank(w) for w in worker_ids}
     solved = 0
@@ -846,7 +870,6 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
             raise violation("annotations_remaining countdown broken")
         count[wid] += 1
         last_ms[wid] = e.event_time_ms
-        hold_sum[wid] += e.holding_time_ms
         points = score_annotation(e.annotated_count, expected[e.post_id],
                                   log.config.base_points)
         if points > 0:
@@ -855,11 +878,6 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
         gov_rank[wid] = board.update(wid, score[wid], e.event_time_ms)
     check_exits(math.inf)
 
-    for wid in worker_ids:
-        if hold_sum[wid] != last_ms[wid]:
-            raise ContractViolation(
-                f"worker {wid}: holding times sum to {hold_sum[wid]}, "
-                f"last event at {last_ms[wid]}")
     replayed = rank_workers(score, stamp, count).entries
     for i, (entry, want) in enumerate(zip(log.final_ranking, replayed)):
         if entry != want:

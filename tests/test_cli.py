@@ -8,7 +8,8 @@ import json
 import pytest
 
 from contestsim import (read_corpus, read_event_log, read_fitted,
-                        verify_manifest, write_corpus, write_event_log)
+                        run_contest, verify_manifest, write_corpus,
+                        write_event_log)
 from contestsim.cli import main
 
 CONFIG = """\
@@ -151,6 +152,43 @@ def test_fit_covers_all_workers_or_just_one(tmp_path, config_file):
     assert fit.worker_id == 1
     assert fit.model_kind == "log_linear"
     assert fit.theta_hat is not None
+
+
+def test_fit_rejects_a_worker_not_in_the_log(tmp_path, config_file, capsys):
+    log_path = tmp_path / "contest.jsonl"
+    assert main(["simulate", "--config", str(config_file),
+                 "--out", str(log_path)]) == 0
+    out = tmp_path / "fits.jsonl"
+    code = main(["fit", "--log", str(log_path), "--worker", "99",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "worker 99" in err
+    assert not out.exists()
+
+
+def test_fit_gives_an_idle_worker_an_empty_fit(tmp_path, contest_config,
+                                               make_posts, make_profiles):
+    # One post in one bin: only one of the three workers ever annotates.
+    config = contest_config(n_workers=3, n_posts=1, window_size=1,
+                            task_unit_size=1, arrival_rate=0.1)
+    log = run_contest(config, make_profiles(3), make_posts(1), seed=0)
+    log_path = tmp_path / "contest.jsonl"
+    write_event_log(log, log_path)
+    idle = ({e.worker_id for e in log.final_ranking}
+            - {e.worker_id for e in log.events})
+    assert idle
+    out = tmp_path / "fits.jsonl"
+    for wid in sorted(idle):
+        assert main(["fit", "--log", str(log_path), "--worker", str(wid),
+                     "--model", "log_linear", "--out", str(out)]) == 0
+        (fit,) = read_fitted(out)
+        assert (fit.worker_id, fit.stop_reason) == (wid, "empty")
+        assert main(["fit", "--log", str(log_path), "--worker", str(wid),
+                     "--out", str(out)]) == 0
+        (fit,) = read_fitted(out)
+        assert (fit.lambda_in_hat, fit.lambda_out_hat) == (None, None)
 
 
 def test_recover_reports_and_saves_the_rows(tmp_path, capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -22,8 +23,9 @@ from contestsim import (AnnotationEvent, BehaviorPrior, ConfigurationError,
                         write_event_log)
 from contestsim import rng as streams
 from contestsim.inference import FeatureNorms, make_log_linear_rate_fn
-from contestsim.simulate import (_BLOCK, _CHUNK_LINES, DEFAULT_BASE_HAZARD,
-                                 N_CHECKPOINTS, _WorkerState)
+from contestsim.simulate import (_BLOCK, _CHUNK_LINES, _PERTURBATIONS,
+                                 DEFAULT_BASE_HAZARD, N_CHECKPOINTS,
+                                 _count_offsets, _WorkerState)
 
 
 def _profile(**overrides) -> WorkerProfile:
@@ -260,6 +262,87 @@ def test_block_exit_draws_match_one_random_per_checkpoint():
                                      for _ in range(N_CHECKPOINTS)], seed
 
 
+# The hit test is one integer comparison against a cut derived from
+# p_correct.  Random words almost never land next to the cut, so these
+# tests feed `_count_offsets` hand-picked words and check each offset
+# against the float rule, ``(word >> 11) * 2**-53 < p_correct``.
+
+_LOW_ONES = (1 << 11) - 1
+_MAX_WORD = (1 << 64) - 1
+
+
+class _StubBits:
+    """A bit generator whose ``random_raw`` hands out the given blocks."""
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+
+    def random_raw(self, size):
+        assert size == _BLOCK
+        block = self.blocks.pop(0)
+        assert len(block) == size
+        return np.array(block, dtype=np.uint64)
+
+
+def _float_rule_offsets(words, p_correct):
+    """The offsets `simulate_annotated_count` draws from ``words``."""
+    words = iter(words)
+    offsets, spare = [], None
+    for word in words:
+        if (word >> 11) * 2.0**-53 < p_correct:
+            offsets.append(0)
+        elif spare is None:
+            fresh = next(words)
+            spare = fresh >> 32
+            offsets.append(_PERTURBATIONS[(fresh & 0xFFFFFFFF) >> 30])
+        else:
+            offsets.append(_PERTURBATIONS[spare >> 30])
+            spare = None
+    return offsets
+
+
+def _offsets(blocks, p_correct, n):
+    bits = _StubBits(blocks)
+    offsets = list(itertools.islice(_count_offsets(bits, p_correct), n))
+    assert not bits.blocks, "every block is read"
+    return offsets
+
+
+@pytest.mark.parametrize("p_correct", [0.3, 0.7, 0.5, 5e-324, 1 - 2**-53,
+                                       0.0, 1.0])
+def test_count_offsets_hit_cut_matches_the_float_rule(p_correct):
+    # Words whose top 53 bits are ceil(p * 2**53) - 1 and ceil(p * 2**53),
+    # with the low 11 bits all ones or all zeros, and the extreme words.
+    top = math.ceil(p_correct * 2**53)
+    edges = [w for w in ((top - 1) << 11 | _LOW_ONES, top << 11 | _LOW_ONES,
+                         (top - 1) << 11, top << 11, 0, _MAX_WORD)
+             if 0 <= w <= _MAX_WORD]
+    fresh = [0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x40000000C0000000]
+    words = [edges[i % len(edges)] if i % 3 else fresh[i % len(fresh)]
+             for i in range(2 * _BLOCK - 1)] + [0]
+    want = _float_rule_offsets(words[:-1], p_correct)
+    assert _offsets([words[:_BLOCK], words[_BLOCK:]], p_correct,
+                    len(want)) == want
+
+
+def test_count_offsets_cut_is_exact_at_a_non_integer_boundary():
+    p_correct = 0.3
+    top = math.ceil(p_correct * 2**53)
+    assert top != p_correct * 2**53
+    hit, miss = (top - 1) << 11 | _LOW_ONES, top << 11 | _LOW_ONES
+    assert (hit >> 11) * 2.0**-53 < p_correct <= (miss >> 11) * 2.0**-53
+    # Low half 0x40000000 draws index 1 (-1); the high half, kept as the
+    # spare, index 3 (+2).
+    fresh = 0xC0000000_40000000
+    # The block ends on a miss with no spare, so its fresh word is the
+    # first word of the next block.
+    first = [hit, miss, fresh, miss] + [hit] * 27 + [miss]
+    second = [fresh, miss] + [hit] * 30
+    want = [0, -1, 2] + [0] * 27 + [-1, 2] + [0] * 30
+    assert _float_rule_offsets(first + second, p_correct) == want
+    assert _offsets([first, second], p_correct, len(want)) == want
+
+
 # --- run_contest: validation ------------------------------------------------
 
 def test_run_contest_validates_inputs(contest_config, make_posts,
@@ -278,6 +361,28 @@ def test_run_contest_validates_inputs(contest_config, make_posts,
     bad_posts = posts[:-1] + [posts[0]]
     with pytest.raises(ConfigurationError):
         run_contest(config, profiles, bad_posts, seed=0)
+
+
+@pytest.mark.parametrize("spread, bad, match", [
+    (1, dict(base_hazard=math.nan), "base_hazard"),
+    (1, dict(base_hazard=math.inf), "base_hazard"),
+    # With every worker inside the spread no hazard is ever computed.
+    (4, dict(base_hazard=-0.1), "base_hazard"),
+    (1, dict(accuracy_floor=math.nan), "accuracy_floor"),
+    (1, dict(accuracy_floor=-math.inf), "accuracy_floor"),
+])
+def test_run_contest_rejects_a_bad_hazard_or_floor_before_drawing(
+        monkeypatch, contest_config, make_posts, make_profiles, spread, bad,
+        match):
+    config = contest_config(n_workers=4, reward_spread=spread)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking its arguments")
+
+    monkeypatch.setattr(streams, "substreams", no_draws)
+    with pytest.raises(ConfigurationError, match=match):
+        run_contest(config, make_profiles(4, exit_threshold=1.0),
+                    make_posts(config.n_posts), seed=0, **bad)
 
 
 # --- run_contest: structure -------------------------------------------------

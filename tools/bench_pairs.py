@@ -16,7 +16,9 @@ either side.
 For each end-to-end metric in BENCHMARK.json it prints both sides' median
 and quartiles, how many pairs the working tree won, and whether the gain
 rule holds: at least 9 wins in 10 pairs, and medians further apart, in the
-better direction, than the base's interquartile range.
+better direction, than the base's interquartile range.  Its last line is
+one JSON object holding every pair's metrics for both sides and that
+summary per metric, for a ``BENCH_<n>.json`` record.
 
 It exits 1 if a run fails, or reports ``"correct": false`` or a failed
 check; the runs' output is printed first.
@@ -66,11 +68,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def report(metrics: list[dict], base: list[dict],
-           change: list[dict]) -> list[str]:
-    """One line per metric: medians, quartiles, wins and the gain rule."""
+def summarize(metrics: list[dict], base: list[dict],
+              change: list[dict]) -> dict:
+    """Per metric: both sides' median and quartiles, how many pairs the
+    working tree won, and whether the gain rule holds."""
     pairs = len(base)
-    lines = []
+    summary = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         b = [run[name] for run in base]
@@ -79,13 +82,29 @@ def report(metrics: list[dict], base: list[dict],
         bq1, bmed, bq3 = quartiles(b)
         cq1, cmed, cq3 = quartiles(c)
         gap = (bmed - cmed) if lower else (cmed - bmed)
-        gain = wins * 10 >= 9 * pairs and gap > bq3 - bq1
+        summary[name] = {
+            "better": metric["better"],
+            "base": {"median": bmed, "q1": bq1, "q3": bq3},
+            "change": {"median": cmed, "q1": cq1, "q3": cq3},
+            "relative_change": (cmed - bmed) / bmed,
+            "wins": wins,
+            "pairs": pairs,
+            "gain_rule": wins * 10 >= 9 * pairs and gap > bq3 - bq1,
+        }
+    return summary
+
+
+def report(summary: dict) -> list[str]:
+    """One line per metric of `summarize`'s result."""
+    lines = []
+    for name, s in summary.items():
+        b, c = s["base"], s["change"]
         lines.append(
-            f"{name:>13} ({metric['better']} is better): "
-            f"base {bmed:.6g} [{bq1:.6g}, {bq3:.6g}]  "
-            f"change {cmed:.6g} [{cq1:.6g}, {cq3:.6g}]  "
-            f"{(cmed - bmed) / bmed:+.1%}  wins {wins}/{pairs}  "
-            f"gain rule {'holds' if gain else 'fails'}")
+            f"{name:>13} ({s['better']} is better): "
+            f"base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]  "
+            f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  "
+            f"{s['relative_change']:+.1%}  wins {s['wins']}/{s['pairs']}  "
+            f"gain rule {'holds' if s['gain_rule'] else 'fails'}")
     return lines
 
 
@@ -103,6 +122,8 @@ def main(argv=None) -> int:
 
     root = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
     metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}",
+                      cwd=root)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         base_tree = Path(tmp) / "base"
         git("worktree", "add", "--detach", str(base_tree), args.base, cwd=root)
@@ -124,8 +145,17 @@ def main(argv=None) -> int:
             git("worktree", "remove", "--force", str(base_tree), cwd=root)
     print(f"{args.workload} seed={args.seed} seconds={args.seconds} "
           f"pairs={args.pairs} base={args.base}")
-    for line in report(metrics, runs[base_tree], runs[root]):
+    summary = summarize(metrics, runs[base_tree], runs[root])
+    for line in report(summary):
         print(line)
+    print(json.dumps({
+        "workload": args.workload, "seed": args.seed,
+        "seconds": args.seconds, "base": args.base,
+        "base_commit": base_commit,
+        "pairs": [{"base": b, "change": c}
+                  for b, c in zip(runs[base_tree], runs[root])],
+        "metrics": summary,
+    }, sort_keys=True))
     return 0
 
 
