@@ -23,9 +23,8 @@ from . import rng as streams
 from .core import (ContestConfig, Post, TextLines, WorkerProfile,
                    canonical_json, json_record, require_finite, write_atomic)
 from .errors import ConfigurationError, ContestError, DegenerateDataError
-from .simulate import (_TWO_POW_M53, DEFAULT_BASE_HAZARD, N_CHECKPOINTS,
-                       BehaviorPrior, EventLog, checkpoint_times, draw_behavior,
-                       run_contest)
+from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, BehaviorPrior,
+                       EventLog, checkpoint_times, draw_behavior, run_contest)
 
 CONFIG_VERSION = 1
 TREND_ALPHA = 0.05
@@ -219,6 +218,8 @@ def generate_corpus(n_posts: int, mean_entities: float,
 _POISSON_MULT_MAX = 10.0
 # Raw words per numpy call; the corpus does not depend on it.
 _CORPUS_BLOCK = 4096
+# numpy's `random()` is a word's top 53 bits times this.
+_TWO_POW_M53 = 2.0**-53
 
 
 def _corpus_counts(bit_generator: np.random.BitGenerator, n_posts: int,

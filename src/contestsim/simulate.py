@@ -257,7 +257,6 @@ def _p_correct(skill: float, accuracy_floor: float) -> float:
 # Draws per numpy call.  Logs do not depend on it: each sequence equals the
 # scalar calls above draw for draw (tests/test_simulate.py checks this).
 _BLOCK = 32
-_TWO_POW_M53 = 1.0 / 9007199254740992.0
 
 
 def _blocks(draw: Callable[[int], np.ndarray]):

@@ -24,15 +24,17 @@ from math import ceil
 
 from contestsim import rng as streams
 from contestsim.core import rank_workers, score_annotation
-from contestsim.simulate import (AnnotationEvent, EventLog, ExitEvent,
-                                 PostCounters, checkpoint_times, exit_hazard,
-                                 holding_time, simulate_annotated_count)
+from contestsim.simulate import (DEFAULT_BASE_HAZARD, AnnotationEvent,
+                                 EventLog, ExitEvent, PostCounters,
+                                 checkpoint_times, exit_hazard, holding_time,
+                                 simulate_annotated_count)
 from contestsim.stream import (allocate_round_robin, build_windows,
                                total_contest_time)
 
 
 def reference_contest(config, profiles, posts, seed, *, dispatch="windowed",
-                      base_hazard=0.06, accuracy_floor=0.0, rate_fns=None):
+                      base_hazard=DEFAULT_BASE_HAZARD, accuracy_floor=0.0,
+                      rate_fns=None):
     """The log `run_contest` must produce for the same arguments."""
     n, spread = config.n_workers, config.reward_spread
     ids = [p.id for p in profiles]

@@ -292,7 +292,9 @@ def _float_rule_offsets(words, p_correct):
         if (word >> 11) * 2.0**-53 < p_correct:
             offsets.append(0)
         elif spare is None:
-            fresh = next(words)
+            fresh = next(words, None)
+            if fresh is None:
+                break
             spare = fresh >> 32
             offsets.append(_PERTURBATIONS[(fresh & 0xFFFFFFFF) >> 30])
         else:
@@ -312,17 +314,16 @@ def _offsets(blocks, p_correct, n):
                                        0.0, 1.0])
 def test_count_offsets_hit_cut_matches_the_float_rule(p_correct):
     # Words whose top 53 bits are ceil(p * 2**53) - 1 and ceil(p * 2**53),
-    # with the low 11 bits all ones or all zeros, and the extreme words.
+    # with the low 11 bits all ones or all zeros, and the extreme words;
+    # each is the first word a fresh generator reads.
     top = math.ceil(p_correct * 2**53)
     edges = [w for w in ((top - 1) << 11 | _LOW_ONES, top << 11 | _LOW_ONES,
                          (top - 1) << 11, top << 11, 0, _MAX_WORD)
              if 0 <= w <= _MAX_WORD]
-    fresh = [0x0123456789ABCDEF, 0xFEDCBA9876543210, 0x40000000C0000000]
-    words = [edges[i % len(edges)] if i % 3 else fresh[i % len(fresh)]
-             for i in range(2 * _BLOCK - 1)] + [0]
-    want = _float_rule_offsets(words[:-1], p_correct)
-    assert _offsets([words[:_BLOCK], words[_BLOCK:]], p_correct,
-                    len(want)) == want
+    for word in edges:
+        block = [word] + [0x40000000C0000000] * (_BLOCK - 1)
+        want = _float_rule_offsets(block, p_correct)[:1]
+        assert _offsets([block], p_correct, 1) == want, hex(word)
 
 
 def test_count_offsets_cut_is_exact_at_a_non_integer_boundary():
