@@ -310,6 +310,8 @@ def _offsets(blocks, p_correct, n):
     return offsets
 
 
+# p * 2**53 is not an integer at 0.3 and 5e-324; it is one for every p in
+# [0.5, 1).
 @pytest.mark.parametrize("p_correct", [0.3, 0.7, 0.5, 5e-324, 1 - 2**-53,
                                        0.0, 1.0])
 def test_count_offsets_hit_cut_matches_the_float_rule(p_correct):
