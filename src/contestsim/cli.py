@@ -89,8 +89,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     by_worker = defaultdict(list)
     for e in log.events:
         by_worker[e.worker_id].append(e)
+    # Every ranked worker, in id order; one who never annotated gets an
+    # empty fit, as with --worker.
     worker_ids = ([args.worker] if args.worker is not None
-                  else sorted(by_worker))
+                  else sorted(e.worker_id for e in log.final_ranking))
     norms = FeatureNorms.from_log(log)
     fits = []
     for wid in worker_ids:

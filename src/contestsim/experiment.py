@@ -11,9 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import MISSING, dataclass, fields
+from functools import lru_cache
 from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -23,8 +26,9 @@ from . import rng as streams
 from .core import (ContestConfig, Post, TextLines, WorkerProfile,
                    canonical_json, json_record, require_finite, write_atomic)
 from .errors import ConfigurationError, ContestError, DegenerateDataError
-from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, BehaviorPrior,
-                       EventLog, checkpoint_times, draw_behavior, run_contest)
+from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, AnnotationEvent,
+                       BehaviorPrior, EventLog, checkpoint_times, draw_behavior,
+                       run_contest)
 
 CONFIG_VERSION = 1
 TREND_ALPHA = 0.05
@@ -342,19 +346,32 @@ class ContestSummary:
         return json_record(self)
 
 
+_post_id, _holding_time, _annotated_count = (
+    itemgetter(AnnotationEvent._fields.index(name))
+    for name in ("post_id", "holding_time_ms", "annotated_count"))
+
+
 def summarize(log: EventLog, replication: int = 0) -> ContestSummary:
+    """The contest's `ContestSummary`.
+
+    ``distinct_annotations`` counts distinct (post, count) pairs.  When no
+    post is annotated twice, as in every log `run_contest` writes, that is
+    the number of annotations, so the pairs are built only for a log that
+    repeats a post."""
     config = log.config
-    total = len(log.events)
-    distinct = len({(e.post_id, e.annotated_count) for e in log.events})
+    events = log.events
+    total = len(events)
+    distinct = total
+    if len(set(map(_post_id, events))) != total:
+        distinct = len(set(zip(map(_post_id, events),
+                               map(_annotated_count, events))))
     exit_times = sorted(x.exit_time_ms for x in log.exits)
-    active_counts = []
-    for t in (0, *checkpoint_times(log.horizon_ms)):
-        exited = sum(1 for ms in exit_times if ms <= t)
-        active_counts.append(config.n_workers - exited)
+    active_counts = [config.n_workers - bisect_right(exit_times, t)
+                     for t in (0, *checkpoint_times(log.horizon_ms))]
     n_active_end = config.n_workers - len(log.exits)
     mean_per_active = (total / n_active_end) if n_active_end else float("nan")
-    total_entities = sum(e.annotated_count for e in log.events)
-    total_seconds = sum(e.holding_time_ms for e in log.events) / 1000.0
+    total_entities = sum(map(_annotated_count, events))
+    total_seconds = sum(map(_holding_time, events)) / 1000.0
     mean_time = (total_seconds / total_entities) if total_entities else float("nan")
     entries = log.final_ranking.entries
     top1 = entries[0].annotations if entries else 0
@@ -498,6 +515,15 @@ def _load_corpus(config: ExperimentConfig,
     return list(posts[:config.n_posts])
 
 
+@lru_cache(maxsize=1)
+def _profiles(config: ExperimentConfig,
+              seed_key: tuple[int, int]) -> tuple[WorkerProfile, ...]:
+    """`generate_profiles`, kept for the last (config, seed key): `sweep`
+    runs a replication's spreads one after another, so it draws each
+    replication's profiles once."""
+    return tuple(generate_profiles(config, seed_key))
+
+
 def run_condition(config: ExperimentConfig, reward_spread: int,
                   replication: int, posts: Sequence[Post]
                   ) -> tuple[ContestSummary, EventLog]:
@@ -506,7 +532,7 @@ def run_condition(config: ExperimentConfig, reward_spread: int,
     every spread, so cross-spread differences are pure treatment effects.
     """
     seed_key = (config.master_seed, replication)
-    profiles = generate_profiles(config, seed_key)
+    profiles = _profiles(config, seed_key)
     contest = config.contest_config(reward_spread)
     log = run_contest(contest, profiles, posts, seed=seed_key,
                       dispatch=config.dispatch, base_hazard=config.base_hazard,
@@ -518,25 +544,34 @@ def sweep(config: ExperimentConfig,
           posts: Optional[Sequence[Post]] = None) -> SweepResult:
     """Run every (spread, replication) cell; isolate per-cell input failures.
 
-    A replication that raises `ConfigurationError` or `DegenerateDataError`
-    becomes a diagnostic record and the sweep moves on; it never silently
-    shrinks another cell's sample.  Any other exception, a
-    `ContractViolation` included, means a bug and stops the sweep.
+    Replications run outer and spreads inner, so a replication's profiles
+    and seeding words are drawn once and serve each of its spreads; the
+    summaries and error rows come out in (spread, replication) order all
+    the same.  A cell that raises `ConfigurationError` or
+    `DegenerateDataError` becomes a diagnostic record and the sweep moves
+    on; it never silently shrinks another cell's sample.  Any other
+    exception, a `ContractViolation` included, means a bug and stops the
+    sweep.
     """
     corpus = _load_corpus(config, posts)
-    summaries: list[ContestSummary] = []
-    errors: list[dict] = []
-    for spread in config.spreads:
-        for rep in range(config.replications):
+    # Each sweep draws its own profiles, whatever ran before it.
+    _profiles.cache_clear()
+    # Per spread, per replication: the cell's summary or error row.
+    cells: list[list] = [[] for _ in config.spreads]
+    for rep in range(config.replications):
+        for spread, row in zip(config.spreads, cells):
             try:
                 summary, _ = run_condition(config, spread, rep, corpus)
             except (ConfigurationError, DegenerateDataError) as exc:
-                errors.append({
+                row.append({
                     "reward_spread": spread, "replication": rep,
                     "error": f"{type(exc).__name__}: {exc}",
                 })
                 continue
-            summaries.append(summary)
+            row.append(summary)
+    outcomes = list(chain.from_iterable(cells))
+    summaries = [c for c in outcomes if type(c) is not dict]
+    errors = [c for c in outcomes if type(c) is dict]
     if not summaries:
         raise ContestError(
             f"every replication failed; the first: {canonical_json(errors[0])}")

@@ -27,7 +27,7 @@ is not a non-negative ``int`` or a non-empty tuple or list of them takes
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import islice
 from typing import Sequence
 
@@ -133,16 +133,29 @@ _OUTPUT_CONSTANTS = np.array(
 def substreams(seed: int | Sequence[int], purposes: Sequence[int],
                n: int) -> list[list[np.random.Generator]]:
     """For each of ``purposes``, the generators ``substream(seed, purpose,
-    i)`` for ``i`` in ``range(n)``, built in one batched pass."""
+    i)`` for ``i`` in ``range(n)``, built in one batched pass.  The
+    generators are new on every call; their seeding words are computed
+    once for consecutive calls with the same seed, purposes and ``n``."""
     words = _seed_words(seed)
     if (words is None or n > 1 << 32
             or any(type(p) is not int or not 0 <= p <= _MASK32
                    for p in purposes)):
         return [[substream(seed, p, i) for i in range(n)] for p in purposes]
+    fixed_state = _fixed_state()
+    generators = [np.random.Generator(np.random.PCG64(fixed_state(row)))
+                  for row in _seeding_rows(tuple(words), tuple(purposes), n)]
+    return [generators[k * n:(k + 1) * n] for k in range(len(purposes))]
 
+
+# A sweep seeds the same streams at each spread of a replication.
+@lru_cache(maxsize=1)
+def _seeding_rows(words: tuple[int, ...], purposes: tuple[int, ...],
+                  n: int) -> tuple[np.ndarray, ...]:
+    """Per stream, purpose-major, the four ``uint64`` words ``PCG64`` seeds
+    itself from; read-only, since the cache hands them out again."""
     # The seed's share of SeedSequence.mix_entropy: its words, zero-padded
     # to the pool size since a spawn key follows.
-    words += [0] * (_POOL_SIZE - len(words))
+    words = words + (0,) * (_POOL_SIZE - len(words))
     consts = _constants(_INIT_A, _MULT_A)
     pool = [_hashmix(word, next(consts)) for word in words[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
@@ -167,7 +180,5 @@ def substreams(seed: int | Sequence[int], purposes: Sequence[int],
     state = _hashmix(np.concatenate((pools, pools)), _OUTPUT_CONSTANTS,
                      _MULT_B)
     rows = (state[0::2] | state[1::2] << 32).T.copy()
-    fixed_state = _fixed_state()
-    generators = [np.random.Generator(np.random.PCG64(fixed_state(row)))
-                  for row in rows]
-    return [generators[k * n:(k + 1) * n] for k in range(len(purposes))]
+    rows.flags.writeable = False
+    return tuple(rows)

@@ -783,13 +783,16 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     after exit.  Per exit: that it falls on a checkpoint time, in time
     order, once per worker, and that its rank and eligibility equal the
     leaderboard state after every event at or before it.  Globally: post
-    conservation, the remaining-post countdown, and that the trailer equals
-    `rank_workers` of the replayed scores, last scoring times and counts.
+    conservation, the remaining-post countdown, that no post is annotated
+    twice, and that the trailer equals `rank_workers` of the replayed
+    scores, last scoring times and counts.
     Needs the post list to re-score events.  A violation names its position
     in ``log.events``, worker and event index, its position in
     ``log.exits``, worker and exit time, or its ``final_ranking`` row.
     """
-    expected = {p.id: p.expected_entities for p in posts}
+    # A post's true count, or None once it has been annotated.
+    expected: dict[int, Optional[int]] = {
+        p.id: p.expected_entities for p in posts}
     worker_ids = [e.worker_id for e in log.final_ranking]
     spread = log.config.reward_spread
     board = Leaderboard(worker_ids)
@@ -847,7 +850,10 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
         wid = e.worker_id
         if next_exit_ms < e.event_time_ms:
             next_exit_ms = check_exits(e.event_time_ms)
-        if wid not in count or e.post_id not in expected:
+        truth = expected.get(e.post_id)
+        if wid not in count or truth is None:
+            if wid in count and e.post_id in expected:
+                raise violation(f"post {e.post_id} annotated twice")
             raise violation(f"worker or post {e.post_id} not in the contest")
         if e.event_time_ms < prev_t:
             raise violation("event log is not globally time-sorted")
@@ -869,7 +875,8 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
             raise violation("annotations_remaining countdown broken")
         count[wid] += 1
         last_ms[wid] = e.event_time_ms
-        points = score_annotation(e.annotated_count, expected[e.post_id],
+        expected[e.post_id] = None
+        points = score_annotation(e.annotated_count, truth,
                                   log.config.base_points)
         if points > 0:
             score[wid] += points

@@ -103,8 +103,11 @@ def allocate_round_robin(window: Window, worker_ids: Sequence[int],
         raise ConfigurationError("task_unit_size must be >= 1")
     n_workers = len(worker_ids)
     posts, index = window.posts, window.index
-    return [Assignment(worker_ids[(start_offset + b) % n_workers], index,
-                       posts[b * task_unit_size:(b + 1) * task_unit_size])
+    # `Assignment(...)` less its Python-level `__new__`.
+    new_tuple = tuple.__new__
+    return [new_tuple(Assignment, (
+                worker_ids[(start_offset + b) % n_workers], index,
+                posts[b * task_unit_size:(b + 1) * task_unit_size]))
             for b in range(min(n_workers, -(-len(posts) // task_unit_size)))]
 
 

@@ -191,6 +191,28 @@ def test_fit_gives_an_idle_worker_an_empty_fit(tmp_path, contest_config,
         assert (fit.lambda_in_hat, fit.lambda_out_hat) == (None, None)
 
 
+def test_fit_without_worker_covers_idle_workers(tmp_path, contest_config,
+                                                make_posts, make_profiles):
+    config = contest_config(n_workers=3, n_posts=1, window_size=1,
+                            task_unit_size=1, arrival_rate=0.1)
+    log = run_contest(config, make_profiles(3), make_posts(1), seed=0)
+    log_path = tmp_path / "contest.jsonl"
+    write_event_log(log, log_path)
+    (busy,) = {e.worker_id for e in log.events}
+    out = tmp_path / "fits.jsonl"
+    assert main(["fit", "--log", str(log_path), "--out", str(out)]) == 0
+    fits = read_fitted(out)
+    assert [f.worker_id for f in fits] == [0, 1, 2]
+    assert [f.lambda_in_hat is None and f.lambda_out_hat is None
+            for f in fits] == [wid != busy for wid in range(3)]
+    assert main(["fit", "--log", str(log_path), "--model", "log_linear",
+                 "--out", str(out)]) == 0
+    fits = read_fitted(out)
+    assert [f.worker_id for f in fits] == [0, 1, 2]
+    assert [f.stop_reason == "empty" for f in fits] == [
+        wid != busy for wid in range(3)]
+
+
 def test_recover_reports_and_saves_the_rows(tmp_path, capsys):
     out = tmp_path / "recovery.json"
     code = main(["recover", "--target", "50", "--seeds", "0",
@@ -258,6 +280,26 @@ def test_validate_flags_a_doctored_log(tmp_path, config_file, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
 
+
+
+def test_validate_flags_a_post_annotated_twice(tmp_path, stock_log_path,
+                                               capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["gen-corpus", "--n-posts", "1520", "--seed", "0",
+                 "--out", str(corpus)]) == 0
+    lines = stock_log_path.read_text("utf-8").splitlines()
+    first, second = (json.loads(line) for line in lines[1:3])
+    assert (first["post_id"], second["post_id"]) == (110, 130)
+    second["post_id"] = first["post_id"]
+    lines[2] = json.dumps(second, sort_keys=True, separators=(",", ":"))
+    log_path = tmp_path / "contest.jsonl"
+    log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["validate", "--log", str(log_path), "--corpus", str(corpus)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: log.events[1] (worker {second['worker_id']}, event_index "
+        f"{second['event_index']}): post 110 annotated twice\n")
 
 
 def test_validate_flags_swapped_trailer_rows(tmp_path, config_file, capsys):

@@ -14,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import contestsim.experiment as experiment
-from contestsim import (ConfigurationError, ContestError, ContestSummary,
-                        ContractViolation, DegenerateDataError, Post,
+from contestsim import (AnnotationEvent, ConfigurationError, ContestError,
+                        ContestSummary, ContractViolation, DegenerateDataError,
+                        EventLog, Post, PostCounters, RankEntry, Ranking,
                         SweepResult, anova_f, emit_outputs, generate_corpus,
                         generate_profiles, parse_experiment_config, read_corpus,
                         read_event_log, read_experiment_config, run_condition,
@@ -26,6 +27,7 @@ from contestsim import rng as streams
 from contestsim.cli import main
 from contestsim.inference import fit_two_state, read_fitted
 from contestsim.rng import substream
+from contestsim.simulate import checkpoint_times
 
 MINIMAL = """\
 config_version = 1
@@ -276,6 +278,40 @@ def test_summary_reflects_the_log():
     assert summary.top1_annotations == entries[0].annotations
     assert summary.top10_annotations == sum(e.annotations
                                             for e in entries[:10])
+
+
+def test_summary_matches_its_definition_on_a_log_with_exits(
+        spread_two_contest):
+    log, _ = spread_two_contest(6)
+    assert len(log.exits) >= 2
+    summary = summarize(log, replication=3)
+    events = log.events
+    assert summary.distinct_annotations == len(
+        {(e.post_id, e.annotated_count) for e in events}) == len(events)
+    assert summary.active_worker_counts == tuple(
+        log.config.n_workers - sum(1 for x in log.exits if x.exit_time_ms <= t)
+        for t in (0, *checkpoint_times(log.horizon_ms)))
+    seconds = sum(e.holding_time_ms for e in events) / 1000.0
+    assert summary.mean_annotation_time_s_per_entity == (
+        seconds / sum(e.annotated_count for e in events))
+
+
+def test_summary_counts_distinct_pairs_when_a_post_repeats():
+    # Post 0 twice with one count and once with another, post 1 once: four
+    # annotations, three distinct (post, count) pairs.
+    events = [AnnotationEvent(0, i, 100 * (i + 1), 100, post, count, 1,
+                              True, 39 - i)
+              for i, (post, count) in enumerate([(0, 1), (0, 1), (0, 2),
+                                                 (1, 0)])]
+    log = EventLog(
+        config=_config().contest_config(1), seed=0, dispatch="windowed",
+        horizon_ms=20_000, base_hazard=0.0, accuracy_floor=0.0,
+        events=events, exits=[],
+        final_ranking=Ranking(entries=(RankEntry(0, 60, 4, 300),)),
+        counters=PostCounters(ingested=40, solved=4, dropped=0, pending=36))
+    summary = summarize(log)
+    assert (summary.total_annotations, summary.distinct_annotations) == (4, 3)
+    assert summary.mean_annotation_time_s_per_entity == 0.4 / 4
 
 
 def test_quality_gate_can_void_the_payout():
@@ -551,6 +587,54 @@ def test_a_bug_in_one_cell_stops_the_sweep(monkeypatch, fault):
     monkeypatch.setattr(experiment, "run_condition", buggy)
     with pytest.raises(fault, match="synthetic bug"):
         experiment.sweep(_config())
+
+
+def test_a_sweep_draws_each_replications_profiles_once(monkeypatch):
+    cfg = _config(spreads=(1, 2, 3), replications=3)
+    real = experiment.generate_profiles
+    drawn = []
+
+    def counting(config, seed):
+        drawn.append(seed)
+        return real(config, seed)
+
+    monkeypatch.setattr(experiment, "generate_profiles", counting)
+    result = experiment.sweep(cfg)
+    assert drawn == [(cfg.master_seed, rep) for rep in range(3)]
+    assert len(result.summaries) == 9
+
+
+def test_a_sweep_equals_its_cells_run_one_by_one():
+    # Spreads out of numeric order: the config's order is the output's.
+    cfg = _config(spreads=(2, 1, 4), replications=3)
+    posts = _corpus(cfg)
+    result = sweep(cfg, posts)
+    assert list(result.summaries) == [
+        run_condition(cfg, spread, rep, posts)[0]
+        for spread in cfg.spreads for rep in range(cfg.replications)]
+
+
+def test_a_sweep_runs_replications_outer_and_files_cells_in_order(
+        monkeypatch):
+    cfg = _config(spreads=(1, 2, 3), replications=2)
+    real = experiment.run_condition
+    ran = []
+
+    def flaky(config, spread, rep, posts):
+        ran.append((spread, rep))
+        if (spread, rep) in ((2, 0), (1, 1)):
+            raise ConfigurationError(f"synthetic fault {spread}/{rep}")
+        return real(config, spread, rep, posts)
+
+    monkeypatch.setattr(experiment, "run_condition", flaky)
+    result = experiment.sweep(cfg)
+    assert ran == [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1)]
+    assert [(e["reward_spread"], e["replication"], e["error"])
+            for e in result.errors] == [
+        (1, 1, "ConfigurationError: synthetic fault 1/1"),
+        (2, 0, "ConfigurationError: synthetic fault 2/0")]
+    assert [(s.reward_spread, s.replication) for s in result.summaries] == [
+        (1, 0), (2, 1), (3, 0), (3, 1)]
 
 
 # --- writing files ---------------------------------------------------------------

@@ -67,3 +67,20 @@ def test_other_seed_types_take_substream_itself(monkeypatch, seed):
     for purpose, gens in zip(_PURPOSES, batched):
         for i, gen in enumerate(gens):
             _assert_same_stream(gen, oracle(seed, purpose, i))
+
+
+def test_repeated_substreams_are_fresh_generators():
+    # The second call reuses the first's seeding words but not its
+    # generators: drawing from one set leaves the other at its start.
+    first = streams.substreams((3, 1), _PURPOSES, 4)
+    for gens in first:
+        for gen in gens:
+            gen.bit_generator.random_raw(7)
+    again = streams.substreams((3, 1), _PURPOSES, 4)
+    fewer = streams.substreams((3, 1), _PURPOSES[:2], 2)
+    other = streams.substreams((3, 2), _PURPOSES, 4)
+    for seed, batched in [((3, 1), again), ((3, 1), fewer), ((3, 2), other)]:
+        for purpose, gens in zip(_PURPOSES, batched):
+            for i, gen in enumerate(gens):
+                assert all(gen is not g for gs in first for g in gs)
+                _assert_same_stream(gen, streams.substream(seed, purpose, i))

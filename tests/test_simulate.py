@@ -18,9 +18,9 @@ from contestsim import (AnnotationEvent, BehaviorPrior, ConfigurationError,
                         ContestConfig, ContractViolation, EventLog, Post,
                         PostCounters, RankEntry, Ranking, WorkerProfile,
                         draw_behavior, event_log_lines, exit_hazard,
-                        holding_time, read_event_log, replay_validate,
-                        run_contest, simulate_annotated_count,
-                        write_event_log)
+                        generate_corpus, holding_time, read_event_log,
+                        replay_validate, run_contest,
+                        simulate_annotated_count, write_event_log)
 from contestsim import rng as streams
 from contestsim.inference import FeatureNorms, make_log_linear_rate_fn
 from contestsim.simulate import (_BLOCK, _CHUNK_LINES, _PERTURBATIONS,
@@ -1160,6 +1160,24 @@ def test_replay_names_the_doctored_event(tmp_path, contest_config, make_posts,
     assert f"event_index {record['event_index']}" in message
     assert "rank_at_event" in message
 
+
+
+def test_replay_rejects_a_post_annotated_twice(stock_log_path):
+    # The engine never deals one post twice.  Events 0 and 1 of the stock
+    # contest annotate posts 110 and 130, which hold one entity each, so
+    # pointing event 1 at post 110 leaves every score as it was.
+    log = read_event_log(stock_log_path)
+    posts = generate_corpus(log.config.n_posts, 1.2, seed=0)
+    first, second = log.events[:2]
+    assert (first.post_id, second.post_id) == (110, 130)
+    assert posts[110].expected_entities == posts[130].expected_entities
+    replay_validate(log, posts)
+    log.events[1] = second._replace(post_id=110)
+    with pytest.raises(ContractViolation) as info:
+        replay_validate(log, posts)
+    assert str(info.value) == (
+        f"log.events[1] (worker {second.worker_id}, event_index "
+        f"{second.event_index}): post 110 annotated twice")
 
 
 def _doctor_trailer(rows, kind):

@@ -5,7 +5,7 @@
 
 Run from anywhere inside the repository.  The base revision is checked out
 into a temporary ``git worktree`` (under ``$TMPDIR``), which is removed on
-exit.  Each pair runs
+exit, also when SIGTERM or SIGHUP stops the run.  Each pair runs
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -42,6 +43,19 @@ def git(*args: str, cwd: Path) -> str:
 
 class RunFailed(Exception):
     pass
+
+
+def exit_on_signal(signum: int, frame) -> None:
+    """Raise `SystemExit`, so that ``finally`` blocks run and the base
+    worktree is removed."""
+    raise SystemExit(128 + signum)
+
+
+def install_signal_handlers() -> None:
+    """Turn SIGTERM and SIGHUP, which would end the process on the spot,
+    into `exit_on_signal`."""
+    for signum in (signal.SIGTERM, signal.SIGHUP):
+        signal.signal(signum, exit_on_signal)
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int,
@@ -120,6 +134,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
+    install_signal_handlers()
     root = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
     metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}",
