@@ -15,7 +15,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
@@ -26,9 +26,9 @@ from . import rng as streams
 from .core import (ContestConfig, Post, TextLines, WorkerProfile,
                    canonical_json, json_record, require_finite, write_atomic)
 from .errors import ConfigurationError, ContestError, DegenerateDataError
-from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, AnnotationEvent,
-                       BehaviorPrior, EventLog, checkpoint_times, draw_behavior,
-                       run_contest)
+from .simulate import (DEFAULT_BASE_HAZARD, DISPATCH_MODES, N_CHECKPOINTS,
+                       AnnotationEvent, BehaviorPrior, EventLog,
+                       checkpoint_times, draw_behavior, run_contest)
 
 CONFIG_VERSION = 1
 TREND_ALPHA = 0.05
@@ -86,7 +86,7 @@ class ExperimentConfig:
                     f"spread {s} outside [1, n_workers={self.n_workers}]")
         if self.mean_entities <= 0.0:
             raise ConfigurationError("mean_entities must be positive")
-        if self.dispatch not in ("windowed", "shared"):
+        if self.dispatch not in DISPATCH_MODES:
             raise ConfigurationError(f"unknown dispatch {self.dispatch!r}")
         if self.base_hazard < 0.0:
             raise ConfigurationError("base_hazard must be >= 0")
@@ -222,49 +222,29 @@ def generate_corpus(n_posts: int, mean_entities: float,
 _POISSON_MULT_MAX = 10.0
 # Raw words per numpy call; the corpus does not depend on it.
 _CORPUS_BLOCK = 4096
-# numpy's `random()` is a word's top 53 bits times this.
-_TWO_POW_M53 = 2.0**-53
 
 
 def _corpus_counts(bit_generator: np.random.BitGenerator, n_posts: int,
                    mean_entities: float) -> list[tuple[int, int]]:
     """Per post, ``(int(gen.integers(lo, hi + 1)), int(gen.poisson(mean)))``
-    for ``mean < 10``, rebuilt from raw 64-bit words bit for bit.
-
-    * ``integers`` is numpy's Lemire draw on one 32-bit value: ``m = u *
-      span``, redone with the next 32-bit value while ``m``'s low half is
-      below ``(2**32 - span) % span``; the count is ``lo + (m >> 32)``.
-      32-bit values come as in `simulate._count_offsets`: the low half of a
-      fresh word, its high half kept as the spare for the next one.
-    * ``poisson`` multiplies ``random()`` values (the top 53 bits of a whole
-      word; the spare is left alone) until the product is at most
-      ``exp(-mean)``; the count is the number of factors before that one.
-    """
+    for ``mean < 10``, rebuilt by `rng`'s rules from raw words.  Such a
+    ``poisson`` multiplies ``random()`` values until the product is at most
+    ``exp(-mean)``; the count is the number of factors before that one."""
     lo, hi = TOKEN_RANGE
     span = hi - lo + 1
-    threshold = (2**32 - span) % span
     limit = math.exp(-mean_entities)
-    blocks = map(bit_generator.random_raw, repeat(_CORPUS_BLOCK))
-    next_word = chain.from_iterable(map(np.ndarray.tolist, blocks)).__next__
-    spare = None
+    words = streams.raw_words(bit_generator, _CORPUS_BLOCK)
+    next_tokens = streams.bounded(streams.half_words(words), span).__next__
+    next_uniform = streams.random_values(words).__next__
     counts = []
     for _ in range(n_posts):
-        while True:
-            if spare is None:
-                word = next_word()
-                spare = word >> 32
-                m = (word & 0xFFFFFFFF) * span
-            else:
-                m = spare * span
-                spare = None
-            if m & 0xFFFFFFFF >= threshold:
-                break
+        tokens = lo + next_tokens()
         entities = 0
-        product = (next_word() >> 11) * _TWO_POW_M53
+        product = next_uniform()
         while product > limit:
             entities += 1
-            product *= (next_word() >> 11) * _TWO_POW_M53
-        counts.append((lo + (m >> 32), entities))
+            product *= next_uniform()
+        counts.append((tokens, entities))
     return counts
 
 

@@ -23,13 +23,19 @@ The constants and the word order are numpy's (``bit_generator.pyx``);
 ``tests/test_rng.py`` checks the two paths against each other.  A seed that
 is not a non-negative ``int`` or a non-empty tuple or list of them takes
 `substream` itself, so it is accepted or rejected exactly as there.
+
+The engine and the corpus rebuild numpy's draws from a stream's raw 64-bit
+words, read in blocks, so that numpy is called once per block and not once
+per draw.  Each of numpy's rules for PCG64 is written once, below, and
+``tests/test_rng.py`` checks each against numpy's own scalar calls.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import islice
-from typing import Sequence
+from itertools import chain, islice, repeat
+from math import ceil
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -182,3 +188,50 @@ def _seeding_rows(words: tuple[int, ...], purposes: tuple[int, ...],
     rows = (state[0::2] | state[1::2] << 32).T.copy()
     rows.flags.writeable = False
     return tuple(rows)
+
+
+# --- numpy's draws from raw words -------------------------------------------
+
+def blocks(draw: Callable[[int], np.ndarray], size: int) -> Iterator:
+    """The values of ``draw(size)``, one block after another, as Python
+    numbers: one numpy call per ``size`` values."""
+    return chain.from_iterable(map(np.ndarray.tolist, map(draw, repeat(size))))
+
+
+def raw_words(bit_generator: np.random.BitGenerator,
+              size: int) -> Iterator[int]:
+    """The bit generator's raw 64-bit words, ``size`` per numpy call."""
+    return blocks(bit_generator.random_raw, size)
+
+
+def random_values(words: Iterator[int]) -> Iterator[float]:
+    """numpy's ``random()`` draws, one whole word each: its top 53 bits
+    times ``2**-53``."""
+    for word in words:
+        yield (word >> 11) * 2.0**-53
+
+
+def random_cut(p: float) -> int:
+    """The cut that makes ``random() < p`` one integer comparison on the
+    word that `random_values` reads, ``word < random_cut(p)``."""
+    return ceil(p * 2.0**53) << 11
+
+
+def half_words(words: Iterator[int]) -> Iterator[int]:
+    """numpy's 32-bit draws: a fresh word's low half, then its high half,
+    kept as a spare.  Whole-word draws taken from ``words`` in between
+    leave the spare alone."""
+    for word in words:
+        yield word & _MASK32
+        yield word >> 32
+
+
+def bounded(halves: Iterator[int], span: int) -> Iterator[int]:
+    """``Generator.integers(0, span)`` draws for ``1 < span <= 2**32``:
+    Lemire's ``m = u * span`` on the 32-bit values ``u`` of ``halves``,
+    redone while ``m``'s low half is below ``(2**32 - span) % span``."""
+    threshold = (2**32 - span) % span
+    for u in halves:
+        m = u * span
+        if m & _MASK32 >= threshold:
+            yield m >> 32

@@ -43,19 +43,15 @@ the whole field in one `rng.substreams` call (equal bit for bit to one
   in 0..3;
 * EXITS: one uniform per checkpoint the worker is still in the contest.
 
-The engine takes these draws in blocks (32 per numpy call; the twenty exit
-draws at once) and reads them as plain Python numbers.  They equal, draw
-for draw, the scalar calls `holding_time` and `simulate_annotated_count`
-make on the same substream, so a log does not depend on the block size.
-The EVENTS blocks are unit-rate `holding_time` calls with ``size=32``.
-The COUNTS draws are rebuilt from blocks of raw words, so the engine does
-not call `simulate_annotated_count`; its hit test is one integer
-comparison, ``word < ceil(p_correct * 2**53) << 11``, which is exactly
-``random() < p_correct`` with ``random()`` the word's top 53 bits times
-``2**-53``.  A worker's EXITS draw for a checkpoint is taken whether or
-not it is read: the hazard is 0 inside the spread, so `exit_hazard` is
-consulted only for workers outside it, and the benchmark's
-``simulate.exit_hazard.calls`` counts out-of-spread worker-checkpoints.
+The engine reads these draws from blocks (`rng.blocks`, 32 per numpy
+call; the twenty exit draws at once): EVENTS as unit-rate `holding_time`
+calls with ``size=32``, COUNTS from raw words by `rng`'s rules.  Draw for
+draw they equal the scalar `holding_time` and `simulate_annotated_count`
+calls on the same substream, so a log does not depend on the block size.
+A worker's EXITS draw for a checkpoint is taken whether or not it is read:
+the hazard is 0 inside the spread, so `exit_hazard` is consulted only for
+workers outside it, and the benchmark's ``simulate.exit_hazard.calls``
+counts out-of-spread worker-checkpoints.
 
 A log (``contest-log-v1``) is one JSON object per line: a header with the
 configuration, one line per annotation or exit in time order (annotations
@@ -97,6 +93,7 @@ DEFAULT_BASE_HAZARD = 0.06
 N_CHECKPOINTS = 20
 
 LOG_FORMAT = "contest-log-v1"
+DISPATCH_MODES = ("windowed", "shared")
 
 _RATE_FLOOR = 1e-12
 _PERTURBATIONS = (-2, -1, 1, 2)
@@ -259,45 +256,20 @@ def _p_correct(skill: float, accuracy_floor: float) -> float:
 _BLOCK = 32
 
 
-def _blocks(draw: Callable[[int], np.ndarray]):
-    """Yield the values of ``draw(_BLOCK)``, one block after another."""
-    while True:
-        yield from draw(_BLOCK).tolist()
-
-
 def _count_offsets(bit_generator: np.random.BitGenerator, p_correct: float):
-    """Yield, per annotation, the offset added to the true count (0 on a hit).
-
-    Rebuilds `simulate_annotated_count`'s ``rng.random()`` and
-    ``rng.integers(0, 4)`` from raw 64-bit words, read ``_BLOCK`` at a time:
-    ``random()`` is the top 53 bits of one word, ``(word >> 11) * 2**-53``,
-    so it is below ``p_correct`` exactly when ``word`` is below
-    ``ceil(p_correct * 2**53) << 11``, one integer comparison.
-    ``integers(0, 4)`` is the top two bits of a 32-bit half, the low half of
-    a fresh word first and its high half, kept as a spare, on the next call,
-    as numpy's buffered Lemire draw does for PCG64.  A miss on a block's
-    last word takes its fresh word from the next block.
-    """
-    cut = ceil(p_correct * 2.0**53) << 11
-    random_raw = bit_generator.random_raw
-    spare = None
-    ahead: list[int] = []  # the next block, once a miss has read its head
-    while True:
-        words = iter(ahead or random_raw(_BLOCK).tolist())
-        ahead = []
-        for word in words:
-            if word < cut:
-                yield 0
-            elif spare is None:
-                word = next(words, None)
-                if word is None:
-                    ahead = random_raw(_BLOCK).tolist()
-                    word = ahead.pop(0)
-                spare = word >> 32
-                yield _PERTURBATIONS[(word & 0xFFFFFFFF) >> 30]
-            else:
-                yield _PERTURBATIONS[spare >> 30]
-                spare = None
+    """Yield, per annotation, the offset added to the true count (0 on a
+    hit): `simulate_annotated_count`'s draws, rebuilt by `rng`'s rules from
+    raw words read ``_BLOCK`` at a time."""
+    cut = streams.random_cut(p_correct)
+    words = streams.raw_words(bit_generator, _BLOCK)
+    next_half = streams.half_words(words).__next__
+    for word in words:
+        if word < cut:
+            yield 0
+        else:
+            # `rng.bounded` at span 4 has threshold 0: the top two bits,
+            # taken inline to keep a generator step off the event path.
+            yield _PERTURBATIONS[next_half() >> 30]
 
 
 class _WorkerState:
@@ -336,8 +308,9 @@ class _WorkerState:
         # Unit-rate holding times; a holding time at rate r is one of these
         # times 1/r, as numpy's exponential(scale) is
         # scale * standard_exponential().
-        self.next_exp = _blocks(
-            lambda size: holding_time(1.0, 1.0, event_rng, size)).__next__
+        self.next_exp = streams.blocks(
+            lambda size: holding_time(1.0, 1.0, event_rng, size),
+            _BLOCK).__next__
         self.next_offset = _count_offsets(
             count_rng.bit_generator,
             _p_correct(profile.skill, accuracy_floor)).__next__
@@ -371,7 +344,7 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
     if len(posts) != config.n_posts:
         raise ConfigurationError(
             f"expected {config.n_posts} posts, got {len(posts)}")
-    if dispatch not in ("windowed", "shared"):
+    if dispatch not in DISPATCH_MODES:
         raise ConfigurationError(f"unknown dispatch mode {dispatch!r}")
     ids = [p.id for p in profiles]
     if len(set(ids)) != len(ids):
@@ -597,6 +570,11 @@ _EXIT_FIELDS = {"worker_id": _INTEGER, "exit_time_ms": _INTEGER,
 _RANK_FIELDS = {"worker_id": _INTEGER, "score": _INTEGER,
                 "annotations": _INTEGER,
                 "last_scored_ms": ("an integer or null", int, type(None))}
+_NUMBER = ("a number", int, float)
+_HEADER_FIELDS = {"horizon_ms": _INTEGER, "base_hazard": _NUMBER,
+                  "accuracy_floor": _NUMBER}
+_COUNTER_FIELDS = dict.fromkeys(
+    ("ingested", "solved", "dropped", "pending"), _INTEGER)
 
 _event_values = itemgetter(*_EVENT_FIELDS)
 _exit_values = itemgetter(*_EXIT_FIELDS)
@@ -698,9 +676,9 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
     value per line is decoded again line by line.  Each exit line must sit
     where the writer puts it: after every annotation at or before its time
     and before the first one after it.  Any malformed line, including a
-    field of the wrong type or a misplaced exit line, raises
-    `ConfigurationError` naming ``path:line``; a file that is not UTF-8
-    text raises it naming the path.
+    field of the wrong type, a misplaced exit line or a trailer that does
+    not rank ``n_workers`` workers, raises `ConfigurationError` naming
+    ``path:line``; a file that is not UTF-8 text raises it naming the path.
     """
     with TextLines(path, "event log") as text:
         lines = text.lines
@@ -711,10 +689,22 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         if header.get("format") != LOG_FORMAT:
             raise ConfigurationError(f"not a {LOG_FORMAT} file")
         config = ContestConfig(**header["config"])
-        seed = header["seed"]
+        # ``config`` is checked by `ContestConfig`, the rest here.
+        _check_types(itemgetter(*_HEADER_FIELDS)(header), _HEADER_FIELDS)
+        _check_types(itemgetter(*_COUNTER_FIELDS)(header["counters"]),
+                     _COUNTER_FIELDS)
+        dispatch, seed = header["dispatch"], header["seed"]
+        if dispatch not in DISPATCH_MODES:
+            raise ConfigurationError('dispatch must be "windowed" or "shared",'
+                                     f" got {canonical_json(dispatch)}")
+        if not (type(seed) is int
+                or type(seed) is list and set(map(type, seed)) == {int}):
+            raise ConfigurationError(
+                "seed must be an integer or a non-empty list of integers, "
+                f"got {canonical_json(seed)}")
         log = EventLog(
             config=config, seed=tuple(seed) if isinstance(seed, list) else seed,
-            dispatch=header["dispatch"], horizon_ms=header["horizon_ms"],
+            dispatch=dispatch, horizon_ms=header["horizon_ms"],
             base_hazard=header["base_hazard"],
             accuracy_floor=header["accuracy_floor"], events=[], exits=[],
             final_ranking=Ranking(entries=()),
@@ -767,6 +757,10 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
             values = _rank_values(r)
             _check_types(values, _RANK_FIELDS)
             entries.append(RankEntry(*values))
+        if len(entries) != config.n_workers:
+            raise ConfigurationError(
+                f"final_ranking ranks {len(entries)} workers, "
+                f"not n_workers {config.n_workers}")
         log.final_ranking = Ranking(entries=tuple(entries))
     return log
 
@@ -783,9 +777,9 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     after exit.  Per exit: that it falls on a checkpoint time, in time
     order, once per worker, and that its rank and eligibility equal the
     leaderboard state after every event at or before it.  Globally: post
-    conservation, the remaining-post countdown, that no post is annotated
-    twice, and that the trailer equals `rank_workers` of the replayed
-    scores, last scoring times and counts.
+    conservation of all ``n_posts``, the remaining-post countdown, that no
+    post is annotated twice, and that the trailer equals `rank_workers` of
+    the replayed scores, last scoring times and counts.
     Needs the post list to re-score events.  A violation names its position
     in ``log.events``, worker and event index, its position in
     ``log.exits``, worker and exit time, or its ``final_ranking`` row.
@@ -891,6 +885,10 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
                 f"final_ranking[{i}] (worker {entry.worker_id}): {entry} "
                 f"!= replay {want}")
     c = log.counters
+    if c.ingested != log.config.n_posts:
+        raise ContractViolation(
+            f"counters.ingested {c.ingested} != config n_posts "
+            f"{log.config.n_posts}")
     if c.ingested != c.solved + c.dropped + c.pending:
         raise ContractViolation(f"post conservation violated: {c}")
     if c.solved != len(log.events):

@@ -383,6 +383,110 @@ def test_wrong_typed_log_value_fails_cleanly(tmp_path, config_file, capsys,
     assert "Traceback" not in err
 
 
+@pytest.fixture
+def contest_files(tmp_path, config_file):
+    """The corpus and the log of one small contest."""
+    corpus = tmp_path / "corpus.jsonl"
+    log_path = tmp_path / "contest.jsonl"
+    assert main(["gen-corpus", "--n-posts", "40", "--seed", "7",
+                 "--out", str(corpus)]) == 0
+    assert main(["simulate", "--config", str(config_file),
+                 "--corpus", str(corpus), "--out", str(log_path)]) == 0
+    return corpus, log_path
+
+
+def _edit_line(path, index, edit):
+    """Rewrite line ``index`` of ``path`` as ``edit`` leaves its record."""
+    lines = path.read_text("utf-8").splitlines()
+    record = json.loads(lines[index])
+    edit(record)
+    lines[index] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return len(lines)
+
+
+def _run_on_log(command, corpus, log_path, tmp_path, capsys):
+    """Exit code and stderr of ``command`` on the log."""
+    capsys.readouterr()
+    extra = (["--corpus", str(corpus)] if command == "validate"
+             else ["--out", str(tmp_path / "fits.jsonl")])
+    code = main([command, "--log", str(log_path)] + extra)
+    return code, capsys.readouterr().err
+
+
+_SEED_RULE = "an integer or a non-empty list of integers"
+
+
+@pytest.mark.parametrize("keys, value, what", [
+    (["horizon_ms"], "x", "an integer"),
+    (["horizon_ms"], 1.5, "an integer"),
+    (["dispatch"], "mystery", '"windowed" or "shared"'),
+    (["dispatch"], None, '"windowed" or "shared"'),
+    (["base_hazard"], "x", "a number"),
+    (["base_hazard"], True, "a number"),
+    (["accuracy_floor"], None, "a number"),
+    (["seed"], "abc", _SEED_RULE),
+    (["seed"], [], _SEED_RULE),
+    (["seed"], [7, 1.5], _SEED_RULE),
+    (["seed"], False, _SEED_RULE),
+    (["counters", "ingested"], "x", "an integer"),
+    (["counters", "pending"], None, "an integer"),
+])
+@pytest.mark.parametrize("command", ["validate", "fit"])
+def test_wrong_typed_log_header_field_fails_cleanly(
+        tmp_path, contest_files, capsys, command, keys, value, what):
+    corpus, log_path = contest_files
+
+    def edit(header):
+        *path, key = keys
+        for part in path:
+            header = header[part]
+        header[key] = value
+
+    _edit_line(log_path, 0, edit)
+    code, err = _run_on_log(command, corpus, log_path, tmp_path, capsys)
+    assert code == 2
+    assert err == (f"error: {log_path}:1: {keys[-1]} must be {what}, "
+                   f"got {json.dumps(value, separators=(',', ':'))}\n")
+
+
+@pytest.mark.parametrize("rows", ["one more", "one fewer"])
+@pytest.mark.parametrize("command", ["validate", "fit"])
+def test_trailer_ranking_other_than_n_workers_fails_cleanly(
+        tmp_path, contest_files, capsys, command, rows):
+    corpus, log_path = contest_files
+
+    def edit(trailer):
+        ranking = trailer["final_ranking"]
+        if rows == "one more":
+            ranking.append({"annotations": 0, "last_scored_ms": None,
+                            "score": 0, "worker_id": 999})
+        else:
+            ranking.pop()
+
+    n_lines = _edit_line(log_path, -1, edit)
+    code, err = _run_on_log(command, corpus, log_path, tmp_path, capsys)
+    n_ranked = 5 if rows == "one more" else 3
+    assert code == 2
+    assert err == (f"error: {log_path}:{n_lines}: final_ranking ranks "
+                   f"{n_ranked} workers, not n_workers 4\n")
+
+
+def test_validate_flags_ingested_apart_from_n_posts(tmp_path, contest_files,
+                                                    capsys):
+    # Raising dropped with ingested keeps the conservation sum.
+    corpus, log_path = contest_files
+
+    def edit(header):
+        header["counters"]["ingested"] += 7
+        header["counters"]["dropped"] += 7
+
+    _edit_line(log_path, 0, edit)
+    code, err = _run_on_log("validate", corpus, log_path, tmp_path, capsys)
+    assert code == 2
+    assert err == "error: counters.ingested 47 != config n_posts 40\n"
+
+
 def test_fit_log_linear_converges_on_every_stock_worker(tmp_path,
                                                        stock_log_path, capsys):
     out = tmp_path / "fits.jsonl"
