@@ -9,6 +9,7 @@ stderr and a nonzero exit status.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from collections import defaultdict
 
@@ -25,12 +26,21 @@ from .simulate import (BehaviorPrior, read_event_log, replay_validate,
 
 def _parse_seed_list(raw: str) -> list[int]:
     try:
-        return [int(p) for p in raw.split(",") if p.strip()]
+        seeds = [int(p) for p in raw.split(",") if p.strip()]
     except ValueError:
+        seeds = None
+    if seeds is None or min(seeds, default=0) < 0:
         raise ContestError(f"bad seed list {raw!r}; expected e.g. 0,1,2")
+    return seeds
+
+
+def _require_non_negative(option: str, value: int) -> None:
+    if value < 0:
+        raise ContestError(f"{option} must be >= 0, got {value}")
 
 
 def _cmd_gen_corpus(args: argparse.Namespace) -> int:
+    _require_non_negative("--seed", args.seed)
     posts = generate_corpus(args.n_posts, args.mean_entities, seed=args.seed)
     write_corpus(posts, args.out)
     mean = (sum(p.expected_entities for p in posts) / len(posts)
@@ -41,9 +51,10 @@ def _cmd_gen_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    _require_non_negative("--replication", args.replication)
     config = read_experiment_config(args.config)
     if args.seed is not None:
-        config = type(config)(**{**config.__dict__, "master_seed": args.seed})
+        config = dataclasses.replace(config, master_seed=args.seed)
     spread = args.spread if args.spread is not None else config.spreads[0]
     corpus = read_corpus(args.corpus) if args.corpus else None
     posts = _load_corpus(config, corpus)

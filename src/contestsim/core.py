@@ -2,8 +2,8 @@
 
 Nothing here draws random numbers.  `Leaderboard` is the one stateful type:
 the ranking that the engine and the replay validator update as scores move.
-`write_atomic` and `TextLines` are the package's one file writer and one
-line reader.
+`write_atomic`, `TextLines`, `canonical_json` and `decode_json` are the
+package's one file writer, line reader, JSON encoder and JSON decoder.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import os
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import (Collection, Hashable, Iterable, Mapping, NamedTuple,
-                    Optional, Union)
+from typing import (Callable, Collection, Hashable, Iterable, Mapping,
+                    NamedTuple, Optional, Union)
 
 from .errors import ConfigurationError
 
@@ -34,6 +34,37 @@ def canonical_json(obj) -> str:
     """
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       allow_nan=False)
+
+
+def _reject_constant(token: str):
+    raise ConfigurationError(f"{token} is not a JSON number")
+
+
+# The one decoder of every JSON file the package reads.  `canonical_json`
+# never writes NaN or an infinity, so it takes neither.
+decode_json = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+# Per declared field type: what a value must be, the parser of its config
+# text, and the exact types of its JSON value.  JSON ``true`` is not an
+# integer, nor ``1`` a boolean; a number may be written as an integer.
+FieldType = NamedTuple("FieldType", [("what", str), ("parse", Callable),
+                                     ("types", tuple)])
+FIELD_TYPES = {
+    "int": FieldType("an integer", int, (int,)),
+    "float": FieldType("a number", float, (int, float)),
+    "bool": FieldType("true or false",
+                      lambda raw: {"true": True, "false": False}[raw.lower()],
+                      (bool,)),
+}
+
+
+def check_types(record: Mapping, kinds: Mapping[str, FieldType]) -> None:
+    """Raise `ConfigurationError` naming the first field of ``kinds`` whose
+    value in ``record`` is not of a type that its kind takes."""
+    for name, kind in kinds.items():
+        if type(record[name]) not in kind.types:
+            raise ConfigurationError(f"{name} must be {kind.what}, "
+                                     f"got {canonical_json(record[name])}")
 
 
 def json_record(obj) -> dict:

@@ -9,7 +9,6 @@ comparisons across spreads are sharp.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from bisect import bisect_right
 from collections import defaultdict
@@ -23,8 +22,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import rng as streams
-from .core import (ContestConfig, Post, TextLines, WorkerProfile,
-                   canonical_json, json_record, require_finite, write_atomic)
+from .core import (FIELD_TYPES, ContestConfig, Post, TextLines, WorkerProfile,
+                   canonical_json, check_types, decode_json, json_record,
+                   require_finite, write_atomic)
 from .errors import ConfigurationError, ContestError, DegenerateDataError
 from .simulate import (DEFAULT_BASE_HAZARD, DISPATCH_MODES, N_CHECKPOINTS,
                        AnnotationEvent, BehaviorPrior, EventLog,
@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unsupported config_version {self.config_version}; "
                 f"expected {CONFIG_VERSION}")
+        if self.master_seed < 0:
+            raise ConfigurationError("master_seed must be >= 0")
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
         if not self.spreads:
@@ -108,22 +110,15 @@ class ExperimentConfig:
         return ContestConfig(reward_spread=reward_spread, **fixed)
 
 
-# Per config value type: what it must be, and the parser of its text.
-_VALUE_PARSERS = {
-    bool: ("true or false", lambda raw: {"true": True, "false": False}[raw.lower()]),
-    int: ("an integer", int),
-    float: ("a number", float),
-}
-
-
-def _parse_value(name: str, raw: str, target_type: type):
-    if target_type not in _VALUE_PARSERS:
+def _parse_value(name: str, raw: str, declared: str):
+    kind = FIELD_TYPES.get(declared)
+    if kind is None:
         return raw
-    what, parse = _VALUE_PARSERS[target_type]
     try:
-        return parse(raw)
+        return kind.parse(raw)
     except (KeyError, ValueError):
-        raise ConfigurationError(f"{name} must be {what}, got {raw!r}") from None
+        raise ConfigurationError(
+            f"{name} must be {kind.what}, got {raw!r}") from None
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
@@ -161,12 +156,9 @@ def _parse_config(text: TextLines) -> ExperimentConfig:
             parts = [p.strip() for p in raw.split(",") if p.strip()]
             if not parts:
                 raise ConfigurationError("spreads is empty")
-            seen[key] = tuple(_parse_value("spreads", p, int) for p in parts)
+            seen[key] = tuple(_parse_value("spreads", p, "int") for p in parts)
             continue
-        annotation = field_types[key]
-        base = {"int": int, "float": float, "str": str, "bool": bool}.get(
-            str(annotation), str)
-        seen[key] = _parse_value(key, raw, base)
+        seen[key] = _parse_value(key, raw, field_types[key])
     text.lineno = 0
     missing = [f.name for f in fields(ExperimentConfig)
                if f.name not in seen and f.default is MISSING
@@ -254,6 +246,11 @@ def write_corpus(posts: Sequence[Post], path: Union[str, Path]) -> None:
                         + "\n" for p in posts])
 
 
+_CORPUS_FIELDS = dict.fromkeys(("id", "token_count", "expected_entities"),
+                               FIELD_TYPES["int"])
+_corpus_values = itemgetter(*_CORPUS_FIELDS)
+
+
 def read_corpus(path: Union[str, Path]) -> list[Post]:
     """Parse a corpus written by `write_corpus`; line i is the i-th arrival.
 
@@ -264,14 +261,10 @@ def read_corpus(path: Union[str, Path]) -> list[Post]:
     posts = []
     with TextLines(path, "corpus line") as text:
         for text.lineno, line in enumerate(text.lines, 1):
-            obj = json.loads(line)
-            values = {key: obj[key]
-                      for key in ("id", "token_count", "expected_entities")}
-            for key, value in values.items():
-                if type(value) is not int:
-                    raise ConfigurationError(
-                        f"{key} must be an integer, not {value!r}")
-            posts.append(Post(**values, arrival_index=text.lineno - 1))
+            obj = decode_json(line)
+            check_types(obj, _CORPUS_FIELDS)
+            posts.append(Post(*_corpus_values(obj),
+                              arrival_index=text.lineno - 1))
     return posts
 
 
@@ -672,7 +665,7 @@ def verify_manifest(output_dir: Union[str, Path]) -> bool:
         raise ConfigurationError(f"{path}: no manifest; the tree is unfinished")
     with TextLines(path, "manifest") as text:
         text.lineno = 1
-        manifest = json.loads("\n".join(text.lines))
+        manifest = decode_json("\n".join(text.lines))
         if manifest.get("format") != MANIFEST_FORMAT:
             raise ConfigurationError("unrecognized manifest format")
         files = manifest["files"].items()

@@ -18,7 +18,6 @@ which features its data cannot identify (``unidentified``).
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import rng as streams
 from .core import (ContestConfig, Post, TextLines, WorkerProfile,
-                   canonical_json, json_record, write_atomic)
+                   canonical_json, decode_json, json_record, write_atomic)
 from .errors import ConfigurationError, DegenerateDataError
 from .simulate import (AnnotationEvent, EventLog, RateFn, draw_behavior,
                        run_contest)
@@ -191,9 +190,6 @@ def fit_two_state(events: Sequence[AnnotationEvent],
             raise DegenerateDataError("holding times must be positive")
         n[e.eligible_at_event] += 1
         total_s[e.eligible_at_event] += e.holding_time_ms / 1000.0
-    for state in (True, False):
-        if n[state] > 0 and total_s[state] <= 0.0:
-            raise DegenerateDataError("zero total holding time in a populated state")
     lam_in = n[True] / total_s[True] if n[True] else None
     lam_out = n[False] / total_s[False] if n[False] else None
     nll = 0.0
@@ -346,7 +342,7 @@ def read_fitted(path: Union[str, Path]) -> list[FittedBehavior]:
     fits = []
     with TextLines(path, "fitted record") as text:
         for text.lineno, line in enumerate(text.lines, 1):
-            obj = json.loads(line)
+            obj = decode_json(line)
             theta = obj.get("theta_hat")
             fits.append(FittedBehavior(
                 worker_id=obj["worker_id"], model_kind=obj["model_kind"],

@@ -66,10 +66,9 @@ for a malformed line.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from heapq import heappop, heappush
 from math import ceil
 from operator import itemgetter
@@ -79,8 +78,9 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import rng as streams
-from .core import (EXACT_MATCH_MULTIPLIER, ContestConfig, Leaderboard, Post,
-                   RankEntry, Ranking, TextLines, WorkerProfile, canonical_json,
+from .core import (EXACT_MATCH_MULTIPLIER, FIELD_TYPES, ContestConfig,
+                   Leaderboard, Post, RankEntry, Ranking, TextLines,
+                   WorkerProfile, canonical_json, check_types, decode_json,
                    rank_workers, require_finite, score_annotation, write_atomic)
 from .errors import ConfigurationError, ContractViolation
 from .stream import DropQueue, advance_queue, allocate_round_robin, build_windows, total_contest_time
@@ -553,14 +553,12 @@ _EXIT_LINE = (
 ).format
 _JSON_BOOL = {True: "true", False: "false"}
 
-# Body lines `read_event_log` decodes per `json.loads` call.  It bounds the
+# Body lines `read_event_log` decodes per `decode_json` call.  It bounds the
 # memory one call holds; what a log reads back as does not depend on it.
 _CHUNK_LINES = 512
 
 # What a reader accepts in each field, in the order of the record's tuple.
-# Types are exact: JSON ``true`` is not an integer, nor ``1`` a boolean.
-_INTEGER = ("an integer", int)
-_BOOLEAN = ("true or false", bool)
+_INTEGER, _BOOLEAN = FIELD_TYPES["int"], FIELD_TYPES["bool"]
 _EVENT_FIELDS = {"worker_id": _INTEGER, "event_index": _INTEGER,
                  "event_time_ms": _INTEGER, "holding_time_ms": _INTEGER,
                  "post_id": _INTEGER, "annotated_count": _INTEGER,
@@ -569,12 +567,8 @@ _EXIT_FIELDS = {"worker_id": _INTEGER, "exit_time_ms": _INTEGER,
                 "rank": _INTEGER, "eligible": _BOOLEAN}
 _RANK_FIELDS = {"worker_id": _INTEGER, "score": _INTEGER,
                 "annotations": _INTEGER,
-                "last_scored_ms": ("an integer or null", int, type(None))}
-_NUMBER = ("a number", int, float)
-_HEADER_FIELDS = {"horizon_ms": _INTEGER, "base_hazard": _NUMBER,
-                  "accuracy_floor": _NUMBER}
-_COUNTER_FIELDS = dict.fromkeys(
-    ("ingested", "solved", "dropped", "pending"), _INTEGER)
+                "last_scored_ms": _INTEGER._replace(what="an integer or null",
+                                                    types=(int, type(None)))}
 
 _event_values = itemgetter(*_EVENT_FIELDS)
 _exit_values = itemgetter(*_EXIT_FIELDS)
@@ -582,16 +576,8 @@ _rank_values = itemgetter(*_RANK_FIELDS)
 # The one type each annotation and exit field takes, to check a whole
 # record with one comparison.  Lists, not tuples: `tuple(map(...))` resizes
 # its result, and the resized tuples pile up on the interpreter's free list.
-_EVENT_TYPES = [kind[1] for kind in _EVENT_FIELDS.values()]
-_EXIT_TYPES = [kind[1] for kind in _EXIT_FIELDS.values()]
-
-
-def _check_types(values: tuple, fields: dict) -> None:
-    """Raise `ConfigurationError` naming the first value of a wrong type."""
-    for value, (name, (what, *types)) in zip(values, fields.items()):
-        if type(value) not in types:
-            raise ConfigurationError(
-                f"{name} must be {what}, got {canonical_json(value)}")
+_EVENT_TYPES = [kind.types[0] for kind in _EVENT_FIELDS.values()]
+_EXIT_TYPES = [kind.types[0] for kind in _EXIT_FIELDS.values()]
 
 
 def event_log_lines(log: EventLog):
@@ -642,7 +628,7 @@ def write_event_log(log: EventLog, path: Union[str, Path]) -> None:
 
 
 def _decode_chunk(lines: list[str]) -> Optional[list]:
-    """Decode ``lines`` in one `json.loads` call; None if they might not
+    """Decode ``lines`` in one `decode_json` call; None if they might not
     decode to one value per line, each the value of its own line.
 
     The lines are joined with ``",\n"``.  No line holds a line break and no
@@ -661,8 +647,8 @@ def _decode_chunk(lines: list[str]) -> Optional[list]:
             and text.startswith("{") and text.endswith("}")):
         return None
     try:
-        values = json.loads("[" + text + "]")
-    except (ValueError, RecursionError):
+        values = decode_json("[" + text + "]")
+    except (ValueError, RecursionError, ConfigurationError):
         return None
     return values if len(values) == n else None
 
@@ -685,14 +671,15 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         text.lineno = 1
         if not lines:
             raise ConfigurationError("empty event log")
-        header = json.loads(lines[0])
+        header = decode_json(lines[0])
         if header.get("format") != LOG_FORMAT:
             raise ConfigurationError(f"not a {LOG_FORMAT} file")
+        # Each typed field takes the declared type of the field it fills.
+        for record, cls in ((header, EventLog), (header["config"], ContestConfig),
+                            (header["counters"], PostCounters)):
+            check_types(record, {f.name: FIELD_TYPES[f.type] for f in fields(cls)
+                                 if f.type in FIELD_TYPES})
         config = ContestConfig(**header["config"])
-        # ``config`` is checked by `ContestConfig`, the rest here.
-        _check_types(itemgetter(*_HEADER_FIELDS)(header), _HEADER_FIELDS)
-        _check_types(itemgetter(*_COUNTER_FIELDS)(header["counters"]),
-                     _COUNTER_FIELDS)
         dispatch, seed = header["dispatch"], header["seed"]
         if dispatch not in DISPATCH_MODES:
             raise ConfigurationError('dispatch must be "windowed" or "shared",'
@@ -723,17 +710,17 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
             for text.lineno, obj in enumerate(
                     chunk if values is None else values, first + 1):
                 if values is None:
-                    obj = json.loads(obj)
+                    obj = decode_json(obj)
                 if "exit_time_ms" in obj:
                     x = exit_values(obj)
                     if list(map(type, x)) != _EXIT_TYPES:
-                        _check_types(x, _EXIT_FIELDS)
+                        check_types(obj, _EXIT_FIELDS)
                     exits.append(ExitEvent._make(x))
                     exit_at.append((text.lineno, len(events)))
                     continue
                 e = event_values(obj)
                 if list(map(type, e)) != _EVENT_TYPES:
-                    _check_types(e, _EVENT_FIELDS)
+                    check_types(obj, _EVENT_FIELDS)
                 wid, index = e[0], e[1]
                 if index != per_worker_index.get(wid, 0):
                     raise ConfigurationError(
@@ -749,14 +736,13 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
                     f"exit of worker {x.worker_id} at {t} ms is out of place "
                     "among the annotation lines")
         text.lineno = len(lines)
-        trailer = json.loads(lines[-1])
+        trailer = decode_json(lines[-1])
         if "final_ranking" not in trailer:
             raise ConfigurationError("missing final-ranking trailer")
         entries = []
         for r in trailer["final_ranking"]:
-            values = _rank_values(r)
-            _check_types(values, _RANK_FIELDS)
-            entries.append(RankEntry(*values))
+            check_types(r, _RANK_FIELDS)
+            entries.append(RankEntry(*_rank_values(r)))
         if len(entries) != config.n_workers:
             raise ConfigurationError(
                 f"final_ranking ranks {len(entries)} workers, "

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
-from contestsim import (read_corpus, read_event_log, read_fitted,
+from contestsim import (ConfigurationError, read_corpus, read_event_log,
+                        read_fitted,
                         run_contest, verify_manifest, write_corpus,
                         write_event_log)
 from contestsim.cli import main
@@ -238,6 +240,34 @@ def test_recover_rejects_a_malformed_seed_list(capsys):
     assert "bad seed list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config_seed, message", [
+    (["sweep"], -1, "{config}: master_seed must be >= 0"),
+    (["simulate"], -1, "{config}: master_seed must be >= 0"),
+    (["simulate", "--seed", "-5"], 7, "master_seed must be >= 0"),
+    (["simulate", "--replication", "-1"], 7, "--replication must be >= 0, "
+                                             "got -1"),
+    (["gen-corpus", "--n-posts", "5", "--seed", "-3"], 7,
+     "--seed must be >= 0, got -3"),
+    (["recover", "--seeds=-1", "--target", "10"], 7,
+     "bad seed list '-1'; expected e.g. 0,1,2"),
+], ids=["config sweep", "config simulate", "simulate seed",
+        "simulate replication", "gen-corpus seed", "recover seeds"])
+def test_a_negative_seed_fails_cleanly(tmp_path, capsys, argv, config_seed,
+                                       message):
+    config = tmp_path / "seed.cfg"
+    config.write_text(CONFIG.replace("master_seed=7",
+                                     f"master_seed={config_seed}"),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    extra = {"sweep": ["--config", str(config), "--out-dir", str(out)],
+             "simulate": ["--config", str(config), "--out", str(out)],
+             "gen-corpus": ["--out", str(out)], "recover": []}[argv[0]]
+    code = main(argv + extra)
+    assert (code, capsys.readouterr().err) == (
+        2, f"error: {message.format(config=config)}\n")
+    assert not out.exists()
+
+
 def test_recover_rejects_an_infinite_rate(capsys):
     code = main(["recover", "--target", "200", "--seeds", "0",
                  "--lambda-in", "inf", "--lambda-out", "1.0"])
@@ -431,6 +461,9 @@ _SEED_RULE = "an integer or a non-empty list of integers"
     (["seed"], False, _SEED_RULE),
     (["counters", "ingested"], "x", "an integer"),
     (["counters", "pending"], None, "an integer"),
+    (["config", "n_posts"], 40.0, "an integer"),
+    (["config", "reward_spread"], True, "an integer"),
+    (["config", "task_unit_time_s"], "x", "a number"),
 ])
 @pytest.mark.parametrize("command", ["validate", "fit"])
 def test_wrong_typed_log_header_field_fails_cleanly(
@@ -448,6 +481,65 @@ def test_wrong_typed_log_header_field_fails_cleanly(
     assert code == 2
     assert err == (f"error: {log_path}:1: {keys[-1]} must be {what}, "
                    f"got {json.dumps(value, separators=(',', ':'))}\n")
+
+
+def test_a_whole_number_field_written_as_an_integer_reads_back(
+        tmp_path, contest_config, make_posts, make_profiles, capsys):
+    # A library-built config may hold an int where a float is declared;
+    # `canonical_json` writes it without a fraction.
+    config = contest_config(task_unit_time_s=10)
+    posts = make_posts(config.n_posts)
+    log = run_contest(config, make_profiles(2), posts, seed=0)
+    corpus, log_path = tmp_path / "corpus.jsonl", tmp_path / "contest.jsonl"
+    write_corpus(posts, corpus)
+    write_event_log(log, log_path)
+    assert '"task_unit_time_s":10,' in log_path.read_text("utf-8")
+    assert read_event_log(log_path) == log
+    for command in ("validate", "fit"):
+        assert _run_on_log(command, corpus, log_path, tmp_path,
+                           capsys)[0] == 0
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("target", ["log header", "log body", "corpus",
+                                    "fits", "manifest"])
+def test_a_non_finite_json_token_fails_cleanly(
+        tmp_path, config_file, contest_files, capsys, target, token):
+    # `canonical_json` never writes NaN or an infinity, so no reader takes
+    # one, wherever it stands.
+    corpus, log_path = contest_files
+    fits, out = tmp_path / "fits.jsonl", tmp_path / "out"
+    assert main(["fit", "--log", str(log_path), "--out", str(fits)]) == 0
+    assert main(["sweep", "--config", str(config_file),
+                 "--out-dir", str(out)]) == 0
+    body = [i for i, line in enumerate(log_path.read_text("utf-8").splitlines())
+            if '"holding_time_ms"' in line]
+    path, index, keys, read = {
+        "log header": (log_path, 0, ["base_hazard"], read_event_log),
+        "log body": (log_path, body[1], ["holding_time_ms"], read_event_log),
+        "corpus": (corpus, 1, ["token_count"], read_corpus),
+        "fits": (fits, 1, ["nll"], read_fitted),
+        "manifest": (out / "manifest.json", 0, ["files", "trend.json"],
+                     lambda path: verify_manifest(path.parent)),
+    }[target]
+
+    def edit(record):
+        *parents, key = keys
+        for part in parents:
+            record = record[part]
+        record[key] = "TOKEN"
+
+    _edit_line(path, index, edit)
+    path.write_text(path.read_text("utf-8").replace('"TOKEN"', token),
+                    encoding="utf-8")
+    message = f"{path}:{index + 1}: {token} is not a JSON number"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        read(path)
+    if target in ("log header", "log body", "corpus"):
+        capsys.readouterr()
+        code = main(["validate", "--log", str(log_path),
+                     "--corpus", str(corpus)])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
 @pytest.mark.parametrize("rows", ["one more", "one fewer"])
