@@ -16,12 +16,11 @@ from .experiment import (AnovaResult, ContestSummary, ExperimentConfig,
                          parse_experiment_config, read_corpus,
                          read_experiment_config, run_condition,
                          sign_test_one_sided, summarize, sweep,
-                         trend_from_summaries, verify_manifest, write_corpus,
-                         write_experiment_config)
+                         trend_from_summaries, verify_manifest, write_corpus)
 from .inference import (FeatureNorms, FittedBehavior, RecoveryReport,
                         RecoveryRow, fit_log_linear, fit_two_state,
                         fitted_to_record, make_log_linear_rate_fn,
-                        negative_log_likelihood, nll_gradient, read_fitted,
+                        negative_log_likelihood, nll_gradient,
                         recovery_experiment, write_fitted)
 from .simulate import (AnnotationEvent, BehaviorPrior, EventLog, ExitEvent,
                        PostCounters, draw_behavior, event_log_lines,
@@ -55,13 +54,12 @@ __all__ = [
     "FeatureNorms", "FittedBehavior",
     "negative_log_likelihood", "nll_gradient", "fit_two_state",
     "fit_log_linear", "make_log_linear_rate_fn",
-    "fitted_to_record", "write_fitted", "read_fitted", "RecoveryRow", "RecoveryReport",
+    "fitted_to_record", "write_fitted", "RecoveryRow", "RecoveryReport",
     "recovery_experiment",
     # experiment
     "ExperimentConfig", "parse_experiment_config", "read_experiment_config",
-    "write_experiment_config", "generate_corpus", "write_corpus",
-    "read_corpus", "generate_profiles", "ContestSummary", "summarize",
-    "sign_test_one_sided", "TrendResult",
+    "generate_corpus", "write_corpus", "read_corpus", "generate_profiles",
+    "ContestSummary", "summarize", "sign_test_one_sided", "TrendResult",
     "trend_from_summaries", "AnovaResult", "anova_f", "SweepResult",
     "run_condition", "sweep", "emit_outputs", "verify_manifest",
 ]

@@ -15,9 +15,9 @@ from collections import defaultdict
 
 from .core import canonical_json, json_record, write_atomic
 from .errors import ContestError
-from .experiment import (emit_outputs, generate_corpus, read_corpus,
-                         read_experiment_config, run_condition, sweep,
-                         write_corpus, _load_corpus)
+from .experiment import (ExperimentConfig, emit_outputs, generate_corpus,
+                         read_corpus, read_experiment_config, run_condition,
+                         sweep, write_corpus, _load_corpus)
 from .inference import (FeatureNorms, fit_log_linear, fit_two_state,
                         recovery_experiment, write_fitted)
 from .simulate import (BehaviorPrior, read_event_log, replay_validate,
@@ -159,7 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-corpus", help="generate a synthetic post corpus")
     p.add_argument("--n-posts", type=int, required=True)
-    p.add_argument("--mean-entities", type=float, default=1.2)
+    p.add_argument("--mean-entities", type=float,
+                   default=ExperimentConfig.mean_entities)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_corpus)
@@ -201,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated replicate seeds")
     p.add_argument("--lambda-in", type=float, default=None)
     p.add_argument("--lambda-out", type=float, default=None)
-    p.add_argument("--gamma-shape", type=float, default=9.0)
-    p.add_argument("--gamma-rate", type=float, default=8.0)
-    p.add_argument("--halfnormal-sigma", type=float, default=0.01)
+    for name in ("gamma_shape", "gamma_rate", "halfnormal_sigma"):
+        p.add_argument("--" + name.replace("_", "-"), type=float,
+                       default=getattr(BehaviorPrior, name))
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_recover)
 

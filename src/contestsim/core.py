@@ -12,6 +12,7 @@ import json
 import math
 import os
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import (Callable, Collection, Hashable, Iterable, Mapping,
@@ -83,7 +84,8 @@ def write_atomic(path: Union[str, Path], chunks: Iterable[str]) -> None:
 
     Every file the package writes goes through here.  The chunks go to a
     temporary file in the same directory, which then replaces ``path``; on
-    any error it is removed and ``path`` is left as it was.  The file is not
+    any error it is removed and ``path`` is left as it was, and an `OSError`
+    about the temporary file is raised naming ``path``.  The file is not
     fsynced: after a power loss or an operating-system crash the new file
     may still be empty or short.
     """
@@ -93,8 +95,16 @@ def write_atomic(path: Union[str, Path], chunks: Iterable[str]) -> None:
         with tmp.open("w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        # A clean-up that fails too (say, the parent is not a directory)
+        # must not replace the error being handled.
+        with suppress(OSError):
+            tmp.unlink()
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            # Name the file the caller asked for, not the temporary one;
+            # `os.replace` also sets ``filename2``, and ``del`` unsets it.
+            exc.filename = str(path)
+            del exc.filename2
         raise
 
 

@@ -57,9 +57,9 @@ class ExperimentConfig:
     replications: int
     master_seed: int
     leaderboard_k: int = 3
-    gamma_shape: float = 9.0
-    gamma_rate: float = 8.0
-    halfnormal_sigma: float = 0.01
+    gamma_shape: float = BehaviorPrior.gamma_shape
+    gamma_rate: float = BehaviorPrior.gamma_rate
+    halfnormal_sigma: float = BehaviorPrior.halfnormal_sigma
     base_hazard: float = DEFAULT_BASE_HAZARD
     accuracy_floor: float = 0.0
     mean_entities: float = 1.2
@@ -166,21 +166,6 @@ def _parse_config(text: TextLines) -> ExperimentConfig:
     if missing:
         raise ConfigurationError(f"missing required keys: {', '.join(missing)}")
     return ExperimentConfig(**seen)  # type: ignore[arg-type]
-
-
-def write_experiment_config(config: ExperimentConfig,
-                            path: Union[str, Path]) -> None:
-    lines = []
-    for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if f.name == "spreads":
-            rendered = ",".join(str(s) for s in value)
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        else:
-            rendered = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{f.name}={rendered}\n")
-    write_atomic(path, lines)
 
 
 # --- corpus ----------------------------------------------------------------

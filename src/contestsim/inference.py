@@ -27,8 +27,8 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import rng as streams
-from .core import (ContestConfig, Post, TextLines, WorkerProfile,
-                   canonical_json, decode_json, json_record, write_atomic)
+from .core import (ContestConfig, Post, WorkerProfile, canonical_json,
+                   json_record, write_atomic)
 from .errors import ConfigurationError, DegenerateDataError
 from .simulate import (AnnotationEvent, EventLog, RateFn, draw_behavior,
                        run_contest)
@@ -328,32 +328,11 @@ def fitted_to_record(fit: FittedBehavior) -> dict:
 
 
 def write_fitted(fits: Sequence[FittedBehavior], path: Union[str, Path]) -> None:
+    """Write one `fitted_to_record` line per fit.  The file is output
+    only: nothing in the package reads it back, and ``iterations`` and
+    ``nll_history`` are not written."""
     write_atomic(path, [canonical_json(fitted_to_record(f)) + "\n"
                         for f in fits])
-
-
-def read_fitted(path: Union[str, Path]) -> list[FittedBehavior]:
-    """Parse a file written by `write_fitted`.
-
-    A line that is not a JSON record or lacks a key raises
-    `ConfigurationError` naming ``path:line``; a file that is not UTF-8
-    text names the path.
-    """
-    fits = []
-    with TextLines(path, "fitted record") as text:
-        for text.lineno, line in enumerate(text.lines, 1):
-            obj = decode_json(line)
-            theta = obj.get("theta_hat")
-            fits.append(FittedBehavior(
-                worker_id=obj["worker_id"], model_kind=obj["model_kind"],
-                lambda_in_hat=obj.get("lambda_in_hat"),
-                lambda_out_hat=obj.get("lambda_out_hat"),
-                theta_hat=None if theta is None else tuple(theta),
-                nll=obj["nll"], n_in=obj["n_in"], n_out=obj["n_out"],
-                converged=obj["converged"], stop_reason=obj.get("stop_reason"),
-                unidentified=tuple(obj.get("unidentified", ())),
-            ))
-    return fits
 
 
 # --- recovery experiments --------------------------------------------------

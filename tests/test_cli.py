@@ -8,11 +8,12 @@ import re
 
 import pytest
 
-from contestsim import (ConfigurationError, read_corpus, read_event_log,
-                        read_fitted,
+from contestsim import (BehaviorPrior, ConfigurationError,
+                        parse_experiment_config, read_corpus, read_event_log,
                         run_contest, verify_manifest, write_corpus,
                         write_event_log)
-from contestsim.cli import main
+from contestsim.cli import build_parser, main
+from contestsim.core import decode_json
 
 CONFIG = """\
 config_version=1
@@ -37,6 +38,10 @@ def config_file(tmp_path):
     path = tmp_path / "sweep.cfg"
     path.write_text(CONFIG, encoding="utf-8")
     return path
+
+
+def _read_fits(path):
+    return [decode_json(line) for line in path.read_text("utf-8").splitlines()]
 
 
 def test_gen_corpus_writes_the_requested_posts(tmp_path, capsys):
@@ -143,17 +148,17 @@ def test_fit_covers_all_workers_or_just_one(tmp_path, config_file):
                  "--out", str(log_path)]) == 0
     all_out = tmp_path / "fits.jsonl"
     assert main(["fit", "--log", str(log_path), "--out", str(all_out)]) == 0
-    fits = read_fitted(all_out)
-    assert [f.worker_id for f in fits] == [0, 1, 2, 3]
-    assert all(f.model_kind == "two_state" for f in fits)
+    fits = _read_fits(all_out)
+    assert [f["worker_id"] for f in fits] == [0, 1, 2, 3]
+    assert all(f["model_kind"] == "two_state" for f in fits)
 
     one_out = tmp_path / "one.jsonl"
     assert main(["fit", "--log", str(log_path), "--worker", "1",
                  "--model", "log_linear", "--out", str(one_out)]) == 0
-    (fit,) = read_fitted(one_out)
-    assert fit.worker_id == 1
-    assert fit.model_kind == "log_linear"
-    assert fit.theta_hat is not None
+    (fit,) = _read_fits(one_out)
+    assert fit["worker_id"] == 1
+    assert fit["model_kind"] == "log_linear"
+    assert len(fit["theta_hat"]) == 5
 
 
 def test_fit_rejects_a_worker_not_in_the_log(tmp_path, config_file, capsys):
@@ -185,12 +190,12 @@ def test_fit_gives_an_idle_worker_an_empty_fit(tmp_path, contest_config,
     for wid in sorted(idle):
         assert main(["fit", "--log", str(log_path), "--worker", str(wid),
                      "--model", "log_linear", "--out", str(out)]) == 0
-        (fit,) = read_fitted(out)
-        assert (fit.worker_id, fit.stop_reason) == (wid, "empty")
+        (fit,) = _read_fits(out)
+        assert (fit["worker_id"], fit["stop_reason"]) == (wid, "empty")
         assert main(["fit", "--log", str(log_path), "--worker", str(wid),
                      "--out", str(out)]) == 0
-        (fit,) = read_fitted(out)
-        assert (fit.lambda_in_hat, fit.lambda_out_hat) == (None, None)
+        (fit,) = _read_fits(out)
+        assert (fit["lambda_in_hat"], fit["lambda_out_hat"]) == (None, None)
 
 
 def test_fit_without_worker_covers_idle_workers(tmp_path, contest_config,
@@ -203,15 +208,15 @@ def test_fit_without_worker_covers_idle_workers(tmp_path, contest_config,
     (busy,) = {e.worker_id for e in log.events}
     out = tmp_path / "fits.jsonl"
     assert main(["fit", "--log", str(log_path), "--out", str(out)]) == 0
-    fits = read_fitted(out)
-    assert [f.worker_id for f in fits] == [0, 1, 2]
-    assert [f.lambda_in_hat is None and f.lambda_out_hat is None
+    fits = _read_fits(out)
+    assert [f["worker_id"] for f in fits] == [0, 1, 2]
+    assert [f["lambda_in_hat"] is None and f["lambda_out_hat"] is None
             for f in fits] == [wid != busy for wid in range(3)]
     assert main(["fit", "--log", str(log_path), "--model", "log_linear",
                  "--out", str(out)]) == 0
-    fits = read_fitted(out)
-    assert [f.worker_id for f in fits] == [0, 1, 2]
-    assert [f.stop_reason == "empty" for f in fits] == [
+    fits = _read_fits(out)
+    assert [f["worker_id"] for f in fits] == [0, 1, 2]
+    assert [f["stop_reason"] == "empty" for f in fits] == [
         wid != busy for wid in range(3)]
 
 
@@ -502,14 +507,13 @@ def test_a_whole_number_field_written_as_an_integer_reads_back(
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("target", ["log header", "log body", "corpus",
-                                    "fits", "manifest"])
+                                    "manifest"])
 def test_a_non_finite_json_token_fails_cleanly(
         tmp_path, config_file, contest_files, capsys, target, token):
     # `canonical_json` never writes NaN or an infinity, so no reader takes
     # one, wherever it stands.
     corpus, log_path = contest_files
-    fits, out = tmp_path / "fits.jsonl", tmp_path / "out"
-    assert main(["fit", "--log", str(log_path), "--out", str(fits)]) == 0
+    out = tmp_path / "out"
     assert main(["sweep", "--config", str(config_file),
                  "--out-dir", str(out)]) == 0
     body = [i for i, line in enumerate(log_path.read_text("utf-8").splitlines())
@@ -518,7 +522,6 @@ def test_a_non_finite_json_token_fails_cleanly(
         "log header": (log_path, 0, ["base_hazard"], read_event_log),
         "log body": (log_path, body[1], ["holding_time_ms"], read_event_log),
         "corpus": (corpus, 1, ["token_count"], read_corpus),
-        "fits": (fits, 1, ["nll"], read_fitted),
         "manifest": (out / "manifest.json", 0, ["files", "trend.json"],
                      lambda path: verify_manifest(path.parent)),
     }[target]
@@ -586,7 +589,7 @@ def test_fit_log_linear_converges_on_every_stock_worker(tmp_path,
                  "--out", str(out)]) == 0
     assert "fitted 20 worker(s) with log_linear (20 converged)" in \
         capsys.readouterr().out
-    assert all(f.stop_reason == "converged" for f in read_fitted(out))
+    assert all(f["stop_reason"] == "converged" for f in _read_fits(out))
 
 
 def test_non_utf8_log_fails_cleanly(tmp_path, capsys):
@@ -673,6 +676,33 @@ def test_write_failures_fail_cleanly(tmp_path, config_file, capsys):
                  "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("parent, reason", [
+    ("missing", "[Errno 2] No such file or directory"),
+    ("a-file", "[Errno 20] Not a directory"),
+], ids=["missing-parent", "file-parent"])
+@pytest.mark.parametrize("argv", [
+    ["gen-corpus", "--n-posts", "3"],
+    ["recover", "--target", "0", "--lambda-in", "1", "--lambda-out", "2"],
+], ids=["gen-corpus", "recover"])
+def test_a_failed_write_names_the_path_given(tmp_path, capsys, argv, parent,
+                                             reason):
+    (tmp_path / "a-file").touch()
+    out = tmp_path / parent / "x.jsonl"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {reason}: {str(out)!r}\n"
+
+
+def test_option_defaults_are_the_library_defaults():
+    parser = build_parser()
+    recover = parser.parse_args(["recover"])
+    assert BehaviorPrior(
+        gamma_shape=recover.gamma_shape, gamma_rate=recover.gamma_rate,
+        halfnormal_sigma=recover.halfnormal_sigma) == BehaviorPrior()
+    assert parse_experiment_config(CONFIG).prior == BehaviorPrior()
+    corpus = parser.parse_args(["gen-corpus", "--n-posts", "1", "--out", "x"])
+    assert corpus.mean_entities == parse_experiment_config(CONFIG).mean_entities
 
 
 def test_unknown_arguments_exit_via_argparse(config_file):

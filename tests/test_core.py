@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, strategies as st
 
+import contestsim
 from contestsim import (ConfigurationError, ContestConfig, Leaderboard, Post,
                         Ranking, RankEntry, WorkerProfile, rank_workers,
                         score_annotation)
@@ -260,3 +261,11 @@ def test_json_record_writes_nan_as_null():
     assert record == {"a": None, "b": (1, 2)}
     assert canonical_json(record) == '{"a":null,"b":[1,2]}'
     assert json_record(Stub(a=0.5, b=())) == {"a": 0.5, "b": ()}
+
+
+# --- package exports -------------------------------------------------------
+
+def test_every_exported_name_resolves_once():
+    assert len(set(contestsim.__all__)) == len(contestsim.__all__)
+    for name in contestsim.__all__:
+        assert hasattr(contestsim, name), name

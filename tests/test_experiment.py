@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -22,10 +23,10 @@ from contestsim import (AnnotationEvent, ConfigurationError, ContestError,
                         read_event_log, read_experiment_config, run_condition,
                         sign_test_one_sided, summarize, sweep,
                         trend_from_summaries, verify_manifest, write_corpus,
-                        write_event_log, write_experiment_config, write_fitted)
+                        write_event_log, write_fitted)
 from contestsim import rng as streams
 from contestsim.cli import main
-from contestsim.inference import fit_two_state, read_fitted
+from contestsim.inference import fit_two_state
 from contestsim.rng import substream
 from contestsim.simulate import checkpoint_times
 
@@ -90,11 +91,48 @@ def test_parse_reads_optional_keys():
     assert cfg.dispatch == "shared"
 
 
-def test_config_round_trips_through_disk(tmp_path):
-    cfg = _config(spreads=(1, 2, 4), halfnormal_sigma=0.25)
+# Every `ExperimentConfig` field, each away from its default.
+EVERY_KEY = """\
+config_version=1
+n_workers=5
+n_posts=30
+window_size=12
+task_unit_time_s=4.5
+task_unit_size=6
+arrival_rate=1.5
+prize_value=0.75
+base_points=8
+quality_constraint=1
+reduction_rate=3.0
+spreads=1,2,4
+replications=3
+master_seed=11
+leaderboard_k=2
+gamma_shape=4.5
+gamma_rate=3.0
+halfnormal_sigma=0.25
+base_hazard=0.1
+accuracy_floor=0.5
+mean_entities=2.5
+corpus=posts.jsonl
+dispatch=shared
+tie_rates=true
+output_dir=results
+"""
+
+
+def test_a_config_file_sets_every_field(tmp_path):
     path = tmp_path / "sweep.cfg"
-    write_experiment_config(cfg, path)
-    assert read_experiment_config(path) == cfg
+    path.write_text(EVERY_KEY, encoding="utf-8")
+    assert dataclasses.asdict(read_experiment_config(path)) == {
+        "config_version": 1, "n_workers": 5, "n_posts": 30, "window_size": 12,
+        "task_unit_time_s": 4.5, "task_unit_size": 6, "arrival_rate": 1.5,
+        "prize_value": 0.75, "base_points": 8, "quality_constraint": 1,
+        "reduction_rate": 3.0, "spreads": (1, 2, 4), "replications": 3,
+        "master_seed": 11, "leaderboard_k": 2, "gamma_shape": 4.5,
+        "gamma_rate": 3.0, "halfnormal_sigma": 0.25, "base_hazard": 0.1,
+        "accuracy_floor": 0.5, "mean_entities": 2.5, "corpus": "posts.jsonl",
+        "dispatch": "shared", "tie_rates": True, "output_dir": "results"}
 
 
 @pytest.mark.parametrize("mangle, fragment", [
@@ -656,8 +694,6 @@ _WRITERS = {
                                            path),
     "fitted": lambda path, n: write_fitted(
         [fit_two_state(_log(0).events, worker_id=n)], path),
-    "experiment_config": lambda path, n: write_experiment_config(
-        _config(master_seed=n), path),
     "recover_out": _recover,
 }
 
@@ -688,7 +724,6 @@ def test_a_failed_write_leaves_the_old_file_and_no_temporary(
 _READERS = {
     "event_log": read_event_log,
     "corpus": read_corpus,
-    "fitted": read_fitted,
     "experiment_config": read_experiment_config,
 }
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import re
 from collections import defaultdict
 
 import numpy as np
@@ -13,8 +12,9 @@ from scipy import optimize
 from contestsim import (ConfigurationError, DegenerateDataError, FeatureNorms,
                         fit_log_linear, fit_two_state, fitted_to_record,
                         make_log_linear_rate_fn, negative_log_likelihood,
-                        nll_gradient, read_event_log, read_fitted,
-                        recovery_experiment, write_fitted)
+                        nll_gradient, read_event_log, recovery_experiment,
+                        write_fitted)
+from contestsim.core import decode_json
 from contestsim.inference import _log_linear_data
 
 NORMS = FeatureNorms(n_workers=10, horizon_ms=20_000, n_posts=40)
@@ -365,9 +365,9 @@ def test_fitted_models_round_trip_through_disk(tmp_path, event_chain):
             fit_log_linear(events, NORMS, worker_id=1, max_iters=50)]
     path = tmp_path / "fits.jsonl"
     write_fitted(fits, path)
-    loaded = read_fitted(path)
-    assert [fitted_to_record(f) for f in loaded] == \
-        [fitted_to_record(f) for f in fits]
+    loaded = [decode_json(line)
+              for line in path.read_text("utf-8").splitlines()]
+    assert loaded == [fitted_to_record(f) for f in fits]
 
 
 def test_fit_records_carry_stop_reasons_for_log_linear_only(tmp_path,
@@ -382,53 +382,16 @@ def test_fit_records_carry_stop_reasons_for_log_linear_only(tmp_path,
     assert "unidentified" not in fitted_to_record(two_state)
     path = tmp_path / "fits.jsonl"
     write_fitted([log_linear, two_state], path)
-    loaded, _ = read_fitted(path)
-    assert loaded.stop_reason == "converged"
-    assert loaded.unidentified == ("eligible",)
-    assert all(isinstance(t, float) for t in loaded.theta_hat)
-
-
-def test_read_fitted_accepts_records_without_stop_reasons(tmp_path):
-    path = tmp_path / "old.jsonl"
-    path.write_text('{"converged":false,"model_kind":"log_linear","n_in":0,'
-                    '"n_out":0,"nll":0.0,"theta_hat":[0.0,0.0,0.0,0.0,0.0],'
-                    '"worker_id":3}\n', encoding="utf-8")
-    (fit,) = read_fitted(path)
-    assert fit.worker_id == 3
-    assert fit.stop_reason is None
-    assert fit.unidentified == ()
-
-
-@pytest.mark.parametrize("bad_line", [
-    b'{"worker_id":1}',
-    b'{"worker_id":1,"model_kind":"two_state"',
-    b'[1,2,3]',
-    b'{"worker_id":1,"model_kind":"log_linear","theta_hat":7,"nll":0.0,'
-    b'"n_in":0,"n_out":0,"converged":false}',
-])
-def test_read_fitted_names_the_bad_line(tmp_path, bad_line):
-    path = tmp_path / "fits.jsonl"
-    good = ('{"converged":true,"lambda_in_hat":1.0,"lambda_out_hat":1.0,'
-            '"model_kind":"two_state","n_in":3,"n_out":2,"nll":1.5,'
-            '"worker_id":0}').encode()
-    path.write_bytes(good + b"\n" + bad_line + b"\n")
-    with pytest.raises(ConfigurationError,
-                       match=re.escape(f"{path}:2: malformed fitted record")):
-        read_fitted(path)
-
-
-def test_read_fitted_rejects_a_file_that_is_not_utf8(tmp_path):
-    path = tmp_path / "fits.jsonl"
-    path.write_bytes(b'{"worker_id":\xff}\n')
-    with pytest.raises(ConfigurationError, match="not UTF-8"):
-        read_fitted(path)
+    loaded = decode_json(path.read_text("utf-8").splitlines()[0])
+    assert loaded["stop_reason"] == "converged"
+    assert loaded["unidentified"] == ["eligible"]
+    assert all(isinstance(t, float) for t in loaded["theta_hat"])
 
 
 def test_write_fitted_empty_list_makes_an_empty_file(tmp_path):
     path = tmp_path / "fits.jsonl"
     write_fitted([], path)
     assert path.read_text(encoding="utf-8") == ""
-    assert read_fitted(path) == []
 
 
 # --- recovery ----------------------------------------------------------------
