@@ -506,8 +506,8 @@ def test_a_whole_number_field_written_as_an_integer_reads_back(
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
-@pytest.mark.parametrize("target", ["log header", "log body", "corpus",
-                                    "manifest"])
+@pytest.mark.parametrize("target", ["log header", "log body", "log exit",
+                                    "log trailer", "corpus", "manifest"])
 def test_a_non_finite_json_token_fails_cleanly(
         tmp_path, config_file, contest_files, capsys, target, token):
     # `canonical_json` never writes NaN or an infinity, so no reader takes
@@ -516,11 +516,16 @@ def test_a_non_finite_json_token_fails_cleanly(
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(config_file),
                  "--out-dir", str(out)]) == 0
-    body = [i for i, line in enumerate(log_path.read_text("utf-8").splitlines())
-            if '"holding_time_ms"' in line]
+    lines = log_path.read_text("utf-8").splitlines()
+    body = [i for i, line in enumerate(lines) if '"holding_time_ms"' in line]
+    (exit_line,) = [i for i, line in enumerate(lines)
+                    if '"exit_time_ms"' in line]
     path, index, keys, read = {
         "log header": (log_path, 0, ["base_hazard"], read_event_log),
         "log body": (log_path, body[1], ["holding_time_ms"], read_event_log),
+        "log exit": (log_path, exit_line, ["exit_time_ms"], read_event_log),
+        "log trailer": (log_path, len(lines) - 1, ["final_ranking", 0, "score"],
+                        read_event_log),
         "corpus": (corpus, 1, ["token_count"], read_corpus),
         "manifest": (out / "manifest.json", 0, ["files", "trend.json"],
                      lambda path: verify_manifest(path.parent)),
@@ -538,7 +543,7 @@ def test_a_non_finite_json_token_fails_cleanly(
     message = f"{path}:{index + 1}: {token} is not a JSON number"
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         read(path)
-    if target in ("log header", "log body", "corpus"):
+    if target != "manifest":
         capsys.readouterr()
         code = main(["validate", "--log", str(log_path),
                      "--corpus", str(corpus)])
