@@ -144,7 +144,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     log = read_event_log(args.log)
-    posts = read_corpus(args.corpus)
+    # `simulate` runs the corpus's first n_posts posts; so does the replay.
+    posts = read_corpus(args.corpus)[:log.config.n_posts]
     replay_validate(log, posts)
     print(f"{args.log}: {len(log.events)} events, {len(log.exits)} exits, "
           f"all invariants hold")

@@ -3,16 +3,18 @@
 Nothing here draws random numbers.  `Leaderboard` is the one stateful type:
 the ranking that the engine and the replay validator update as scores move.
 `write_atomic`, `TextLines`, `canonical_json` and `decode_json` are the
-package's one file writer, line reader, JSON encoder and JSON decoder.
+package's one file writer, line reader, JSON encoder and JSON decoder;
+`collector_paused` is its one switch of the cyclic garbage collector.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 from bisect import bisect_left
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import (Callable, Collection, Hashable, Iterable, Mapping,
@@ -106,6 +108,26 @@ def write_atomic(path: Union[str, Path], chunks: Iterable[str]) -> None:
             exc.filename = str(path)
             del exc.filename2
         raise
+
+
+@contextmanager
+def collector_paused():
+    """Switch the cyclic garbage collector off for a ``with`` block.
+
+    The engine and the log reader build one record per event, and every
+    record is a tuple subclass, which the collector never untracks: each
+    collection of an older generation would walk every record built so
+    far.  Reference counting still frees whatever is not in a cycle.  On
+    leaving the block, also by an exception, the collector is switched
+    back on, unless it was already off on entering.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # What parsing a malformed line raises, besides `ConfigurationError`.

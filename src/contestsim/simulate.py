@@ -80,8 +80,9 @@ import numpy as np
 from . import rng as streams
 from .core import (EXACT_MATCH_MULTIPLIER, FIELD_TYPES, ContestConfig,
                    Leaderboard, Post, RankEntry, Ranking, TextLines,
-                   WorkerProfile, canonical_json, check_types, decode_json,
-                   rank_workers, require_finite, score_annotation, write_atomic)
+                   WorkerProfile, canonical_json, check_types,
+                   collector_paused, decode_json, rank_workers,
+                   require_finite, score_annotation, write_atomic)
 from .errors import ConfigurationError, ContractViolation
 from .stream import DropQueue, advance_queue, allocate_round_robin, build_windows, total_contest_time
 
@@ -337,6 +338,11 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
     bit-identical log.  ``rate_fns``, if given, overrides the two-state rate
     for the listed worker ids with a callable of the worker's current
     (rank, elapsed_ms, annotations_remaining, eligible) state.
+
+    The cyclic garbage collector is off while the contest runs
+    (`core.collector_paused`), since every event record stays tracked by
+    it.  So reference cycles that a ``rate_fns`` callback makes are kept
+    until the contest ends.
     """
     if len(profiles) != config.n_workers:
         raise ConfigurationError(
@@ -358,183 +364,194 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
         raise ConfigurationError(
             f"accuracy_floor must be finite, got {accuracy_floor}")
 
-    n = config.n_workers
-    n_posts = config.n_posts
-    spread = config.reward_spread
-    base_points = config.base_points
-    hit_points = EXACT_MATCH_MULTIPLIER * base_points
-    rngs = streams.substreams(
-        seed, (streams.EVENTS, streams.COUNTS, streams.EXITS), n)
-    workers = [_WorkerState(i, profiles[i], *(r[i] for r in rngs),
-                            accuracy_floor=accuracy_floor)
-               for i in range(n)]
-    by_id = {w.profile.id: w for w in workers}
-    id_order = sorted(workers, key=lambda w: w.profile.id)
-    board = Leaderboard(by_id)
-    board_rank, board_update = board.rank, board.update
-    for w in workers:
-        w.gov_rank = board_rank(w.profile.id)
-        w.gov_elig = w.gov_rank <= spread
-        if rate_fns:
-            w.rate_fn = rate_fns.get(w.profile.id)
+    with collector_paused():
+        n = config.n_workers
+        n_posts = config.n_posts
+        spread = config.reward_spread
+        base_points = config.base_points
+        hit_points = EXACT_MATCH_MULTIPLIER * base_points
+        rngs = streams.substreams(
+            seed, (streams.EVENTS, streams.COUNTS, streams.EXITS), n)
+        workers = [_WorkerState(i, profiles[i], *(r[i] for r in rngs),
+                                accuracy_floor=accuracy_floor)
+                   for i in range(n)]
+        by_id = {w.profile.id: w for w in workers}
+        id_order = sorted(workers, key=lambda w: w.profile.id)
+        board = Leaderboard(by_id)
+        board_rank, board_update = board.rank, board.update
+        for w in workers:
+            w.gov_rank = board_rank(w.profile.id)
+            w.gov_elig = w.gov_rank <= spread
+            if rate_fns:
+                w.rate_fn = rate_fns.get(w.profile.id)
 
-    def gap_ms(w: _WorkerState, elapsed_ms: int, remaining: int) -> int:
-        """The worker's next holding time in ms; the period loop computes
-        the two-state one inline, with the same arithmetic."""
-        if w.rate_fn is None:
-            inv_rate = w.inv_in if w.gov_elig else w.inv_out
+        def gap_ms(w: _WorkerState, elapsed_ms: int, remaining: int) -> int:
+            """The worker's next holding time in ms; the period loop computes
+            the two-state one inline, with the same arithmetic."""
+            if w.rate_fn is None:
+                inv_rate = w.inv_in if w.gov_elig else w.inv_out
+            else:
+                rate = w.rate_fn(w.gov_rank, elapsed_ms, remaining, w.gov_elig)
+                if not rate > 0.0:
+                    raise ConfigurationError(
+                        "custom rate model returned a non-positive rate")
+                inv_rate = 1.0 / rate
+            return max(1, ceil(w.next_exp() * inv_rate * 1000.0))
+
+        unit_ms = int(round(config.task_unit_time_s * 1000.0))
+        if unit_ms < 1:
+            raise ConfigurationError(
+                "task_unit_time_s is below the 1 ms clock resolution")
+
+        events: list[AnnotationEvent] = []
+        exits: list[ExitEvent] = []
+        solved = 0
+
+        if dispatch == "windowed":
+            windows = build_windows(posts, config.window_size,
+                                    config.task_unit_time_s)
+            horizon_ms = len(windows) * unit_ms
         else:
-            rate = w.rate_fn(w.gov_rank, elapsed_ms, remaining, w.gov_elig)
-            if not rate > 0.0:
-                raise ConfigurationError("custom rate model returned a non-positive rate")
-            inv_rate = 1.0 / rate
-        return max(1, ceil(w.next_exp() * inv_rate * 1000.0))
+            horizon_s = total_contest_time(n_posts, config.task_unit_time_s,
+                                           config.window_size)
+            horizon_ms = int(round(horizon_s * 1000.0))
+        checkpoint_ms = checkpoint_times(horizon_ms)
+        cp_idx = 0
 
-    unit_ms = int(round(config.task_unit_time_s * 1000.0))
-    if unit_ms < 1:
-        raise ConfigurationError("task_unit_time_s is below the 1 ms clock resolution")
+        def run_checkpoints(through_ms: int) -> float:
+            """Run every checkpoint not yet run at or before ``through_ms``;
+            return the time of the next one (infinity after the last)."""
+            nonlocal cp_idx
+            while (cp_idx < N_CHECKPOINTS
+                   and checkpoint_ms[cp_idx] <= through_ms):
+                ci = cp_idx
+                cp_idx += 1
+                frac = (ci + 1) / N_CHECKPOINTS
+                for w in id_order:
+                    if not w.alive:
+                        continue
+                    # The hazard is 0 inside the spread; the worker's draw for
+                    # this checkpoint, `exit_draws[ci]`, goes unread.
+                    r = board_rank(w.profile.id)
+                    if r > spread and w.exit_draws[ci] < exit_hazard(
+                            False, r - spread, frac, w.profile, n_workers=n,
+                            base_hazard=base_hazard):
+                        w.alive = False
+                        exits.append(ExitEvent(w.profile.id, checkpoint_ms[ci],
+                                               r, False))
+            return (checkpoint_ms[cp_idx] if cp_idx < N_CHECKPOINTS
+                    else math.inf)
 
-    events: list[AnnotationEvent] = []
-    exits: list[ExitEvent] = []
-    solved = 0
+        def run_period(holders: Sequence[_WorkerState], open_ms: int,
+                       close_ms: int) -> None:
+            """Run ``holders`` from ``open_ms`` until ``close_ms`` or until
+            their bins run dry, then every checkpoint up to ``close_ms``.
 
-    if dispatch == "windowed":
-        windows = build_windows(posts, config.window_size, config.task_unit_time_s)
-        horizon_ms = len(windows) * unit_ms
-    else:
-        horizon_s = total_contest_time(n_posts, config.task_unit_time_s,
-                                       config.window_size)
-        horizon_ms = int(round(horizon_s * 1000.0))
-    checkpoint_ms = checkpoint_times(horizon_ms)
-    cp_idx = 0
-
-    def run_checkpoints(through_ms: int) -> float:
-        """Run every checkpoint not yet run at or before ``through_ms``;
-        return the time of the next one (infinity after the last)."""
-        nonlocal cp_idx
-        while cp_idx < N_CHECKPOINTS and checkpoint_ms[cp_idx] <= through_ms:
-            ci = cp_idx
-            cp_idx += 1
-            frac = (ci + 1) / N_CHECKPOINTS
-            for w in id_order:
+            A worker annotates the head of ``w.bin``; in shared dispatch every
+            worker's bin is the one pool.  Checkpoints run before the events at
+            later milliseconds, and after those at their own.
+            """
+            nonlocal solved
+            # `AnnotationEvent(...)` less its Python-level `__new__`.
+            new_tuple = tuple.__new__
+            heap: list[tuple[int, int]] = []
+            for w in holders:
+                base = w.last_ms if w.last_ms > open_ms else open_ms
+                t = base + gap_ms(w, base, n_posts - solved)
+                if t <= close_ms:
+                    heappush(heap, (t, w.idx))
+            # None is due: this finds the next.
+            next_cp = run_checkpoints(open_ms - 1)
+            while heap:
+                t, widx = heappop(heap)
+                w = workers[widx]
                 if not w.alive:
                     continue
-                # The hazard is 0 inside the spread; the worker's draw for
-                # this checkpoint, `exit_draws[ci]`, goes unread.
-                r = board_rank(w.profile.id)
-                if r > spread and w.exit_draws[ci] < exit_hazard(
-                        False, r - spread, frac, w.profile, n_workers=n,
-                        base_hazard=base_hazard):
-                    w.alive = False
-                    exits.append(ExitEvent(w.profile.id, checkpoint_ms[ci],
-                                           r, False))
-        return checkpoint_ms[cp_idx] if cp_idx < N_CHECKPOINTS else math.inf
+                if next_cp < t:
+                    next_cp = run_checkpoints(t - 1)
+                if not w.alive or not w.bin:
+                    continue
+                post = w.bin.popleft()
+                # A miss (non-zero offset) never lands on a non-zero true
+                # count, so this is `score_annotation`'s rule.
+                offset = w.next_offset()
+                count = post.expected_entities + offset
+                if count < 0:
+                    count = 0
+                solved += 1
+                remaining = n_posts - solved
+                wid = w.profile.id
+                events.append(new_tuple(AnnotationEvent, (
+                    wid, w.annotations, t, t - w.last_ms, post.id, count,
+                    w.gov_rank, w.gov_elig, remaining)))
+                w.annotations += 1
+                w.last_ms = t
+                if count:
+                    w.score += base_points if offset else hit_points
+                    w.stamp = t
+                r = w.gov_rank = board_update(wid, w.score, t)
+                elig = w.gov_elig = r <= spread
+                if w.bin:
+                    if w.rate_fn is None:
+                        gap = ceil(w.next_exp()
+                                   * (w.inv_in if elig else w.inv_out)
+                                   * 1000.0)
+                        t += gap if gap > 1 else 1
+                    else:
+                        t += gap_ms(w, t, remaining)
+                    if t <= close_ms:
+                        heappush(heap, (t, widx))
+            run_checkpoints(close_ms)
 
-    def run_period(holders: Sequence[_WorkerState], open_ms: int,
-                   close_ms: int) -> None:
-        """Run ``holders`` from ``open_ms`` until ``close_ms`` or until their
-        bins run dry, then every checkpoint up to ``close_ms``.
+        if dispatch == "windowed":
+            queue = DropQueue()
+            size = config.task_unit_size
+            rr_offset = 0
+            for win in windows:
+                active = [w for w in id_order if w.alive]
+                holders: list[_WorkerState] = []
+                if active:
+                    assignments = allocate_round_robin(
+                        win, [w.profile.id for w in active], size,
+                        start_offset=rr_offset)
+                    rr_offset = (rr_offset + len(assignments)) % len(active)
+                    for wid, _, bin_posts in assignments:
+                        holder = by_id[wid]
+                        holder.bin = deque(bin_posts)
+                        holders.append(holder)
+                for p in win.posts[len(holders) * size:]:
+                    queue.push(p, win.close_time_s)
+                run_period(holders, win.index * unit_ms,
+                           (win.index + 1) * unit_ms)
+                for w in holders:
+                    while w.bin:
+                        queue.push(w.bin.popleft(), win.close_time_s)
+                advance_queue(queue, win.close_time_s)
+            dropped, pending = queue.dropped_count, len(queue)
+        else:
+            pool = deque(posts)
+            for w in workers:
+                w.bin = pool
+            # The last checkpoint is at the horizon, so this runs all twenty.
+            run_period(id_order, 0, horizon_ms)
+            dropped, pending = 0, len(pool)
 
-        A worker annotates the head of ``w.bin``; in shared dispatch every
-        worker's bin is the one pool.  Checkpoints run before the events at
-        later milliseconds, and after those at their own.
-        """
-        nonlocal solved
-        # `AnnotationEvent(...)` less its Python-level `__new__`.
-        new_tuple = tuple.__new__
-        heap: list[tuple[int, int]] = []
-        for w in holders:
-            base = w.last_ms if w.last_ms > open_ms else open_ms
-            t = base + gap_ms(w, base, n_posts - solved)
-            if t <= close_ms:
-                heappush(heap, (t, w.idx))
-        next_cp = run_checkpoints(open_ms - 1)  # none is due: finds the next
-        while heap:
-            t, widx = heappop(heap)
-            w = workers[widx]
-            if not w.alive:
-                continue
-            if next_cp < t:
-                next_cp = run_checkpoints(t - 1)
-            if not w.alive or not w.bin:
-                continue
-            post = w.bin.popleft()
-            # A miss (non-zero offset) never lands on a non-zero true count,
-            # so this is `score_annotation`'s rule.
-            offset = w.next_offset()
-            count = post.expected_entities + offset
-            if count < 0:
-                count = 0
-            solved += 1
-            remaining = n_posts - solved
-            wid = w.profile.id
-            events.append(new_tuple(AnnotationEvent, (
-                wid, w.annotations, t, t - w.last_ms, post.id, count,
-                w.gov_rank, w.gov_elig, remaining)))
-            w.annotations += 1
-            w.last_ms = t
-            if count:
-                w.score += base_points if offset else hit_points
-                w.stamp = t
-            r = w.gov_rank = board_update(wid, w.score, t)
-            elig = w.gov_elig = r <= spread
-            if w.bin:
-                if w.rate_fn is None:
-                    gap = ceil(w.next_exp() * (w.inv_in if elig else w.inv_out)
-                               * 1000.0)
-                    t += gap if gap > 1 else 1
-                else:
-                    t += gap_ms(w, t, remaining)
-                if t <= close_ms:
-                    heappush(heap, (t, widx))
-        run_checkpoints(close_ms)
+        counters = PostCounters(ingested=len(posts), solved=solved,
+                                dropped=dropped, pending=pending)
+        if counters.ingested != (counters.solved + counters.dropped
+                                 + counters.pending):
+            raise ContractViolation(f"post conservation violated: {counters}")
 
-    if dispatch == "windowed":
-        queue = DropQueue()
-        size = config.task_unit_size
-        rr_offset = 0
-        for win in windows:
-            active = [w for w in id_order if w.alive]
-            holders: list[_WorkerState] = []
-            if active:
-                assignments = allocate_round_robin(
-                    win, [w.profile.id for w in active], size,
-                    start_offset=rr_offset)
-                rr_offset = (rr_offset + len(assignments)) % len(active)
-                for wid, _, bin_posts in assignments:
-                    holder = by_id[wid]
-                    holder.bin = deque(bin_posts)
-                    holders.append(holder)
-            for p in win.posts[len(holders) * size:]:
-                queue.push(p, win.close_time_s)
-            run_period(holders, win.index * unit_ms, (win.index + 1) * unit_ms)
-            for w in holders:
-                while w.bin:
-                    queue.push(w.bin.popleft(), win.close_time_s)
-            advance_queue(queue, win.close_time_s)
-        dropped, pending = queue.dropped_count, len(queue)
-    else:
-        pool = deque(posts)
-        for w in workers:
-            w.bin = pool
-        # The last checkpoint is at the horizon, so this runs all twenty.
-        run_period(id_order, 0, horizon_ms)
-        dropped, pending = 0, len(pool)
-
-    counters = PostCounters(ingested=len(posts), solved=solved,
-                            dropped=dropped, pending=pending)
-    if counters.ingested != counters.solved + counters.dropped + counters.pending:
-        raise ContractViolation(f"post conservation violated: {counters}")
-
-    final_ranking = rank_workers(
-        scores={w.profile.id: w.score for w in workers},
-        last_scored_ms={w.profile.id: w.stamp for w in workers},
-        annotations={w.profile.id: w.annotations for w in workers},
-    )
-    return EventLog(config=config, seed=seed, dispatch=dispatch,
-                    horizon_ms=horizon_ms, base_hazard=base_hazard,
-                    accuracy_floor=accuracy_floor, events=events, exits=exits,
-                    final_ranking=final_ranking, counters=counters)
+        final_ranking = rank_workers(
+            scores={w.profile.id: w.score for w in workers},
+            last_scored_ms={w.profile.id: w.stamp for w in workers},
+            annotations={w.profile.id: w.annotations for w in workers},
+        )
+        return EventLog(config=config, seed=seed, dispatch=dispatch,
+                        horizon_ms=horizon_ms, base_hazard=base_hazard,
+                        accuracy_floor=accuracy_floor, events=events,
+                        exits=exits, final_ranking=final_ranking,
+                        counters=counters)
 
 
 # --- serialization ---------------------------------------------------------
@@ -665,6 +682,8 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
     field of the wrong type, a misplaced exit line or a trailer that does
     not rank ``n_workers`` workers, raises `ConfigurationError` naming
     ``path:line``; a file that is not UTF-8 text raises it naming the path.
+    The cyclic garbage collector is off while the body lines are decoded
+    (`core.collector_paused`).
     """
     with TextLines(path, "event log") as text:
         lines = text.lines
@@ -698,36 +717,41 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
             counters=PostCounters(**header["counters"]))
         events, exits = log.events, log.exits
         event_values, exit_values = _event_values, _exit_values
+        # `AnnotationEvent._make(...)` less its Python-level call and length
+        # check: the getters above give each record its number of fields.
+        new_tuple = tuple.__new__
         per_worker_index: dict[int, int] = {}
         # (line number, annotation lines before it) of each exit line.
         exit_at: list[tuple[int, int]] = []
         n_posts = config.n_posts
         solved = 0
         end = len(lines) - 1  # the trailer
-        for first in range(1, end, _CHUNK_LINES):
-            chunk = lines[first:min(first + _CHUNK_LINES, end)]
-            values = _decode_chunk(chunk)
-            for text.lineno, obj in enumerate(
-                    chunk if values is None else values, first + 1):
-                if values is None:
-                    obj = decode_json(obj)
-                if "exit_time_ms" in obj:
-                    x = exit_values(obj)
-                    if list(map(type, x)) != _EXIT_TYPES:
-                        check_types(obj, _EXIT_FIELDS)
-                    exits.append(ExitEvent._make(x))
-                    exit_at.append((text.lineno, len(events)))
-                    continue
-                e = event_values(obj)
-                if list(map(type, e)) != _EVENT_TYPES:
-                    check_types(obj, _EVENT_FIELDS)
-                wid, index = e[0], e[1]
-                if index != per_worker_index.get(wid, 0):
-                    raise ConfigurationError(
-                        f"worker {wid} event_index out of order")
-                per_worker_index[wid] = index + 1
-                solved += 1
-                events.append(AnnotationEvent._make(e + (n_posts - solved,)))
+        with collector_paused():
+            for first in range(1, end, _CHUNK_LINES):
+                chunk = lines[first:min(first + _CHUNK_LINES, end)]
+                values = _decode_chunk(chunk)
+                for text.lineno, obj in enumerate(
+                        chunk if values is None else values, first + 1):
+                    if values is None:
+                        obj = decode_json(obj)
+                    if "exit_time_ms" in obj:
+                        x = exit_values(obj)
+                        if list(map(type, x)) != _EXIT_TYPES:
+                            check_types(obj, _EXIT_FIELDS)
+                        exits.append(new_tuple(ExitEvent, x))
+                        exit_at.append((text.lineno, len(events)))
+                        continue
+                    e = event_values(obj)
+                    if list(map(type, e)) != _EVENT_TYPES:
+                        check_types(obj, _EVENT_FIELDS)
+                    wid, index = e[0], e[1]
+                    if index != per_worker_index.get(wid, 0):
+                        raise ConfigurationError(
+                            f"worker {wid} event_index out of order")
+                    per_worker_index[wid] = index + 1
+                    solved += 1
+                    events.append(new_tuple(AnnotationEvent,
+                                            e + (n_posts - solved,)))
         for (text.lineno, k), x in zip(exit_at, exits):
             t = x.exit_time_ms
             if (k and events[k - 1].event_time_ms > t
@@ -766,13 +790,20 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     conservation of all ``n_posts``, the remaining-post countdown, that no
     post is annotated twice, and that the trailer equals `rank_workers` of
     the replayed scores, last scoring times and counts.
-    Needs the post list to re-score events.  A violation names its position
-    in ``log.events``, worker and event index, its position in
-    ``log.exits``, worker and exit time, or its ``final_ranking`` row.
+    Needs the contest's posts to re-score events: as in `run_contest`,
+    exactly ``n_posts`` of them with unique ids, or `ConfigurationError`.
+    A violation names its position in ``log.events``, worker and event
+    index, its position in ``log.exits``, worker and exit time, or its
+    ``final_ranking`` row.
     """
+    if len(posts) != log.config.n_posts:
+        raise ConfigurationError(
+            f"expected {log.config.n_posts} posts, got {len(posts)}")
     # A post's true count, or None once it has been annotated.
     expected: dict[int, Optional[int]] = {
         p.id: p.expected_entities for p in posts}
+    if len(expected) != len(posts):
+        raise ConfigurationError("post ids must be unique")
     worker_ids = [e.worker_id for e in log.final_ranking]
     spread = log.config.reward_spread
     board = Leaderboard(worker_ids)

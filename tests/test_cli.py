@@ -337,6 +337,46 @@ def test_validate_flags_a_post_annotated_twice(tmp_path, stock_log_path,
         f"{second['event_index']}): post 110 annotated twice\n")
 
 
+def test_validate_flags_a_post_outside_the_contest(tmp_path, config_file,
+                                                   capsys):
+    # The contest runs the corpus's first 40 posts; the other 20 are not in
+    # it.  Event 0 is pointed at one of them with the same entity count, so
+    # every score stays as it was.
+    corpus = tmp_path / "corpus.jsonl"
+    log_path = tmp_path / "contest.jsonl"
+    assert main(["gen-corpus", "--n-posts", "60", "--seed", "7",
+                 "--out", str(corpus)]) == 0
+    assert main(["simulate", "--config", str(config_file),
+                 "--corpus", str(corpus), "--out", str(log_path)]) == 0
+    posts = read_corpus(corpus)
+    event = json.loads(log_path.read_text("utf-8").splitlines()[1])
+    entities = posts[event["post_id"]].expected_entities
+    outside = next(p.id for p in posts[40:]
+                   if p.expected_entities == entities)
+    _edit_line(log_path, 1, lambda record: record.update(post_id=outside))
+    capsys.readouterr()
+    code = main(["validate", "--log", str(log_path), "--corpus", str(corpus)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: log.events[0] (worker {event['worker_id']}, event_index 0): "
+        f"worker or post {outside} not in the contest\n")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:1] + lines, "post ids must be unique"),
+    (lambda lines: lines[:-1], "expected 40 posts, got 39"),
+], ids=["a repeated post id", "a post short"])
+def test_validate_takes_the_contest_posts_of_the_corpus(
+        edit, message, tmp_path, contest_files, capsys):
+    # The first 40 lines are the contest's posts, as `simulate` takes them.
+    corpus, log_path = contest_files
+    lines = corpus.read_text("utf-8").splitlines()
+    corpus.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    code, err = _run_on_log("validate", corpus, log_path, tmp_path, capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def test_validate_flags_swapped_trailer_rows(tmp_path, config_file, capsys):
     corpus = tmp_path / "corpus.jsonl"
     log_path = tmp_path / "contest.jsonl"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -15,13 +16,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from contestsim import (AnnotationEvent, BehaviorPrior, ConfigurationError,
-                        ContestConfig, ContractViolation, EventLog, Post,
-                        PostCounters, RankEntry, Ranking, WorkerProfile,
+                        ContestConfig, ContractViolation, EventLog, ExitEvent,
+                        Post, PostCounters, RankEntry, Ranking, WorkerProfile,
                         draw_behavior, event_log_lines, exit_hazard,
                         generate_corpus, holding_time, read_event_log,
                         replay_validate, run_contest,
                         simulate_annotated_count, write_event_log)
 from contestsim import rng as streams
+from contestsim import simulate
 from contestsim.inference import FeatureNorms, make_log_linear_rate_fn
 from contestsim.simulate import (_BLOCK, _CHUNK_LINES, _PERTURBATIONS,
                                  DEFAULT_BASE_HAZARD, N_CHECKPOINTS,
@@ -609,6 +611,93 @@ def test_non_positive_custom_rate_is_rejected(contest_config, make_posts,
                     rate_fns={0: lambda *args: 0.0})
 
 
+# --- the paused collector --------------------------------------------------
+
+@pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
+def collector_was_on(request):
+    """Switch the cyclic collector on or off for a test; restore it after."""
+    was_on = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_on else gc.disable)()
+
+
+def test_a_contest_runs_with_the_collector_off(
+        collector_was_on, contest_config, make_posts, make_profiles):
+    seen = []
+
+    def rate(rank, elapsed_ms, remaining, eligible):
+        seen.append(gc.isenabled())
+        return 1.0
+
+    log = run_contest(contest_config(n_posts=40), make_profiles(2),
+                      make_posts(40), seed=0, rate_fns={0: rate})
+    assert log.events and seen and not any(seen)
+    assert gc.isenabled() is collector_was_on
+
+
+def test_a_contest_that_raises_leaves_the_collector_as_it_was(
+        collector_was_on, contest_config, make_posts, make_profiles):
+    seen = []
+
+    def rate(rank, elapsed_ms, remaining, eligible):
+        seen.append(gc.isenabled())
+        # Ten annotations in, the rate model fails.
+        return 1.0 if remaining > 30 else 0.0
+
+    with pytest.raises(ConfigurationError, match="non-positive rate"):
+        run_contest(contest_config(n_posts=40), make_profiles(2),
+                    make_posts(40), seed=0, rate_fns={0: rate, 1: rate})
+    assert len(seen) > 2 and not any(seen)
+    assert gc.isenabled() is collector_was_on
+
+
+def _chunks_seen_with(monkeypatch) -> list[bool]:
+    """Record `gc.isenabled()` at each `_decode_chunk` call."""
+    seen = []
+    decode_chunk = simulate._decode_chunk
+
+    def spy(lines):
+        seen.append(gc.isenabled())
+        return decode_chunk(lines)
+
+    monkeypatch.setattr(simulate, "_decode_chunk", spy)
+    return seen
+
+
+def test_a_log_is_read_with_the_collector_off(collector_was_on, tmp_path,
+                                              make_posts, monkeypatch):
+    log, _ = _exit_heavy_run(make_posts)
+    assert log.exits
+    path = tmp_path / "contest.jsonl"
+    write_event_log(log, path)
+    seen = _chunks_seen_with(monkeypatch)
+    loaded = read_event_log(path)
+    assert seen == [False]
+    assert gc.isenabled() is collector_was_on
+    # Equal, and of the public record types, not bare tuples.
+    assert loaded == log
+    assert {type(e) for e in loaded.events} == {AnnotationEvent}
+    assert {type(x) for x in loaded.exits} == {ExitEvent}
+
+
+def test_a_read_that_raises_leaves_the_collector_as_it_was(
+        collector_was_on, tmp_path, contest_config, make_posts,
+        make_profiles, monkeypatch):
+    log, _ = _windowed_log(contest_config, make_posts, make_profiles)
+    path = tmp_path / "contest.jsonl"
+    write_event_log(log, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[5] = lines[5].replace('"post_id"', '"post"')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    seen = _chunks_seen_with(monkeypatch)
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{path}:6: ") + ".*KeyError"):
+        read_event_log(path)
+    assert seen == [False]
+    assert gc.isenabled() is collector_was_on
+
+
 # --- serialization and replay ----------------------------------------------
 
 def test_event_log_round_trip_is_bit_exact(tmp_path, contest_config,
@@ -1126,6 +1215,18 @@ def test_replay_detects_tampered_holding_time(contest_config, make_posts,
         holding_time_ms=e.holding_time_ms + 1)
     with pytest.raises(ContractViolation):
         replay_validate(log, posts)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda posts: posts[:-1], "expected 40 posts, got 39"),
+    (lambda posts: posts + posts[:1], "expected 40 posts, got 41"),
+    (lambda posts: posts[:1] + posts[:-1], "post ids must be unique"),
+], ids=["one short", "one over", "a repeated id"])
+def test_replay_takes_exactly_the_contest_posts(edit, message, contest_config,
+                                                make_posts, make_profiles):
+    log, posts = _windowed_log(contest_config, make_posts, make_profiles)
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        replay_validate(log, edit(posts))
 
 
 def test_replay_detects_tampered_rank(contest_config, make_posts,
