@@ -19,9 +19,8 @@ from .experiment import (AnovaResult, ContestSummary, ExperimentConfig,
                          trend_from_summaries, verify_manifest, write_corpus)
 from .inference import (FeatureNorms, FittedBehavior, RecoveryReport,
                         RecoveryRow, fit_log_linear, fit_two_state,
-                        fitted_to_record, make_log_linear_rate_fn,
-                        negative_log_likelihood, nll_gradient,
-                        recovery_experiment, write_fitted)
+                        fitted_to_record, negative_log_likelihood,
+                        nll_gradient, recovery_experiment, write_fitted)
 from .simulate import (AnnotationEvent, BehaviorPrior, EventLog, ExitEvent,
                        PostCounters, draw_behavior, event_log_lines,
                        exit_hazard, holding_time, read_event_log,
@@ -53,8 +52,8 @@ __all__ = [
     # inference
     "FeatureNorms", "FittedBehavior",
     "negative_log_likelihood", "nll_gradient", "fit_two_state",
-    "fit_log_linear", "make_log_linear_rate_fn",
-    "fitted_to_record", "write_fitted", "RecoveryRow", "RecoveryReport",
+    "fit_log_linear", "fitted_to_record", "write_fitted", "RecoveryRow",
+    "RecoveryReport",
     "recovery_experiment",
     # experiment
     "ExperimentConfig", "parse_experiment_config", "read_experiment_config",

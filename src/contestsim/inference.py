@@ -30,8 +30,7 @@ from . import rng as streams
 from .core import (ContestConfig, Post, WorkerProfile, canonical_json,
                    json_record, write_atomic)
 from .errors import ConfigurationError, DegenerateDataError
-from .simulate import (AnnotationEvent, EventLog, RateFn, draw_behavior,
-                       run_contest)
+from .simulate import AnnotationEvent, EventLog, draw_behavior, run_contest
 
 # Fixed, versioned feature layout for the log-linear model.
 FEATURE_NAMES = ("intercept", "rank", "elapsed_time", "annotations_remaining",
@@ -292,18 +291,6 @@ def fit_log_linear(events: Sequence[AnnotationEvent], norms: FeatureNorms,
         nll_history=tuple(history), stop_reason=stop_reason,
         unidentified=unidentified,
     )
-
-
-def make_log_linear_rate_fn(theta: Sequence[float],
-                            norms: FeatureNorms) -> RateFn:
-    """Adapt a theta vector into the engine's custom-rate callback."""
-    th = _as_theta(theta).tolist()
-
-    def rate(rank: int, elapsed_ms: int, remaining: int, eligible: bool) -> float:
-        x = norms.vector(rank, elapsed_ms, remaining, eligible)
-        return math.exp(sum(t * xi for t, xi in zip(th, x)))
-
-    return rate
 
 
 # --- serialization ---------------------------------------------------------

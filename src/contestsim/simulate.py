@@ -37,8 +37,8 @@ the whole field in one `rng.substreams` call (equal bit for bit to one
 `rng.substream` call per stream):
 
 * EVENTS: one standard-exponential draw per holding time, scaled by the
-  reciprocal of the governing rate (for the two-state rate, the worker's
-  ``1.0 / lambda_in`` or ``1.0 / lambda_out``, computed once);
+  reciprocal of the governing rate, the worker's ``1.0 / lambda_in`` or
+  ``1.0 / lambda_out``, computed once;
 * COUNTS: one uniform per annotation, and on a miss one perturbation index
   in 0..3;
 * EXITS: one uniform per checkpoint the worker is still in the contest.
@@ -67,13 +67,13 @@ for a malformed line.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import asdict, dataclass, fields
 from heapq import heappop, heappush
 from math import ceil
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -100,9 +100,6 @@ _RATE_FLOOR = 1e-12
 _PERTURBATIONS = (-2, -1, 1, 2)
 
 Seed = Union[int, Sequence[int]]
-
-# Custom rate model: (rank, elapsed_ms, annotations_remaining, eligible) -> rate/s.
-RateFn = Callable[[int, int, int, bool], float]
 
 
 @dataclass(frozen=True)
@@ -188,15 +185,14 @@ def draw_behavior(prior: BehaviorPrior,
     return max(float(lam_in), _RATE_FLOOR), max(float(lam_out), _RATE_FLOOR)
 
 
-def holding_time(base_rate: float, modulation: float,
-                 rng: np.random.Generator, size: Optional[int] = None):
-    """Exponential waiting time at rate ``base_rate * modulation``.
+def holding_time(rate: float, rng: np.random.Generator,
+                 size: Optional[int] = None):
+    """Exponential waiting time at ``rate``.
 
     The sample is in the reciprocal units of the rate (seconds when rates
     are per second); callers convert to the millisecond clock.  ``size``
     batches draws for Monte-Carlo use.
     """
-    rate = base_rate * modulation
     if not rate > 0.0:
         raise ConfigurationError("holding_time requires a positive rate")
     if size is None:
@@ -280,14 +276,12 @@ class _WorkerState:
     ``next_offset`` count offsets from ``count_rng``, and ``exit_draws[ci]``
     is ``exit_rng``'s draw at checkpoint ``ci``: a worker alive there drew
     at every earlier checkpoint.  ``inv_in`` / ``inv_out`` are the
-    reciprocal two-state rates.  ``rate_fn`` is the worker's custom rate
-    model, or None for the two-state rate.
+    reciprocal two-state rates.
     """
 
     __slots__ = ("idx", "profile", "score", "stamp", "annotations",
-                 "last_ms", "alive", "gov_rank", "gov_elig", "rate_fn",
-                 "inv_in", "inv_out", "next_exp", "next_offset",
-                 "exit_draws", "bin")
+                 "last_ms", "alive", "gov_rank", "gov_elig", "inv_in",
+                 "inv_out", "next_exp", "next_offset", "exit_draws", "bin")
 
     def __init__(self, idx: int, profile: WorkerProfile,
                  event_rng: np.random.Generator,
@@ -303,14 +297,13 @@ class _WorkerState:
         self.alive = True
         self.gov_rank = 0
         self.gov_elig = False
-        self.rate_fn: Optional[RateFn] = None
         self.inv_in = 1.0 / profile.lambda_in
         self.inv_out = 1.0 / profile.lambda_out
         # Unit-rate holding times; a holding time at rate r is one of these
         # times 1/r, as numpy's exponential(scale) is
         # scale * standard_exponential().
         self.next_exp = streams.blocks(
-            lambda size: holding_time(1.0, 1.0, event_rng, size),
+            lambda size: holding_time(1.0, event_rng, size),
             _BLOCK).__next__
         self.next_offset = _count_offsets(
             count_rng.bit_generator,
@@ -330,19 +323,13 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
                 posts: Sequence[Post], seed: Seed, *,
                 dispatch: str = "windowed",
                 base_hazard: float = DEFAULT_BASE_HAZARD,
-                accuracy_floor: float = 0.0,
-                rate_fns: Optional[Mapping[int, RateFn]] = None) -> EventLog:
+                accuracy_floor: float = 0.0) -> EventLog:
     """Simulate one contest and return its full event log.
 
     Deterministic: identical (config, profiles, posts, seed) inputs yield a
-    bit-identical log.  ``rate_fns``, if given, overrides the two-state rate
-    for the listed worker ids with a callable of the worker's current
-    (rank, elapsed_ms, annotations_remaining, eligible) state.
-
-    The cyclic garbage collector is off while the contest runs
-    (`core.collector_paused`), since every event record stays tracked by
-    it.  So reference cycles that a ``rate_fns`` callback makes are kept
-    until the contest ends.
+    bit-identical log.  The cyclic garbage collector is off while the
+    contest runs (`core.collector_paused`), since every event record stays
+    tracked by it.
     """
     if len(profiles) != config.n_workers:
         raise ConfigurationError(
@@ -382,21 +369,6 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
         for w in workers:
             w.gov_rank = board_rank(w.profile.id)
             w.gov_elig = w.gov_rank <= spread
-            if rate_fns:
-                w.rate_fn = rate_fns.get(w.profile.id)
-
-        def gap_ms(w: _WorkerState, elapsed_ms: int, remaining: int) -> int:
-            """The worker's next holding time in ms; the period loop computes
-            the two-state one inline, with the same arithmetic."""
-            if w.rate_fn is None:
-                inv_rate = w.inv_in if w.gov_elig else w.inv_out
-            else:
-                rate = w.rate_fn(w.gov_rank, elapsed_ms, remaining, w.gov_elig)
-                if not rate > 0.0:
-                    raise ConfigurationError(
-                        "custom rate model returned a non-positive rate")
-                inv_rate = 1.0 / rate
-            return max(1, ceil(w.next_exp() * inv_rate * 1000.0))
 
         unit_ms = int(round(config.task_unit_time_s * 1000.0))
         if unit_ms < 1:
@@ -455,9 +427,14 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
             # `AnnotationEvent(...)` less its Python-level `__new__`.
             new_tuple = tuple.__new__
             heap: list[tuple[int, int]] = []
+            # A holding time is one unit-rate draw times the reciprocal of the
+            # worker's two-state rate, in ms, at least 1; the same arithmetic
+            # runs after each event below.
             for w in holders:
-                base = w.last_ms if w.last_ms > open_ms else open_ms
-                t = base + gap_ms(w, base, n_posts - solved)
+                gap = ceil(w.next_exp()
+                           * (w.inv_in if w.gov_elig else w.inv_out) * 1000.0)
+                t = w.last_ms if w.last_ms > open_ms else open_ms
+                t += gap if gap > 1 else 1
                 if t <= close_ms:
                     heappush(heap, (t, w.idx))
             # None is due: this finds the next.
@@ -479,11 +456,10 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
                 if count < 0:
                     count = 0
                 solved += 1
-                remaining = n_posts - solved
                 wid = w.profile.id
                 events.append(new_tuple(AnnotationEvent, (
                     wid, w.annotations, t, t - w.last_ms, post.id, count,
-                    w.gov_rank, w.gov_elig, remaining)))
+                    w.gov_rank, w.gov_elig, n_posts - solved)))
                 w.annotations += 1
                 w.last_ms = t
                 if count:
@@ -492,13 +468,9 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
                 r = w.gov_rank = board_update(wid, w.score, t)
                 elig = w.gov_elig = r <= spread
                 if w.bin:
-                    if w.rate_fn is None:
-                        gap = ceil(w.next_exp()
-                                   * (w.inv_in if elig else w.inv_out)
-                                   * 1000.0)
-                        t += gap if gap > 1 else 1
-                    else:
-                        t += gap_ms(w, t, remaining)
+                    gap = ceil(w.next_exp()
+                               * (w.inv_in if elig else w.inv_out) * 1000.0)
+                    t += gap if gap > 1 else 1
                     if t <= close_ms:
                         heappush(heap, (t, widx))
             run_checkpoints(close_ms)
@@ -785,11 +757,13 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     last event time), that the recorded rank and eligibility equal the
     leaderboard state right after the worker's previous event, and silence
     after exit.  Per exit: that it falls on a checkpoint time, in time
-    order, once per worker, and that its rank and eligibility equal the
-    leaderboard state after every event at or before it.  Globally: post
-    conservation of all ``n_posts``, the remaining-post countdown, that no
-    post is annotated twice, and that the trailer equals `rank_workers` of
-    the replayed scores, last scoring times and counts.
+    order, once per worker, outside the reward spread (the exit hazard is
+    0 inside it), in rising worker id among the exits of one checkpoint,
+    and that its rank and eligibility equal the leaderboard state after
+    every event at or before it.  Globally: post conservation of all
+    ``n_posts``, the remaining-post countdown, that no post is annotated
+    twice, and that the trailer equals `rank_workers` of the replayed
+    scores, last scoring times and counts.
     Needs the contest's posts to re-score events: as in `run_contest`,
     exactly ``n_posts`` of them with unique ids, or `ConfigurationError`.
     A violation names its position in ``log.events``, worker and event
@@ -820,12 +794,15 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
         return ContractViolation(f"log.exits[{i}] (worker {x.worker_id}, "
                                  f"exit_time_ms {x.exit_time_ms}): {what}")
 
-    checkpoints = set(checkpoint_times(log.horizon_ms))
+    # How many checkpoints fall on each checkpoint millisecond.
+    checkpoints = Counter(checkpoint_times(log.horizon_ms))
     exit_ms = {}
+    descents = 0  # worker-id descents among the exits at this millisecond
     for i, x in enumerate(log.exits):
         if x.worker_id not in count:
             raise exit_violation(i, "worker not in the contest")
-        if i and x.exit_time_ms < log.exits[i - 1].exit_time_ms:
+        prev = log.exits[i - 1] if i else None
+        if prev and x.exit_time_ms < prev.exit_time_ms:
             raise exit_violation(i, "exits out of time order")
         if x.exit_time_ms not in checkpoints:
             raise exit_violation(i, "exit_time_ms is not a checkpoint time")
@@ -833,6 +810,17 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
             raise exit_violation(i, f"worker {x.worker_id} exits more than once")
         if x.eligible_at_exit != (x.rank_at_exit <= spread):
             raise exit_violation(i, "eligibility flag inconsistent")
+        if x.eligible_at_exit:
+            raise exit_violation(i, "exit inside the reward spread")
+        # A checkpoint writes its exits in rising worker id, so the exits at
+        # a millisecond that m checkpoints share descend at most m - 1 times.
+        if prev and x.exit_time_ms == prev.exit_time_ms:
+            descents += x.worker_id < prev.worker_id
+            if descents >= checkpoints[x.exit_time_ms]:
+                raise exit_violation(
+                    i, "exits at one checkpoint out of worker-id order")
+        else:
+            descents = 0
         exit_ms[x.worker_id] = x.exit_time_ms
     next_exit = 0
 

@@ -33,15 +33,13 @@ from contestsim.stream import (allocate_round_robin, build_windows,
 
 
 def reference_contest(config, profiles, posts, seed, *, dispatch="windowed",
-                      base_hazard=DEFAULT_BASE_HAZARD, accuracy_floor=0.0,
-                      rate_fns=None):
+                      base_hazard=DEFAULT_BASE_HAZARD, accuracy_floor=0.0):
     """The log `run_contest` must produce for the same arguments."""
     n, spread = config.n_workers, config.reward_spread
     ids = [p.id for p in profiles]
     event_rng = [streams.substream(seed, streams.EVENTS, i) for i in range(n)]
     count_rng = [streams.substream(seed, streams.COUNTS, i) for i in range(n)]
     exit_rng = [streams.substream(seed, streams.EXITS, i) for i in range(n)]
-    rate_fns = rate_fns or {}
     score = {w: 0 for w in ids}
     stamp = {w: None for w in ids}
     annotations = {w: 0 for w in ids}
@@ -70,14 +68,10 @@ def reference_contest(config, profiles, posts, seed, *, dispatch="windowed",
             * 1000.0))
     checkpoints = checkpoint_times(horizon_ms)
 
-    def gap_ms(i, now_ms):
-        wid = ids[i]
-        r, elig = gov[wid]
-        if wid in rate_fns:
-            rate = rate_fns[wid](r, now_ms, config.n_posts - solved, elig)
-        else:
-            rate = profiles[i].lambda_in if elig else profiles[i].lambda_out
-        return max(1, ceil(holding_time(rate, 1.0, event_rng[i]) * 1000.0))
+    def gap_ms(i):
+        _, elig = gov[ids[i]]
+        rate = profiles[i].lambda_in if elig else profiles[i].lambda_out
+        return max(1, ceil(holding_time(rate, event_rng[i]) * 1000.0))
 
     def run_checkpoints(before_ms):
         """Run every checkpoint not yet run that falls before ``before_ms``."""
@@ -104,8 +98,7 @@ def reference_contest(config, profiles, posts, seed, *, dispatch="windowed",
         nonlocal solved
         next_t = {}
         for i in bins:
-            base = max(last_ms[ids[i]], open_ms)
-            t = base + gap_ms(i, base)
+            t = max(last_ms[ids[i]], open_ms) + gap_ms(i)
             if t <= close_ms:
                 next_t[i] = t
         while next_t:
@@ -131,7 +124,7 @@ def reference_contest(config, profiles, posts, seed, *, dispatch="windowed",
                 stamp[wid] = t
             gov[wid] = standing(wid)
             if bins[i]:
-                t += gap_ms(i, t)
+                t += gap_ms(i)
                 if t <= close_ms:
                     next_t[i] = t
         run_checkpoints(close_ms + 1)

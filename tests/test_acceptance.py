@@ -157,7 +157,7 @@ def test_two_state_fit_against_numerical_optimum():
 def test_exponential_sampler_calibration():
     gen = np.random.default_rng(606)
     rate = 0.9
-    draws = holding_time(rate, 1.0, gen, size=1_000_000)
+    draws = holding_time(rate, gen, size=1_000_000)
     assert abs(draws.mean() - 1.0 / rate) / (1.0 / rate) < 0.01
     ks = stats.kstest(draws, "expon", args=(0.0, 1.0 / rate))
     assert ks.pvalue > 0.01

@@ -317,6 +317,32 @@ def test_validate_flags_a_doctored_log(tmp_path, config_file, capsys):
 
 
 
+def test_validate_flags_an_exit_inside_the_reward_spread(
+        tmp_path, config_file, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    log_path = tmp_path / "contest.jsonl"
+    assert main(["gen-corpus", "--n-posts", "40", "--out", str(corpus)]) == 0
+    assert main(["simulate", "--config", str(config_file), "--spread", "2",
+                 "--corpus", str(corpus), "--out", str(log_path)]) == 0
+    # The leader exits at the horizon, the last checkpoint, at its true
+    # rank: only the exit itself is wrong.
+    log = read_event_log(log_path)
+    assert log.horizon_ms == 20000
+    leader = log.final_ranking.entries[0].worker_id
+    assert leader not in {x.worker_id for x in log.exits}
+    lines = log_path.read_text("utf-8").splitlines()
+    lines.insert(-1, json.dumps(
+        {"eligible": True, "exit_time_ms": 20000, "rank": 1,
+         "worker_id": leader}, sort_keys=True, separators=(",", ":")))
+    log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["validate", "--log", str(log_path), "--corpus", str(corpus)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: log.exits[{len(log.exits)}] (worker {leader}, exit_time_ms "
+        "20000): exit inside the reward spread\n")
+
+
 def test_validate_flags_a_post_annotated_twice(tmp_path, stock_log_path,
                                                capsys):
     corpus = tmp_path / "corpus.jsonl"

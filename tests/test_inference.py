@@ -11,9 +11,8 @@ from scipy import optimize
 
 from contestsim import (ConfigurationError, DegenerateDataError, FeatureNorms,
                         fit_log_linear, fit_two_state, fitted_to_record,
-                        make_log_linear_rate_fn, negative_log_likelihood,
-                        nll_gradient, read_event_log, recovery_experiment,
-                        write_fitted)
+                        negative_log_likelihood, nll_gradient,
+                        read_event_log, recovery_experiment, write_fitted)
 from contestsim.core import decode_json
 from contestsim.inference import _log_linear_data
 
@@ -250,12 +249,12 @@ def test_log_linear_recovers_state_rates_on_eligibility_only_data(event_chain):
     specs = [(500, True), (1250, False)] * 40
     events = event_chain(specs)
     two = fit_two_state(events)
-    rate = make_log_linear_rate_fn(fit_log_linear(events, NORMS).theta_hat,
-                                   NORMS)
+    theta = fit_log_linear(events, NORMS).theta_hat
     for state, lam_hat in ((True, two.lambda_in_hat),
                            (False, two.lambda_out_hat)):
-        rates = [rate(e.rank_at_event, e.event_time_ms - e.holding_time_ms,
-                      e.annotations_remaining + 1, state)
+        rates = [math.exp(sum(t * x for t, x in zip(theta, NORMS.vector(
+                     e.rank_at_event, e.event_time_ms - e.holding_time_ms,
+                     e.annotations_remaining + 1, state))))
                  for e in events if e.eligible_at_event == state]
         assert np.mean(rates) == pytest.approx(lam_hat, rel=0.02)
 
@@ -344,16 +343,6 @@ def test_log_linear_validation(event_chain):
         fit_log_linear(events, NORMS, tolerance=0.0)
     with pytest.raises(ConfigurationError):
         fit_log_linear(events, NORMS, init_theta=[0.0, 1.0])
-
-
-def test_rate_fn_exponentiates_the_linear_predictor():
-    fn = make_log_linear_rate_fn((math.log(2.0), 0, 0, 0, 0), NORMS)
-    assert fn(3, 500, 7, False) == pytest.approx(2.0, rel=1e-12)
-    lift = make_log_linear_rate_fn((0, 0, 0, 0, math.log(3.0)), NORMS)
-    assert lift(1, 0, 40, True) == pytest.approx(3.0, rel=1e-12)
-    assert lift(5, 0, 40, False) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ConfigurationError):
-        make_log_linear_rate_fn((0.0, 0.0), NORMS)
 
 
 # --- fitted-model serialization ---------------------------------------------

@@ -2,7 +2,8 @@
 
 The pinned log digests cover a few seeds; `replay_validate` checks a log's
 invariants but not which stream each draw came from or in what order.
-Here every random contest must give the same `EventLog` from both engines.
+Here every random contest must give the same `EventLog` from both engines,
+and `replay_validate` must accept it.
 """
 
 from __future__ import annotations
@@ -10,15 +11,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 from reference_engine import reference_contest
 
-from contestsim import ContestConfig, Post, WorkerProfile, run_contest
-
-
-def _rate_fn(scale: float, slope: float):
-    """A custom rate model that reads all four of its arguments."""
-    def rate(rank, elapsed_ms, remaining, eligible):
-        return (scale * (1.5 if eligible else 1.0) / rank
-                + slope * remaining / (1.0 + elapsed_ms / 1000.0))
-    return rate
+from contestsim import (ContestConfig, Post, WorkerProfile, replay_validate,
+                        run_contest)
 
 
 _RATES = st.floats(0.2, 8.0)
@@ -58,10 +52,6 @@ def contests(draw):
     posts = [Post(id=first + k * stride, token_count=10,
                   expected_entities=e, arrival_index=k)
              for k, e in enumerate(entities)]
-    custom = draw(st.lists(st.sampled_from(ids), unique=True, max_size=3))
-    rate_fns = {wid: _rate_fn(speed * draw(_RATES),
-                              speed * draw(st.floats(0.0, 0.05)))
-                for wid in custom}
     return dict(
         config=config, profiles=profiles, posts=posts,
         seed=draw(st.one_of(st.integers(0, 2**64),
@@ -70,8 +60,7 @@ def contests(draw):
         dispatch=draw(st.sampled_from(["windowed", "shared"])),
         base_hazard=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0),
                                    st.floats(1.0, 1000.0))),
-        accuracy_floor=draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
-        rate_fns=rate_fns or None)
+        accuracy_floor=draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,6 +71,7 @@ def test_run_contest_equals_the_reference_engine(contest):
     assert log.events == want.events
     assert log.exits == want.exits
     assert log == want
+    replay_validate(log, contest["posts"])
 
 
 def test_events_at_a_checkpoint_millisecond_run_before_it():
@@ -105,6 +95,7 @@ def test_events_at_a_checkpoint_millisecond_run_before_it():
                        seed=seed, dispatch="shared", base_hazard=1000.0)
         log = run_contest(**contest)
         assert log == reference_contest(**contest), seed
+        replay_validate(log, posts)
         event_ms = {(e.worker_id, e.event_time_ms) for e in log.events}
         on_checkpoint += sum((x.worker_id, x.exit_time_ms) in event_ms
                              for x in log.exits)

@@ -24,7 +24,6 @@ from contestsim import (AnnotationEvent, BehaviorPrior, ConfigurationError,
                         simulate_annotated_count, write_event_log)
 from contestsim import rng as streams
 from contestsim import simulate
-from contestsim.inference import FeatureNorms, make_log_linear_rate_fn
 from contestsim.simulate import (_BLOCK, _CHUNK_LINES, _PERTURBATIONS,
                                  DEFAULT_BASE_HAZARD, N_CHECKPOINTS,
                                  _count_offsets, _WorkerState)
@@ -80,27 +79,20 @@ def test_draw_behavior_bump_raises_the_outside_rate():
 
 def test_holding_time_mean_matches_reciprocal_rate():
     gen = np.random.default_rng(7)
-    draws = holding_time(1.0, 1.0, gen, size=1_000_000)
+    draws = holding_time(1.0, gen, size=1_000_000)
     assert abs(draws.mean() - 1.0) < 0.01
 
 
 def test_holding_time_scales_inversely_with_rate():
     gen = np.random.default_rng(8)
-    slow = holding_time(1.0, 1.0, gen, size=200_000).mean()
-    fast = holding_time(2.0, 1.0, gen, size=200_000).mean()
+    slow = holding_time(1.0, gen, size=200_000).mean()
+    fast = holding_time(2.0, gen, size=200_000).mean()
     assert fast / slow == pytest.approx(0.5, rel=0.02)
-
-
-def test_holding_time_modulation_multiplies_the_rate():
-    # Identical streams: rate 2*1 and rate 1*2 must draw the same value.
-    a = holding_time(2.0, 1.0, np.random.default_rng(5))
-    b = holding_time(1.0, 2.0, np.random.default_rng(5))
-    assert a == b
 
 
 def test_holding_time_is_exponential():
     gen = np.random.default_rng(9)
-    draws = holding_time(1.3, 1.0, gen, size=100_000)
+    draws = holding_time(1.3, gen, size=100_000)
     result = stats.kstest(draws, "expon", args=(0.0, 1.0 / 1.3))
     assert result.pvalue > 0.01
 
@@ -108,9 +100,9 @@ def test_holding_time_is_exponential():
 def test_holding_time_rejects_non_positive_rate():
     gen = np.random.default_rng(0)
     with pytest.raises(ConfigurationError):
-        holding_time(0.0, 1.0, gen)
+        holding_time(0.0, gen)
     with pytest.raises(ConfigurationError):
-        holding_time(1.0, -2.0, gen)
+        holding_time(-2.0, gen)
 
 
 # --- exit hazard -----------------------------------------------------------
@@ -235,7 +227,7 @@ def test_block_holding_times_match_holding_time():
         for i in range(_N_DRAWS):
             rate = 0.05 + (i % 11) * 0.37
             assert worker.next_exp() * (1.0 / rate) == \
-                holding_time(rate, 1.0, oracle), (seed, i)
+                holding_time(rate, oracle), (seed, i)
 
 
 @pytest.mark.parametrize("skill, accuracy_floor", [
@@ -551,66 +543,6 @@ def test_full_spread_disables_exits(contest_config, make_posts,
     assert log.exits == []
 
 
-# --- custom rate models -----------------------------------------------------
-
-def test_constant_rate_fn_matches_two_state_with_equal_rates(
-        contest_config, make_posts, make_profiles):
-    config = contest_config(n_posts=40)
-    posts = make_posts(40)
-    profiles = make_profiles(2, lambda_in=1.5, lambda_out=1.1, skill=0.5)
-
-    def mimic(rank, elapsed_ms, remaining, eligible):
-        return 1.5 if eligible else 1.1
-
-    baseline = run_contest(config, profiles, posts, seed=8)
-    mimicked = run_contest(config, profiles, posts, seed=8,
-                           rate_fns={0: mimic, 1: mimic})
-    assert "\n".join(event_log_lines(baseline)) == \
-        "\n".join(event_log_lines(mimicked))
-
-
-CUSTOM_RATE_LOG_SHA256 = {
-    "windowed":
-        "443f60c84c3dc5913c6c5b1673c647b225c45f417735ea5233e4fdab3a681a34",
-    "shared":
-        "b780709ec72f2a6ce1f37ec5a6cc02d3b3be1b474cd529962a16f9dde3b07c08",
-}
-
-
-@pytest.mark.parametrize("dispatch", sorted(CUSTOM_RATE_LOG_SHA256))
-def test_log_linear_rate_fn_log_bytes_are_pinned(contest_config, dispatch):
-    # Two workers run on log-linear rates that move with rank, elapsed time
-    # and remaining posts, so the engine must hand each argument its own
-    # value at every draw, both at a window's open and after an event.
-    config = contest_config(n_workers=6, n_posts=240, window_size=20,
-                            task_unit_time_s=5.0, task_unit_size=5,
-                            arrival_rate=4.0, reward_spread=2)
-    profiles = [WorkerProfile(id=i, skill=0.6, lambda_in=1.1,
-                              lambda_out=0.9, exit_threshold=1.0)
-                for i in range(6)]
-    posts = [Post(id=i, token_count=10, expected_entities=i % 3,
-                  arrival_index=i) for i in range(240)]
-    norms = FeatureNorms(n_workers=6, horizon_ms=60_000, n_posts=240)
-    rate_fns = {
-        1: make_log_linear_rate_fn((0.2, -0.6, 0.5, 0.4, 0.3), norms),
-        4: make_log_linear_rate_fn((-0.1, 0.8, -0.4, 0.7, -0.2), norms)}
-    log = run_contest(config, profiles, posts, seed=17, dispatch=dispatch,
-                      base_hazard=1.0, rate_fns=rate_fns)
-    assert log.exits and {1, 4} <= {e.worker_id for e in log.events}
-    replay_validate(log, posts)
-    digest = hashlib.sha256(
-        "\n".join(event_log_lines(log)).encode("utf-8")).hexdigest()
-    assert digest == CUSTOM_RATE_LOG_SHA256[dispatch]
-
-
-def test_non_positive_custom_rate_is_rejected(contest_config, make_posts,
-                                              make_profiles):
-    config = contest_config(n_posts=40)
-    with pytest.raises(ConfigurationError):
-        run_contest(config, make_profiles(2), make_posts(40), seed=0,
-                    rate_fns={0: lambda *args: 0.0})
-
-
 # --- the paused collector --------------------------------------------------
 
 @pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
@@ -623,32 +555,40 @@ def collector_was_on(request):
 
 
 def test_a_contest_runs_with_the_collector_off(
-        collector_was_on, contest_config, make_posts, make_profiles):
+        collector_was_on, contest_config, make_posts, make_profiles,
+        monkeypatch):
+    # At spread 1 one of the two workers is outside the spread at every
+    # checkpoint, so the engine consults `exit_hazard` at each of them.
     seen = []
+    hazard = simulate.exit_hazard
 
-    def rate(rank, elapsed_ms, remaining, eligible):
+    def spy(*args, **kwargs):
         seen.append(gc.isenabled())
-        return 1.0
+        return hazard(*args, **kwargs)
 
+    monkeypatch.setattr(simulate, "exit_hazard", spy)
     log = run_contest(contest_config(n_posts=40), make_profiles(2),
-                      make_posts(40), seed=0, rate_fns={0: rate})
-    assert log.events and seen and not any(seen)
+                      make_posts(40), seed=0)
+    assert log.events and len(seen) == N_CHECKPOINTS and not any(seen)
     assert gc.isenabled() is collector_was_on
 
 
 def test_a_contest_that_raises_leaves_the_collector_as_it_was(
-        collector_was_on, contest_config, make_posts, make_profiles):
+        collector_was_on, contest_config, make_posts, make_profiles,
+        monkeypatch):
     seen = []
 
-    def rate(rank, elapsed_ms, remaining, eligible):
+    def spy(*args, **kwargs):
         seen.append(gc.isenabled())
-        # Ten annotations in, the rate model fails.
-        return 1.0 if remaining > 30 else 0.0
+        if len(seen) == 6:
+            raise ConfigurationError("hazard model failed")
+        return 0.0
 
-    with pytest.raises(ConfigurationError, match="non-positive rate"):
+    monkeypatch.setattr(simulate, "exit_hazard", spy)
+    with pytest.raises(ConfigurationError, match="hazard model failed"):
         run_contest(contest_config(n_posts=40), make_profiles(2),
-                    make_posts(40), seed=0, rate_fns={0: rate, 1: rate})
-    assert len(seen) > 2 and not any(seen)
+                    make_posts(40), seed=0)
+    assert len(seen) == 6 and not any(seen)
     assert gc.isenabled() is collector_was_on
 
 
@@ -1345,17 +1285,63 @@ def _with_exit(exits, i, **changes):
      "rank_at_exit 4 != replay 3"),
     (lambda xs: _with_exit(xs, 0, worker_id=6), 0,
      "worker not in the contest"),
+    # The leader at the horizon, at its true rank: only the place of the
+    # exit is wrong, since the hazard is 0 inside the spread.
+    (lambda xs: xs + [ExitEvent(5, 60000, 1, True)], 4,
+     "exit inside the reward spread"),
 ], ids=["time", "rank", "flag", "repeat", "order", "time, rank and flag",
-        "last rank", "stranger"])
+        "last rank", "stranger", "inside the spread"])
 def test_replay_names_a_bad_exit(spread_two_contest, tamper, position,
                                  what):
     log, posts = spread_two_contest()
     assert [x[:2] for x in log.exits] == [(4, 12000), (2, 33000), (3, 45000),
                                           (0, 51000)]
+    assert log.final_ranking.entries[0].worker_id == 5
     log = dataclasses.replace(log, exits=tamper(log.exits))
-    x = log.exits[position]
     with pytest.raises(ContractViolation) as info:
         replay_validate(log, posts)
-    assert str(info.value) == (
-        f"log.exits[{position}] (worker {x.worker_id}, exit_time_ms "
-        f"{x.exit_time_ms}): {what}")
+    assert str(info.value) == _exit_message(log, position, what)
+
+
+def _exit_message(log, position, what):
+    x = log.exits[position]
+    return (f"log.exits[{position}] (worker {x.worker_id}, exit_time_ms "
+            f"{x.exit_time_ms}): {what}")
+
+
+def test_replay_rejects_exits_at_one_checkpoint_out_of_worker_id_order(
+        spread_two_contest):
+    log, posts = spread_two_contest(6)
+    assert [x[:2] for x in log.exits] == [(4, 18000), (3, 30000), (5, 30000)]
+    log.exits[1:] = log.exits[:0:-1]
+    with pytest.raises(ContractViolation) as info:
+        replay_validate(log, posts)
+    assert str(info.value) == _exit_message(
+        log, 2, "exits at one checkpoint out of worker-id order")
+
+
+@pytest.mark.parametrize("order, ok", [
+    ((3, 1, 2), True), ((2, 3, 1), True), ((3, 2, 1), False)],
+    ids=["3 1 2", "2 3 1", "3 2 1"])
+def test_replay_counts_worker_id_descents_against_shared_checkpoints(
+        order, ok, make_posts, make_profiles, contest_config):
+    # A 10 ms horizon puts two checkpoints on its last millisecond, so the
+    # exits there may come from two checkpoints: two rising runs of ids.
+    config = contest_config(n_workers=4, n_posts=4, window_size=4,
+                            task_unit_time_s=0.01, task_unit_size=1,
+                            arrival_rate=400.0)
+    posts = make_posts(4)
+    log = run_contest(config, make_profiles(4, lambda_in=1e-3,
+                                            lambda_out=1e-3),
+                      posts, seed=0, base_hazard=0.0)
+    assert log.horizon_ms == 10 and not log.events
+    assert simulate.checkpoint_times(10).count(10) == 2
+    # No one annotates, so worker w holds rank w + 1 throughout.
+    log.exits = [ExitEvent(w, 10, w + 1, False) for w in order]
+    if ok:
+        replay_validate(log, posts)
+    else:
+        with pytest.raises(ContractViolation) as info:
+            replay_validate(log, posts)
+        assert str(info.value) == _exit_message(
+            log, 2, "exits at one checkpoint out of worker-id order")
