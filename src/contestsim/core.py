@@ -192,7 +192,6 @@ class Post:
     id: int
     token_count: int
     expected_entities: int
-    arrival_index: int
 
     def __post_init__(self) -> None:
         if self.token_count < 1:
@@ -201,8 +200,6 @@ class Post:
             raise ConfigurationError(
                 f"post {self.id}: expected_entities must lie in [0, token_count]"
             )
-        if self.arrival_index < 0:
-            raise ConfigurationError(f"post {self.id}: arrival_index must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -218,7 +215,6 @@ class WorkerProfile:
     skill: float
     lambda_in: float
     lambda_out: float
-    cost_per_effort: float = 0.0
     exit_threshold: float = 0.0
 
     def __post_init__(self) -> None:
@@ -226,8 +222,6 @@ class WorkerProfile:
             raise ConfigurationError(f"worker {self.id}: skill must lie in [0, 1]")
         if not (self.lambda_in > 0.0 and self.lambda_out > 0.0):  # and not NaN
             raise ConfigurationError(f"worker {self.id}: rates must be positive")
-        if self.cost_per_effort < 0.0:
-            raise ConfigurationError(f"worker {self.id}: cost_per_effort must be >= 0")
         if not 0.0 <= self.exit_threshold <= 1.0:
             raise ConfigurationError(
                 f"worker {self.id}: exit_threshold must lie in [0, 1]"
@@ -345,16 +339,12 @@ class Leaderboard:
         """Move ``worker_id`` to ``score``, reached at ``stamp``, and return
         their new rank.  The board is unchanged if the score is, since the
         stamp marks the last change.
-
-        The engine calls this once per annotation, so the new key is built
-        here in `rank_key`'s layout rather than through it: ``stamp`` is an
-        int, never None.
         """
         key_of, keys = self._key_of, self._keys
         old = key_of[worker_id]
         if old[0] == -score:
             return bisect_left(keys, old) + 1
-        new = key_of[worker_id] = (-score, stamp, worker_id)
+        new = key_of[worker_id] = rank_key(worker_id, score, stamp)
         del keys[bisect_left(keys, old)]
         pos = bisect_left(keys, new)
         keys.insert(pos, new)

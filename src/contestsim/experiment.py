@@ -189,7 +189,7 @@ def generate_corpus(n_posts: int, mean_entities: float,
         counts = ((int(gen.integers(lo, hi + 1)), int(gen.poisson(mean_entities)))
                   for _ in range(n_posts))
     return [Post(id=i, token_count=tokens,
-                 expected_entities=min(entities, tokens), arrival_index=i)
+                 expected_entities=min(entities, tokens))
             for i, (tokens, entities) in enumerate(counts)]
 
 
@@ -248,8 +248,7 @@ def read_corpus(path: Union[str, Path]) -> list[Post]:
         for text.lineno, line in enumerate(text.lines, 1):
             obj = decode_json(line)
             check_types(obj, _CORPUS_FIELDS)
-            posts.append(Post(*_corpus_values(obj),
-                              arrival_index=text.lineno - 1))
+            posts.append(Post(*_corpus_values(obj)))
     return posts
 
 
@@ -275,7 +274,7 @@ def generate_profiles(config: ExperimentConfig,
         exit_threshold = float(gen.random())
         profiles.append(WorkerProfile(
             id=i, skill=skill, lambda_in=lam_in, lambda_out=lam_out,
-            cost_per_effort=0.01, exit_threshold=exit_threshold,
+            exit_threshold=exit_threshold,
         ))
     return profiles
 

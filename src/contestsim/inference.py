@@ -371,7 +371,7 @@ def _recovery_config(n_workers: int, posts_per_run: int) -> ContestConfig:
 
 
 def _recovery_posts(n_posts: int) -> list[Post]:
-    return [Post(id=i, token_count=10, expected_entities=1, arrival_index=i)
+    return [Post(id=i, token_count=10, expected_entities=1)
             for i in range(n_posts)]
 
 
@@ -395,6 +395,11 @@ def recovery_experiment(prior, n_workers: int, n_events_target: int,
         raise ConfigurationError("recovery needs at least two workers")
     if n_events_target < 0:
         raise ConfigurationError("n_events_target must be >= 0")
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigurationError("recovery needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigurationError(f"recovery seeds must be distinct, got {seeds}")
     posts_per_run = 200 * n_workers
     config = _recovery_config(n_workers, posts_per_run)
     posts = _recovery_posts(posts_per_run)
@@ -413,8 +418,7 @@ def recovery_experiment(prior, n_workers: int, n_events_target: int,
             pairs = [draw_behavior(prior, gen) for _ in range(n_workers)]
         profiles = [
             WorkerProfile(id=i, skill=1.0, lambda_in=pairs[i][0],
-                          lambda_out=pairs[i][1], cost_per_effort=0.0,
-                          exit_threshold=0.0)
+                          lambda_out=pairs[i][1], exit_threshold=0.0)
             for i in range(n_workers)
         ]
         pooled: dict[int, list[AnnotationEvent]] = defaultdict(list)

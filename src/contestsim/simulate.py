@@ -312,6 +312,25 @@ class _WorkerState:
         self.bin: deque[Post] = deque()
 
 
+def contest_clock(config: ContestConfig, dispatch: str) -> tuple[int, int]:
+    """The task unit time and the horizon of a contest on the millisecond
+    clock, ``(unit_ms, horizon_ms)``.
+
+    A windowed contest ends when its last window closes, after
+    ``ceil(n_posts / window_size)`` task units; a shared-pool one after
+    `total_contest_time`, rounded to the millisecond.
+    """
+    unit_ms = int(round(config.task_unit_time_s * 1000.0))
+    if unit_ms < 1:
+        raise ConfigurationError(
+            "task_unit_time_s is below the 1 ms clock resolution")
+    if dispatch == "windowed":
+        return unit_ms, -(-config.n_posts // config.window_size) * unit_ms
+    horizon_s = total_contest_time(config.n_posts, config.task_unit_time_s,
+                                   config.window_size)
+    return unit_ms, int(round(horizon_s * 1000.0))
+
+
 def checkpoint_times(horizon_ms: int) -> list[int]:
     """The `N_CHECKPOINTS` exit-checkpoint times of a contest, in ms; the
     last is the horizon."""
@@ -370,23 +389,10 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
             w.gov_rank = board_rank(w.profile.id)
             w.gov_elig = w.gov_rank <= spread
 
-        unit_ms = int(round(config.task_unit_time_s * 1000.0))
-        if unit_ms < 1:
-            raise ConfigurationError(
-                "task_unit_time_s is below the 1 ms clock resolution")
-
+        unit_ms, horizon_ms = contest_clock(config, dispatch)
         events: list[AnnotationEvent] = []
         exits: list[ExitEvent] = []
         solved = 0
-
-        if dispatch == "windowed":
-            windows = build_windows(posts, config.window_size,
-                                    config.task_unit_time_s)
-            horizon_ms = len(windows) * unit_ms
-        else:
-            horizon_s = total_contest_time(n_posts, config.task_unit_time_s,
-                                           config.window_size)
-            horizon_ms = int(round(horizon_s * 1000.0))
         checkpoint_ms = checkpoint_times(horizon_ms)
         cp_idx = 0
 
@@ -479,7 +485,7 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
             queue = DropQueue()
             size = config.task_unit_size
             rr_offset = 0
-            for win in windows:
+            for win in build_windows(posts, config.window_size):
                 active = [w for w in id_order if w.alive]
                 holders: list[_WorkerState] = []
                 if active:
@@ -487,18 +493,18 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
                         win, [w.profile.id for w in active], size,
                         start_offset=rr_offset)
                     rr_offset = (rr_offset + len(assignments)) % len(active)
-                    for wid, _, bin_posts in assignments:
+                    for wid, bin_posts in assignments:
                         holder = by_id[wid]
                         holder.bin = deque(bin_posts)
                         holders.append(holder)
+                close_ms = (win.index + 1) * unit_ms
                 for p in win.posts[len(holders) * size:]:
-                    queue.push(p, win.close_time_s)
-                run_period(holders, win.index * unit_ms,
-                           (win.index + 1) * unit_ms)
+                    queue.push(p, close_ms)
+                run_period(holders, win.index * unit_ms, close_ms)
                 for w in holders:
                     while w.bin:
-                        queue.push(w.bin.popleft(), win.close_time_s)
-                advance_queue(queue, win.close_time_s)
+                        queue.push(w.bin.popleft(), close_ms)
+                advance_queue(queue, close_ms)
             dropped, pending = queue.dropped_count, len(queue)
         else:
             pool = deque(posts)
@@ -760,16 +766,23 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     order, once per worker, outside the reward spread (the exit hazard is
     0 inside it), in rising worker id among the exits of one checkpoint,
     and that its rank and eligibility equal the leaderboard state after
-    every event at or before it.  Globally: post conservation of all
-    ``n_posts``, the remaining-post countdown, that no post is annotated
-    twice, and that the trailer equals `rank_workers` of the replayed
-    scores, last scoring times and counts.
+    every event at or before it.  Globally: that ``horizon_ms`` is the
+    `contest_clock` horizon of the config and dispatch and that no event
+    falls after it, post conservation of all ``n_posts``, the
+    remaining-post countdown, that no post is annotated twice, and that
+    the trailer equals `rank_workers` of the replayed scores, last scoring
+    times and counts.
     Needs the contest's posts to re-score events: as in `run_contest`,
     exactly ``n_posts`` of them with unique ids, or `ConfigurationError`.
     A violation names its position in ``log.events``, worker and event
     index, its position in ``log.exits``, worker and exit time, or its
     ``final_ranking`` row.
     """
+    _, horizon_ms = contest_clock(log.config, log.dispatch)
+    if log.horizon_ms != horizon_ms:
+        raise ContractViolation(
+            f"horizon_ms {log.horizon_ms} != {horizon_ms} from the config "
+            f"and {log.dispatch} dispatch")
     if len(posts) != log.config.n_posts:
         raise ConfigurationError(
             f"expected {log.config.n_posts} posts, got {len(posts)}")
@@ -857,6 +870,8 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
         if e.event_time_ms < prev_t:
             raise violation("event log is not globally time-sorted")
         prev_t = e.event_time_ms
+        if prev_t > horizon_ms:
+            raise violation(f"event after the horizon {horizon_ms} ms")
         if wid in exit_ms and e.event_time_ms > exit_ms[wid]:
             raise violation("annotated after exiting")
         if e.event_index != count[wid]:

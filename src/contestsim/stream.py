@@ -1,9 +1,11 @@
 """Stream machinery: windowing, task allocation, flow-rate formulas, drops.
 
-The content stream is cut into fixed-size windows, each open for one task
-unit time.  Within a window, posts are dealt out round-robin as bins of
-``task_unit_size``, one bin per worker.  Posts that nobody solves before
-their window closes are dropped, never to return.
+The content stream is cut into fixed-size windows.  Window ``k`` is open
+for the ``k``-th task unit time of the contest; the engine, which owns the
+clock, opens it at ``k * unit_ms`` and closes it one unit later.  Within a
+window, posts are dealt out round-robin as bins of ``task_unit_size``, one
+bin per worker.  Posts that nobody solves before their window closes are
+dropped, never to return.
 """
 
 from __future__ import annotations
@@ -18,25 +20,21 @@ from .errors import ConfigurationError, ContractViolation
 
 @dataclass(frozen=True)
 class Window:
-    """One slice of the stream, open for exactly one task unit time."""
+    """One slice of the stream, open for the contest's ``index``-th task
+    unit time, counting from 0."""
 
     index: int
     posts: tuple[Post, ...]
-    open_time_s: float
-    close_time_s: float
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ConfigurationError("window index must be >= 0")
-        if self.close_time_s <= self.open_time_s:
-            raise ConfigurationError("window must close after it opens")
 
 
 class Assignment(NamedTuple):
     """A bin of the window's posts, in stream order, handed to one worker."""
 
     worker_id: int
-    window_index: int
     posts: tuple[Post, ...]
 
 
@@ -53,34 +51,25 @@ class DropQueue:
         self.dropped_count: int = 0
         self._last_now: float = float("-inf")
 
-    def push(self, post: Post, deadline_s: float) -> None:
-        self.pending.append((post, deadline_s))
+    def push(self, post: Post, deadline: float) -> None:
+        self.pending.append((post, deadline))
 
     def __len__(self) -> int:
         return len(self.pending)
 
 
-def build_windows(posts: Sequence[Post], window_size: int,
-                  task_unit_time_s: float) -> list[Window]:
-    """Chunk the post stream into consecutive windows, order preserved.
+def build_windows(posts: Sequence[Post], window_size: int) -> list[Window]:
+    """Chunk the post stream into consecutive windows of ``window_size``
+    posts, order preserved, indexed from 0.
 
     The final window may be underfull but stays open the full task unit
     time.  An empty stream yields no windows.
     """
     if window_size < 1:
         raise ConfigurationError("window_size must be >= 1")
-    if task_unit_time_s <= 0.0:
-        raise ConfigurationError("task_unit_time_s must be positive")
-    windows = []
-    for i in range(0, len(posts), window_size):
-        idx = i // window_size
-        windows.append(Window(
-            index=idx,
-            posts=tuple(posts[i:i + window_size]),
-            open_time_s=idx * task_unit_time_s,
-            close_time_s=(idx + 1) * task_unit_time_s,
-        ))
-    return windows
+    return [Window(index=i // window_size,
+                   posts=tuple(posts[i:i + window_size]))
+            for i in range(0, len(posts), window_size)]
 
 
 def allocate_round_robin(window: Window, worker_ids: Sequence[int],
@@ -102,11 +91,11 @@ def allocate_round_robin(window: Window, worker_ids: Sequence[int],
     if task_unit_size < 1:
         raise ConfigurationError("task_unit_size must be >= 1")
     n_workers = len(worker_ids)
-    posts, index = window.posts, window.index
+    posts = window.posts
     # `Assignment(...)` less its Python-level `__new__`.
     new_tuple = tuple.__new__
     return [new_tuple(Assignment, (
-                worker_ids[(start_offset + b) % n_workers], index,
+                worker_ids[(start_offset + b) % n_workers],
                 posts[b * task_unit_size:(b + 1) * task_unit_size]))
             for b in range(min(n_workers, -(-len(posts) // task_unit_size)))]
 
@@ -134,20 +123,20 @@ def warp_out_rate(n_posts: int, reduction_rate: float) -> float:
     return (n_posts - 1) / (n_posts - reduction_rate)
 
 
-def advance_queue(queue: DropQueue, now_s: float) -> DropQueue:
+def advance_queue(queue: DropQueue, now: float) -> DropQueue:
     """Move every pending post whose deadline has passed into the drop count.
 
-    ``now_s`` must never move backwards across calls.  Solving happens
-    strictly before the deadline check, so a post annotated exactly at its
-    window close is never seen here.
+    ``now``, on the deadlines' clock, must never move backwards across
+    calls.  Solving happens strictly before the deadline check, so a post
+    annotated exactly at its window close is never seen here.
     """
-    if now_s < queue._last_now:
+    if now < queue._last_now:
         raise ContractViolation(
-            f"advance_queue time regression: {now_s} < {queue._last_now}")
-    queue._last_now = now_s
+            f"advance_queue time regression: {now} < {queue._last_now}")
+    queue._last_now = now
     survivors = deque()
     for post, deadline in queue.pending:
-        if deadline <= now_s:
+        if deadline <= now:
             queue.dropped_count += 1
         else:
             survivors.append((post, deadline))

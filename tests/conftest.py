@@ -66,7 +66,7 @@ def make_posts():
 
     def build(n, *, expected=1, tokens=10, start_id=0):
         return [Post(id=start_id + i, token_count=tokens,
-                     expected_entities=expected, arrival_index=i)
+                     expected_entities=expected)
                 for i in range(n)]
 
     return build
@@ -77,9 +77,9 @@ def make_profiles():
     """Factory for identical worker profiles (ids 0..n-1)."""
 
     def build(n, *, lambda_in=1.2, lambda_out=1.0, skill=1.0,
-              exit_threshold=0.0, cost=0.0):
+              exit_threshold=0.0):
         return [WorkerProfile(id=i, skill=skill, lambda_in=lambda_in,
-                              lambda_out=lambda_out, cost_per_effort=cost,
+                              lambda_out=lambda_out,
                               exit_threshold=exit_threshold)
                 for i in range(n)]
 
@@ -169,8 +169,8 @@ def spread_two_contest():
         profiles = [WorkerProfile(id=i, skill=0.6, lambda_in=1.1,
                                   lambda_out=0.9, exit_threshold=1.0)
                     for i in range(6)]
-        posts = [Post(id=i, token_count=10, expected_entities=i % 3,
-                      arrival_index=i) for i in range(240)]
+        posts = [Post(id=i, token_count=10, expected_entities=i % 3)
+                 for i in range(240)]
         log = run_contest(config, profiles, posts, seed=seed, base_hazard=1.0)
         return log, posts
 

@@ -59,8 +59,7 @@ def reference_contest(config, profiles, posts, seed, *, dispatch="windowed",
 
     unit_ms = int(round(config.task_unit_time_s * 1000.0))
     if dispatch == "windowed":
-        windows = build_windows(posts, config.window_size,
-                                config.task_unit_time_s)
+        windows = build_windows(posts, config.window_size)
         horizon_ms = len(windows) * unit_ms
     else:
         horizon_ms = int(round(total_contest_time(
@@ -140,7 +139,7 @@ def reference_contest(config, profiles, posts, seed, *, dispatch="windowed",
                     win, active, config.task_unit_size,
                     start_offset=rr_offset)
                 rr_offset = (rr_offset + len(assignments)) % len(active)
-                for wid, _, bin_posts in assignments:
+                for wid, bin_posts in assignments:
                     bins[ids.index(wid)] = deque(bin_posts)
             dropped += len(win.posts) - sum(len(b) for b in bins.values())
             run_period(bins, win.index * unit_ms, (win.index + 1) * unit_ms)

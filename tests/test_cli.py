@@ -245,6 +245,17 @@ def test_recover_rejects_a_malformed_seed_list(capsys):
     assert "bad seed list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ("", "recovery needs at least one seed"),
+    ("0,0", "recovery seeds must be distinct, got [0, 0]"),
+], ids=["empty", "repeated"])
+def test_recover_rejects_an_empty_or_repeated_seed_list(capsys, seeds,
+                                                        message):
+    code = main(["recover", "--seeds", seeds, "--target", "10",
+                 "--lambda-in", "1.0", "--lambda-out", "1.0"])
+    assert (code, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
+
+
 @pytest.mark.parametrize("argv, config_seed, message", [
     (["sweep"], -1, "{config}: master_seed must be >= 0"),
     (["simulate"], -1, "{config}: master_seed must be >= 0"),
@@ -651,6 +662,54 @@ def test_validate_flags_ingested_apart_from_n_posts(tmp_path, contest_files,
     code, err = _run_on_log("validate", corpus, log_path, tmp_path, capsys)
     assert code == 2
     assert err == "error: counters.ingested 47 != config n_posts 40\n"
+
+
+def _spread_four_files(tmp_path, dispatch):
+    """The corpus and the log of a 4-worker contest at spread 4, so that no
+    one exits, and at seed 6, whose last annotation finds no entity."""
+    config = tmp_path / "spread4.cfg"
+    config.write_text(CONFIG + f"dispatch={dispatch}\n", encoding="utf-8")
+    corpus = tmp_path / "corpus.jsonl"
+    log_path = tmp_path / "contest.jsonl"
+    assert main(["gen-corpus", "--n-posts", "40", "--seed", "7",
+                 "--out", str(corpus)]) == 0
+    assert main(["simulate", "--config", str(config), "--spread", "4",
+                 "--seed", "6", "--corpus", str(corpus),
+                 "--out", str(log_path)]) == 0
+    return corpus, log_path
+
+
+@pytest.mark.parametrize("dispatch", ["windowed", "shared"])
+def test_validate_flags_a_horizon_apart_from_the_config(tmp_path, capsys,
+                                                        dispatch):
+    # Both dispatch modes give this config a 20000 ms horizon.
+    corpus, log_path = _spread_four_files(tmp_path, dispatch)
+    _edit_line(log_path, 0,
+               lambda header: header.update(horizon_ms=7 * 20000))
+    code, err = _run_on_log("validate", corpus, log_path, tmp_path, capsys)
+    assert (code, err) == (2, "error: horizon_ms 140000 != 20000 from the "
+                              f"config and {dispatch} dispatch\n")
+
+
+@pytest.mark.parametrize("dispatch", ["windowed", "shared"])
+def test_validate_flags_an_annotation_after_the_horizon(tmp_path, capsys,
+                                                        dispatch):
+    # The last annotation scores nothing, so moving it to 50000 ms, with
+    # its holding time, leaves every score, rank and trailer row as it was.
+    corpus, log_path = _spread_four_files(tmp_path, dispatch)
+    lines = log_path.read_text("utf-8").splitlines()
+    assert not any('"exit_time_ms"' in line for line in lines)
+    last = json.loads(lines[-2])
+    assert last["annotated_count"] == 0
+    shift = 50000 - last["event_time_ms"]
+    _edit_line(log_path, -2, lambda record: record.update(
+        event_time_ms=50000,
+        holding_time_ms=record["holding_time_ms"] + shift))
+    code, err = _run_on_log("validate", corpus, log_path, tmp_path, capsys)
+    assert (code, err) == (
+        2, f"error: log.events[{len(lines) - 3}] (worker "
+           f"{last['worker_id']}, event_index {last['event_index']}): "
+           "event after the horizon 20000 ms\n")
 
 
 def test_fit_log_linear_converges_on_every_stock_worker(tmp_path,

@@ -161,11 +161,9 @@ def test_leaderboard_matches_a_scan_and_rank_workers(ids, updates):
 
 def test_post_validation():
     with pytest.raises(ConfigurationError):
-        Post(id=1, token_count=0, expected_entities=0, arrival_index=0)
+        Post(id=1, token_count=0, expected_entities=0)
     with pytest.raises(ConfigurationError):
-        Post(id=1, token_count=5, expected_entities=6, arrival_index=0)
-    with pytest.raises(ConfigurationError):
-        Post(id=1, token_count=5, expected_entities=1, arrival_index=-1)
+        Post(id=1, token_count=5, expected_entities=6)
 
 
 def test_worker_profile_validation():
@@ -177,8 +175,6 @@ def test_worker_profile_validation():
         WorkerProfile(**{**ok, "lambda_in": 0.0})
     with pytest.raises(ConfigurationError):
         WorkerProfile(**{**ok, "lambda_out": -1.0})
-    with pytest.raises(ConfigurationError):
-        WorkerProfile(**{**ok, "cost_per_effort": -0.1})
     with pytest.raises(ConfigurationError):
         WorkerProfile(**{**ok, "exit_threshold": 1.5})
 
@@ -192,7 +188,6 @@ def test_worker_profile_rejects_a_nan_rate(field):
 
 @pytest.mark.parametrize("field, value", [
     ("lambda_in", float("inf")), ("lambda_out", float("inf")),
-    ("cost_per_effort", float("nan")), ("cost_per_effort", float("inf")),
 ])
 def test_worker_profile_rejects_non_finite_floats(field, value):
     ok = dict(id=3, skill=0.5, lambda_in=1.0, lambda_out=1.0)

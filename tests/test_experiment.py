@@ -224,7 +224,7 @@ def _scalar_corpus(n_posts, mean_entities, gen):
         tokens = int(gen.integers(5, 31))
         entities = int(min(gen.poisson(mean_entities), tokens))
         posts.append(Post(id=i, token_count=tokens,
-                          expected_entities=entities, arrival_index=i))
+                          expected_entities=entities))
     return posts
 
 
@@ -281,7 +281,6 @@ def test_profiles_are_deterministic_and_in_range():
         assert p.lambda_in > 0 and p.lambda_out > 0
         assert 0.0 <= p.skill <= 1.0
         assert 0.0 <= p.exit_threshold <= 1.0
-        assert p.cost_per_effort == 0.01
 
 
 def test_tied_rates_change_nothing_but_the_outside_rate():

@@ -394,6 +394,17 @@ def test_recovery_validation():
         recovery_experiment(None, 2, 100, [0])
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ([], "recovery needs at least one seed"),
+    ([0, 1, 0], "recovery seeds must be distinct, got [0, 1, 0]"),
+    (iter([3, 3]), "recovery seeds must be distinct, got [3, 3]"),
+], ids=["none", "a repeat", "a repeat from an iterator"])
+def test_recovery_rejects_an_empty_or_repeated_seed_list(seeds, message):
+    with pytest.raises(ConfigurationError) as info:
+        recovery_experiment(None, 2, 100, seeds, fixed_rates=(1.0, 1.0))
+    assert str(info.value) == message
+
+
 def test_recovery_with_no_data_is_unidentifiable():
     report = recovery_experiment(None, 2, 0, [0, 1],
                                  fixed_rates=(1.66, 1.12))

@@ -49,8 +49,7 @@ def contests(draw):
     first, stride = draw(st.integers(0, 500)), draw(st.integers(1, 7))
     entities = draw(st.lists(st.integers(0, 4), min_size=n_posts,
                              max_size=n_posts))
-    posts = [Post(id=first + k * stride, token_count=10,
-                  expected_entities=e, arrival_index=k)
+    posts = [Post(id=first + k * stride, token_count=10, expected_entities=e)
              for k, e in enumerate(entities)]
     return dict(
         config=config, profiles=profiles, posts=posts,
@@ -87,8 +86,8 @@ def test_events_at_a_checkpoint_millisecond_run_before_it():
     profiles = [WorkerProfile(id=wid, skill=0.5, lambda_in=1000.0,
                               lambda_out=1000.0, exit_threshold=1.0)
                 for wid in (7, 3, 5)]
-    posts = [Post(id=k, token_count=10, expected_entities=k % 3,
-                  arrival_index=k) for k in range(60)]
+    posts = [Post(id=k, token_count=10, expected_entities=k % 3)
+             for k in range(60)]
     on_checkpoint = 0  # exits at the millisecond of the worker's own event
     for seed in range(5):
         contest = dict(config=config, profiles=profiles, posts=posts,

@@ -31,7 +31,7 @@ from contestsim.simulate import (_BLOCK, _CHUNK_LINES, _PERTURBATIONS,
 
 def _profile(**overrides) -> WorkerProfile:
     base = dict(id=0, skill=0.5, lambda_in=1.2, lambda_out=1.0,
-                cost_per_effort=0.0, exit_threshold=1.0)
+                exit_threshold=1.0)
     base.update(overrides)
     return WorkerProfile(**base)
 
@@ -236,8 +236,8 @@ def test_block_holding_times_match_holding_time():
 ])
 def test_block_counts_match_simulate_annotated_count(skill, accuracy_floor):
     profile = _profile(skill=skill)
-    posts = [Post(id=i, token_count=10, expected_entities=i % 5,
-                  arrival_index=i) for i in range(_N_DRAWS)]
+    posts = [Post(id=i, token_count=10, expected_entities=i % 5)
+             for i in range(_N_DRAWS)]
     for seed in _SEEDS:
         worker = _worker(5, profile, seed, accuracy_floor)
         oracle = streams.substream(seed, streams.COUNTS, 5)
@@ -850,7 +850,7 @@ def _random_contest(seed: int) -> tuple[EventLog, list[Post]]:
                               exit_threshold=1.0)
                 for i in range(n_workers)]
     posts = [Post(id=i, token_count=10,
-                  expected_entities=int(gen.integers(0, 4)), arrival_index=i)
+                  expected_entities=int(gen.integers(0, 4)))
              for i in range(n_posts)]
     log = run_contest(config, profiles, posts, seed=seed,
                       dispatch=("windowed", "shared")[seed % 2],
@@ -982,8 +982,8 @@ def mutation_log(tmp_path_factory):
     config = ContestConfig(**_MUTATION_CONFIG)
     profiles = [WorkerProfile(id=i, skill=0.5, lambda_in=1.2, lambda_out=1.0,
                               exit_threshold=1.0) for i in range(8)]
-    posts = [Post(id=i, token_count=10, expected_entities=i % 3,
-                  arrival_index=i) for i in range(800)]
+    posts = [Post(id=i, token_count=10, expected_entities=i % 3)
+             for i in range(800)]
     log = run_contest(config, profiles, posts, seed=2, base_hazard=0.5)
     lines = list(event_log_lines(log))
     assert len(lines) - 2 > _CHUNK_LINES and log.exits
@@ -1201,6 +1201,59 @@ def test_replay_names_the_doctored_event(tmp_path, contest_config, make_posts,
     assert f"event_index {record['event_index']}" in message
     assert "rank_at_event" in message
 
+
+def _short_contest(contest_config, make_posts, make_profiles, dispatch):
+    """A 35-post contest: four 10 s windows, so a 40000 ms horizon, when
+    windowed; 35 posts at one per second, so 35000 ms, in a shared pool.
+    At the seed taken, the last annotation finds no entity."""
+    config = contest_config(n_posts=35)
+    posts = make_posts(35)
+    seed = {"windowed": 0, "shared": 5}[dispatch]
+    log = run_contest(config, make_profiles(2, skill=0.5), posts, seed=seed,
+                      dispatch=dispatch)
+    assert log.horizon_ms == {"windowed": 40000, "shared": 35000}[dispatch]
+    return log, posts
+
+
+@pytest.mark.parametrize("dispatch", ["windowed", "shared"])
+def test_replay_rejects_a_horizon_apart_from_the_config(
+        dispatch, contest_config, make_posts, make_profiles):
+    log, posts = _short_contest(contest_config, make_posts, make_profiles,
+                                dispatch)
+    replay_validate(log, posts)
+    right = log.horizon_ms
+    for horizon in (7 * right, right - 1):
+        with pytest.raises(ContractViolation) as info:
+            replay_validate(dataclasses.replace(log, horizon_ms=horizon),
+                            posts)
+        assert str(info.value) == (f"horizon_ms {horizon} != {right} from "
+                                   f"the config and {dispatch} dispatch")
+    # The other mode's rule gives the other horizon.
+    other = "shared" if dispatch == "windowed" else "windowed"
+    with pytest.raises(ContractViolation,
+                       match=f"^horizon_ms {right} != .* and {other} "):
+        replay_validate(dataclasses.replace(log, dispatch=other), posts)
+
+
+@pytest.mark.parametrize("dispatch", ["windowed", "shared"])
+def test_replay_rejects_an_annotation_after_the_horizon(
+        dispatch, contest_config, make_posts, make_profiles):
+    # The moved annotation scores nothing, so every score, rank and
+    # trailer row stays as it was.
+    log, posts = _short_contest(contest_config, make_posts, make_profiles,
+                                dispatch)
+    assert not log.exits
+    e = log.events[-1]
+    assert e.annotated_count == 0
+    shift = log.horizon_ms + 1 - e.event_time_ms
+    log.events[-1] = e._replace(event_time_ms=e.event_time_ms + shift,
+                                holding_time_ms=e.holding_time_ms + shift)
+    with pytest.raises(ContractViolation) as info:
+        replay_validate(log, posts)
+    assert str(info.value) == (
+        f"log.events[{len(log.events) - 1}] (worker {e.worker_id}, "
+        f"event_index {e.event_index}): event after the horizon "
+        f"{log.horizon_ms} ms")
 
 
 def test_replay_rejects_a_post_annotated_twice(stock_log_path):

@@ -11,64 +11,50 @@ from contestsim import (ConfigurationError, ContractViolation, DropQueue, Post,
 
 
 def posts(n: int) -> list[Post]:
-    return [Post(id=i, token_count=10, expected_entities=1, arrival_index=i)
+    return [Post(id=i, token_count=10, expected_entities=1)
             for i in range(n)]
 
 
 # --- windowing -------------------------------------------------------------
 
 def test_build_windows_chunks_the_reference_stream():
-    windows = build_windows(posts(7600), 200, 10.0)
+    windows = build_windows(posts(7600), 200)
     assert len(windows) == 38
     assert all(len(w.posts) == 200 for w in windows)
 
 
 def test_build_windows_single_post():
-    windows = build_windows(posts(1), 200, 10.0)
+    windows = build_windows(posts(1), 200)
     assert len(windows) == 1
-    assert windows[0].open_time_s == 0.0
-    assert windows[0].close_time_s == 10.0
-
-
-def test_build_windows_open_and_close_times():
-    windows = build_windows(posts(400), 200, 10.0)
-    assert [(w.open_time_s, w.close_time_s) for w in windows] == [
-        (0.0, 10.0), (10.0, 20.0)]
 
 
 def test_build_windows_empty_stream():
-    assert build_windows([], 200, 10.0) == []
+    assert build_windows([], 200) == []
 
 
 def test_build_windows_last_window_may_be_underfull():
-    windows = build_windows(posts(250), 100, 5.0)
+    windows = build_windows(posts(250), 100)
     assert [len(w.posts) for w in windows] == [100, 100, 50]
-    assert windows[-1].close_time_s == 15.0
 
 
-@given(n=st.integers(0, 60), size=st.integers(1, 12),
-       unit=st.floats(0.5, 20.0))
-def test_build_windows_partition_preserves_the_stream(n, size, unit):
+@given(n=st.integers(0, 60), size=st.integers(1, 12))
+def test_build_windows_partition_preserves_the_stream(n, size):
     stream = posts(n)
-    windows = build_windows(stream, size, unit)
+    windows = build_windows(stream, size)
     flattened = [p for w in windows for p in w.posts]
     assert flattened == stream
     assert [w.index for w in windows] == list(range(len(windows)))
-    for w in windows:
-        assert w.close_time_s == pytest.approx(w.open_time_s + unit)
 
 
 def test_build_windows_validation():
     with pytest.raises(ConfigurationError):
-        build_windows(posts(5), 0, 10.0)
-    with pytest.raises(ConfigurationError):
-        build_windows(posts(5), 5, 0.0)
+        build_windows(posts(5), 0)
 
 
 # --- allocation ------------------------------------------------------------
 
 def test_allocation_full_window_one_bin_per_worker():
-    window = build_windows(posts(200), 200, 10.0)[0]
+    window = build_windows(posts(200), 200)[0]
     assignments = allocate_round_robin(window, list(range(20)), 10)
     assert len(assignments) == 20
     assert sorted(a.worker_id for a in assignments) == list(range(20))
@@ -76,7 +62,7 @@ def test_allocation_full_window_one_bin_per_worker():
 
 
 def test_allocation_underfull_window_leaves_workers_idle():
-    window = build_windows(posts(5), 200, 10.0)[0]
+    window = build_windows(posts(5), 200)[0]
     assignments = allocate_round_robin(window, [1, 2], 10)
     assert len(assignments) == 1
     assert assignments[0].worker_id == 1
@@ -84,13 +70,13 @@ def test_allocation_underfull_window_leaves_workers_idle():
 
 
 def test_allocation_more_workers_than_bins():
-    window = build_windows(posts(200), 200, 10.0)[0]
+    window = build_windows(posts(200), 200)[0]
     assignments = allocate_round_robin(window, list(range(100)), 10)
     assert [a.worker_id for a in assignments] == list(range(20))
 
 
 def test_allocation_offset_rotates_the_deal():
-    window = build_windows(posts(200), 200, 10.0)[0]
+    window = build_windows(posts(200), 200)[0]
     assignments = allocate_round_robin(window, list(range(100)), 10,
                                        start_offset=95)
     assert [a.worker_id for a in assignments] == [95, 96, 97, 98, 99,
@@ -106,7 +92,7 @@ def test_allocation_rotation_is_fair_across_windows():
     counts = {w: 0 for w in workers}
     offset = 0
     for index in range(7):
-        window = build_windows(posts(200), 200, 10.0)[0]
+        window = build_windows(posts(200), 200)[0]
         assignments = allocate_round_robin(window, workers, 10,
                                            start_offset=offset)
         offset = (offset + len(assignments)) % len(workers)
@@ -120,7 +106,7 @@ def test_allocation_rotation_is_fair_across_windows():
        unit=st.integers(1, 10), offset=st.integers(0, 30))
 def test_allocation_bins_are_disjoint_and_within_size(n_posts, n_workers,
                                                       unit, offset):
-    window = build_windows(posts(n_posts), max(n_posts, 1), 10.0)[0]
+    window = build_windows(posts(n_posts), max(n_posts, 1))[0]
     assignments = allocate_round_robin(window, list(range(n_workers)), unit,
                                        start_offset=offset)
     seen: set[int] = set()
@@ -136,7 +122,7 @@ def test_allocation_bins_are_disjoint_and_within_size(n_posts, n_workers,
 
 
 def test_allocation_validation():
-    window = build_windows(posts(5), 5, 10.0)[0]
+    window = build_windows(posts(5), 5)[0]
     with pytest.raises(ConfigurationError):
         allocate_round_robin(window, [], 10)
     with pytest.raises(ConfigurationError):
