@@ -74,10 +74,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     trajectory_log = None
     if args.trajectories:
         _, trajectory_log = run_condition(config, config.spreads[0], 0, posts)
-    paths = emit_outputs(result, out_dir, trajectory_log=trajectory_log)
+    emit_outputs(result, out_dir, trajectory_log=trajectory_log)
     trend = result.trend
-    print(f"ran {len(result.summaries)} contests "
-          f"({len(result.errors)} failed) -> {out_dir}")
+    print(f"ran {len(result.summaries)} contests -> {out_dir}")
     for s, m in zip(trend.spreads, trend.mean_total_annotations):
         print(f"  spread {s}: mean total annotations {m:.1f}")
     if trend.applicable:
@@ -86,9 +85,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"monotone={'yes' if trend.strictly_increasing else 'no'})")
     else:
         print("trend: not applicable (single spread)")
-    if result.errors:
-        print(f"{len(result.errors)} replication(s) failed; "
-              f"see {paths.get('errors.jsonl')}", file=sys.stderr)
     return 0
 
 

@@ -25,7 +25,7 @@ from . import rng as streams
 from .core import (FIELD_TYPES, ContestConfig, Post, TextLines, WorkerProfile,
                    canonical_json, check_types, decode_json, json_record,
                    require_finite, write_atomic)
-from .errors import ConfigurationError, ContestError, DegenerateDataError
+from .errors import ConfigurationError, ContestError
 from .simulate import (DEFAULT_BASE_HAZARD, DISPATCH_MODES, N_CHECKPOINTS,
                        AnnotationEvent, BehaviorPrior, EventLog,
                        checkpoint_times, draw_behavior, run_contest)
@@ -93,7 +93,7 @@ class ExperimentConfig:
         if self.base_hazard < 0.0:
             raise ConfigurationError("base_hazard must be >= 0")
         # A fault shared by every contest is the config's, so it is raised
-        # here and never filed as one error row per sweep cell.
+        # here, before any contest runs.
         for s in self.spreads:
             self.contest_config(s)
         _ = self.prior
@@ -454,7 +454,6 @@ def anova_f(groups: Sequence[Sequence[float]]) -> AnovaResult:
 class SweepResult:
     config: ExperimentConfig
     summaries: tuple[ContestSummary, ...]
-    errors: tuple[dict, ...]
     trend: TrendResult
 
 
@@ -499,41 +498,33 @@ def run_condition(config: ExperimentConfig, reward_spread: int,
 
 def sweep(config: ExperimentConfig,
           posts: Optional[Sequence[Post]] = None) -> SweepResult:
-    """Run every (spread, replication) cell; isolate per-cell input failures.
+    """Run every (spread, replication) cell, or stop at the first that fails.
 
     Replications run outer and spreads inner, so a replication's profiles
     and seeding words are drawn once and serve each of its spreads; the
-    summaries and error rows come out in (spread, replication) order all
-    the same.  A cell that raises `ConfigurationError` or
-    `DegenerateDataError` becomes a diagnostic record and the sweep moves
-    on; it never silently shrinks another cell's sample.  Any other
-    exception, a `ContractViolation` included, means a bug and stops the
-    sweep.
+    summaries come out in (spread, replication) order all the same.  A
+    `ContestError` from a cell is raised again as the same type, its
+    message prefixed with the cell and its seed key, so that ``contestsim
+    simulate --spread S --replication R`` replays it; a sweep never drops
+    a cell from the paired comparison.  Any other exception propagates
+    unchanged.
     """
     corpus = _load_corpus(config, posts)
     # Each sweep draws its own profiles, whatever ran before it.
     _profiles.cache_clear()
-    # Per spread, per replication: the cell's summary or error row.
-    cells: list[list] = [[] for _ in config.spreads]
+    # Per spread, the summary of each replication.
+    cells: list[list[ContestSummary]] = [[] for _ in config.spreads]
     for rep in range(config.replications):
         for spread, row in zip(config.spreads, cells):
             try:
                 summary, _ = run_condition(config, spread, rep, corpus)
-            except (ConfigurationError, DegenerateDataError) as exc:
-                row.append({
-                    "reward_spread": spread, "replication": rep,
-                    "error": f"{type(exc).__name__}: {exc}",
-                })
-                continue
+            except ContestError as exc:
+                raise type(exc)(
+                    f"reward_spread {spread}, replication {rep} (seed key "
+                    f"{config.master_seed},{rep}): {exc}") from exc
             row.append(summary)
-    outcomes = list(chain.from_iterable(cells))
-    summaries = [c for c in outcomes if type(c) is not dict]
-    errors = [c for c in outcomes if type(c) is dict]
-    if not summaries:
-        raise ContestError(
-            f"every replication failed; the first: {canonical_json(errors[0])}")
-    return SweepResult(config=config, summaries=tuple(summaries),
-                       errors=tuple(errors),
+    summaries = tuple(chain.from_iterable(cells))
+    return SweepResult(config=config, summaries=summaries,
                        trend=trend_from_summaries(summaries))
 
 
@@ -614,9 +605,6 @@ def emit_outputs(result: SweepResult, output_dir: Union[str, Path], *,
         "exit_curves.csv": _exit_curves_text(result),
         "trend.json": canonical_json(result.trend.to_record()) + "\n",
     }
-    if result.errors:
-        payload["errors.jsonl"] = "".join(canonical_json(e) + "\n"
-                                          for e in result.errors)
     if trajectory_log is not None:
         payload["trajectories.csv"] = _trajectories_text(trajectory_log)
 

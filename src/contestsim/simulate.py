@@ -768,7 +768,8 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     and that its rank and eligibility equal the leaderboard state after
     every event at or before it.  Globally: that ``horizon_ms`` is the
     `contest_clock` horizon of the config and dispatch and that no event
-    falls after it, post conservation of all ``n_posts``, the
+    falls after it, post conservation of all ``n_posts`` (an unsolved post
+    is dropped under windowed dispatch, pending under shared), the
     remaining-post countdown, that no post is annotated twice, and that
     the trailer equals `rank_workers` of the replayed scores, last scoring
     times and counts.
@@ -909,7 +910,12 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
         raise ContractViolation(
             f"counters.ingested {c.ingested} != config n_posts "
             f"{log.config.n_posts}")
-    if c.ingested != c.solved + c.dropped + c.pending:
-        raise ContractViolation(f"post conservation violated: {c}")
     if c.solved != len(log.events):
         raise ContractViolation("solved counter disagrees with event count")
+    # Windowed dispatch drops what a window leaves; the shared pool keeps it.
+    left = c.ingested - c.solved
+    split = (left, 0) if log.dispatch == "windowed" else (0, left)
+    if (c.dropped, c.pending) != split:
+        raise ContractViolation(
+            f"counters dropped {c.dropped}, pending {c.pending} != "
+            f"{split[0]}, {split[1]} under {log.dispatch} dispatch")

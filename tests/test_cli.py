@@ -112,6 +112,45 @@ def test_sweep_emits_a_verified_tree(tmp_path, config_file, capsys):
     assert "trend:" in captured.out
 
 
+@pytest.fixture
+def overflow_config(tmp_path):
+    """A sweep config whose prior draws an infinite outside rate for worker
+    1 of replication 3 (seed key 0,3)."""
+    path = tmp_path / "overflow.cfg"
+    path.write_text(CONFIG.replace("replications=2", "replications=6")
+                    .replace("master_seed=7", "master_seed=0")
+                    + "halfnormal_sigma=1e308\n", encoding="utf-8")
+    return path
+
+
+OVERFLOW = "worker 1: lambda_out must be finite, got inf"
+
+
+def test_a_sweep_stops_at_the_first_cell_that_fails(tmp_path, capsys,
+                                                     overflow_config):
+    out_dir = tmp_path / "out"
+    capsys.readouterr()
+    code = main(["sweep", "--config", str(overflow_config),
+                 "--out-dir", str(out_dir), "--trajectories"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: reward_spread 1, replication 3 "
+                            f"(seed key 0,3): {OVERFLOW}\n")
+    assert not (out_dir / "manifest.json").exists()
+    assert not (out_dir / "errors.jsonl").exists()
+
+
+def test_simulate_replays_the_cell_a_sweep_stopped_at(tmp_path, capsys,
+                                                      overflow_config):
+    log_path = tmp_path / "contest.jsonl"
+    capsys.readouterr()
+    code = main(["simulate", "--config", str(overflow_config),
+                 "--spread", "1", "--replication", "3",
+                 "--out", str(log_path)])
+    assert (code, capsys.readouterr().err) == (2, f"error: {OVERFLOW}\n")
+    assert not log_path.exists()
+
+
 # The sha256 of each file of the ``--trajectories`` sweep of CONFIG; a
 # change to the corpus, the engine or the output writers moves them.
 PINNED_SWEEP_FILES = {
@@ -710,6 +749,25 @@ def test_validate_flags_an_annotation_after_the_horizon(tmp_path, capsys,
         2, f"error: log.events[{len(lines) - 3}] (worker "
            f"{last['worker_id']}, event_index {last['event_index']}): "
            "event after the horizon 20000 ms\n")
+
+
+@pytest.mark.parametrize("dispatch, shift, message", [
+    ("windowed", -1, "dropped 1, pending 1 != 2, 0 under windowed"),
+    ("shared", 1, "dropped 1, pending -1 != 0, 0 under shared"),
+], ids=["windowed", "shared"])
+def test_validate_flags_counters_split_apart_from_the_dispatch(
+        tmp_path, capsys, dispatch, shift, message):
+    # Moving a post between dropped and pending keeps the conservation sum;
+    # the windowed log drops 2 posts, the shared one solves all 40.
+    corpus, log_path = _spread_four_files(tmp_path, dispatch)
+
+    def edit(header):
+        header["counters"]["dropped"] += shift
+        header["counters"]["pending"] -= shift
+
+    _edit_line(log_path, 0, edit)
+    code, err = _run_on_log("validate", corpus, log_path, tmp_path, capsys)
+    assert (code, err) == (2, f"error: counters {message} dispatch\n")
 
 
 def test_fit_log_linear_converges_on_every_stock_worker(tmp_path,

@@ -546,7 +546,6 @@ def test_sweep_covers_every_cell():
     cfg = _config()
     result = sweep(cfg)
     assert len(result.summaries) == 4
-    assert result.errors == ()
     assert {(s.reward_spread, s.replication) for s in result.summaries} == \
         {(1, 0), (1, 1), (2, 0), (2, 1)}
     assert result.trend.applicable
@@ -558,58 +557,22 @@ def test_sweep_rejects_a_short_corpus():
         sweep(cfg, posts=_corpus(cfg)[:10])
 
 
-def test_sweep_contains_per_cell_failures(monkeypatch):
-    cfg = _config()
+@pytest.mark.parametrize("fault", [ConfigurationError, DegenerateDataError])
+def test_a_failed_cell_stops_the_sweep_and_names_its_seed_key(monkeypatch,
+                                                              fault):
     real = experiment.run_condition
 
     def flaky(config, spread, rep, posts):
         if (spread, rep) == (2, 1):
-            raise ConfigurationError("synthetic fault")
+            raise fault("synthetic fault")
         return real(config, spread, rep, posts)
 
     monkeypatch.setattr(experiment, "run_condition", flaky)
-    result = experiment.sweep(cfg)
-    assert len(result.summaries) == 3
-    assert len(result.errors) == 1
-    assert result.errors[0]["reward_spread"] == 2
-    assert result.errors[0]["replication"] == 1
-    assert "ConfigurationError" in result.errors[0]["error"]
-
-
-def test_sweep_fails_loudly_when_everything_fails(monkeypatch):
-    def broken(config, spread, rep, posts):
-        raise ConfigurationError("synthetic fault")
-
-    monkeypatch.setattr(experiment, "run_condition", broken)
-    with pytest.raises(ContestError, match="every replication failed"):
+    with pytest.raises(fault) as info:
         experiment.sweep(_config())
-
-
-
-def test_a_sweep_that_fails_everywhere_names_the_first_error(monkeypatch):
-    def broken(config, spread, rep, posts):
-        raise ConfigurationError(f"synthetic fault {spread}/{rep}")
-
-    monkeypatch.setattr(experiment, "run_condition", broken)
-    with pytest.raises(ContestError) as info:
-        experiment.sweep(_config())
-    assert str(info.value) == (
-        'every replication failed; the first: {"error":"ConfigurationError: '
-        'synthetic fault 1/0","replication":0,"reward_spread":1}')
-
-def test_sweep_files_degenerate_data_as_an_error_row(monkeypatch):
-    real = experiment.run_condition
-
-    def degenerate(config, spread, rep, posts):
-        if (spread, rep) == (1, 0):
-            raise DegenerateDataError("synthetic fault")
-        return real(config, spread, rep, posts)
-
-    monkeypatch.setattr(experiment, "run_condition", degenerate)
-    result = experiment.sweep(_config())
-    assert len(result.summaries) == 3
-    assert [e["error"] for e in result.errors] == [
-        "DegenerateDataError: synthetic fault"]
+    assert type(info.value) is fault
+    assert str(info.value) == ("reward_spread 2, replication 1 "
+                               "(seed key 7,1): synthetic fault")
 
 
 @pytest.mark.parametrize("fault", [ContractViolation, ValueError, KeyError])
@@ -656,22 +619,27 @@ def test_a_sweep_runs_replications_outer_and_files_cells_in_order(
     cfg = _config(spreads=(1, 2, 3), replications=2)
     real = experiment.run_condition
     ran = []
+    faults = {(2, 0), (1, 1)}
 
     def flaky(config, spread, rep, posts):
         ran.append((spread, rep))
-        if (spread, rep) in ((2, 0), (1, 1)):
+        if (spread, rep) in faults:
             raise ConfigurationError(f"synthetic fault {spread}/{rep}")
         return real(config, spread, rep, posts)
 
     monkeypatch.setattr(experiment, "run_condition", flaky)
+    # Cell (2, 0) is filed after (1, 1) but runs before it.
+    with pytest.raises(ConfigurationError,
+                       match=r"^reward_spread 2, replication 0 \(seed key "
+                             r"7,0\): synthetic fault 2/0$"):
+        experiment.sweep(cfg)
+    assert ran == [(1, 0), (2, 0)]
+    faults.clear()
+    ran.clear()
     result = experiment.sweep(cfg)
     assert ran == [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1)]
-    assert [(e["reward_spread"], e["replication"], e["error"])
-            for e in result.errors] == [
-        (1, 1, "ConfigurationError: synthetic fault 1/1"),
-        (2, 0, "ConfigurationError: synthetic fault 2/0")]
     assert [(s.reward_spread, s.replication) for s in result.summaries] == [
-        (1, 0), (2, 1), (3, 0), (3, 1)]
+        (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]
 
 
 # --- writing files ---------------------------------------------------------------
@@ -850,7 +818,7 @@ def test_emitted_bytes_are_reproducible(tmp_path):
 
 
 def test_empty_result_emits_headers_only(tmp_path):
-    result = SweepResult(config=_config(), summaries=(), errors=(),
+    result = SweepResult(config=_config(), summaries=(),
                          trend=trend_from_summaries([]))
     paths = emit_outputs(result, tmp_path / "out")
     table = paths["sweep_table.csv"].read_text(encoding="utf-8")
