@@ -121,15 +121,14 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         if args.lambda_in is None or args.lambda_out is None:
             raise ContestError("--lambda-in and --lambda-out go together")
         fixed = (args.lambda_in, args.lambda_out)
-    prior = BehaviorPrior(gamma_shape=args.gamma_shape,
-                          gamma_rate=args.gamma_rate,
-                          halfnormal_sigma=args.halfnormal_sigma)
+    prior = BehaviorPrior(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(BehaviorPrior)})
     report = recovery_experiment(prior, args.n_workers, args.target,
                                  _parse_seed_list(args.seeds),
                                  fixed_rates=fixed)
     if args.out:
-        record = report.to_record()
-        record["rows"] = [json_record(r) for r in report.rows]
+        record = {**json_record(report), "n_rows": len(report.rows),
+                  "rows": [json_record(r) for r in report.rows]}
         write_atomic(args.out, [canonical_json(record) + "\n"])
     print(f"recovery over {len(report.rows)} fits: "
           f"mean rel err in={report.mean_rel_err_in:.4f} "
@@ -199,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated replicate seeds")
     p.add_argument("--lambda-in", type=float, default=None)
     p.add_argument("--lambda-out", type=float, default=None)
-    for name in ("gamma_shape", "gamma_rate", "halfnormal_sigma"):
-        p.add_argument("--" + name.replace("_", "-"), type=float,
-                       default=getattr(BehaviorPrior, name))
+    for f in dataclasses.fields(BehaviorPrior):
+        p.add_argument("--" + f.name.replace("_", "-"), type=float,
+                       default=f.default)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_recover)
 

@@ -26,8 +26,8 @@ from .core import (FIELD_TYPES, ContestConfig, Post, TextLines, WorkerProfile,
                    canonical_json, check_types, decode_json, json_record,
                    require_finite, write_atomic)
 from .errors import ConfigurationError, ContestError
-from .simulate import (DEFAULT_BASE_HAZARD, DISPATCH_MODES, N_CHECKPOINTS,
-                       AnnotationEvent, BehaviorPrior, EventLog,
+from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, AnnotationEvent,
+                       BehaviorPrior, EventLog, check_run_arguments,
                        checkpoint_times, draw_behavior, run_contest)
 
 CONFIG_VERSION = 1
@@ -88,21 +88,17 @@ class ExperimentConfig:
                     f"spread {s} outside [1, n_workers={self.n_workers}]")
         if self.mean_entities <= 0.0:
             raise ConfigurationError("mean_entities must be positive")
-        if self.dispatch not in DISPATCH_MODES:
-            raise ConfigurationError(f"unknown dispatch {self.dispatch!r}")
-        if self.base_hazard < 0.0:
-            raise ConfigurationError("base_hazard must be >= 0")
         # A fault shared by every contest is the config's, so it is raised
         # here, before any contest runs.
         for s in self.spreads:
-            self.contest_config(s)
+            check_run_arguments(self.contest_config(s), self.dispatch,
+                                self.base_hazard, self.accuracy_floor)
         _ = self.prior
 
     @property
     def prior(self) -> BehaviorPrior:
-        return BehaviorPrior(gamma_shape=self.gamma_shape,
-                             gamma_rate=self.gamma_rate,
-                             halfnormal_sigma=self.halfnormal_sigma)
+        return BehaviorPrior(**{f.name: getattr(self, f.name)
+                                for f in fields(BehaviorPrior)})
 
     def contest_config(self, reward_spread: int) -> ContestConfig:
         fixed = {f.name: getattr(self, f.name) for f in fields(ContestConfig)
@@ -226,13 +222,10 @@ def _corpus_counts(bit_generator: np.random.BitGenerator, n_posts: int,
 
 
 def write_corpus(posts: Sequence[Post], path: Union[str, Path]) -> None:
-    write_atomic(path, [canonical_json({"id": p.id, "token_count": p.token_count,
-                                        "expected_entities": p.expected_entities})
-                        + "\n" for p in posts])
+    write_atomic(path, [canonical_json(json_record(p)) + "\n" for p in posts])
 
 
-_CORPUS_FIELDS = dict.fromkeys(("id", "token_count", "expected_entities"),
-                               FIELD_TYPES["int"])
+_CORPUS_FIELDS = {f.name: FIELD_TYPES[f.type] for f in fields(Post)}
 _corpus_values = itemgetter(*_CORPUS_FIELDS)
 
 
@@ -298,9 +291,6 @@ class ContestSummary:
     winners: tuple[int, ...]
     payout_total: float
     duration_ms: int
-
-    def to_record(self) -> dict:
-        return json_record(self)
 
 
 _post_id, _holding_time, _annotated_count = (
@@ -376,9 +366,6 @@ class TrendResult:
     p_value: float
     detected: bool
     applicable: bool
-
-    def to_record(self) -> dict:
-        return json_record(self)
 
 
 def trend_from_summaries(summaries: Sequence[ContestSummary]) -> TrendResult:
@@ -574,7 +561,7 @@ def _exit_curves_text(result: SweepResult) -> str:
 
 
 def _summaries_text(result: SweepResult) -> str:
-    return "".join(canonical_json(s.to_record()) + "\n"
+    return "".join(canonical_json(json_record(s)) + "\n"
                    for s in sorted(result.summaries,
                                    key=lambda s: (s.reward_spread, s.replication)))
 
@@ -603,7 +590,7 @@ def emit_outputs(result: SweepResult, output_dir: Union[str, Path], *,
         "sweep_table.csv": _sweep_table_text(result),
         "summaries.jsonl": _summaries_text(result),
         "exit_curves.csv": _exit_curves_text(result),
-        "trend.json": canonical_json(result.trend.to_record()) + "\n",
+        "trend.json": canonical_json(json_record(result.trend)) + "\n",
     }
     if trajectory_log is not None:
         payload["trajectories.csv"] = _trajectories_text(trajectory_log)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import rng as streams
 from .core import (ContestConfig, Post, WorkerProfile, canonical_json,
-                   json_record, write_atomic)
+                   write_atomic)
 from .errors import ConfigurationError, DegenerateDataError
 from .simulate import AnnotationEvent, EventLog, draw_behavior, run_contest
 
@@ -348,11 +348,6 @@ class RecoveryReport:
     max_rel_err_in: float
     max_rel_err_out: float
     unidentifiable: int
-
-    def to_record(self) -> dict:
-        record = json_record(self)
-        record["n_rows"] = len(record.pop("rows"))
-        return record
 
 
 def _recovery_config(n_workers: int, posts_per_run: int) -> ContestConfig:

@@ -3,9 +3,12 @@
 Each worker is a point process over a virtual clock: holding times between
 annotations are exponential, at ``lambda_in`` while the worker sits inside
 the reward spread and ``lambda_out`` while outside.  Rates are re-evaluated
-at the worker's own events, where the leaderboard is also updated, so every
-logged holding time is a single exponential draw at the rate recorded with
-the event.  The clock is integer milliseconds throughout.
+at the worker's own events, where the leaderboard is also updated.  A
+logged holding time runs from the worker's previous event: under shared
+dispatch one draw at the rate logged with it; under windowed dispatch a
+window's first draw starts at its opening, so idle time before it counts
+too.  A draw cut off by a close, an exit or an empty pool goes unlogged
+(ROADMAP item 12).  The clock is integer milliseconds throughout.
 
 Ranks come from one shared `core.Leaderboard`, which the replay validator
 uses too: O(log W) per score update and per rank lookup in a field of W.
@@ -68,7 +71,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from math import ceil
 from operator import itemgetter
@@ -81,7 +84,7 @@ from . import rng as streams
 from .core import (EXACT_MATCH_MULTIPLIER, FIELD_TYPES, ContestConfig,
                    Leaderboard, Post, RankEntry, Ranking, TextLines,
                    WorkerProfile, canonical_json, check_types,
-                   collector_paused, decode_json, rank_workers,
+                   collector_paused, decode_json, json_record, rank_workers,
                    require_finite, score_annotation, write_atomic)
 from .errors import ConfigurationError, ContractViolation
 from .stream import DropQueue, advance_queue, allocate_round_robin, build_windows, total_contest_time
@@ -117,19 +120,18 @@ class BehaviorPrior:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        for name in ("gamma_shape", "gamma_rate", "halfnormal_sigma"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(f"{name} must be strictly positive")
+        for f in fields(self):
+            if getattr(self, f.name) <= 0.0:
+                raise ConfigurationError(f"{f.name} must be strictly positive")
 
 
 class AnnotationEvent(NamedTuple):
     """One annotation, with the state that governed its holding time.
 
-    ``rank_at_event`` / ``eligible_at_event`` describe the worker at the
-    start of the interval that ended with this event (i.e. right after
-    their previous event was scored), which is exactly the state whose rate
-    generated ``holding_time_ms``.  ``annotations_remaining`` counts posts
-    left in the contest after this event.
+    ``rank_at_event`` / ``eligible_at_event`` describe the worker right
+    after their previous event was scored: the state whose rate drew the
+    holding time, which is one draw only under shared dispatch (see the
+    module docstring).  ``annotations_remaining`` counts posts left after it.
     """
 
     worker_id: int
@@ -318,7 +320,8 @@ def contest_clock(config: ContestConfig, dispatch: str) -> tuple[int, int]:
 
     A windowed contest ends when its last window closes, after
     ``ceil(n_posts / window_size)`` task units; a shared-pool one after
-    `total_contest_time`, rounded to the millisecond.
+    `total_contest_time`, rounded to the millisecond.  A task unit or a
+    shared horizon of 0 ms raises `ConfigurationError`.
     """
     unit_ms = int(round(config.task_unit_time_s * 1000.0))
     if unit_ms < 1:
@@ -326,9 +329,29 @@ def contest_clock(config: ContestConfig, dispatch: str) -> tuple[int, int]:
             "task_unit_time_s is below the 1 ms clock resolution")
     if dispatch == "windowed":
         return unit_ms, -(-config.n_posts // config.window_size) * unit_ms
-    horizon_s = total_contest_time(config.n_posts, config.task_unit_time_s,
-                                   config.window_size)
-    return unit_ms, int(round(horizon_s * 1000.0))
+    horizon_ms = int(round(total_contest_time(
+        config.n_posts, config.task_unit_time_s, config.window_size) * 1000.0))
+    if horizon_ms < 1:
+        raise ConfigurationError("n_posts * task_unit_time_s / window_size "
+                                 "is below the 1 ms clock resolution")
+    return unit_ms, horizon_ms
+
+
+def check_run_arguments(config: ContestConfig, dispatch: str,
+                        base_hazard: float,
+                        accuracy_floor: float) -> tuple[int, int]:
+    """Check a contest's dispatch, ``base_hazard`` and ``accuracy_floor``,
+    then return its `contest_clock`; a fault raises `ConfigurationError`.
+    `run_contest`, `replay_validate` and `ExperimentConfig` check here."""
+    if dispatch not in DISPATCH_MODES:
+        raise ConfigurationError(f"unknown dispatch mode {dispatch!r}")
+    if not (math.isfinite(base_hazard) and base_hazard >= 0.0):
+        raise ConfigurationError(
+            f"base_hazard must be finite and >= 0, got {base_hazard}")
+    if not math.isfinite(accuracy_floor):
+        raise ConfigurationError(
+            f"accuracy_floor must be finite, got {accuracy_floor}")
+    return contest_clock(config, dispatch)
 
 
 def checkpoint_times(horizon_ms: int) -> list[int]:
@@ -356,19 +379,13 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
     if len(posts) != config.n_posts:
         raise ConfigurationError(
             f"expected {config.n_posts} posts, got {len(posts)}")
-    if dispatch not in DISPATCH_MODES:
-        raise ConfigurationError(f"unknown dispatch mode {dispatch!r}")
+    unit_ms, horizon_ms = check_run_arguments(config, dispatch, base_hazard,
+                                              accuracy_floor)
     ids = [p.id for p in profiles]
     if len(set(ids)) != len(ids):
         raise ConfigurationError("worker ids must be unique")
     if len({p.id for p in posts}) != len(posts):
         raise ConfigurationError("post ids must be unique")
-    if not (math.isfinite(base_hazard) and base_hazard >= 0.0):
-        raise ConfigurationError(
-            f"base_hazard must be finite and >= 0, got {base_hazard}")
-    if not math.isfinite(accuracy_floor):
-        raise ConfigurationError(
-            f"accuracy_floor must be finite, got {accuracy_floor}")
 
     with collector_paused():
         n = config.n_workers
@@ -389,7 +406,6 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
             w.gov_rank = board_rank(w.profile.id)
             w.gov_elig = w.gov_rank <= spread
 
-        unit_ms, horizon_ms = contest_clock(config, dispatch)
         events: list[AnnotationEvent] = []
         exits: list[ExitEvent] = []
         solved = 0
@@ -590,8 +606,8 @@ def event_log_lines(log: EventLog):
         "horizon_ms": log.horizon_ms,
         "base_hazard": log.base_hazard,
         "accuracy_floor": log.accuracy_floor,
-        "config": asdict(log.config),
-        "counters": asdict(log.counters),
+        "config": json_record(log.config),
+        "counters": json_record(log.counters),
     })
     events = log.events
     event_line, json_bool = _EVENT_LINE, _JSON_BOOL
@@ -766,8 +782,9 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     order, once per worker, outside the reward spread (the exit hazard is
     0 inside it), in rising worker id among the exits of one checkpoint,
     and that its rank and eligibility equal the leaderboard state after
-    every event at or before it.  Globally: that ``horizon_ms`` is the
-    `contest_clock` horizon of the config and dispatch and that no event
+    every event at or before it.  Globally: that the header passes
+    `check_run_arguments` (or `ConfigurationError`), that ``horizon_ms`` is
+    the `contest_clock` horizon of the config and dispatch and that no event
     falls after it, post conservation of all ``n_posts`` (an unsolved post
     is dropped under windowed dispatch, pending under shared), the
     remaining-post countdown, that no post is annotated twice, and that
@@ -779,7 +796,8 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     index, its position in ``log.exits``, worker and exit time, or its
     ``final_ranking`` row.
     """
-    _, horizon_ms = contest_clock(log.config, log.dispatch)
+    _, horizon_ms = check_run_arguments(log.config, log.dispatch,
+                                        log.base_hazard, log.accuracy_floor)
     if log.horizon_ms != horizon_ms:
         raise ContractViolation(
             f"horizon_ms {log.horizon_ms} != {horizon_ms} from the config "

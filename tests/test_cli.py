@@ -703,6 +703,15 @@ def test_validate_flags_ingested_apart_from_n_posts(tmp_path, contest_files,
     assert err == "error: counters.ingested 47 != config n_posts 40\n"
 
 
+def test_validate_flags_a_header_base_hazard_run_contest_refuses(
+        tmp_path, contest_files, capsys):
+    corpus, log_path = contest_files
+    _edit_line(log_path, 0, lambda header: header.update(base_hazard=-5.0))
+    code, err = _run_on_log("validate", corpus, log_path, tmp_path, capsys)
+    assert (code, err) == (
+        2, "error: base_hazard must be finite and >= 0, got -5.0\n")
+
+
 def _spread_four_files(tmp_path, dispatch):
     """The corpus and the log of a 4-worker contest at spread 4, so that no
     one exits, and at seed 6, whose last annotation finds no entity."""
@@ -937,6 +946,24 @@ def test_recover_out_is_json_without_nan(tmp_path, capsys):
     assert record["unidentifiable"] == 2
 
 
+def test_recover_out_holds_the_report_and_row_fields(tmp_path, capsys):
+    out = tmp_path / "recovery.json"
+    assert main(["recover", "--target", "10", "--seeds", "0",
+                 "--out", str(out)]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    # RecoveryReport's fields, plus n_rows.
+    assert sorted(record) == [
+        "max_rel_err_in", "max_rel_err_out", "mean_rel_err_in",
+        "mean_rel_err_out", "n_events_target", "n_rows", "rows",
+        "unidentifiable"]
+    # RecoveryRow's fields.
+    for row in record["rows"]:
+        assert sorted(row) == [
+            "est_lambda_in", "est_lambda_out", "n_in", "n_out", "rel_err_in",
+            "rel_err_out", "runs_pooled", "seed", "true_lambda_in",
+            "true_lambda_out", "worker_id"]
+
+
 def test_a_config_error_names_the_file_and_line(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text(CONFIG.replace("n_posts=40", "n_posts=forty"),
@@ -953,7 +980,11 @@ def test_a_config_error_names_the_file_and_line(tmp_path, capsys):
     ("task_unit_size=5", "task_unit_size=20", "task_unit_size"),
     ("master_seed=7", "master_seed=7\ngamma_shape=-1.0", "gamma_shape"),
     ("master_seed=7", "master_seed=7\nbase_hazard=-1", "base_hazard"),
-], ids=["task unit", "prior", "hazard"])
+    ("task_unit_time_s=5.0", "task_unit_time_s=0.0004", "task_unit_time_s"),
+    # A shared horizon of 40 * 0.001 / 100000 s rounds to 0 ms.
+    ("window_size=10\ntask_unit_time_s=5.0",
+     "window_size=100000\ntask_unit_time_s=0.001\ndispatch=shared", "n_posts"),
+], ids=["task unit", "prior", "hazard", "sub-ms unit", "zero shared horizon"])
 def test_a_contest_level_config_fault_stops_the_sweep(tmp_path, capsys, old,
                                                       new, field):
     config = tmp_path / "bad.cfg"

@@ -207,6 +207,13 @@ def test_corpus_round_trips_through_disk(tmp_path):
     assert read_corpus(path) == posts
 
 
+def test_a_corpus_line_is_the_posts_fields_in_canonical_json(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus([Post(id=3, token_count=17, expected_entities=2)], path)
+    assert path.read_bytes() == (
+        b'{"expected_entities":2,"id":3,"token_count":17}\n')
+
+
 def test_generate_corpus_validation():
     with pytest.raises(ConfigurationError):
         generate_corpus(-1, 1.2, seed=0)
@@ -359,13 +366,20 @@ def test_quality_gate_can_void_the_payout():
     assert summary.payout_total == 0.0
 
 
-def test_summary_record_maps_nan_to_null():
-    s = _summary_stub(1, 0, 0)
-    s = s.__class__(**{**s.__dict__,
-                       "mean_annotations_per_active": float("nan")})
-    record = s.to_record()
-    assert record["mean_annotations_per_active"] is None
-    json.dumps(record)
+def test_summary_record_maps_nan_to_null(tmp_path):
+    s = dataclasses.replace(_summary_stub(1, 0, 0),
+                            mean_annotations_per_active=float("nan"))
+    result = SweepResult(config=_config(), summaries=(s,),
+                         trend=trend_from_summaries([s]))
+    paths = emit_outputs(result, tmp_path / "out")
+    line = paths["summaries.jsonl"].read_text(encoding="utf-8")
+    assert line == (
+        '{"active_worker_counts":[' + ",".join(["4"] * 21) + '],'
+        '"distinct_annotations":0,"duration_ms":1000,'
+        '"mean_annotation_time_s_per_entity":1.0,'
+        '"mean_annotations_per_active":null,"n_exits":0,"payout_total":0.5,'
+        '"replication":0,"reward_spread":1,"top10_annotations":0,'
+        '"top1_annotations":0,"total_annotations":0,"winners":[0]}\n')
 
 
 # --- sign test -------------------------------------------------------------------

@@ -367,11 +367,20 @@ def test_run_contest_validates_inputs(contest_config, make_posts,
     (4, dict(base_hazard=-0.1), "base_hazard"),
     (1, dict(accuracy_floor=math.nan), "accuracy_floor"),
     (1, dict(accuracy_floor=-math.inf), "accuracy_floor"),
+    # A shared horizon of 40 * 0.001 / 100000 s rounds to 0 ms.
+    pytest.param(
+        1, dict(dispatch="shared", window_size=100_000, task_unit_time_s=0.001),
+        r"^n_posts \* task_unit_time_s / window_size is below the 1 ms clock "
+        "resolution$", id="zero shared horizon"),
 ])
 def test_run_contest_rejects_a_bad_hazard_or_floor_before_drawing(
         monkeypatch, contest_config, make_posts, make_profiles, spread, bad,
         match):
-    config = contest_config(n_workers=4, reward_spread=spread)
+    # Keys of ``bad`` that name config fields go to the config.
+    fields = {f.name for f in dataclasses.fields(ContestConfig)}
+    config = contest_config(n_workers=4, reward_spread=spread,
+                            **{k: v for k, v in bad.items() if k in fields})
+    bad = {k: v for k, v in bad.items() if k not in fields}
 
     def no_draws(*args, **kwargs):
         raise AssertionError("drew before checking its arguments")
@@ -1233,6 +1242,18 @@ def test_replay_rejects_a_horizon_apart_from_the_config(
     with pytest.raises(ContractViolation,
                        match=f"^horizon_ms {right} != .* and {other} "):
         replay_validate(dataclasses.replace(log, dispatch=other), posts)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(dispatch="bogus"), "unknown dispatch mode 'bogus'"),
+    (dict(base_hazard=-5.0), "base_hazard must be finite and >= 0, got -5.0"),
+], ids=["dispatch", "hazard"])
+def test_replay_rejects_run_arguments_that_run_contest_refuses(
+        bad, message, contest_config, make_posts, make_profiles):
+    log, posts = _short_contest(contest_config, make_posts, make_profiles,
+                                "shared")
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        replay_validate(dataclasses.replace(log, **bad), posts)
 
 
 @pytest.mark.parametrize("dispatch", ["windowed", "shared"])
