@@ -22,7 +22,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -93,10 +93,18 @@ class FittedBehavior:
     unidentified: tuple[str, ...] = ()
 
 
+def _non_positive_holding(e: AnnotationEvent) -> DegenerateDataError:
+    """The error both fitters raise for the first event whose holding time
+    is not positive."""
+    return DegenerateDataError(
+        f"worker {e.worker_id}, event_index {e.event_index}: "
+        f"holding_time_ms must be positive, got {e.holding_time_ms}")
+
+
 def _holding_seconds(events: Sequence[AnnotationEvent]) -> np.ndarray:
     tau = np.array([e.holding_time_ms for e in events], dtype=float) / 1000.0
     if len(tau) and tau.min() <= 0.0:
-        raise DegenerateDataError("holding times must be positive")
+        raise _non_positive_holding(events[int(np.argmax(tau <= 0.0))])
     return tau
 
 
@@ -175,33 +183,60 @@ def nll_gradient(events: Sequence[AnnotationEvent], theta: Sequence[float],
     return _log_linear_terms(x, tau, th)[1]
 
 
+# Sufficient statistics of the two-state fit: the event count and the summed
+# holding seconds of each state, indexed by eligibility (0 outside the
+# reward spread, 1 inside).
+_TwoStateTotals = tuple[list[int], list[float]]
+
+
+def _add_two_state(totals: Mapping[int, _TwoStateTotals],
+                   events: Iterable[AnnotationEvent]) -> None:
+    """Add each event, in order, to the totals of its worker:
+    ``totals[e.worker_id]``."""
+    for e in events:
+        ms = e.holding_time_ms
+        if ms <= 0:
+            raise _non_positive_holding(e)
+        counts, seconds = totals[e.worker_id]
+        state = e.eligible_at_event
+        counts[state] += 1
+        seconds[state] += ms / 1000.0
+
+
+def _finish_two_state(totals: _TwoStateTotals,
+                      worker_id: Optional[int]) -> FittedBehavior:
+    """Closed-form MLE from the totals: rate per state = count / seconds."""
+    (n_out, n_in), (s_out, s_in) = totals
+    lam_in = n_in / s_in if n_in else None
+    lam_out = n_out / s_out if n_out else None
+    nll = 0.0
+    for n, lam in ((n_in, lam_in), (n_out, lam_out)):
+        if lam is not None:
+            # At the MLE, sum(rate * tau) over the state equals its count.
+            nll += -n * math.log(lam) + n
+    return FittedBehavior(
+        worker_id=worker_id, model_kind="two_state",
+        lambda_in_hat=lam_in, lambda_out_hat=lam_out, theta_hat=None,
+        nll=nll, n_in=n_in, n_out=n_out,
+        converged=n_in + n_out > 0,
+    )
+
+
 def fit_two_state(events: Sequence[AnnotationEvent],
                   worker_id: Optional[int] = None) -> FittedBehavior:
     """Closed-form MLE: rate per state = event count / total holding time.
 
-    A state with no events is unidentifiable and reported as None; the
-    other state's estimate is unaffected.
+    The fit needs only each state's event count and summed holding
+    seconds, which it adds up in one pass over ``events``; every event
+    counts, whatever its ``worker_id``.  `recovery_experiment` pools its
+    runs into the same per-worker totals, so its memory does not grow
+    with the events pooled.  A state with no events is
+    unidentifiable and reported as None; the other state's estimate is
+    unaffected.
     """
-    n = {True: 0, False: 0}
-    total_s = {True: 0.0, False: 0.0}
-    for e in events:
-        if e.holding_time_ms <= 0:
-            raise DegenerateDataError("holding times must be positive")
-        n[e.eligible_at_event] += 1
-        total_s[e.eligible_at_event] += e.holding_time_ms / 1000.0
-    lam_in = n[True] / total_s[True] if n[True] else None
-    lam_out = n[False] / total_s[False] if n[False] else None
-    nll = 0.0
-    for state, lam in ((True, lam_in), (False, lam_out)):
-        if lam is not None:
-            # At the MLE, sum(rate * tau) over the state equals its count.
-            nll += -n[state] * math.log(lam) + n[state]
-    return FittedBehavior(
-        worker_id=worker_id, model_kind="two_state",
-        lambda_in_hat=lam_in, lambda_out_hat=lam_out, theta_hat=None,
-        nll=nll, n_in=n[True], n_out=n[False],
-        converged=bool(events),
-    )
+    totals = ([0, 0], [0.0, 0.0])
+    _add_two_state(defaultdict(lambda: totals), events)
+    return _finish_two_state(totals, worker_id)
 
 
 def fit_log_linear(events: Sequence[AnnotationEvent], norms: FeatureNorms,
@@ -381,6 +416,13 @@ def recovery_experiment(prior, n_workers: int, n_events_target: int,
     state (or a run cap is hit), fit per worker, and record relative errors
     against the generating rates.
 
+    The pool is not a list of events: each run's events are added, in run
+    order and then log order, to per-worker totals (the count and holding
+    seconds of each state, which are all the two-state fit reads), and the
+    run's log is then dropped.  Memory therefore does not grow with
+    ``n_events_target``, and the fits equal `fit_two_state` on each
+    worker's pooled events bit for bit.
+
     With ``fixed_rates`` the first worker gets exactly that (in, out) pair
     and the remainder get the mirrored pair, which keeps the leaderboard
     contested so both states stay populated.  ``prior`` is consulted only
@@ -416,21 +458,18 @@ def recovery_experiment(prior, n_workers: int, n_events_target: int,
                           lambda_out=pairs[i][1], exit_threshold=0.0)
             for i in range(n_workers)
         ]
-        pooled: dict[int, list[AnnotationEvent]] = defaultdict(list)
-        # Pooled events per worker, out of and inside the spread.
-        n_state = [[0, 0] for _ in range(n_workers)]
+        totals = {w: ([0, 0], [0.0, 0.0]) for w in range(n_workers)}
         runs = 0
         while runs < max_runs:
-            log = run_contest(config, profiles, posts, seed=(seed, runs),
-                              dispatch="shared", base_hazard=0.0)
+            # No name keeps the log, so it is freed before the next run.
+            _add_two_state(totals, run_contest(
+                config, profiles, posts, seed=(seed, runs),
+                dispatch="shared", base_hazard=0.0).events)
             runs += 1
-            for e in log.events:
-                pooled[e.worker_id].append(e)
-                n_state[e.worker_id][e.eligible_at_event] += 1
-            if min(min(counts) for counts in n_state) >= n_events_target:
+            if min(min(c) for c, _ in totals.values()) >= n_events_target:
                 break
         for w in range(n_workers):
-            fit = fit_two_state(pooled[w], worker_id=w)
+            fit = _finish_two_state(totals[w], w)
             true_in, true_out = pairs[w]
             err_in = (abs(fit.lambda_in_hat - true_in) / true_in
                       if fit.lambda_in_hat is not None else None)

@@ -259,6 +259,32 @@ def test_fit_without_worker_covers_idle_workers(tmp_path, contest_config,
         wid != busy for wid in range(3)]
 
 
+@pytest.mark.parametrize("model", ["two_state", "log_linear"])
+def test_fit_names_the_first_non_positive_holding_time(tmp_path, capsys,
+                                                       model):
+    # The CI workflow's config and corpus, with the first event's holding
+    # time set to 0 as `sed '2s/"holding_time_ms":[0-9]*/.../'` would.
+    config = tmp_path / "sweep.cfg"
+    config.write_text(CONFIG.replace("replications=2", "replications=1")
+                      .replace("master_seed=7", "master_seed=0"),
+                      encoding="utf-8")
+    corpus = tmp_path / "corpus.jsonl"
+    log_path = tmp_path / "contest.jsonl"
+    assert main(["gen-corpus", "--n-posts", "40", "--out", str(corpus)]) == 0
+    assert main(["simulate", "--config", str(config), "--corpus", str(corpus),
+                 "--out", str(log_path)]) == 0
+    lines = log_path.read_text("utf-8").splitlines(keepends=True)
+    lines[1] = re.sub(r'"holding_time_ms":[0-9]*', '"holding_time_ms":0',
+                      lines[1], count=1)
+    log_path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["fit", "--log", str(log_path), "--model", model,
+                 "--out", str(tmp_path / "fits.jsonl")])
+    assert (code, capsys.readouterr().err) == (
+        2, "error: worker 0, event_index 0: holding_time_ms must be "
+           "positive, got 0\n")
+
+
 def test_recover_reports_and_saves_the_rows(tmp_path, capsys):
     out = tmp_path / "recovery.json"
     code = main(["recover", "--target", "50", "--seeds", "0",
@@ -944,6 +970,25 @@ def test_recover_out_is_json_without_nan(tmp_path, capsys):
     assert record["mean_rel_err_in"] is None
     assert record["n_rows"] == len(record["rows"]) == 2
     assert record["unidentifiable"] == 2
+
+
+# The sha256 of each `recover --out` file: the CI workflow's run and one
+# more drawn from the default prior.  A change to the engine, the fit or the
+# pooling of runs moves them.
+PINNED_RECOVER_FILES = {
+    "--target 200 --seeds 0,1":
+        "be330560bff3a843edd008d540160da56a449b22802dd91783a875af5d8ca9f6",
+    "--n-workers 5 --target 300 --seeds 7,8":
+        "d1fea56f1e75a3a1504033d0c40938e31db0f89ab8af0f055423edcb7605eed6",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PINNED_RECOVER_FILES))
+def test_recover_out_bytes_are_pinned(tmp_path, capsys, args):
+    out = tmp_path / "recovery.json"
+    assert main(["recover", *args.split(), "--out", str(out)]) == 0
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == PINNED_RECOVER_FILES[args])
 
 
 def test_recover_out_holds_the_report_and_row_fields(tmp_path, capsys):

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from contestsim import (ConfigurationError, DegenerateDataError, FeatureNorms,
+from contestsim import (BehaviorPrior, ConfigurationError,
+                        DegenerateDataError, FeatureNorms, WorkerProfile,
                         fit_log_linear, fit_two_state, fitted_to_record,
                         negative_log_likelihood, nll_gradient,
-                        read_event_log, recovery_experiment, write_fitted)
+                        read_event_log, recovery_experiment, run_contest,
+                        write_fitted)
 from contestsim.core import decode_json
-from contestsim.inference import _log_linear_data
+from contestsim.inference import (_log_linear_data, _recovery_config,
+                                  _recovery_posts)
 
 NORMS = FeatureNorms(n_workers=10, horizon_ms=20_000, n_posts=40)
 
@@ -166,9 +170,12 @@ def test_two_state_fit_on_nothing_is_unidentifiable():
 
 
 def test_two_state_fit_rejects_non_positive_holding(event_chain):
-    events = event_chain([(1000, True)])
-    with pytest.raises(DegenerateDataError):
-        fit_two_state([events[0]._replace(holding_time_ms=0)])
+    events = event_chain([(1000, True), (500, False)])
+    events[1] = events[1]._replace(holding_time_ms=-3)
+    with pytest.raises(DegenerateDataError, match=(
+            r"^worker 0, event_index 1: holding_time_ms must be positive, "
+            r"got -3$")):
+        fit_two_state(events)
 
 
 def test_two_state_fit_agrees_with_numerical_minimization(event_chain):
@@ -427,6 +434,53 @@ def test_recovery_pools_runs_until_the_target_is_met():
     # Mirrored truth keeps the pair contested.
     assert {((r.true_lambda_in, r.true_lambda_out)) for r in report.rows} == \
         {(1.66, 1.12), (1.12, 1.66)}
+
+
+@pytest.mark.parametrize("prior, n_workers, target, seeds, fixed_rates", [
+    (None, 4, 1000, [0, 1], (1.66, 1.12)),
+    (BehaviorPrior(), 5, 300, [7, 8], None),
+], ids=["fixed_rates", "prior"])
+def test_recovery_fits_equal_a_fit_of_the_pooled_events(
+        prior, n_workers, target, seeds, fixed_rates):
+    # The pool's totals add the same floats in the same order as a fit of
+    # every run's events listed per worker, so the two agree exactly.
+    report = recovery_experiment(prior, n_workers, target, seeds,
+                                 fixed_rates=fixed_rates)
+    posts_per_run = 200 * n_workers
+    config = _recovery_config(n_workers, posts_per_run)
+    posts = _recovery_posts(posts_per_run)
+    for seed in seeds:
+        rows = [r for r in report.rows if r.seed == seed]
+        assert [r.worker_id for r in rows] == list(range(n_workers))
+        profiles = [WorkerProfile(id=r.worker_id, skill=1.0,
+                                  lambda_in=r.true_lambda_in,
+                                  lambda_out=r.true_lambda_out,
+                                  exit_threshold=0.0) for r in rows]
+        pooled = defaultdict(list)
+        for k in range(rows[0].runs_pooled):
+            log = run_contest(config, profiles, posts, seed=(seed, k),
+                              dispatch="shared", base_hazard=0.0)
+            for e in log.events:
+                pooled[e.worker_id].append(e)
+        for r in rows:
+            fit = fit_two_state(pooled[r.worker_id], worker_id=r.worker_id)
+            assert (r.est_lambda_in, r.est_lambda_out, r.n_in, r.n_out) == (
+                fit.lambda_in_hat, fit.lambda_out_hat, fit.n_in, fit.n_out)
+
+
+def test_recovery_memory_does_not_grow_with_the_target():
+    def peak_bytes(target):
+        tracemalloc.start()
+        try:
+            recovery_experiment(None, 4, target, [0],
+                                fixed_rates=(1.66, 1.12))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # A first run makes the allocations that later runs reuse.
+    recovery_experiment(None, 4, 1, [0], fixed_rates=(1.66, 1.12))
+    assert peak_bytes(4000) <= 1.5 * peak_bytes(1000)
 
 
 def test_recovery_error_shrinks_like_root_n():
