@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import (Callable, Collection, Hashable, Iterable, Mapping,
                     NamedTuple, Optional, Union)
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractViolation
 
 # Sort key stand-in for "never scored": any real timestamp beats it.
 _NEVER_SCORED = float("inf")
@@ -120,6 +120,14 @@ def collector_paused():
     far.  Reference counting still frees whatever is not in a cycle.  On
     leaving the block, also by an exception, the collector is switched
     back on, unless it was already off on entering.
+
+    Its callers are `run_contest`, `read_event_log`'s decode loop, and
+    `experiment.sweep` and `inference.recovery_experiment` around each
+    contest they run.  The rule for those two is that a log dies inside
+    the block: only a contest's summary, or a recovery run's per-worker
+    totals, leaves it.  Freeing a record takes it off the count of
+    objects that triggers the next young-generation pass, so once the
+    collector is back on, no pass walks a log that is already gone.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -321,10 +329,14 @@ class Ranking:
 class Leaderboard:
     """Incremental leaderboard in `rank_key` order.
 
-    The workers' keys sit in a sorted list, so `rank` is one binary search
-    and `update` one removal and one insertion: O(log W) comparisons, not an
-    O(W) scan of the field.  Workers start at score 0, never scored, and are
-    never removed; one who leaves the contest keeps their place.
+    The workers' keys sit in a sorted list, so `rank` is one binary search:
+    O(log W) comparisons, not an O(W) scan of the field.  Workers start at
+    score 0, never scored, and are never removed; one who leaves the
+    contest keeps their place.  Scores never fall, so an update only moves
+    a key up: when the new key still sorts after the one above it, `update`
+    replaces the key in place; otherwise it searches the keys above for
+    its new place.  A falling score or an unknown worker raises
+    `ContractViolation`.
     """
 
     __slots__ = ("_keys", "_key_of")
@@ -338,21 +350,46 @@ class Leaderboard:
     def update(self, worker_id: Hashable, score: float, stamp: int) -> int:
         """Move ``worker_id`` to ``score``, reached at ``stamp``, and return
         their new rank.  The board is unchanged if the score is, since the
-        stamp marks the last change.
+        stamp marks when the score last rose.
         """
         key_of, keys = self._key_of, self._keys
-        old = key_of[worker_id]
+        try:
+            old = key_of[worker_id]
+        except KeyError:
+            raise _not_on_board(worker_id) from None
+        pos = bisect_left(keys, old)
         if old[0] == -score:
-            return bisect_left(keys, old) + 1
+            return pos + 1
+        if old[0] < -score:
+            raise ContractViolation(f"worker {worker_id}: score fell from "
+                                    f"{-old[0]} to {score}")
         new = key_of[worker_id] = rank_key(worker_id, score, stamp)
-        del keys[bisect_left(keys, old)]
-        pos = bisect_left(keys, new)
-        keys.insert(pos, new)
+        if pos and keys[pos - 1] > new:
+            # The key passes at least the one above it: search above that.
+            del keys[pos]
+            pos = bisect_left(keys, new, 0, pos - 1)
+            keys.insert(pos, new)
+        else:
+            keys[pos] = new
         return pos + 1
 
     def rank(self, worker_id: Hashable) -> int:
         """1-based rank: one plus the number of workers strictly ahead."""
-        return bisect_left(self._keys, self._key_of[worker_id]) + 1
+        try:
+            return bisect_left(self._keys, self._key_of[worker_id]) + 1
+        except KeyError:
+            raise _not_on_board(worker_id) from None
+
+    def workers_from(self, rank: int) -> list:
+        """The ids of the workers at ``rank`` (at least 1) and below, best
+        first: the worker at ``rank + i`` is item ``i``."""
+        if rank < 1:
+            raise ContractViolation(f"rank must be >= 1, got {rank}")
+        return [key[2] for key in self._keys[rank - 1:]]
+
+
+def _not_on_board(worker_id: Hashable) -> ContractViolation:
+    return ContractViolation(f"worker {worker_id} is not on the leaderboard")
 
 
 def score_annotation(annotated_count: int, expected_count: int,

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import rng as streams
 from .core import (FIELD_TYPES, ContestConfig, Post, TextLines, WorkerProfile,
-                   canonical_json, check_types, decode_json, json_record,
-                   require_finite, write_atomic)
+                   canonical_json, check_types, collector_paused, decode_json,
+                   json_record, require_finite, write_atomic)
 from .errors import ConfigurationError, ContestError
 from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, AnnotationEvent,
                        BehaviorPrior, EventLog, check_run_arguments,
@@ -489,12 +489,13 @@ def sweep(config: ExperimentConfig,
 
     Replications run outer and spreads inner, so a replication's profiles
     and seeding words are drawn once and serve each of its spreads; the
-    summaries come out in (spread, replication) order all the same.  A
-    `ContestError` from a cell is raised again as the same type, its
-    message prefixed with the cell and its seed key, so that ``contestsim
-    simulate --spread S --replication R`` replays it; a sweep never drops
-    a cell from the paired comparison.  Any other exception propagates
-    unchanged.
+    summaries come out in (spread, replication) order all the same.  Each
+    cell runs with the collector paused (`core.collector_paused`), and its
+    log is dropped before the pause ends.  A `ContestError` from a cell is
+    raised again as the same type, its message prefixed with the cell and
+    its seed key, so that ``contestsim simulate --spread S --replication
+    R`` replays it; a sweep never drops a cell from the paired comparison.
+    Any other exception propagates unchanged.
     """
     corpus = _load_corpus(config, posts)
     # Each sweep draws its own profiles, whatever ran before it.
@@ -504,12 +505,14 @@ def sweep(config: ExperimentConfig,
     for rep in range(config.replications):
         for spread, row in zip(config.spreads, cells):
             try:
-                summary, _ = run_condition(config, spread, rep, corpus)
+                # The cell's log dies inside the pause; only its summary
+                # leaves, so the collector never walks the log.
+                with collector_paused():
+                    row.append(run_condition(config, spread, rep, corpus)[0])
             except ContestError as exc:
                 raise type(exc)(
                     f"reward_spread {spread}, replication {rep} (seed key "
                     f"{config.master_seed},{rep}): {exc}") from exc
-            row.append(summary)
     summaries = tuple(chain.from_iterable(cells))
     return SweepResult(config=config, summaries=summaries,
                        trend=trend_from_summaries(summaries))

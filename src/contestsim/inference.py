@@ -28,7 +28,7 @@ import numpy as np
 
 from . import rng as streams
 from .core import (ContestConfig, Post, WorkerProfile, canonical_json,
-                   write_atomic)
+                   collector_paused, write_atomic)
 from .errors import ConfigurationError, DegenerateDataError
 from .simulate import AnnotationEvent, EventLog, draw_behavior, run_contest
 
@@ -419,7 +419,8 @@ def recovery_experiment(prior, n_workers: int, n_events_target: int,
     The pool is not a list of events: each run's events are added, in run
     order and then log order, to per-worker totals (the count and holding
     seconds of each state, which are all the two-state fit reads), and the
-    run's log is then dropped.  Memory therefore does not grow with
+    run's log is then dropped, with the collector still paused
+    (`core.collector_paused`).  Memory therefore does not grow with
     ``n_events_target``, and the fits equal `fit_two_state` on each
     worker's pooled events bit for bit.
 
@@ -461,10 +462,12 @@ def recovery_experiment(prior, n_workers: int, n_events_target: int,
         totals = {w: ([0, 0], [0.0, 0.0]) for w in range(n_workers)}
         runs = 0
         while runs < max_runs:
-            # No name keeps the log, so it is freed before the next run.
-            _add_two_state(totals, run_contest(
-                config, profiles, posts, seed=(seed, runs),
-                dispatch="shared", base_hazard=0.0).events)
+            # No name keeps the log, so it is freed inside the pause and the
+            # collector never walks it.
+            with collector_paused():
+                _add_two_state(totals, run_contest(
+                    config, profiles, posts, seed=(seed, runs),
+                    dispatch="shared", base_hazard=0.0).events)
             runs += 1
             if min(min(c) for c, _ in totals.values()) >= n_events_target:
                 break

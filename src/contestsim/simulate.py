@@ -11,7 +11,8 @@ too.  A draw cut off by a close, an exit or an empty pool goes unlogged
 (ROADMAP item 12).  The clock is integer milliseconds throughout.
 
 Ranks come from one shared `core.Leaderboard`, which the replay validator
-uses too: O(log W) per score update and per rank lookup in a field of W.
+uses too: O(log W) per score update and per rank lookup in a field of W,
+and a key that keeps its rank is replaced in place.
 
 One event loop runs the contest in periods.  In a period, each worker
 given a bin annotates the head of it, from the period's opening until its
@@ -28,7 +29,10 @@ Exit decisions happen at twenty evenly spaced checkpoints
 (`checkpoint_times`), the last at the horizon: a worker outside the spread
 leaves with a hazard that grows with their distance below the spread and
 with elapsed contest time.  The loop keeps the next checkpoint's time and
-runs checkpoints only when an event lies past it.
+runs checkpoints only when an event lies past it.  No score moves during
+a checkpoint, so it reads the workers outside the spread and their ranks
+off the board's order in one pass (`Leaderboard.workers_from`), and
+writes its exits in rising worker id.
 
 The loop scores annotations itself: a hit on a post with entities earns
 the exact-match multiple of the base points, any other non-empty count the
@@ -401,9 +405,9 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
         by_id = {w.profile.id: w for w in workers}
         id_order = sorted(workers, key=lambda w: w.profile.id)
         board = Leaderboard(by_id)
-        board_rank, board_update = board.rank, board.update
+        board_update, board_from = board.update, board.workers_from
         for w in workers:
-            w.gov_rank = board_rank(w.profile.id)
+            w.gov_rank = board.rank(w.profile.id)
             w.gov_elig = w.gov_rank <= spread
 
         events: list[AnnotationEvent] = []
@@ -421,18 +425,21 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
                 ci = cp_idx
                 cp_idx += 1
                 frac = (ci + 1) / N_CHECKPOINTS
-                for w in id_order:
-                    if not w.alive:
-                        continue
-                    # The hazard is 0 inside the spread; the worker's draw for
-                    # this checkpoint, `exit_draws[ci]`, goes unread.
-                    r = board_rank(w.profile.id)
-                    if r > spread and w.exit_draws[ci] < exit_hazard(
+                # No score moves during a checkpoint, so the workers outside
+                # the spread and their ranks are read off the board at once.
+                # The hazard is 0 inside the spread; the draw for this
+                # checkpoint, `exit_draws[ci]`, of a worker there goes unread.
+                leaving = []
+                for r, wid in enumerate(board_from(spread + 1), spread + 1):
+                    w = by_id[wid]
+                    if w.alive and w.exit_draws[ci] < exit_hazard(
                             False, r - spread, frac, w.profile, n_workers=n,
                             base_hazard=base_hazard):
                         w.alive = False
-                        exits.append(ExitEvent(w.profile.id, checkpoint_ms[ci],
-                                               r, False))
+                        leaving.append(ExitEvent(wid, checkpoint_ms[ci], r,
+                                                 False))
+                # In rising worker id, the records' first field.
+                exits.extend(sorted(leaving))
             return (checkpoint_ms[cp_idx] if cp_idx < N_CHECKPOINTS
                     else math.inf)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from contestsim import (AnnotationEvent, ContestConfig, Post, WorkerProfile,
@@ -58,6 +60,62 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         description, outcome = _acceptance[number]
         status = "PASS" if outcome == "passed" else "FAIL"
         terminalreporter.write_line(f"criterion {number:2d}: {status}  {description}")
+
+
+@pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
+def collector_was_on(request):
+    """Switch the cyclic collector on or off for a test; restore it after."""
+    was_on = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_on else gc.disable)()
+
+
+@pytest.fixture
+def collector_passes():
+    """``run(call)``: call ``call()`` with the collector on, from an empty
+    young generation, and return its result and how many collections
+    started during it.  The collector's switch is restored after."""
+
+    def run(call):
+        was_on = gc.isenabled()
+        starts = []
+
+        def note(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(note)
+        try:
+            result = call()
+        finally:
+            gc.callbacks.remove(note)
+            (gc.enable if was_on else gc.disable)()
+        return result, len(starts)
+
+    return run
+
+
+@pytest.fixture
+def garbage_left():
+    """``run(call)``: call ``call()`` with the collector off, after a full
+    collection, and return its result and the number of unreachable
+    objects a collection then finds.  The collector's switch is restored
+    after."""
+
+    def run(call):
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            result = call()
+            return result, gc.collect()
+        finally:
+            (gc.enable if was_on else gc.disable)()
+
+    return run
 
 
 @pytest.fixture

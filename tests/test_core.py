@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import contestsim
-from contestsim import (ConfigurationError, ContestConfig, Leaderboard, Post,
-                        Ranking, RankEntry, WorkerProfile, rank_workers,
-                        score_annotation)
+from contestsim import (ConfigurationError, ContestConfig, ContractViolation,
+                        Leaderboard, Post, Ranking, RankEntry, WorkerProfile,
+                        rank_workers, score_annotation)
 from contestsim.core import EXACT_MATCH_MULTIPLIER, canonical_json, json_record
 
 
@@ -123,6 +123,59 @@ def test_leaderboard_ignores_an_unchanged_score():
     assert sorted([1, 2], key=board.rank) == [2, 1]
 
 
+def test_leaderboard_rejects_a_falling_score():
+    # The stamp marks when the score last rose: a fall would put worker 2,
+    # with 0 points, ahead of never-scored worker 1.
+    board = Leaderboard([1, 2])
+    board.update(2, 10, 5)
+    with pytest.raises(ContractViolation,
+                       match="^worker 2: score fell from 10 to 0$"):
+        board.update(2, 0, 6)
+    assert board.workers_from(1) == [2, 1]
+
+
+@pytest.mark.parametrize("call", [lambda board: board.update(3, 10, 5),
+                                  lambda board: board.rank(3)],
+                         ids=["update", "rank"])
+def test_leaderboard_names_a_worker_it_does_not_hold(call):
+    board = Leaderboard([1, 2])
+    with pytest.raises(ContractViolation,
+                       match="^worker 3 is not on the leaderboard$"):
+        call(board)
+
+
+def test_a_rise_that_keeps_the_rank_moves_no_other_worker():
+    board = Leaderboard([1, 2, 3, 4, 5])
+    board.update(1, 50, 10)
+    board.update(2, 30, 20)
+    board.update(3, 10, 30)
+    # Worker 3 rises to 20, still behind worker 2's 30: the key is replaced
+    # in place.  Worker 1 rises at the top, where no key is above.
+    assert board.update(3, 20, 40) == 3
+    assert board.update(1, 60, 50) == 1
+    assert board.workers_from(1) == [1, 2, 3, 4, 5]
+    assert [board.rank(w) for w in (1, 2, 3, 4, 5)] == [1, 2, 3, 4, 5]
+
+
+def test_a_rise_past_several_workers_lands_in_rank_key_order():
+    board = Leaderboard([1, 2, 3, 4, 5])
+    board.update(1, 50, 10)
+    board.update(2, 30, 20)
+    board.update(3, 10, 30)
+    # Worker 5 passes workers 4, 3 and 2; worker 4 then ties worker 5 at 40,
+    # later, and passes 3 and 2 only.
+    assert board.update(5, 40, 40) == 2
+    assert board.update(4, 40, 50) == 3
+    assert board.workers_from(1) == [1, 5, 4, 2, 3]
+    # Worker 3 passes everyone, to the top.
+    assert board.update(3, 70, 60) == 1
+    assert board.workers_from(1) == [3, 1, 5, 4, 2]
+    assert board.workers_from(4) == [4, 2]
+    assert board.workers_from(6) == []
+    with pytest.raises(ContractViolation, match="rank must be >= 1"):
+        board.workers_from(0)
+
+
 _updates = st.lists(
     st.tuples(st.integers(0, 5), st.sampled_from((0, 0, 10, 50)),
               st.integers(0, 4)),
@@ -153,8 +206,10 @@ def test_leaderboard_matches_a_scan_and_rank_workers(ids, updates):
         assert board.update(w, score[w], t) == board.rank(w)
         for v in ids:
             assert board.rank(v) == 1 + sum(ahead(u, v) for u in ids if u != v)
-        assert (sorted(ids, key=board.rank)
-                == [e.worker_id for e in rank_workers(score, stamp)])
+        order = [e.worker_id for e in rank_workers(score, stamp)]
+        assert sorted(ids, key=board.rank) == order
+        for k in range(1, len(ids) + 2):
+            assert board.workers_from(k) == order[k - 1:]
 
 
 # --- input validation ------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -654,6 +655,49 @@ def test_a_sweep_runs_replications_outer_and_files_cells_in_order(
     assert ran == [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1)]
     assert [(s.reward_spread, s.replication) for s in result.summaries] == [
         (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]
+
+
+# --- the paused collector ---------------------------------------------------
+
+def _cells_config():
+    # 12 cells of 900 or more events each: more records than the young
+    # generation holds, so a log left to the collector costs a pass a cell.
+    return _config(n_posts=1200, spreads=(1, 2, 4), replications=4)
+
+
+def test_a_sweep_takes_fewer_collector_passes_than_cells(collector_passes):
+    cfg = _cells_config()
+    posts = _corpus(cfg)
+    result, passes = collector_passes(lambda: sweep(cfg, posts))
+    assert len(result.summaries) == 12
+    assert min(s.total_annotations for s in result.summaries) > 700
+    assert passes < len(result.summaries)
+
+
+def test_a_failed_cell_leaves_the_collector_as_it_was(collector_was_on,
+                                                      monkeypatch):
+    seen = []
+
+    def failing(*args, **kwargs):
+        seen.append(gc.isenabled())
+        raise ConfigurationError("synthetic fault")
+
+    monkeypatch.setattr(experiment, "run_contest", failing)
+    with pytest.raises(ConfigurationError,
+                       match=r"^reward_spread 1, replication 0 \(seed key "
+                             r"7,0\): synthetic fault$"):
+        sweep(_config())
+    assert seen == [False]
+    assert gc.isenabled() is collector_was_on
+
+
+def test_a_sweep_with_the_collector_off_leaves_no_cyclic_garbage(
+        garbage_left):
+    cfg = _cells_config()
+    posts = _corpus(cfg)
+    result, garbage = garbage_left(lambda: sweep(cfg, posts))
+    assert len(result.summaries) == 12
+    assert garbage == 0
 
 
 # --- writing files ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import tracemalloc
 from collections import defaultdict
@@ -16,6 +17,7 @@ from contestsim import (BehaviorPrior, ConfigurationError,
                         negative_log_likelihood, nll_gradient,
                         read_event_log, recovery_experiment, run_contest,
                         write_fitted)
+from contestsim import inference
 from contestsim.core import decode_json
 from contestsim.inference import (_log_linear_data, _recovery_config,
                                   _recovery_posts)
@@ -466,6 +468,39 @@ def test_recovery_fits_equal_a_fit_of_the_pooled_events(
             fit = fit_two_state(pooled[r.worker_id], worker_id=r.worker_id)
             assert (r.est_lambda_in, r.est_lambda_out, r.n_in, r.n_out) == (
                 fit.lambda_in_hat, fit.lambda_out_hat, fit.n_in, fit.n_out)
+
+
+def test_recovery_takes_fewer_collector_passes_than_runs(collector_passes):
+    # A 4-worker run logs 800 events, more records than the young
+    # generation holds: a log left to the collector costs a pass a run.
+    report, passes = collector_passes(lambda: recovery_experiment(
+        None, 4, 500, [0], fixed_rates=(1.66, 1.12)))
+    runs = report.rows[0].runs_pooled
+    assert runs >= 5
+    assert passes < runs
+
+
+def test_a_failed_recovery_run_leaves_the_collector_as_it_was(
+        collector_was_on, monkeypatch):
+    seen = []
+
+    def failing(*args, **kwargs):
+        seen.append(gc.isenabled())
+        raise ConfigurationError("synthetic fault")
+
+    monkeypatch.setattr(inference, "run_contest", failing)
+    with pytest.raises(ConfigurationError, match="^synthetic fault$"):
+        recovery_experiment(None, 4, 500, [0], fixed_rates=(1.66, 1.12))
+    assert seen == [False]
+    assert gc.isenabled() is collector_was_on
+
+
+def test_a_recovery_with_the_collector_off_leaves_no_cyclic_garbage(
+        garbage_left):
+    report, garbage = garbage_left(lambda: recovery_experiment(
+        None, 4, 500, [0], fixed_rates=(1.66, 1.12)))
+    assert report.rows[0].runs_pooled >= 5
+    assert garbage == 0
 
 
 def test_recovery_memory_does_not_grow_with_the_target():

@@ -554,15 +554,6 @@ def test_full_spread_disables_exits(contest_config, make_posts,
 
 # --- the paused collector --------------------------------------------------
 
-@pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
-def collector_was_on(request):
-    """Switch the cyclic collector on or off for a test; restore it after."""
-    was_on = gc.isenabled()
-    (gc.enable if request.param else gc.disable)()
-    yield request.param
-    (gc.enable if was_on else gc.disable)()
-
-
 def test_a_contest_runs_with_the_collector_off(
         collector_was_on, contest_config, make_posts, make_profiles,
         monkeypatch):
