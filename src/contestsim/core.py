@@ -15,7 +15,7 @@ import math
 import os
 from bisect import bisect_left
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import (Callable, Collection, Hashable, Iterable, Mapping,
                     NamedTuple, Optional, Union)
@@ -72,10 +72,13 @@ def check_types(record: Mapping, kinds: Mapping[str, FieldType]) -> None:
 
 def json_record(obj) -> dict:
     """The fields of the dataclass ``obj`` by name, for `canonical_json`,
-    with a NaN float as None (null)."""
+    with a NaN float as None (null) and a dataclass instance as its own
+    `json_record`."""
     record = {}
     for f in fields(obj):
         value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = json_record(value)
         nan = isinstance(value, float) and math.isnan(value)
         record[f.name] = None if nan else value
     return record
@@ -414,7 +417,8 @@ def score_annotation(annotated_count: int, expected_count: int,
 def rank_workers(scores: Mapping[Hashable, float],
                  last_scored_ms: Mapping[Hashable, Optional[int]],
                  annotations: Optional[Mapping[Hashable, int]] = None) -> Ranking:
-    """Build the leaderboard from cumulative scores.
+    """Build the leaderboard from cumulative scores, by one sort: the check
+    that `replay_validate` holds the engine's `Leaderboard` order to.
 
     ``last_scored_ms`` maps each worker to the time their score last
     increased (None if it never did); it breaks score ties in favour of the
@@ -422,16 +426,10 @@ def rank_workers(scores: Mapping[Hashable, float],
     """
     if set(scores) != set(last_scored_ms):
         raise ConfigurationError("scores and last_scored_ms must cover the same workers")
-    if annotations is not None and set(annotations) != set(scores):
+    if annotations is None:
+        annotations = dict.fromkeys(scores, 0)
+    elif set(annotations) != set(scores):
         raise ConfigurationError("annotations must cover the same workers as scores")
-    entries = [
-        RankEntry(
-            worker_id=w,
-            score=scores[w],
-            annotations=0 if annotations is None else annotations[w],
-            tie_break_stamp=last_scored_ms[w],
-        )
-        for w in scores
-    ]
-    entries.sort(key=RankEntry.sort_key)
+    entries = sorted((RankEntry(w, scores[w], annotations[w], last_scored_ms[w])
+                      for w in scores), key=RankEntry.sort_key)
     return Ranking(entries=tuple(entries))

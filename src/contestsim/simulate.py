@@ -32,7 +32,9 @@ with elapsed contest time.  The loop keeps the next checkpoint's time and
 runs checkpoints only when an event lies past it.  No score moves during
 a checkpoint, so it reads the workers outside the spread and their ranks
 off the board's order in one pass (`Leaderboard.workers_from`), and
-writes its exits in rising worker id.
+writes its exits in rising worker id.  The log's final ranking is the
+board's final order, read the same way; `replay_validate` ranks the field
+again with `rank_workers`, a separate sort.
 
 The loop scores annotations itself: a hit on a post with entities earns
 the exact-match multiple of the base points, any other non-empty count the
@@ -61,24 +63,25 @@ workers outside it, and the benchmark's ``simulate.exit_hazard.calls``
 counts out-of-spread worker-checkpoints.
 
 A log (``contest-log-v1``) is one JSON object per line: a header with the
-configuration, one line per annotation or exit in time order (annotations
-first on ties), and a trailer with the final leaderboard.  Its bytes are
-the format contract: keys in sorted order, no spaces, integer fields as
-JSON integers and flags as ``true``/``false``, so equal logs are equal
-files.  `read_event_log` decodes the body in chunks of lines whose every
-line is one flat object, holds every field to its exact type and each
-exit line to its place among the annotations, and names ``path:line``
-for a malformed line.
+`EventLog` fields but the body's, one line per annotation or exit in time
+order (annotations first on ties), and a trailer with the final ranking.
+Its bytes are the format contract: keys in sorted order, no spaces,
+integer fields as JSON integers and flags as ``true``/``false``, so equal
+logs are equal files.  `read_event_log` decodes the body in chunks of
+lines whose every line is one flat object, holds every field to its exact
+type, the header to `check_header` and each exit line to its place among
+the annotations, and names ``path:line`` for a malformed line.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from math import ceil
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -221,14 +224,19 @@ def exit_hazard(eligible: bool, rank_gap: int, elapsed_fraction: float,
         raise ConfigurationError("elapsed_fraction must lie in [0, 1]")
     if n_workers < 1:
         raise ConfigurationError("n_workers must be >= 1")
-    if base_hazard < 0.0:
-        raise ConfigurationError("base_hazard must be >= 0")
+    _check_base_hazard(base_hazard)
     if eligible or rank_gap <= 0:
         return 0.0
     gap_pressure = min(1.0, rank_gap / n_workers)
     hazard = (base_hazard * profile.exit_threshold * gap_pressure
               * elapsed_fraction)
     return min(1.0, hazard)
+
+
+def _check_base_hazard(base_hazard: float) -> None:
+    if not 0.0 <= base_hazard < math.inf:
+        raise ConfigurationError(
+            f"base_hazard must be finite and >= 0, got {base_hazard}")
 
 
 def simulate_annotated_count(post: Post, profile: WorkerProfile,
@@ -346,12 +354,10 @@ def check_run_arguments(config: ContestConfig, dispatch: str,
                         accuracy_floor: float) -> tuple[int, int]:
     """Check a contest's dispatch, ``base_hazard`` and ``accuracy_floor``,
     then return its `contest_clock`; a fault raises `ConfigurationError`.
-    `run_contest`, `replay_validate` and `ExperimentConfig` check here."""
+    `run_contest`, `check_header` and `ExperimentConfig` check here."""
     if dispatch not in DISPATCH_MODES:
         raise ConfigurationError(f"unknown dispatch mode {dispatch!r}")
-    if not (math.isfinite(base_hazard) and base_hazard >= 0.0):
-        raise ConfigurationError(
-            f"base_hazard must be finite and >= 0, got {base_hazard}")
+    _check_base_hazard(base_hazard)
     if not math.isfinite(accuracy_floor):
         raise ConfigurationError(
             f"accuracy_floor must be finite, got {accuracy_floor}")
@@ -543,11 +549,10 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
                                  + counters.pending):
             raise ContractViolation(f"post conservation violated: {counters}")
 
-        final_ranking = rank_workers(
-            scores={w.profile.id: w.score for w in workers},
-            last_scored_ms={w.profile.id: w.stamp for w in workers},
-            annotations={w.profile.id: w.annotations for w in workers},
-        )
+        # The board's final order is the one `rank_workers` sorts into.
+        final_ranking = Ranking(entries=tuple(
+            RankEntry(w.profile.id, w.score, w.annotations, w.stamp)
+            for w in map(by_id.get, board_from(1))))
         return EventLog(config=config, seed=seed, dispatch=dispatch,
                         horizon_ms=horizon_ms, base_hazard=base_hazard,
                         accuracy_floor=accuracy_floor, events=events,
@@ -588,6 +593,7 @@ _RANK_FIELDS = {"worker_id": _INTEGER, "score": _INTEGER,
                 "last_scored_ms": _INTEGER._replace(what="an integer or null",
                                                     types=(int, type(None)))}
 
+_event_time = attrgetter("event_time_ms")
 _event_values = itemgetter(*_EVENT_FIELDS)
 _exit_values = itemgetter(*_EXIT_FIELDS)
 _rank_values = itemgetter(*_RANK_FIELDS)
@@ -599,23 +605,16 @@ _EXIT_TYPES = [kind.types[0] for kind in _EXIT_FIELDS.values()]
 
 
 def event_log_lines(log: EventLog):
-    """Yield the canonical line-delimited form of a log.
-
-    One annotation or exit per line in chronological order (annotations
-    first on ties), bracketed by a header with the configuration snapshot
-    and a trailer with the final leaderboard.
-    """
-    seed = list(log.seed) if isinstance(log.seed, (list, tuple)) else log.seed
-    yield canonical_json({
-        "format": LOG_FORMAT,
-        "seed": seed,
-        "dispatch": log.dispatch,
-        "horizon_ms": log.horizon_ms,
-        "base_hazard": log.base_hazard,
-        "accuracy_floor": log.accuracy_floor,
-        "config": json_record(log.config),
-        "counters": json_record(log.counters),
-    })
+    """Yield the canonical line-delimited form of a log: a header
+    (`json_record` of the log but its events, exits and final ranking, plus
+    ``format``); one annotation or exit per line in time order, annotations
+    first on ties, each exit placed by one binary search on the event time;
+    and a trailer with the final ranking."""
+    header = json_record(log)
+    for name in ("events", "exits", "final_ranking"):
+        del header[name]
+    header["format"] = LOG_FORMAT
+    yield canonical_json(header)
     events = log.events
     event_line, json_bool = _EVENT_LINE, _JSON_BOOL
 
@@ -627,9 +626,7 @@ def event_log_lines(log: EventLog):
 
     start = 0
     for wid, exit_ms, rank, elig in log.exits:
-        stop = start
-        while stop < len(events) and events[stop].event_time_ms <= exit_ms:
-            stop += 1
+        stop = bisect_right(events, exit_ms, start, key=_event_time)
         yield from annotation_lines(start, stop)
         yield _EXIT_LINE(json_bool[elig], exit_ms, rank, wid)
         start = stop
@@ -677,12 +674,13 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
     ``annotations_remaining`` is not stored; it is rebuilt by replaying the
     solved count against the configured post total.  Body lines are decoded
     `_CHUNK_LINES` at a time, and a chunk that does not decode into one
-    value per line is decoded again line by line.  Each exit line must sit
-    where the writer puts it: after every annotation at or before its time
-    and before the first one after it.  Any malformed line, including a
-    field of the wrong type, a misplaced exit line or a trailer that does
-    not rank ``n_workers`` workers, raises `ConfigurationError` naming
-    ``path:line``; a file that is not UTF-8 text raises it naming the path.
+    value per line is decoded again line by line.  The header must pass
+    `check_header`; each exit line must sit where the writer puts it:
+    after every annotation at or before its time and before the first one
+    after it.  Any malformed line, including a field of the wrong type, a
+    header key that is no `EventLog` field or a trailer that does not rank
+    ``n_workers`` workers, raises `ConfigurationError` naming ``path:line``;
+    a file that is not UTF-8 text raises it naming the path.
     The cyclic garbage collector is off while the body lines are decoded
     (`core.collector_paused`).
     """
@@ -692,31 +690,27 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         if not lines:
             raise ConfigurationError("empty event log")
         header = decode_json(lines[0])
-        if header.get("format") != LOG_FORMAT:
+        if header.pop("format", None) != LOG_FORMAT:
             raise ConfigurationError(f"not a {LOG_FORMAT} file")
         # Each typed field takes the declared type of the field it fills.
         for record, cls in ((header, EventLog), (header["config"], ContestConfig),
                             (header["counters"], PostCounters)):
             check_types(record, {f.name: FIELD_TYPES[f.type] for f in fields(cls)
                                  if f.type in FIELD_TYPES})
-        config = ContestConfig(**header["config"])
-        dispatch, seed = header["dispatch"], header["seed"]
-        if dispatch not in DISPATCH_MODES:
-            raise ConfigurationError('dispatch must be "windowed" or "shared",'
-                                     f" got {canonical_json(dispatch)}")
+        header["config"] = ContestConfig(**header["config"])
+        header["counters"] = PostCounters(**header["counters"])
+        seed = header["seed"]
         if not (type(seed) is int
                 or type(seed) is list and set(map(type, seed)) == {int}):
             raise ConfigurationError(
                 "seed must be an integer or a non-empty list of integers, "
                 f"got {canonical_json(seed)}")
-        log = EventLog(
-            config=config, seed=tuple(seed) if isinstance(seed, list) else seed,
-            dispatch=dispatch, horizon_ms=header["horizon_ms"],
-            base_hazard=header["base_hazard"],
-            accuracy_floor=header["accuracy_floor"], events=[], exits=[],
-            final_ranking=Ranking(entries=()),
-            counters=PostCounters(**header["counters"]))
-        events, exits = log.events, log.exits
+        if type(seed) is list:
+            header["seed"] = tuple(seed)
+        log = EventLog(**header, events=[], exits=[],
+                       final_ranking=Ranking(entries=()))
+        check_header(log)
+        config, events, exits = log.config, log.events, log.exits
         event_values, exit_values = _event_values, _exit_values
         # `AnnotationEvent._make(...)` less its Python-level call and length
         # check: the getters above give each record its number of fields.
@@ -778,6 +772,18 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
 
 # --- replay validation -----------------------------------------------------
 
+def check_header(log: EventLog) -> None:
+    """Check that the run arguments of ``log`` pass `check_run_arguments`
+    and that ``horizon_ms`` is their `contest_clock` horizon (else
+    `ContractViolation`).  `read_event_log` and `replay_validate` call it."""
+    _, horizon_ms = check_run_arguments(log.config, log.dispatch,
+                                        log.base_hazard, log.accuracy_floor)
+    if log.horizon_ms != horizon_ms:
+        raise ContractViolation(
+            f"horizon_ms {log.horizon_ms} != {horizon_ms} from the config "
+            f"and {log.dispatch} dispatch")
+
+
 def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     """Re-derive every structural invariant of a log; raise on any mismatch.
 
@@ -790,25 +796,20 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     0 inside it), in rising worker id among the exits of one checkpoint,
     and that its rank and eligibility equal the leaderboard state after
     every event at or before it.  Globally: that the header passes
-    `check_run_arguments` (or `ConfigurationError`), that ``horizon_ms`` is
-    the `contest_clock` horizon of the config and dispatch and that no event
-    falls after it, post conservation of all ``n_posts`` (an unsolved post
-    is dropped under windowed dispatch, pending under shared), the
-    remaining-post countdown, that no post is annotated twice, and that
-    the trailer equals `rank_workers` of the replayed scores, last scoring
-    times and counts.
+    `check_header` and no event falls after ``horizon_ms``, post
+    conservation of all ``n_posts`` (an unsolved post is dropped under
+    windowed dispatch, pending under shared), the remaining-post
+    countdown, that no post is annotated twice, and that the trailer
+    equals `rank_workers` of the replayed scores, last scoring times and
+    counts: a ranking made apart from the engine's board.
     Needs the contest's posts to re-score events: as in `run_contest`,
     exactly ``n_posts`` of them with unique ids, or `ConfigurationError`.
     A violation names its position in ``log.events``, worker and event
     index, its position in ``log.exits``, worker and exit time, or its
     ``final_ranking`` row.
     """
-    _, horizon_ms = check_run_arguments(log.config, log.dispatch,
-                                        log.base_hazard, log.accuracy_floor)
-    if log.horizon_ms != horizon_ms:
-        raise ContractViolation(
-            f"horizon_ms {log.horizon_ms} != {horizon_ms} from the config "
-            f"and {log.dispatch} dispatch")
+    check_header(log)
+    horizon_ms = log.horizon_ms
     if len(posts) != log.config.n_posts:
         raise ConfigurationError(
             f"expected {log.config.n_posts} posts, got {len(posts)}")

@@ -592,13 +592,15 @@ def _run_on_log(command, corpus, log_path, tmp_path, capsys):
 
 
 _SEED_RULE = "an integer or a non-empty list of integers"
+# `check_run_arguments`'s rule, which the reader applies to the header.
+_DISPATCH_RULE = "unknown dispatch mode"
 
 
 @pytest.mark.parametrize("keys, value, what", [
     (["horizon_ms"], "x", "an integer"),
     (["horizon_ms"], 1.5, "an integer"),
-    (["dispatch"], "mystery", '"windowed" or "shared"'),
-    (["dispatch"], None, '"windowed" or "shared"'),
+    (["dispatch"], "mystery", _DISPATCH_RULE),
+    (["dispatch"], None, _DISPATCH_RULE),
     (["base_hazard"], "x", "a number"),
     (["base_hazard"], True, "a number"),
     (["accuracy_floor"], None, "a number"),
@@ -625,9 +627,13 @@ def test_wrong_typed_log_header_field_fails_cleanly(
 
     _edit_line(log_path, 0, edit)
     code, err = _run_on_log(command, corpus, log_path, tmp_path, capsys)
+    if what == _DISPATCH_RULE:
+        rule = f"{what} {value!r}"
+    else:
+        rule = (f"{keys[-1]} must be {what}, "
+                f"got {json.dumps(value, separators=(',', ':'))}")
     assert code == 2
-    assert err == (f"error: {log_path}:1: {keys[-1]} must be {what}, "
-                   f"got {json.dumps(value, separators=(',', ':'))}\n")
+    assert err == f"error: {log_path}:1: {rule}\n"
 
 
 def test_a_whole_number_field_written_as_an_integer_reads_back(
@@ -735,7 +741,45 @@ def test_validate_flags_a_header_base_hazard_run_contest_refuses(
     _edit_line(log_path, 0, lambda header: header.update(base_hazard=-5.0))
     code, err = _run_on_log("validate", corpus, log_path, tmp_path, capsys)
     assert (code, err) == (
-        2, "error: base_hazard must be finite and >= 0, got -5.0\n")
+        2, f"error: {log_path}:1: base_hazard must be finite and >= 0, "
+           "got -5.0\n")
+
+
+@pytest.mark.parametrize("model", ["two_state", "log_linear"])
+@pytest.mark.parametrize("forged, rule", [
+    ({"base_hazard": -1.0},
+     "{path}:1: base_hazard must be finite and >= 0, got -1.0"),
+    # The log_linear fit would scale elapsed time by this horizon.
+    ({"horizon_ms": 7},
+     "horizon_ms 7 != 20000 from the config and windowed dispatch"),
+], ids=["base_hazard", "horizon_ms"])
+def test_fit_refuses_a_header_that_validate_refuses(
+        tmp_path, contest_files, capsys, forged, rule, model):
+    corpus, log_path = contest_files
+    _edit_line(log_path, 0, lambda header: header.update(forged))
+    out = tmp_path / "fits.jsonl"
+    capsys.readouterr()
+    code = main(["fit", "--log", str(log_path), "--model", model,
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert (code, err) == (2, f"error: {rule.format(path=log_path)}\n")
+    assert not out.exists()
+    assert _run_on_log("validate", corpus, log_path, tmp_path,
+                       capsys) == (code, err)
+
+
+@pytest.mark.parametrize("command", ["validate", "fit"])
+def test_an_event_index_out_of_order_names_its_line(
+        tmp_path, contest_files, capsys, command):
+    corpus, log_path = contest_files
+    lines = log_path.read_text("utf-8").splitlines()
+    index = next(i for i, line in enumerate(lines)
+                 if '"event_index":1,' in line)
+    worker = json.loads(lines[index])["worker_id"]
+    _edit_line(log_path, index, lambda record: record.update(event_index=2))
+    code, err = _run_on_log(command, corpus, log_path, tmp_path, capsys)
+    assert (code, err) == (2, f"error: {log_path}:{index + 1}: worker "
+                              f"{worker} event_index out of order\n")
 
 
 def _spread_four_files(tmp_path, dispatch):

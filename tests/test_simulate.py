@@ -158,6 +158,19 @@ def test_exit_hazard_validation():
         exit_hazard(False, 1, 0.5, _profile(), n_workers=20, base_hazard=-0.1)
 
 
+@pytest.mark.parametrize("base_hazard", [math.nan, math.inf, -math.inf, -0.1])
+def test_exit_hazard_takes_the_run_argument_rule_for_base_hazard(
+        base_hazard, contest_config):
+    # A NaN or infinite hazard would make every exit certain.
+    message = f"^base_hazard must be finite and >= 0, got {base_hazard}$"
+    with pytest.raises(ConfigurationError, match=message):
+        exit_hazard(False, 5, 0.5, _profile(exit_threshold=0.5), n_workers=20,
+                    base_hazard=base_hazard)
+    with pytest.raises(ConfigurationError, match=message):
+        simulate.check_run_arguments(contest_config(), "windowed",
+                                     base_hazard, 0.0)
+
+
 # --- annotated counts ------------------------------------------------------
 
 def test_perfect_skill_always_reports_the_true_count(make_posts):
@@ -764,6 +777,19 @@ def test_read_event_log_names_a_header_the_config_cannot_take(
         read_event_log(path)
 
 
+def test_read_event_log_refuses_a_header_key_event_log_lacks(
+        tmp_path, contest_config, make_posts, make_profiles):
+    log, _ = _windowed_log(contest_config, make_posts, make_profiles)
+    path = tmp_path / "contest.jsonl"
+    write_event_log(log, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0] = lines[0].replace("{", '{"mystery":1,', 1)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"{path}:1: malformed event log: TypeError: ") + ".*'mystery'"):
+        read_event_log(path)
+
+
 def test_read_event_log_names_the_bad_line(tmp_path, contest_config,
                                           make_posts, make_profiles):
     log, _ = _windowed_log(contest_config, make_posts, make_profiles)
@@ -1284,6 +1310,56 @@ def test_replay_rejects_a_post_annotated_twice(stock_log_path):
     assert str(info.value) == (
         f"log.events[1] (worker {second.worker_id}, event_index "
         f"{second.event_index}): post 110 annotated twice")
+
+
+def _after_first_exit(log):
+    """Position of the first event after the first exit."""
+    return next(i for i, e in enumerate(log.events)
+                if e.event_time_ms > log.exits[0].exit_time_ms)
+
+
+@pytest.mark.parametrize("pos, tamper, what", [
+    (9, lambda e, log: e._replace(event_index=e.event_index + 1),
+     "event_index != replay {old.event_index}"),
+    (9, lambda e, log: e._replace(event_time_ms=0),
+     "event log is not globally time-sorted"),
+    (_after_first_exit,
+     lambda e, log: e._replace(worker_id=log.exits[0].worker_id),
+     "annotated after exiting"),
+    (9, lambda e, log: e._replace(eligible_at_event=not e.eligible_at_event),
+     "eligibility flag inconsistent"),
+    # The first event, at the clock's start: the holding-time recursion
+    # holds, but no holding time is 0 ms.
+    (0, lambda e, log: e._replace(event_time_ms=0, holding_time_ms=0),
+     "holding_time_ms must be a positive integer"),
+    (9, lambda e, log: e._replace(
+        annotations_remaining=e.annotations_remaining + 1),
+     "annotations_remaining countdown broken"),
+], ids=["event index", "time order", "after exit", "eligibility",
+        "holding time", "countdown"])
+def test_replay_names_a_tampered_event(spread_two_contest, pos, tamper, what):
+    log, posts = spread_two_contest()
+    replay_validate(log, posts)
+    if callable(pos):
+        pos = pos(log)
+    old = log.events[pos]
+    e = log.events[pos] = tamper(old, log)
+    with pytest.raises(ContractViolation) as info:
+        replay_validate(log, posts)
+    assert str(info.value) == (f"log.events[{pos}] (worker {e.worker_id}, "
+                               f"event_index {e.event_index}): "
+                               + what.format(old=old))
+
+
+def test_replay_checks_the_solved_counter(spread_two_contest):
+    # Moving a post from dropped to solved keeps the conservation sum.
+    log, posts = spread_two_contest()
+    c = log.counters
+    log.counters = dataclasses.replace(c, solved=c.solved + 1,
+                                       dropped=c.dropped - 1)
+    with pytest.raises(ContractViolation,
+                       match="^solved counter disagrees with event count$"):
+        replay_validate(log, posts)
 
 
 def _doctor_trailer(rows, kind):
