@@ -39,6 +39,14 @@ def canonical_json(obj) -> str:
                       allow_nan=False)
 
 
+def quote(value) -> str:
+    """``value`` as an error message quotes it: as JSON, else its repr."""
+    try:
+        return canonical_json(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 def _reject_constant(token: str):
     raise ConfigurationError(f"{token} is not a JSON number")
 
@@ -67,7 +75,7 @@ def check_types(record: Mapping, kinds: Mapping[str, FieldType]) -> None:
     for name, kind in kinds.items():
         if type(record[name]) not in kind.types:
             raise ConfigurationError(f"{name} must be {kind.what}, "
-                                     f"got {canonical_json(record[name])}")
+                                     f"got {quote(record[name])}")
 
 
 def json_record(obj) -> dict:

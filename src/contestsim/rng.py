@@ -20,9 +20,8 @@ builds a whole contest's worker streams at once, equal bit for bit to
   one 32-bit-masked numpy pass, and so are the output words.
 
 The constants and the word order are numpy's (``bit_generator.pyx``);
-``tests/test_rng.py`` checks the two paths against each other.  A seed that
-is not a non-negative ``int`` or a non-empty tuple or list of them takes
-`substream` itself, so it is accepted or rejected exactly as there.
+``tests/test_rng.py`` checks the two paths against each other.  Both take
+only a seed that passes `check_seed`, the package's one seed rule.
 
 The engine and the corpus rebuild numpy's draws from a stream's raw 64-bit
 words, read in blocks, so that numpy is called once per block and not once
@@ -35,9 +34,13 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from itertools import chain, islice, repeat
 from math import ceil
+from operator import index
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+
+from .core import quote
+from .errors import ConfigurationError
 
 # Purpose tags for spawn keys.  Values are part of the reproducibility
 # contract: changing them changes every simulation.
@@ -46,12 +49,28 @@ PROFILES = 1
 EVENTS = 2
 EXITS = 3
 COUNTS = 4
-REPLICATION = 5
+
+
+def check_seed(seed) -> int | tuple[int, ...]:
+    """A non-negative integer, or a non-empty tuple or list of them, as a
+    plain ``int`` or a tuple of them; else `ConfigurationError`.  A numpy
+    integer is read through `operator.index`, which gives numpy's stream
+    for it; a bool is refused, as a log's ``true`` is."""
+    parts = seed if type(seed) in (tuple, list) else (seed,)
+    try:
+        values = tuple(index(p) for p in parts
+                       if not isinstance(p, (bool, np.bool_)))
+    except TypeError:
+        values = ()
+    if not parts or len(values) < len(parts) or min(values) < 0:
+        raise ConfigurationError("seed must be a non-negative integer or a "
+                                 f"non-empty list of them, got {quote(seed)}")
+    return values if parts is seed else values[0]
 
 
 def substream(seed: int | Sequence[int], *key: int) -> np.random.Generator:
     """Return an independent generator derived from ``seed`` and ``key``."""
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(key))
+    ss = np.random.SeedSequence(check_seed(seed), spawn_key=tuple(key))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -97,20 +116,6 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _seed_words(seed) -> list[int] | None:
-    """The seed's entropy words, or None if `substream` must handle it."""
-    if type(seed) is int:
-        seed = (seed,)
-    elif type(seed) not in (tuple, list) or not seed:
-        return None
-    words = []
-    for part in seed:
-        if type(part) is not int or part < 0:
-            return None
-        words += _words(part)
-    return words
-
-
 def _constants(hash_const: int, mult: int):
     """The hash constants SeedSequence steps through, from ``hash_const``."""
     while True:
@@ -142,14 +147,12 @@ def substreams(seed: int | Sequence[int], purposes: Sequence[int],
     i)`` for ``i`` in ``range(n)``, built in one batched pass.  The
     generators are new on every call; their seeding words are computed
     once for consecutive calls with the same seed, purposes and ``n``."""
-    words = _seed_words(seed)
-    if (words is None or n > 1 << 32
-            or any(type(p) is not int or not 0 <= p <= _MASK32
-                   for p in purposes)):
-        return [[substream(seed, p, i) for i in range(n)] for p in purposes]
+    seed = check_seed(seed)
+    words = tuple(chain.from_iterable(
+        map(_words, seed if type(seed) is tuple else (seed,))))
     fixed_state = _fixed_state()
     generators = [np.random.Generator(np.random.PCG64(fixed_state(row)))
-                  for row in _seeding_rows(tuple(words), tuple(purposes), n)]
+                  for row in _seeding_rows(words, tuple(purposes), n)]
     return [generators[k * n:(k + 1) * n] for k in range(len(purposes))]
 
 

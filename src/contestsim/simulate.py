@@ -90,8 +90,8 @@ import numpy as np
 from . import rng as streams
 from .core import (EXACT_MATCH_MULTIPLIER, FIELD_TYPES, ContestConfig,
                    Leaderboard, Post, RankEntry, Ranking, TextLines,
-                   WorkerProfile, canonical_json, check_types,
-                   collector_paused, decode_json, json_record, rank_workers,
+                   WorkerProfile, canonical_json, check_types, collector_paused,
+                   decode_json, json_record, quote, rank_workers,
                    require_finite, score_annotation, write_atomic)
 from .errors import ConfigurationError, ContractViolation
 from .stream import DropQueue, advance_queue, allocate_round_robin, build_windows, total_contest_time
@@ -356,7 +356,7 @@ def check_run_arguments(config: ContestConfig, dispatch: str,
     then return its `contest_clock`; a fault raises `ConfigurationError`.
     `run_contest`, `check_header` and `ExperimentConfig` check here."""
     if dispatch not in DISPATCH_MODES:
-        raise ConfigurationError(f"unknown dispatch mode {dispatch!r}")
+        raise ConfigurationError(f"unknown dispatch mode {quote(dispatch)}")
     _check_base_hazard(base_hazard)
     if not math.isfinite(accuracy_floor):
         raise ConfigurationError(
@@ -379,9 +379,9 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
     """Simulate one contest and return its full event log.
 
     Deterministic: identical (config, profiles, posts, seed) inputs yield a
-    bit-identical log.  The cyclic garbage collector is off while the
-    contest runs (`core.collector_paused`), since every event record stays
-    tracked by it.
+    bit-identical log, since the seed must pass `rng.check_seed` (``None``
+    does not).  The cyclic garbage collector is off while the contest runs
+    (`core.collector_paused`), since every event record stays tracked by it.
     """
     if len(profiles) != config.n_workers:
         raise ConfigurationError(
@@ -391,6 +391,7 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
             f"expected {config.n_posts} posts, got {len(posts)}")
     unit_ms, horizon_ms = check_run_arguments(config, dispatch, base_hazard,
                                               accuracy_floor)
+    seed = streams.check_seed(seed)
     ids = [p.id for p in profiles]
     if len(set(ids)) != len(ids):
         raise ConfigurationError("worker ids must be unique")
@@ -699,14 +700,6 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
                                  if f.type in FIELD_TYPES})
         header["config"] = ContestConfig(**header["config"])
         header["counters"] = PostCounters(**header["counters"])
-        seed = header["seed"]
-        if not (type(seed) is int
-                or type(seed) is list and set(map(type, seed)) == {int}):
-            raise ConfigurationError(
-                "seed must be an integer or a non-empty list of integers, "
-                f"got {canonical_json(seed)}")
-        if type(seed) is list:
-            header["seed"] = tuple(seed)
         log = EventLog(**header, events=[], exits=[],
                        final_ranking=Ranking(entries=()))
         check_header(log)
@@ -773,13 +766,14 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
 # --- replay validation -----------------------------------------------------
 
 def check_header(log: EventLog) -> None:
-    """Check that the run arguments of ``log`` pass `check_run_arguments`
-    and that ``horizon_ms`` is their `contest_clock` horizon (else
-    `ContractViolation`).  `read_event_log` and `replay_validate` call it."""
+    """Hold ``log``'s header to `run_contest`'s rules, else raise
+    `ConfigurationError`, and put its seed in `rng.check_seed`'s form.
+    `read_event_log` and `replay_validate` call it."""
+    log.seed = streams.check_seed(log.seed)
     _, horizon_ms = check_run_arguments(log.config, log.dispatch,
                                         log.base_hazard, log.accuracy_floor)
     if log.horizon_ms != horizon_ms:
-        raise ContractViolation(
+        raise ConfigurationError(
             f"horizon_ms {log.horizon_ms} != {horizon_ms} from the config "
             f"and {log.dispatch} dispatch")
 

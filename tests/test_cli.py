@@ -591,14 +591,17 @@ def _run_on_log(command, corpus, log_path, tmp_path, capsys):
     return code, capsys.readouterr().err
 
 
-_SEED_RULE = "an integer or a non-empty list of integers"
-# `check_run_arguments`'s rule, which the reader applies to the header.
+_SEED_RULE = "a non-negative integer or a non-empty list of them"
+# `check_run_arguments`'s rule and `check_header`'s horizon rule, which the
+# reader applies to the header.
 _DISPATCH_RULE = "unknown dispatch mode"
+_HORIZON_RULE = "!= 20000 from the config and windowed dispatch"
 
 
 @pytest.mark.parametrize("keys, value, what", [
     (["horizon_ms"], "x", "an integer"),
     (["horizon_ms"], 1.5, "an integer"),
+    (["horizon_ms"], 7, _HORIZON_RULE),
     (["dispatch"], "mystery", _DISPATCH_RULE),
     (["dispatch"], None, _DISPATCH_RULE),
     (["base_hazard"], "x", "a number"),
@@ -608,6 +611,8 @@ _DISPATCH_RULE = "unknown dispatch mode"
     (["seed"], [], _SEED_RULE),
     (["seed"], [7, 1.5], _SEED_RULE),
     (["seed"], False, _SEED_RULE),
+    (["seed"], -1, _SEED_RULE),
+    (["seed"], [0, -1], _SEED_RULE),
     (["counters", "ingested"], "x", "an integer"),
     (["counters", "pending"], None, "an integer"),
     (["config", "n_posts"], 40.0, "an integer"),
@@ -627,11 +632,10 @@ def test_wrong_typed_log_header_field_fails_cleanly(
 
     _edit_line(log_path, 0, edit)
     code, err = _run_on_log(command, corpus, log_path, tmp_path, capsys)
-    if what == _DISPATCH_RULE:
-        rule = f"{what} {value!r}"
-    else:
-        rule = (f"{keys[-1]} must be {what}, "
-                f"got {json.dumps(value, separators=(',', ':'))}")
+    got = json.dumps(value, separators=(",", ":"))
+    rule = {_DISPATCH_RULE: f"{what} {got}",
+            _HORIZON_RULE: f"{keys[-1]} {got} {what}"}.get(
+                what, f"{keys[-1]} must be {what}, got {got}")
     assert code == 2
     assert err == f"error: {log_path}:1: {rule}\n"
 
@@ -751,7 +755,7 @@ def test_validate_flags_a_header_base_hazard_run_contest_refuses(
      "{path}:1: base_hazard must be finite and >= 0, got -1.0"),
     # The log_linear fit would scale elapsed time by this horizon.
     ({"horizon_ms": 7},
-     "horizon_ms 7 != 20000 from the config and windowed dispatch"),
+     "{path}:1: horizon_ms 7 != 20000 from the config and windowed dispatch"),
 ], ids=["base_hazard", "horizon_ms"])
 def test_fit_refuses_a_header_that_validate_refuses(
         tmp_path, contest_files, capsys, forged, rule, model):
@@ -805,8 +809,9 @@ def test_validate_flags_a_horizon_apart_from_the_config(tmp_path, capsys,
     _edit_line(log_path, 0,
                lambda header: header.update(horizon_ms=7 * 20000))
     code, err = _run_on_log("validate", corpus, log_path, tmp_path, capsys)
-    assert (code, err) == (2, "error: horizon_ms 140000 != 20000 from the "
-                              f"config and {dispatch} dispatch\n")
+    assert (code, err) == (2, f"error: {log_path}:1: horizon_ms 140000 != "
+                              f"20000 from the config and {dispatch} "
+                              "dispatch\n")
 
 
 @pytest.mark.parametrize("dispatch", ["windowed", "shared"])

@@ -225,6 +225,14 @@ def test_generate_corpus_validation():
             generate_corpus(10, mean, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, (0, -1), None])
+def test_generate_corpus_refuses_a_seed_as_run_contest_does(seed):
+    # The seed rule's error, not numpy's bare ValueError.
+    with pytest.raises(ConfigurationError, match="^seed must be a "
+                       "non-negative integer or a non-empty list of them"):
+        generate_corpus(10, 1.2, seed=seed)
+
+
 def _scalar_corpus(n_posts, mean_entities, gen):
     """The corpus drawn with numpy's per-post scalar calls."""
     posts = []

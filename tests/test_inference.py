@@ -403,6 +403,15 @@ def test_recovery_validation():
         recovery_experiment(None, 2, 100, [0])
 
 
+@pytest.mark.parametrize("rates", [None, (1.0, 1.0)],
+                         ids=["prior", "fixed rates"])
+def test_recovery_refuses_a_negative_seed(rates):
+    # The seed rule's error, not numpy's bare ValueError.
+    with pytest.raises(ConfigurationError, match="^seed must be a "
+                       "non-negative integer or a non-empty list of them"):
+        recovery_experiment(BehaviorPrior(), 2, 100, [-1], fixed_rates=rates)
+
+
 @pytest.mark.parametrize("seeds, message", [
     ([], "recovery needs at least one seed"),
     ([0, 1, 0], "recovery seeds must be distinct, got [0, 1, 0]"),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contestsim import rng as streams
+from contestsim.errors import ConfigurationError
 
 _PURPOSES = (streams.EVENTS, streams.COUNTS, streams.EXITS)
 
@@ -47,30 +48,40 @@ def test_substreams_of_no_workers_or_no_purposes_are_empty():
     assert streams.substreams(7, (), 5) == []
 
 
-@pytest.mark.parametrize("seed", [-1, (3, -2), [0, -2**40]])
-def test_a_negative_seed_raises_what_substream_raises(seed):
-    with pytest.raises(ValueError) as want:
-        streams.substream(seed, streams.EVENTS, 0)
-    with pytest.raises(ValueError) as got:
-        streams.substreams(seed, _PURPOSES, 4)
-    assert str(got.value) == str(want.value)
+@pytest.mark.parametrize("seed", [
+    -1, (3, -2), [0, -2**40], None, True, (True,), [7, np.True_], [], (),
+    "x", 1.5, np.array([1, 2])])
+def test_a_seed_check_seed_refuses_builds_no_stream(seed):
+    with pytest.raises(ConfigurationError) as want:
+        streams.check_seed(seed)
+    assert str(want.value).startswith(
+        "seed must be a non-negative integer or a non-empty list of them, "
+        "got ")
+    for build in (lambda: streams.substream(seed, streams.EVENTS, 0),
+                  lambda: streams.substreams(seed, _PURPOSES, 4)):
+        with pytest.raises(ConfigurationError) as got:
+            build()
+        assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("seed", [np.int64(5), (np.uint32(5), 1), True, ()])
-def test_other_seed_types_take_substream_itself(monkeypatch, seed):
-    calls = []
-    oracle = streams.substream
-
-    def counted(*args):
-        calls.append(args)
-        return oracle(*args)
-
-    monkeypatch.setattr(streams, "substream", counted)
-    batched = streams.substreams(seed, _PURPOSES, 3)
-    assert calls == [(seed, p, i) for p in _PURPOSES for i in range(3)]
-    for purpose, gens in zip(_PURPOSES, batched):
+@pytest.mark.parametrize("seed, plain", [
+    (np.int64(5), 5),
+    ((np.uint32(5), 1), (5, 1)),
+    ([np.int8(3), 2**40], (3, 2**40)),
+])
+def test_a_numpy_integer_seed_gives_its_ints_streams(seed, plain):
+    checked = streams.check_seed(seed)
+    assert checked == plain
+    assert {type(v) for v in (checked if type(plain) is tuple
+                              else (checked,))} == {int}
+    for purpose, gens in zip(_PURPOSES, streams.substreams(seed, _PURPOSES, 3)):
         for i, gen in enumerate(gens):
-            _assert_same_stream(gen, oracle(seed, purpose, i))
+            _assert_same_stream(gen, streams.substream(plain, purpose, i))
+            # numpy's own reading of the numpy integers gives that stream.
+            _assert_same_stream(
+                streams.substream(seed, purpose, i),
+                np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                    seed, spawn_key=(purpose, i)))))
 
 
 def test_repeated_substreams_are_fresh_generators():

@@ -404,6 +404,43 @@ def test_run_contest_rejects_a_bad_hazard_or_floor_before_drawing(
                     make_posts(config.n_posts), seed=0, **bad)
 
 
+_SEED_RULE = ("seed must be a non-negative integer or a non-empty list of "
+              "them, got ")
+
+
+@pytest.mark.parametrize("seed, quoted", [
+    (None, "null"), (True, "true"), ((True,), "[true]"), ([], "[]"),
+    ((), "[]"), ("x", '"x"'), (1.5, "1.5"), (-1, "-1"), ((0, -1), "[0,-1]"),
+])
+def test_run_contest_refuses_a_seed_before_drawing(
+        monkeypatch, contest_config, make_posts, make_profiles, seed, quoted):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking its seed")
+
+    monkeypatch.setattr(streams, "substreams", no_draws)
+    config = contest_config()
+    with pytest.raises(ConfigurationError,
+                       match=f"^{re.escape(_SEED_RULE + quoted)}$"):
+        run_contest(config, make_profiles(2), make_posts(config.n_posts),
+                    seed=seed)
+
+
+@pytest.mark.parametrize("seed, plain", [
+    (np.int64(5), 5), ((np.uint32(5), 1), (5, 1)),
+], ids=["int64", "uint32 tuple"])
+def test_a_numpy_integer_seed_runs_and_logs_as_its_int(
+        tmp_path, contest_config, make_posts, make_profiles, seed, plain):
+    config = contest_config()
+    posts, profiles = make_posts(config.n_posts), make_profiles(2)
+    log = run_contest(config, profiles, posts, seed=seed)
+    assert log == run_contest(config, profiles, posts, seed=plain)
+    assert type(log.seed) is type(plain)
+    path = tmp_path / "contest.jsonl"
+    write_event_log(log, path)
+    assert read_event_log(path) == log
+    replay_validate(log, posts)
+
+
 # --- run_contest: structure -------------------------------------------------
 
 def test_single_worker_is_always_eligible(contest_config, make_posts,
@@ -1249,20 +1286,20 @@ def test_replay_rejects_a_horizon_apart_from_the_config(
     replay_validate(log, posts)
     right = log.horizon_ms
     for horizon in (7 * right, right - 1):
-        with pytest.raises(ContractViolation) as info:
+        with pytest.raises(ConfigurationError) as info:
             replay_validate(dataclasses.replace(log, horizon_ms=horizon),
                             posts)
         assert str(info.value) == (f"horizon_ms {horizon} != {right} from "
                                    f"the config and {dispatch} dispatch")
     # The other mode's rule gives the other horizon.
     other = "shared" if dispatch == "windowed" else "windowed"
-    with pytest.raises(ContractViolation,
+    with pytest.raises(ConfigurationError,
                        match=f"^horizon_ms {right} != .* and {other} "):
         replay_validate(dataclasses.replace(log, dispatch=other), posts)
 
 
 @pytest.mark.parametrize("bad, message", [
-    (dict(dispatch="bogus"), "unknown dispatch mode 'bogus'"),
+    (dict(dispatch="bogus"), 'unknown dispatch mode "bogus"'),
     (dict(base_hazard=-5.0), "base_hazard must be finite and >= 0, got -5.0"),
 ], ids=["dispatch", "hazard"])
 def test_replay_rejects_run_arguments_that_run_contest_refuses(
