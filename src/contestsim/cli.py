@@ -40,7 +40,6 @@ def _require_non_negative(option: str, value: int) -> None:
 
 
 def _cmd_gen_corpus(args: argparse.Namespace) -> int:
-    _require_non_negative("--seed", args.seed)
     posts = generate_corpus(args.n_posts, args.mean_entities, seed=args.seed)
     write_corpus(posts, args.out)
     mean = (sum(p.expected_entities for p in posts) / len(posts)

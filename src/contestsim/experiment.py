@@ -24,7 +24,7 @@ import numpy as np
 from . import rng as streams
 from .core import (FIELD_TYPES, ContestConfig, Post, TextLines, WorkerProfile,
                    canonical_json, check_types, collector_paused, decode_json,
-                   json_record, require_finite, write_atomic)
+                   json_record, quote, require_finite, write_atomic)
 from .errors import ConfigurationError, ContestError
 from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, AnnotationEvent,
                        BehaviorPrior, EventLog, check_run_arguments,
@@ -74,8 +74,14 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unsupported config_version {self.config_version}; "
                 f"expected {CONFIG_VERSION}")
-        if self.master_seed < 0:
-            raise ConfigurationError("master_seed must be >= 0")
+        # Every cell's seed is (master_seed, replication), so the seed rule
+        # holds master_seed to one integer.
+        try:
+            streams.check_seed((self.master_seed, 0))
+        except ConfigurationError:
+            raise ConfigurationError("master_seed must be a non-negative "
+                                     f"integer, got {quote(self.master_seed)}"
+                                     ) from None
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
         if not self.spreads:
@@ -136,7 +142,7 @@ def read_experiment_config(path: Union[str, Path]) -> ExperimentConfig:
 def _parse_config(text: TextLines) -> ExperimentConfig:
     field_types = {f.name: f.type for f in fields(ExperimentConfig)}
     seen: dict[str, object] = {}
-    for text.lineno, line in enumerate(text.lines, start=1):
+    for text.lineno, line in enumerate(text, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -238,7 +244,7 @@ def read_corpus(path: Union[str, Path]) -> list[Post]:
     """
     posts = []
     with TextLines(path, "corpus line") as text:
-        for text.lineno, line in enumerate(text.lines, 1):
+        for text.lineno, line in enumerate(text, 1):
             obj = decode_json(line)
             check_types(obj, _CORPUS_FIELDS)
             posts.append(Post(*_corpus_values(obj)))
@@ -627,7 +633,7 @@ def verify_manifest(output_dir: Union[str, Path]) -> bool:
         raise ConfigurationError(f"{path}: no manifest; the tree is unfinished")
     with TextLines(path, "manifest") as text:
         text.lineno = 1
-        manifest = decode_json("\n".join(text.lines))
+        manifest = decode_json("\n".join(text))
         if manifest.get("format") != MANIFEST_FORMAT:
             raise ConfigurationError("unrecognized manifest format")
         files = manifest["files"].items()

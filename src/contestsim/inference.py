@@ -433,7 +433,7 @@ def recovery_experiment(prior, n_workers: int, n_events_target: int,
         raise ConfigurationError("recovery needs at least two workers")
     if n_events_target < 0:
         raise ConfigurationError("n_events_target must be >= 0")
-    seeds = list(seeds)
+    seeds = [streams.check_seed(seed) for seed in seeds]
     if not seeds:
         raise ConfigurationError("recovery needs at least one seed")
     if len(set(seeds)) != len(seeds):

@@ -80,6 +80,7 @@ from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
+from itertools import islice
 from math import ceil
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -673,12 +674,14 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
     """Parse a log written by `write_event_log`, reconstructing derived fields.
 
     ``annotations_remaining`` is not stored; it is rebuilt by replaying the
-    solved count against the configured post total.  Body lines are decoded
+    solved count against the configured post total.  The lines come from
+    `TextLines`, which streams the file; body lines are decoded
     `_CHUNK_LINES` at a time, and a chunk that does not decode into one
-    value per line is decoded again line by line.  The header must pass
-    `check_header`; each exit line must sit where the writer puts it:
-    after every annotation at or before its time and before the first one
-    after it.  Any malformed line, including a field of the wrong type, a
+    value per line is decoded again line by line; beyond the records it
+    returns, a read holds one block of text and one chunk.  The header
+    must pass `check_header`; each exit line must sit where the writer puts
+    it: after every annotation at or before its time and before the first
+    one after it.  Any malformed line, including a field of the wrong type, a
     header key that is no `EventLog` field or a trailer that does not rank
     ``n_workers`` workers, raises `ConfigurationError` naming ``path:line``;
     a file that is not UTF-8 text raises it naming the path.
@@ -686,11 +689,12 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
     (`core.collector_paused`).
     """
     with TextLines(path, "event log") as text:
-        lines = text.lines
+        lines = iter(text)
         text.lineno = 1
-        if not lines:
+        header_line = next(lines, None)
+        if header_line is None:
             raise ConfigurationError("empty event log")
-        header = decode_json(lines[0])
+        header = decode_json(header_line)
         if header.pop("format", None) != LOG_FORMAT:
             raise ConfigurationError(f"not a {LOG_FORMAT} file")
         # Each typed field takes the declared type of the field it fills.
@@ -713,13 +717,16 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         exit_at: list[tuple[int, int]] = []
         n_posts = config.n_posts
         solved = 0
-        end = len(lines) - 1  # the trailer
+        # Each chunk is read with one line more, held back for the next
+        # chunk, so the line left over at the end is the trailer.
+        first = 2  # the line number of the chunk's first line
+        chunk = list(islice(lines, _CHUNK_LINES + 1))
         with collector_paused():
-            for first in range(1, end, _CHUNK_LINES):
-                chunk = lines[first:min(first + _CHUNK_LINES, end)]
+            while len(chunk) > 1:
+                held = chunk.pop()
                 values = _decode_chunk(chunk)
                 for text.lineno, obj in enumerate(
-                        chunk if values is None else values, first + 1):
+                        chunk if values is None else values, first):
                     if values is None:
                         obj = decode_json(obj)
                     if "exit_time_ms" in obj:
@@ -740,6 +747,8 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
                     solved += 1
                     events.append(new_tuple(AnnotationEvent,
                                             e + (n_posts - solved,)))
+                first += len(chunk)
+                chunk = [held, *islice(lines, _CHUNK_LINES)]
         for (text.lineno, k), x in zip(exit_at, exits):
             t = x.exit_time_ms
             if (k and events[k - 1].event_time_ms > t
@@ -747,8 +756,9 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
                 raise ConfigurationError(
                     f"exit of worker {x.worker_id} at {t} ms is out of place "
                     "among the annotation lines")
-        text.lineno = len(lines)
-        trailer = decode_json(lines[-1])
+        # A file of one line has its header as its trailer.
+        text.lineno = first - 1 + len(chunk)
+        trailer = decode_json(chunk[0] if chunk else header_line)
         if "final_ranking" not in trailer:
             raise ConfigurationError("missing final-ranking trailer")
         entries = []

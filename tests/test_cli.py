@@ -321,14 +321,21 @@ def test_recover_rejects_an_empty_or_repeated_seed_list(capsys, seeds,
     assert (code, capsys.readouterr()) == (2, ("", f"error: {message}\n"))
 
 
+# `rng.check_seed`'s rule, which every seed and a log header's seed obey.
+_SEED_RULE = "a non-negative integer or a non-empty list of them"
+
+
 @pytest.mark.parametrize("argv, config_seed, message", [
-    (["sweep"], -1, "{config}: master_seed must be >= 0"),
-    (["simulate"], -1, "{config}: master_seed must be >= 0"),
-    (["simulate", "--seed", "-5"], 7, "master_seed must be >= 0"),
+    (["sweep"], -1, "{config}: master_seed must be a non-negative integer, "
+                    "got -1"),
+    (["simulate"], -1, "{config}: master_seed must be a non-negative "
+                       "integer, got -1"),
+    (["simulate", "--seed", "-5"], 7,
+     "master_seed must be a non-negative integer, got -5"),
     (["simulate", "--replication", "-1"], 7, "--replication must be >= 0, "
                                              "got -1"),
     (["gen-corpus", "--n-posts", "5", "--seed", "-3"], 7,
-     "--seed must be >= 0, got -3"),
+     f"seed must be {_SEED_RULE}, got -3"),
     (["recover", "--seeds=-1", "--target", "10"], 7,
      "bad seed list '-1'; expected e.g. 0,1,2"),
 ], ids=["config sweep", "config simulate", "simulate seed",
@@ -591,7 +598,6 @@ def _run_on_log(command, corpus, log_path, tmp_path, capsys):
     return code, capsys.readouterr().err
 
 
-_SEED_RULE = "a non-negative integer or a non-empty list of them"
 # `check_run_arguments`'s rule and `check_header`'s horizon rule, which the
 # reader applies to the header.
 _DISPATCH_RULE = "unknown dispatch mode"
@@ -932,6 +938,26 @@ def test_malformed_corpus_fails_cleanly(tmp_path, config_file, capsys,
     assert err.startswith("error:")
     where = "not UTF-8" if b"\xff" in bad_line else f"{corpus}:3:"
     assert where in err
+    assert "Traceback" not in err
+
+
+def test_validate_refuses_a_bad_byte_past_the_first_block(tmp_path,
+                                                          stock_log_path,
+                                                          capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["gen-corpus", "--n-posts", "1520", "--seed", "0",
+                 "--out", str(corpus)]) == 0
+    assert main(["validate", "--log", str(stock_log_path),
+                 "--corpus", str(corpus)]) == 0
+    data = stock_log_path.read_bytes()
+    at = data.index(b'"post_id":', 100_000) + len(b'"post_id":')
+    log_path = tmp_path / "late.jsonl"
+    log_path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+    capsys.readouterr()
+    code = main(["validate", "--log", str(log_path), "--corpus", str(corpus)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log_path}: not UTF-8 text: ")
     assert "Traceback" not in err
 
 

@@ -5,13 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import contestsim
 from contestsim import (ConfigurationError, ContestConfig, ContractViolation,
                         Leaderboard, Post, Ranking, RankEntry, WorkerProfile,
                         rank_workers, score_annotation)
-from contestsim.core import EXACT_MATCH_MULTIPLIER, canonical_json, json_record
+from contestsim import core
+from contestsim.core import (EXACT_MATCH_MULTIPLIER, TextLines, canonical_json,
+                             json_record)
 
 
 # --- scoring ---------------------------------------------------------------
@@ -221,6 +223,14 @@ def test_post_validation():
         Post(id=1, token_count=5, expected_entities=6)
 
 
+def test_a_post_has_no_dict_and_equal_posts_hash_equal():
+    post = Post(id=3, token_count=10, expected_entities=2)
+    twin = Post(id=3, token_count=10, expected_entities=2)
+    assert not hasattr(post, "__dict__")
+    assert post == twin and hash(post) == hash(twin)
+    assert post != Post(id=3, token_count=10, expected_entities=1)
+
+
 def test_worker_profile_validation():
     ok = dict(id=0, skill=0.5, lambda_in=1.0, lambda_out=1.0)
     WorkerProfile(**ok)
@@ -311,6 +321,68 @@ def test_json_record_writes_nan_as_null():
     assert record == {"a": None, "b": (1, 2)}
     assert canonical_json(record) == '{"a":null,"b":[1,2]}'
     assert json_record(Stub(a=0.5, b=())) == {"a": 0.5, "b": ()}
+
+
+# --- line reader -----------------------------------------------------------
+
+# Pieces of text whose line ends a block edge may split: "\r\n", a lone
+# "\r", characters of two to four bytes, and every other line end of
+# `str.splitlines` the log writer never writes.
+_PIECES = ["a", "{}", "\u00e9", "\u20ac", "\U0001d11e", "\n", "\r", "\r\n",
+           "\x85", "\u2028", "\x0c", "\v", "\x1c", "\u2029", " "]
+
+
+@given(text=st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
+       block=st.integers(1, 6))
+@example(text="", block=1)
+@example(text="ab", block=1)
+@example(text="\n\n\n", block=1)
+@example(text="a\r\nb\r\n", block=2)
+@example(text="ab\rc\r", block=3)
+@example(text="\u00e9\u20ac\U0001d11e\n\U0001d11e", block=1)
+@example(text="a\x85b\u2028c\x0cd", block=2)
+def test_text_lines_yields_splitlines_of_the_file(tmp_path_factory, text,
+                                                  block):
+    path = tmp_path_factory.mktemp("lines") / "text.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_CHARS", block)
+        with TextLines(path, "line") as lines:
+            assert list(lines) == text.splitlines()
+    with TextLines("<string>", "line", text) as lines:
+        assert list(lines) == text.splitlines()
+
+
+def test_a_bad_byte_in_a_later_block_names_the_path_alone(tmp_path):
+    path = tmp_path / "late.txt"
+    good = b"x" * 99 + b"\n"
+    path.write_bytes(good * 2000 + b"\xff\n")
+    read = 0
+    with pytest.raises(ConfigurationError) as info:
+        with TextLines(path, "line") as lines:
+            for lines.lineno, _ in enumerate(lines, 1):
+                read += 1
+    assert read > core._BLOCK_CHARS // len(good)
+    assert str(info.value).startswith(f"{path}: not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("fault", ["malformed line", "not UTF-8"])
+def test_the_file_closes_when_a_read_raises(tmp_path, monkeypatch, fault):
+    path = tmp_path / "text.txt"
+    path.write_bytes(b"1\n2\n" + (b"\xff\n" if fault == "not UTF-8" else b""))
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(core, "open", recording_open, raising=False)
+    with pytest.raises(ConfigurationError):
+        with TextLines(path, "line") as lines:
+            for lines.lineno, line in enumerate(lines, 1):
+                if line == "2":
+                    raise ValueError("not a line this reader takes")
+    assert len(opened) == 1 and opened[0].closed
 
 
 # --- package exports -------------------------------------------------------

@@ -167,6 +167,17 @@ def test_parse_rejects_bad_configs(mangle, fragment):
         parse_experiment_config(mangle)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "7", [1, 2]])
+def test_config_holds_master_seed_to_the_seed_rule(seed):
+    with pytest.raises(ConfigurationError, match="^master_seed must be a "
+                       "non-negative integer, got "):
+        _config(master_seed=seed)
+
+
+def test_config_takes_a_numpy_master_seed():
+    assert _config(master_seed=np.int64(7)) == _config(master_seed=7)
+
+
 def test_contest_config_and_prior_wiring():
     cfg = _config()
     contest = cfg.contest_config(2)

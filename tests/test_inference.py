@@ -423,6 +423,26 @@ def test_recovery_rejects_an_empty_or_repeated_seed_list(seeds, message):
     assert str(info.value) == message
 
 
+def test_recovery_checks_its_seeds_when_no_contest_runs():
+    with pytest.raises(ConfigurationError, match="^seed must be a "
+                       "non-negative integer or a non-empty list of them, "
+                       "got -1"):
+        recovery_experiment(None, 2, 0, [-1, "x"], fixed_rates=(1.0, 1.0))
+
+
+def test_recovery_rows_carry_the_seed_rules_ints():
+    report = recovery_experiment(None, 2, 0, [np.int64(4)],
+                                 fixed_rates=(1.0, 1.0))
+    assert [type(row.seed) for row in report.rows] == [int, int]
+
+
+def test_recovery_refuses_a_numpy_repeat_of_a_seed():
+    with pytest.raises(ConfigurationError) as info:
+        recovery_experiment(None, 2, 0, [5, np.int64(5)],
+                            fixed_rates=(1.0, 1.0))
+    assert str(info.value) == "recovery seeds must be distinct, got [5, 5]"
+
+
 def test_recovery_with_no_data_is_unidentifiable():
     report = recovery_experiment(None, 2, 0, [0, 1],
                                  fixed_rates=(1.66, 1.12))

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from contestsim import (AnnotationEvent, BehaviorPrior, ConfigurationError,
                         ContestConfig, ContractViolation, EventLog, ExitEvent,
                         Post, PostCounters, RankEntry, Ranking, WorkerProfile,
                         draw_behavior, event_log_lines, exit_hazard,
-                        generate_corpus, holding_time, read_event_log,
-                        replay_validate, run_contest,
+                        generate_corpus, holding_time, parse_experiment_config,
+                        read_event_log, replay_validate, run_condition,
+                        run_contest,
                         simulate_annotated_count, write_event_log)
 from contestsim import rng as streams
 from contestsim import simulate
@@ -964,6 +966,49 @@ def test_read_then_write_round_trips_byte_for_byte(tmp_path, stock_log_path,
         out = tmp_path / path.name
         write_event_log(read_event_log(path), out)
         assert out.read_bytes() == path.read_bytes()
+
+
+# The benchmark's W = 200 field at seed 0: the README config at 200
+# workers, with stock ratios (76 posts and a tenth of a window per worker,
+# one arrival per worker per second, spread a quarter of the field).
+LARGE_FIELD_CONFIG = """\
+config_version=1
+n_workers=200
+n_posts=15200
+window_size=2000
+task_unit_time_s=10.0
+task_unit_size=10
+arrival_rate=200.0
+prize_value=0.10
+base_points=10
+quality_constraint=0
+reduction_rate=10.0
+spreads=50
+replications=1
+master_seed=0
+"""
+
+
+def test_a_log_read_holds_little_beyond_the_records_it_returns(tmp_path):
+    config = parse_experiment_config(LARGE_FIELD_CONFIG)
+    posts = generate_corpus(config.n_posts, config.mean_entities,
+                            seed=config.master_seed)
+    _, log = run_condition(config, config.spreads[0], 0, posts)
+    path = tmp_path / "field-200.jsonl"
+    write_event_log(log, path)
+    del log
+    size = path.stat().st_size
+    assert size > 1_500_000
+    tracemalloc.start()
+    try:
+        log = read_event_log(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Holding the file's text, or its list of lines, would cost more than
+    # the file's size; a block and a chunk of lines cost well under 1 MB.
+    assert peak - held < 1_000_000
+    assert len(log.events) > 10_000
 
 
 def test_write_event_log_rejects_a_float_integer_field(tmp_path,
