@@ -26,17 +26,10 @@ from .simulate import (BehaviorPrior, read_event_log, replay_validate,
 
 def _parse_seed_list(raw: str) -> list[int]:
     try:
-        seeds = [int(p) for p in raw.split(",") if p.strip()]
+        return [int(p) for p in raw.split(",") if p.strip()]
     except ValueError:
-        seeds = None
-    if seeds is None or min(seeds, default=0) < 0:
-        raise ContestError(f"bad seed list {raw!r}; expected e.g. 0,1,2")
-    return seeds
-
-
-def _require_non_negative(option: str, value: int) -> None:
-    if value < 0:
-        raise ContestError(f"{option} must be >= 0, got {value}")
+        raise ContestError(
+            f"bad seed list {raw!r}; expected e.g. 0,1,2") from None
 
 
 def _cmd_gen_corpus(args: argparse.Namespace) -> int:
@@ -50,7 +43,6 @@ def _cmd_gen_corpus(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _require_non_negative("--replication", args.replication)
     config = read_experiment_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)

@@ -10,6 +10,7 @@ package's one file writer, line reader, JSON encoder and JSON decoder;
 from __future__ import annotations
 
 import gc
+import io
 import json
 import math
 import os
@@ -76,6 +77,16 @@ def check_types(record: Mapping, kinds: Mapping[str, FieldType]) -> None:
         if type(record[name]) not in kind.types:
             raise ConfigurationError(f"{name} must be {kind.what}, "
                                      f"got {quote(record[name])}")
+
+
+def check_record(record: Mapping, kinds: Mapping[str, FieldType]) -> None:
+    """`check_types` for a record whose every field ``kinds`` names: a key
+    that it does not name raises `ConfigurationError` naming the key."""
+    if len(record) != len(kinds):
+        for name in record:
+            if name not in kinds:
+                raise ConfigurationError(f"unknown key {quote(name)}")
+    check_types(record, kinds)
 
 
 def json_record(obj) -> dict:
@@ -166,11 +177,12 @@ class TextLines:
     to iterate, once, in a ``with`` block.  Every reader in the package uses
     it.
 
-    A file is read `_BLOCK_CHARS` characters at a time with universal
-    newlines, and the unfinished last line of a block is carried into the
-    next, so the lines are exactly ``str.splitlines()`` of the file's text
-    while no more than a block and a line of it is held.  The file closes
-    when the block ends, also by an exception.
+    The file, or ``text`` as an in-memory file, is read `_BLOCK_CHARS`
+    characters at a time with universal newlines, and the unfinished last
+    line of a block is carried into the next, so the lines are exactly
+    ``str.splitlines()`` of the text while no more than a block and a line
+    of it is held.  The file closes when the block ends, also by an
+    exception.
 
     The reader sets ``lineno`` to the 1-based number of the line it is on;
     0 stands for the text as a whole.  A `ConfigurationError` raised in the
@@ -187,15 +199,14 @@ class TextLines:
                  text: Optional[str] = None) -> None:
         self.source, self.what = source, what
         self.lineno = 0
-        self._file = None
         if text is not None:
-            self._lines = iter(text.splitlines())
-            return
-        try:
-            self._file = open(source, encoding="utf-8")
-        except OSError as exc:
-            raise ConfigurationError(
-                f"{source}: cannot read: {exc.strerror or exc}") from exc
+            self._file = io.StringIO(text, newline=None)
+        else:
+            try:
+                self._file = open(source, encoding="utf-8")
+            except OSError as exc:
+                raise ConfigurationError(
+                    f"{source}: cannot read: {exc.strerror or exc}") from exc
         self._lines = self._read()
 
     def _read(self):
@@ -225,9 +236,8 @@ class TextLines:
         return self
 
     def __exit__(self, kind, exc, traceback) -> None:
-        if self._file is not None:
-            self._lines.close()  # its frame refers back to this object
-            self._file.close()
+        self._lines.close()  # its frame refers back to this object
+        self._file.close()
         where = f"{self.source}:{self.lineno}" if self.lineno else self.source
         if isinstance(exc, ConfigurationError):
             raise ConfigurationError(f"{where}: {exc}") from exc

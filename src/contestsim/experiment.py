@@ -23,7 +23,7 @@ import numpy as np
 
 from . import rng as streams
 from .core import (FIELD_TYPES, ContestConfig, Post, TextLines, WorkerProfile,
-                   canonical_json, check_types, collector_paused, decode_json,
+                   canonical_json, check_record, collector_paused, decode_json,
                    json_record, quote, require_finite, write_atomic)
 from .errors import ConfigurationError, ContestError
 from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, AnnotationEvent,
@@ -36,6 +36,16 @@ MANIFEST_FORMAT = "sweep-outputs-v1"
 
 # Token counts are drawn uniformly from this inclusive range.
 TOKEN_RANGE = (5, 30)
+
+
+def _check_seed_part(name: str, value) -> None:
+    """Hold ``value``, one integer of a cell's seed key, to `rng.check_seed`;
+    its `ConfigurationError` names ``name``."""
+    try:
+        streams.check_seed((value,))
+    except ConfigurationError:
+        raise ConfigurationError(f"{name} must be a non-negative integer, "
+                                 f"got {quote(value)}") from None
 
 
 @dataclass(frozen=True)
@@ -74,14 +84,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unsupported config_version {self.config_version}; "
                 f"expected {CONFIG_VERSION}")
-        # Every cell's seed is (master_seed, replication), so the seed rule
-        # holds master_seed to one integer.
-        try:
-            streams.check_seed((self.master_seed, 0))
-        except ConfigurationError:
-            raise ConfigurationError("master_seed must be a non-negative "
-                                     f"integer, got {quote(self.master_seed)}"
-                                     ) from None
+        _check_seed_part("master_seed", self.master_seed)
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
         if not self.spreads:
@@ -238,15 +241,16 @@ _corpus_values = itemgetter(*_CORPUS_FIELDS)
 def read_corpus(path: Union[str, Path]) -> list[Post]:
     """Parse a corpus written by `write_corpus`; line i is the i-th arrival.
 
-    A line that is not JSON, lacks a key, holds a value that is not an
-    integer or describes an invalid post raises `ConfigurationError` naming
-    ``path:line``; a file that is not UTF-8 text names the path.
+    A line that is not JSON, lacks a key, holds a key that is no `Post`
+    field or a value that is not an integer, or describes an invalid post
+    raises `ConfigurationError` naming ``path:line``; a file that is not
+    UTF-8 text names the path.
     """
     posts = []
     with TextLines(path, "corpus line") as text:
         for text.lineno, line in enumerate(text, 1):
             obj = decode_json(line)
-            check_types(obj, _CORPUS_FIELDS)
+            check_record(obj, _CORPUS_FIELDS)
             posts.append(Post(*_corpus_values(obj)))
     return posts
 
@@ -479,7 +483,9 @@ def run_condition(config: ExperimentConfig, reward_spread: int,
     """One contest at one spread.  Seeds exclude the spread on purpose:
     replication r sees identical workers and identical random streams at
     every spread, so cross-spread differences are pure treatment effects.
+    The replication is held to the seed rule before any draw.
     """
+    _check_seed_part("replication", replication)
     seed_key = (config.master_seed, replication)
     profiles = _profiles(config, seed_key)
     contest = config.contest_config(reward_spread)

@@ -68,9 +68,10 @@ order (annotations first on ties), and a trailer with the final ranking.
 Its bytes are the format contract: keys in sorted order, no spaces,
 integer fields as JSON integers and flags as ``true``/``false``, so equal
 logs are equal files.  `read_event_log` decodes the body in chunks of
-lines whose every line is one flat object, holds every field to its exact
-type, the header to `check_header` and each exit line to its place among
-the annotations, and names ``path:line`` for a malformed line.
+lines whose every line is one flat object, holds every line to its
+record's keys and every field to its exact type, the header to
+`check_header` and each exit line to its place among the annotations, and
+names ``path:line`` for a malformed line.
 """
 
 from __future__ import annotations
@@ -91,9 +92,10 @@ import numpy as np
 from . import rng as streams
 from .core import (EXACT_MATCH_MULTIPLIER, FIELD_TYPES, ContestConfig,
                    Leaderboard, Post, RankEntry, Ranking, TextLines,
-                   WorkerProfile, canonical_json, check_types, collector_paused,
-                   decode_json, json_record, quote, rank_workers,
-                   require_finite, score_annotation, write_atomic)
+                   WorkerProfile, canonical_json, check_record, check_types,
+                   collector_paused, decode_json, json_record, quote,
+                   rank_workers, require_finite, score_annotation,
+                   write_atomic)
 from .errors import ConfigurationError, ContractViolation
 from .stream import DropQueue, advance_queue, allocate_round_robin, build_windows, total_contest_time
 
@@ -210,14 +212,14 @@ def holding_time(rate: float, rng: np.random.Generator,
     return rng.exponential(1.0 / rate, size=size)
 
 
-def exit_hazard(eligible: bool, rank_gap: int, elapsed_fraction: float,
+def exit_hazard(rank_gap: int, elapsed_fraction: float,
                 profile: WorkerProfile, *, n_workers: int,
                 base_hazard: float = DEFAULT_BASE_HAZARD) -> float:
     """Per-checkpoint probability that a worker abandons the contest.
 
-    Zero while eligible (or at zero distance below the spread); otherwise
-    grows linearly both with the rank gap, capped at the field size, and
-    with elapsed contest time, so exits concentrate late.
+    Zero while ``rank_gap``, the rank less the reward spread, is not
+    positive (inside the spread); otherwise grows linearly both with the
+    gap, capped at the field size, and with elapsed contest time.
     ``profile.exit_threshold`` scales the whole hazard, so a zero threshold
     pins a worker in place.
     """
@@ -226,7 +228,7 @@ def exit_hazard(eligible: bool, rank_gap: int, elapsed_fraction: float,
     if n_workers < 1:
         raise ConfigurationError("n_workers must be >= 1")
     _check_base_hazard(base_hazard)
-    if eligible or rank_gap <= 0:
+    if rank_gap <= 0:
         return 0.0
     gap_pressure = min(1.0, rank_gap / n_workers)
     hazard = (base_hazard * profile.exit_threshold * gap_pressure
@@ -372,6 +374,16 @@ def checkpoint_times(horizon_ms: int) -> list[int]:
             for k in range(1, N_CHECKPOINTS + 1)]
 
 
+def _check_posts(config: ContestConfig, posts: Sequence[Post]) -> None:
+    """Raise `ConfigurationError` unless ``posts`` are exactly ``n_posts``
+    posts with unique ids; `run_contest` and `replay_validate` check here."""
+    if len(posts) != config.n_posts:
+        raise ConfigurationError(
+            f"expected {config.n_posts} posts, got {len(posts)}")
+    if len({p.id for p in posts}) != len(posts):
+        raise ConfigurationError("post ids must be unique")
+
+
 def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
                 posts: Sequence[Post], seed: Seed, *,
                 dispatch: str = "windowed",
@@ -387,17 +399,13 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
     if len(profiles) != config.n_workers:
         raise ConfigurationError(
             f"expected {config.n_workers} profiles, got {len(profiles)}")
-    if len(posts) != config.n_posts:
-        raise ConfigurationError(
-            f"expected {config.n_posts} posts, got {len(posts)}")
+    _check_posts(config, posts)
     unit_ms, horizon_ms = check_run_arguments(config, dispatch, base_hazard,
                                               accuracy_floor)
     seed = streams.check_seed(seed)
     ids = [p.id for p in profiles]
     if len(set(ids)) != len(ids):
         raise ConfigurationError("worker ids must be unique")
-    if len({p.id for p in posts}) != len(posts):
-        raise ConfigurationError("post ids must be unique")
 
     with collector_paused():
         n = config.n_workers
@@ -441,7 +449,7 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
                 for r, wid in enumerate(board_from(spread + 1), spread + 1):
                     w = by_id[wid]
                     if w.alive and w.exit_draws[ci] < exit_hazard(
-                            False, r - spread, frac, w.profile, n_workers=n,
+                            r - spread, frac, w.profile, n_workers=n,
                             base_hazard=base_hazard):
                         w.alive = False
                         leaving.append(ExitEvent(wid, checkpoint_ms[ci], r,
@@ -594,6 +602,8 @@ _RANK_FIELDS = {"worker_id": _INTEGER, "score": _INTEGER,
                 "annotations": _INTEGER,
                 "last_scored_ms": _INTEGER._replace(what="an integer or null",
                                                     types=(int, type(None)))}
+_TRAILER_FIELDS = {"final_ranking": _INTEGER._replace(what="a list",
+                                                      types=(list,))}
 
 _event_time = attrgetter("event_time_ms")
 _event_values = itemgetter(*_EVENT_FIELDS)
@@ -682,9 +692,12 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
     must pass `check_header`; each exit line must sit where the writer puts
     it: after every annotation at or before its time and before the first
     one after it.  Any malformed line, including a field of the wrong type, a
-    header key that is no `EventLog` field or a trailer that does not rank
+    key that is no field of the line's record (`core.check_record`; a
+    header key that is no `EventLog` field) or a trailer that does not rank
     ``n_workers`` workers, raises `ConfigurationError` naming ``path:line``;
-    a file that is not UTF-8 text raises it naming the path.
+    a file that is not UTF-8 text raises it naming the path.  A body line
+    holding ``exit_time_ms`` is an exit line, so an annotation line that
+    also holds it is refused at its own line.
     The cyclic garbage collector is off while the body lines are decoded
     (`core.collector_paused`).
     """
@@ -709,6 +722,7 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         check_header(log)
         config, events, exits = log.config, log.events, log.exits
         event_values, exit_values = _event_values, _exit_values
+        n_event_fields, n_exit_fields = len(_EVENT_FIELDS), len(_EXIT_FIELDS)
         # `AnnotationEvent._make(...)` less its Python-level call and length
         # check: the getters above give each record its number of fields.
         new_tuple = tuple.__new__
@@ -731,14 +745,16 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
                         obj = decode_json(obj)
                     if "exit_time_ms" in obj:
                         x = exit_values(obj)
-                        if list(map(type, x)) != _EXIT_TYPES:
-                            check_types(obj, _EXIT_FIELDS)
+                        if (len(obj) != n_exit_fields
+                                or list(map(type, x)) != _EXIT_TYPES):
+                            check_record(obj, _EXIT_FIELDS)
                         exits.append(new_tuple(ExitEvent, x))
                         exit_at.append((text.lineno, len(events)))
                         continue
                     e = event_values(obj)
-                    if list(map(type, e)) != _EVENT_TYPES:
-                        check_types(obj, _EVENT_FIELDS)
+                    if (len(obj) != n_event_fields
+                            or list(map(type, e)) != _EVENT_TYPES):
+                        check_record(obj, _EVENT_FIELDS)
                     wid, index = e[0], e[1]
                     if index != per_worker_index.get(wid, 0):
                         raise ConfigurationError(
@@ -761,9 +777,10 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         trailer = decode_json(chunk[0] if chunk else header_line)
         if "final_ranking" not in trailer:
             raise ConfigurationError("missing final-ranking trailer")
+        check_record(trailer, _TRAILER_FIELDS)
         entries = []
         for r in trailer["final_ranking"]:
-            check_types(r, _RANK_FIELDS)
+            check_record(r, _RANK_FIELDS)
             entries.append(RankEntry(*_rank_values(r)))
         if len(entries) != config.n_workers:
             raise ConfigurationError(
@@ -806,22 +823,19 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     countdown, that no post is annotated twice, and that the trailer
     equals `rank_workers` of the replayed scores, last scoring times and
     counts: a ranking made apart from the engine's board.
-    Needs the contest's posts to re-score events: as in `run_contest`,
-    exactly ``n_posts`` of them with unique ids, or `ConfigurationError`.
+    Needs the contest's posts to re-score events, held to `run_contest`'s
+    rule (`_check_posts`): exactly ``n_posts`` of them with unique ids, or
+    `ConfigurationError`.
     A violation names its position in ``log.events``, worker and event
     index, its position in ``log.exits``, worker and exit time, or its
     ``final_ranking`` row.
     """
     check_header(log)
+    _check_posts(log.config, posts)
     horizon_ms = log.horizon_ms
-    if len(posts) != log.config.n_posts:
-        raise ConfigurationError(
-            f"expected {log.config.n_posts} posts, got {len(posts)}")
     # A post's true count, or None once it has been annotated.
     expected: dict[int, Optional[int]] = {
         p.id: p.expected_entities for p in posts}
-    if len(expected) != len(posts):
-        raise ConfigurationError("post ids must be unique")
     worker_ids = [e.worker_id for e in log.final_ranking]
     spread = log.config.reward_spread
     board = Leaderboard(worker_ids)

@@ -85,7 +85,7 @@ def reference_contest(config, profiles, posts, seed, *, dispatch="windowed",
                     continue
                 u = exit_rng[i].random()
                 r, elig = standing(wid)
-                h = exit_hazard(elig, r - spread, (ci + 1) / len(checkpoints),
+                h = exit_hazard(r - spread, (ci + 1) / len(checkpoints),
                                 profiles[i], n_workers=n,
                                 base_hazard=base_hazard)
                 if u < h:

@@ -332,12 +332,12 @@ _SEED_RULE = "a non-negative integer or a non-empty list of them"
                        "integer, got -1"),
     (["simulate", "--seed", "-5"], 7,
      "master_seed must be a non-negative integer, got -5"),
-    (["simulate", "--replication", "-1"], 7, "--replication must be >= 0, "
-                                             "got -1"),
+    (["simulate", "--replication", "-1"], 7,
+     "replication must be a non-negative integer, got -1"),
     (["gen-corpus", "--n-posts", "5", "--seed", "-3"], 7,
      f"seed must be {_SEED_RULE}, got -3"),
     (["recover", "--seeds=-1", "--target", "10"], 7,
-     "bad seed list '-1'; expected e.g. 0,1,2"),
+     f"seed must be {_SEED_RULE}, got -1"),
 ], ids=["config sweep", "config simulate", "simulate seed",
         "simulate replication", "gen-corpus seed", "recover seeds"])
 def test_a_negative_seed_fails_cleanly(tmp_path, capsys, argv, config_seed,
@@ -644,6 +644,16 @@ def test_wrong_typed_log_header_field_fails_cleanly(
                 what, f"{keys[-1]} must be {what}, got {got}")
     assert code == 2
     assert err == f"error: {log_path}:1: {rule}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "fit"])
+def test_an_unknown_key_on_a_body_line_fails_cleanly(
+        tmp_path, contest_files, capsys, command):
+    corpus, log_path = contest_files
+    _edit_line(log_path, 1, lambda record: record.update(x=1))
+    code, err = _run_on_log(command, corpus, log_path, tmp_path, capsys)
+    assert (code, err) == (2, f'error: {log_path}:2: unknown key "x"\n')
+    assert not (tmp_path / "fits.jsonl").exists()
 
 
 def test_a_whole_number_field_written_as_an_integer_reads_back(

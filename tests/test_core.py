@@ -349,8 +349,8 @@ def test_text_lines_yields_splitlines_of_the_file(tmp_path_factory, text,
         mp.setattr(core, "_BLOCK_CHARS", block)
         with TextLines(path, "line") as lines:
             assert list(lines) == text.splitlines()
-    with TextLines("<string>", "line", text) as lines:
-        assert list(lines) == text.splitlines()
+        with TextLines("<string>", "line", text) as lines:
+            assert list(lines) == text.splitlines()
 
 
 def test_a_bad_byte_in_a_later_block_names_the_path_alone(tmp_path):

@@ -565,6 +565,14 @@ def test_run_condition_is_deterministic():
     assert third != first
 
 
+@pytest.mark.parametrize("replication", [-1, True, 1.5, [1]])
+def test_run_condition_holds_the_replication_to_the_seed_rule(replication):
+    cfg = _config()
+    with pytest.raises(ConfigurationError, match="^replication must be a "
+                       "non-negative integer, got "):
+        run_condition(cfg, 1, replication, _corpus(cfg))
+
+
 def test_null_model_shares_streams_across_spreads():
     # Seeds exclude the spread, so with tied rates and no exits the event
     # totals cannot depend on the treatment.

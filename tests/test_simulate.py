@@ -21,9 +21,9 @@ from contestsim import (AnnotationEvent, BehaviorPrior, ConfigurationError,
                         Post, PostCounters, RankEntry, Ranking, WorkerProfile,
                         draw_behavior, event_log_lines, exit_hazard,
                         generate_corpus, holding_time, parse_experiment_config,
-                        read_event_log, replay_validate, run_condition,
-                        run_contest,
-                        simulate_annotated_count, write_event_log)
+                        read_corpus, read_event_log, replay_validate,
+                        run_condition, run_contest, simulate_annotated_count,
+                        write_corpus, write_event_log)
 from contestsim import rng as streams
 from contestsim import simulate
 from contestsim.simulate import (_BLOCK, _CHUNK_LINES, _PERTURBATIONS,
@@ -110,54 +110,54 @@ def test_holding_time_rejects_non_positive_rate():
 # --- exit hazard -----------------------------------------------------------
 
 def test_exit_hazard_zero_while_eligible():
-    assert exit_hazard(True, 5, 0.9, _profile(), n_workers=20) == 0.0
+    # A negative gap is a rank inside the spread.
+    assert exit_hazard(-3, 0.9, _profile(), n_workers=20) == 0.0
 
 
 def test_exit_hazard_zero_at_the_spread_boundary():
-    assert exit_hazard(False, 0, 0.9, _profile(), n_workers=20) == 0.0
+    assert exit_hazard(0, 0.9, _profile(), n_workers=20) == 0.0
 
 
 def test_exit_hazard_hand_computed_value():
     profile = _profile(exit_threshold=0.5)
-    h = exit_hazard(False, 5, 0.5, profile, n_workers=20, base_hazard=0.06)
+    h = exit_hazard(5, 0.5, profile, n_workers=20, base_hazard=0.06)
     assert h == pytest.approx(0.06 * 0.5 * (5 / 20) * 0.5)
 
 
 def test_exit_hazard_is_negligible_early_and_just_outside():
-    h = exit_hazard(False, 1, 0.05, _profile(), n_workers=20)
+    h = exit_hazard(1, 0.05, _profile(), n_workers=20)
     assert 0.0 < h < 1e-3
 
 
 def test_exit_hazard_is_clamped_to_a_probability():
-    h = exit_hazard(False, 100, 1.0, _profile(), n_workers=20,
-                    base_hazard=50.0)
+    h = exit_hazard(100, 1.0, _profile(), n_workers=20, base_hazard=50.0)
     assert h == 1.0
 
 
 def test_exit_hazard_zero_threshold_pins_the_worker():
     profile = _profile(exit_threshold=0.0)
-    assert exit_hazard(False, 10, 1.0, profile, n_workers=20) == 0.0
+    assert exit_hazard(10, 1.0, profile, n_workers=20) == 0.0
 
 
 @given(gap=st.integers(1, 40), frac=st.floats(0.0, 1.0),
        bump_gap=st.integers(0, 10), bump_frac=st.floats(0.0, 0.5))
 def test_exit_hazard_monotone_in_gap_and_time(gap, frac, bump_gap, bump_frac):
     profile = _profile(exit_threshold=0.7)
-    base = exit_hazard(False, gap, frac, profile, n_workers=20)
-    wider = exit_hazard(False, gap + bump_gap, frac, profile, n_workers=20)
+    base = exit_hazard(gap, frac, profile, n_workers=20)
+    wider = exit_hazard(gap + bump_gap, frac, profile, n_workers=20)
     later_frac = min(1.0, frac + bump_frac)
-    later = exit_hazard(False, gap, later_frac, profile, n_workers=20)
+    later = exit_hazard(gap, later_frac, profile, n_workers=20)
     assert wider >= base
     assert later >= base
 
 
 def test_exit_hazard_validation():
     with pytest.raises(ConfigurationError):
-        exit_hazard(False, 1, 1.5, _profile(), n_workers=20)
+        exit_hazard(1, 1.5, _profile(), n_workers=20)
     with pytest.raises(ConfigurationError):
-        exit_hazard(False, 1, 0.5, _profile(), n_workers=0)
+        exit_hazard(1, 0.5, _profile(), n_workers=0)
     with pytest.raises(ConfigurationError):
-        exit_hazard(False, 1, 0.5, _profile(), n_workers=20, base_hazard=-0.1)
+        exit_hazard(1, 0.5, _profile(), n_workers=20, base_hazard=-0.1)
 
 
 @pytest.mark.parametrize("base_hazard", [math.nan, math.inf, -math.inf, -0.1])
@@ -166,7 +166,7 @@ def test_exit_hazard_takes_the_run_argument_rule_for_base_hazard(
     # A NaN or infinite hazard would make every exit certain.
     message = f"^base_hazard must be finite and >= 0, got {base_hazard}$"
     with pytest.raises(ConfigurationError, match=message):
-        exit_hazard(False, 5, 0.5, _profile(exit_threshold=0.5), n_workers=20,
+        exit_hazard(5, 0.5, _profile(exit_threshold=0.5), n_workers=20,
                     base_hazard=base_hazard)
     with pytest.raises(ConfigurationError, match=message):
         simulate.check_run_arguments(contest_config(), "windowed",
@@ -1061,6 +1061,46 @@ def test_read_event_log_rejects_a_wrong_typed_field(tmp_path, make_posts,
     with pytest.raises(ConfigurationError,
                        match=re.escape(f"{path}:{i + 1}: {key} must be ")):
         read_event_log(path)
+
+
+# Per record kind: how to find its first line, how to add a key to that
+# line's record, and the key named.  An annotation that also carries
+# ``exit_time_ms`` reads as an exit line whose other keys are unknown.
+_EXTRA_KEYS = {
+    "annotation": ('"holding_time_ms"', lambda r: r.update(x=1), "x"),
+    "exit": ('"exit_time_ms"', lambda r: r.update(x=1), "x"),
+    "trailer row": ('"final_ranking"',
+                    lambda r: r["final_ranking"][-1].update(x=1), "x"),
+    "trailer": ('"final_ranking"', lambda r: r.update(x=1), "x"),
+    "exit key on an annotation": (
+        '"holding_time_ms"',
+        lambda r: r.update(exit_time_ms=r["event_time_ms"]),
+        "annotated_count"),
+    "corpus line": ('"token_count"', lambda r: r.update(x=5), "x"),
+}
+
+
+@pytest.mark.parametrize("kind", _EXTRA_KEYS)
+def test_every_reader_refuses_a_key_no_record_has(tmp_path, make_posts,
+                                                  kind):
+    marker, add_key, named = _EXTRA_KEYS[kind]
+    log, posts = _exit_heavy_run(make_posts)
+    path = tmp_path / "records.jsonl"
+    if kind == "corpus line":
+        write_corpus(posts, path)
+        read = read_corpus
+    else:
+        write_event_log(log, path)
+        read = read_event_log
+    lines = path.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, text in enumerate(lines) if marker in text)
+    record = json.loads(lines[i])
+    add_key(record)
+    lines[i] = _canonical(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"{path}:{i + 1}: unknown key \"{named}\"") + "$"):
+        read(path)
 
 
 def test_read_event_log_accepts_a_never_scored_worker(tmp_path,
