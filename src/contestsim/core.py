@@ -404,15 +404,21 @@ class Leaderboard:
     replaces the key in place; otherwise it searches the keys above for
     its new place.  A falling score or an unknown worker raises
     `ContractViolation`.
+
+    The ranks that `update` and `rank` return are items of one tuple of
+    ``1..W``, built with the board: equal ranks are one object, so the
+    records that hold them (every annotation the engine logs) share it
+    rather than each holding its own int above 256.
     """
 
-    __slots__ = ("_keys", "_key_of")
+    __slots__ = ("_keys", "_key_of", "_ranks")
 
     def __init__(self, worker_ids: Collection[Hashable]) -> None:
         self._key_of = {w: rank_key(w, 0, None) for w in worker_ids}
         if len(self._key_of) != len(worker_ids):
             raise ConfigurationError("duplicate worker ids on the leaderboard")
         self._keys = sorted(self._key_of.values())
+        self._ranks = tuple(range(1, len(self._keys) + 1))
 
     def update(self, worker_id: Hashable, score: float, stamp: int) -> int:
         """Move ``worker_id`` to ``score``, reached at ``stamp``, and return
@@ -426,7 +432,7 @@ class Leaderboard:
             raise _not_on_board(worker_id) from None
         pos = bisect_left(keys, old)
         if old[0] == -score:
-            return pos + 1
+            return self._ranks[pos]
         if old[0] < -score:
             raise ContractViolation(f"worker {worker_id}: score fell from "
                                     f"{-old[0]} to {score}")
@@ -438,12 +444,12 @@ class Leaderboard:
             keys.insert(pos, new)
         else:
             keys[pos] = new
-        return pos + 1
+        return self._ranks[pos]
 
     def rank(self, worker_id: Hashable) -> int:
         """1-based rank: one plus the number of workers strictly ahead."""
         try:
-            return bisect_left(self._keys, self._key_of[worker_id]) + 1
+            return self._ranks[bisect_left(self._keys, self._key_of[worker_id])]
         except KeyError:
             raise _not_on_board(worker_id) from None
 

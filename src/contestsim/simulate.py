@@ -85,14 +85,14 @@ from itertools import islice
 from math import ceil
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Collection, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from . import rng as streams
 from .core import (EXACT_MATCH_MULTIPLIER, FIELD_TYPES, ContestConfig,
                    Leaderboard, Post, RankEntry, Ranking, TextLines,
-                   WorkerProfile, canonical_json, check_record, check_types,
+                   WorkerProfile, canonical_json, check_record,
                    collector_paused, decode_json, json_record, quote,
                    rank_workers, require_finite, score_annotation,
                    write_atomic)
@@ -374,13 +374,18 @@ def checkpoint_times(horizon_ms: int) -> list[int]:
             for k in range(1, N_CHECKPOINTS + 1)]
 
 
-def _check_posts(config: ContestConfig, posts: Sequence[Post]) -> None:
+def _check_posts(config: ContestConfig, posts: Sequence[Post],
+                 ids: Collection[int]) -> None:
     """Raise `ConfigurationError` unless ``posts`` are exactly ``n_posts``
-    posts with unique ids; `run_contest` and `replay_validate` check here."""
+    posts with unique ids; `run_contest` and `replay_validate` check here.
+
+    ``ids`` holds the distinct ids of ``posts``, in the table the caller
+    builds anyway: `run_contest` passes a set, `replay_validate` its table
+    of true counts, so the replay builds no second table."""
     if len(posts) != config.n_posts:
         raise ConfigurationError(
             f"expected {config.n_posts} posts, got {len(posts)}")
-    if len({p.id for p in posts}) != len(posts):
+    if len(ids) != len(posts):
         raise ConfigurationError("post ids must be unique")
 
 
@@ -399,7 +404,7 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
     if len(profiles) != config.n_workers:
         raise ConfigurationError(
             f"expected {config.n_workers} profiles, got {len(profiles)}")
-    _check_posts(config, posts)
+    _check_posts(config, posts, {p.id for p in posts})
     unit_ms, horizon_ms = check_run_arguments(config, dispatch, base_hazard,
                                               accuracy_floor)
     seed = streams.check_seed(seed)
@@ -604,7 +609,6 @@ _RANK_FIELDS = {"worker_id": _INTEGER, "score": _INTEGER,
                                                     types=(int, type(None)))}
 _TRAILER_FIELDS = {"final_ranking": _INTEGER._replace(what="a list",
                                                       types=(list,))}
-
 _event_time = attrgetter("event_time_ms")
 _event_values = itemgetter(*_EVENT_FIELDS)
 _exit_values = itemgetter(*_EXIT_FIELDS)
@@ -680,6 +684,30 @@ def _decode_chunk(lines: list[str]) -> Optional[list]:
     return values if len(values) == n else None
 
 
+def _header_kinds() -> tuple[dict, dict, dict]:
+    """The kind of each field of a log header, of its ``config`` and of its
+    ``counters``: the declared type of the `EventLog`, `ContestConfig` or
+    `PostCounters` field it fills.  ``config`` and ``counters`` must be
+    objects.  ``seed`` and ``dispatch`` take any JSON value here, since
+    `check_header` holds them to the seed rule and the dispatch modes, with
+    those rules' own messages.
+
+    Built per read, not held by the module: module-level tables raised the
+    peak RSS of a sweep, which reads no log, by about 0.3 MB, far more than
+    their own size.
+    """
+    some_object = _INTEGER._replace(what="an object", types=(dict,))
+    any_value = _INTEGER._replace(what="a JSON value", types=(
+        dict, list, str, int, float, bool, type(None)))
+    header = {f.name: FIELD_TYPES.get(f.type, any_value)
+              for f in fields(EventLog)
+              if f.name not in ("events", "exits", "final_ranking")}
+    header.update(config=some_object, counters=some_object)
+    return (header,
+            {f.name: FIELD_TYPES[f.type] for f in fields(ContestConfig)},
+            {f.name: FIELD_TYPES[f.type] for f in fields(PostCounters)})
+
+
 def read_event_log(path: Union[str, Path]) -> EventLog:
     """Parse a log written by `write_event_log`, reconstructing derived fields.
 
@@ -687,13 +715,16 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
     solved count against the configured post total.  The lines come from
     `TextLines`, which streams the file; body lines are decoded
     `_CHUNK_LINES` at a time, and a chunk that does not decode into one
-    value per line is decoded again line by line; beyond the records it
-    returns, a read holds one block of text and one chunk.  The header
-    must pass `check_header`; each exit line must sit where the writer puts
-    it: after every annotation at or before its time and before the first
-    one after it.  Any malformed line, including a field of the wrong type, a
-    key that is no field of the line's record (`core.check_record`; a
-    header key that is no `EventLog` field) or a trailer that does not rank
+    value per line is decoded again line by line.  Each annotation's
+    ``worker_id``, ``rank_at_event`` and ``holding_time_ms``, once typed,
+    go through one dict per read, so equal values are one object across
+    the records; beyond the records it returns, a read holds that dict, one
+    block of text and one chunk.  The header must pass `check_header`; each
+    exit line must sit where the writer puts it: after every annotation at
+    or before its time and before the first one after it.  Any malformed
+    line, including a field of the wrong type, a key that is no field of
+    the line's record (`core.check_record`, also for the header and its
+    ``config`` and ``counters``) or a trailer that does not rank
     ``n_workers`` workers, raises `ConfigurationError` naming ``path:line``;
     a file that is not UTF-8 text raises it naming the path.  A body line
     holding ``exit_time_ms`` is an exit line, so an annotation line that
@@ -710,11 +741,10 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         header = decode_json(header_line)
         if header.pop("format", None) != LOG_FORMAT:
             raise ConfigurationError(f"not a {LOG_FORMAT} file")
-        # Each typed field takes the declared type of the field it fills.
-        for record, cls in ((header, EventLog), (header["config"], ContestConfig),
-                            (header["counters"], PostCounters)):
-            check_types(record, {f.name: FIELD_TYPES[f.type] for f in fields(cls)
-                                 if f.type in FIELD_TYPES})
+        header_kinds, config_kinds, counter_kinds = _header_kinds()
+        check_record(header, header_kinds)
+        check_record(header["config"], config_kinds)
+        check_record(header["counters"], counter_kinds)
         header["config"] = ContestConfig(**header["config"])
         header["counters"] = PostCounters(**header["counters"])
         log = EventLog(**header, events=[], exits=[],
@@ -727,6 +757,10 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         # check: the getters above give each record its number of fields.
         new_tuple = tuple.__new__
         per_worker_index: dict[int, int] = {}
+        # One object per distinct worker id, rank and holding time, which
+        # the records share: these take few values, most of them above the
+        # small ints that Python caches.
+        share = {}.setdefault
         # (line number, annotation lines before it) of each exit line.
         exit_at: list[tuple[int, int]] = []
         n_posts = config.n_posts
@@ -755,14 +789,17 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
                     if (len(obj) != n_event_fields
                             or list(map(type, e)) != _EVENT_TYPES):
                         check_record(obj, _EVENT_FIELDS)
-                    wid, index = e[0], e[1]
+                    # Shared only once typed: 1 and True are one dict key.
+                    wid, index, t, hold, post, count, rank, elig = e
+                    wid = share(wid, wid)
                     if index != per_worker_index.get(wid, 0):
                         raise ConfigurationError(
                             f"worker {wid} event_index out of order")
                     per_worker_index[wid] = index + 1
                     solved += 1
-                    events.append(new_tuple(AnnotationEvent,
-                                            e + (n_posts - solved,)))
+                    events.append(new_tuple(AnnotationEvent, (
+                        wid, index, t, share(hold, hold), post, count,
+                        share(rank, rank), elig, n_posts - solved)))
                 first += len(chunk)
                 chunk = [held, *islice(lines, _CHUNK_LINES)]
         for (text.lineno, k), x in zip(exit_at, exits):
@@ -831,11 +868,11 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     ``final_ranking`` row.
     """
     check_header(log)
-    _check_posts(log.config, posts)
-    horizon_ms = log.horizon_ms
     # A post's true count, or None once it has been annotated.
     expected: dict[int, Optional[int]] = {
         p.id: p.expected_entities for p in posts}
+    _check_posts(log.config, posts, expected)
+    horizon_ms = log.horizon_ms
     worker_ids = [e.worker_id for e in log.final_ranking]
     spread = log.config.reward_spread
     board = Leaderboard(worker_ids)

@@ -178,6 +178,24 @@ def test_a_rise_past_several_workers_lands_in_rank_key_order():
         board.workers_from(0)
 
 
+def test_equal_ranks_from_one_board_are_one_object():
+    # Python caches the ints up to 256 only; ranks past that are shared
+    # because the board returns them from its own tuple.
+    ids = range(300)
+    board = Leaderboard(ids)
+    ranks = [board.rank(w) for w in ids]
+    assert ranks == list(range(1, 301))
+    for w in (256, 280, 299):
+        assert board.rank(w) is ranks[w]
+        assert board.update(w, 0, 1) is ranks[w]  # an unchanged score
+    # Rises past others, then a rise in place: 2 is still behind 5.
+    assert board.update(299, 10, 5) is ranks[0]
+    assert board.update(298, 5, 6) is ranks[1]
+    assert board.update(297, 1, 7) is ranks[2]
+    assert board.update(297, 2, 8) is ranks[2]
+    assert board.rank(296) is ranks[299]
+
+
 _updates = st.lists(
     st.tuples(st.integers(0, 5), st.sampled_from((0, 0, 10, 50)),
               st.integers(0, 4)),

@@ -10,6 +10,7 @@ import json
 import math
 import re
 import tracemalloc
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -816,16 +817,19 @@ def test_read_event_log_names_a_header_the_config_cannot_take(
         read_event_log(path)
 
 
+@pytest.mark.parametrize("record", ["{", '"config":{', '"counters":{'],
+                         ids=["header", "config", "counters"])
 def test_read_event_log_refuses_a_header_key_event_log_lacks(
-        tmp_path, contest_config, make_posts, make_profiles):
+        tmp_path, contest_config, make_posts, make_profiles, record):
     log, _ = _windowed_log(contest_config, make_posts, make_profiles)
     path = tmp_path / "contest.jsonl"
     write_event_log(log, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    lines[0] = lines[0].replace("{", '{"mystery":1,', 1)
+    assert record in lines[0]
+    lines[0] = lines[0].replace(record, record + '"mystery":1,', 1)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ConfigurationError, match=re.escape(
-            f"{path}:1: malformed event log: TypeError: ") + ".*'mystery'"):
+    with pytest.raises(ConfigurationError, match="^" + re.escape(
+            f'{path}:1: unknown key "mystery"') + "$"):
         read_event_log(path)
 
 
@@ -968,47 +972,97 @@ def test_read_then_write_round_trips_byte_for_byte(tmp_path, stock_log_path,
         assert out.read_bytes() == path.read_bytes()
 
 
-# The benchmark's W = 200 field at seed 0: the README config at 200
-# workers, with stock ratios (76 posts and a tenth of a window per worker,
-# one arrival per worker per second, spread a quarter of the field).
-LARGE_FIELD_CONFIG = """\
+def _large_field_log(n_workers, path):
+    """Write the benchmark's large field of ``n_workers`` at seed 0 to
+    ``path``: the README config with stock ratios (76 posts and a tenth of
+    a window per worker, one arrival per worker per second, spread a
+    quarter of the field).  Return its number of annotations."""
+    config = parse_experiment_config(f"""\
 config_version=1
-n_workers=200
-n_posts=15200
-window_size=2000
+n_workers={n_workers}
+n_posts={76 * n_workers}
+window_size={10 * n_workers}
 task_unit_time_s=10.0
 task_unit_size=10
-arrival_rate=200.0
+arrival_rate={float(n_workers)}
 prize_value=0.10
 base_points=10
 quality_constraint=0
 reduction_rate=10.0
-spreads=50
+spreads={n_workers // 4}
 replications=1
 master_seed=0
-"""
-
-
-def test_a_log_read_holds_little_beyond_the_records_it_returns(tmp_path):
-    config = parse_experiment_config(LARGE_FIELD_CONFIG)
+""")
     posts = generate_corpus(config.n_posts, config.mean_entities,
                             seed=config.master_seed)
     _, log = run_condition(config, config.spreads[0], 0, posts)
-    path = tmp_path / "field-200.jsonl"
     write_event_log(log, path)
-    del log
-    size = path.stat().st_size
-    assert size > 1_500_000
+    return len(log.events)
+
+
+def _traced_read(path):
+    """``read_event_log(path)``, with the bytes traced as held after it and
+    the peak traced during it."""
     tracemalloc.start()
     try:
         log = read_event_log(path)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return log, held, peak
+
+
+def test_a_log_read_holds_little_beyond_the_records_it_returns(tmp_path):
+    path = tmp_path / "field-200.jsonl"
+    _large_field_log(200, path)
+    assert path.stat().st_size > 1_500_000
+    log, held, peak = _traced_read(path)
     # Holding the file's text, or its list of lines, would cost more than
     # the file's size; a block and a chunk of lines cost well under 1 MB.
     assert peak - held < 1_000_000
     assert len(log.events) > 10_000
+
+
+# Past 256 workers, ids and ranks above Python's cached small ints recur.
+@pytest.fixture(scope="module")
+def field_300_log(tmp_path_factory):
+    path = tmp_path_factory.mktemp("field-300") / "contest.jsonl"
+    return path, _large_field_log(300, path)
+
+
+def test_a_log_read_back_shares_equal_ids_ranks_and_holding_times(
+        field_300_log):
+    log = read_event_log(field_300_log[0])
+    for field in ("worker_id", "rank_at_event", "holding_time_ms"):
+        values = [getattr(e, field) for e in log.events]
+        assert max(values) > 256, field
+        first = {}
+        for v in values:
+            assert first.setdefault(v, v) is v, (field, v)
+
+
+def test_every_field_read_back_has_its_declared_type(field_300_log):
+    # A bool is an int, and True == 1: only the exact type tells a flag
+    # from a count that shares one object with it.
+    log = read_event_log(field_300_log[0])
+    assert log.exits
+    for records, cls in ((log.events, AnnotationEvent),
+                         (log.exits, ExitEvent)):
+        declared = list(get_type_hints(cls).values())
+        for record in records:
+            assert list(map(type, record)) == declared, record
+    for entry in log.final_ranking:
+        assert list(map(type, entry[:3])) == [int, int, int], entry
+        assert type(entry.tie_break_stamp) in (int, type(None)), entry
+
+
+def test_a_log_read_back_holds_few_bytes_per_event(field_300_log):
+    # 248 bytes per event when every record held its own worker id, rank
+    # and holding time; 225 with them shared.
+    path, n_events = field_300_log
+    log, held, _ = _traced_read(path)
+    assert len(log.events) == n_events > 15_000
+    assert held / n_events < 236
 
 
 def test_write_event_log_rejects_a_float_integer_field(tmp_path,
