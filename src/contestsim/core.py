@@ -143,13 +143,17 @@ def collector_paused():
     leaving the block, also by an exception, the collector is switched
     back on, unless it was already off on entering.
 
-    Its callers are `run_contest`, `read_event_log`'s decode loop, and
-    `experiment.sweep` and `inference.recovery_experiment` around each
-    contest they run.  The rule for those two is that a log dies inside
-    the block: only a contest's summary, or a recovery run's per-worker
-    totals, leaves it.  Freeing a record takes it off the count of
-    objects that triggers the next young-generation pass, so once the
-    collector is back on, no pass walks a log that is already gone.
+    Its callers are `run_contest`, `read_event_log`'s decode loop,
+    `experiment.generate_corpus`, and `experiment.sweep` and
+    `inference.recovery_experiment` around each contest they run.  The
+    rule for those two is that a log dies inside the block: only a
+    contest's summary, or a recovery run's per-worker totals, leaves it.
+    Freeing a record takes it off the count of objects that triggers the
+    next young-generation pass, so once the collector is back on, no pass
+    walks a log that is already gone.  A corpus does leave its block: its
+    posts still pass through the young and middle generations once the
+    collector is back on, but no pass runs while they are built, where
+    the growing corpus would otherwise set off full ones.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -256,25 +260,39 @@ def require_finite(config, context: str = "") -> None:
                 f"{context}{f.name} must be finite, got {value}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Post:
     """A unit of annotatable content flowing through the contest.
 
     Slotted, since a corpus holds one per line: without a ``__dict__`` a
     post takes 40 bytes less (96 rather than 136, with its field values).
+    The ``__init__`` is written by hand for the same reason: the one a
+    frozen dataclass generates sets each field through
+    ``object.__setattr__`` and then calls ``__post_init__``, and takes
+    about 1.6 times as long.  This one checks the values and sets the
+    slots through their descriptors; `dataclasses.replace` calls it too,
+    so a replaced post is checked again.
     """
 
     id: int
     token_count: int
     expected_entities: int
 
-    def __post_init__(self) -> None:
-        if self.token_count < 1:
-            raise ConfigurationError(f"post {self.id}: token_count must be >= 1")
-        if not 0 <= self.expected_entities <= self.token_count:
+    def __init__(self, id: int, token_count: int,
+                 expected_entities: int) -> None:
+        if token_count < 1:
+            raise ConfigurationError(f"post {id}: token_count must be >= 1")
+        if not 0 <= expected_entities <= token_count:
             raise ConfigurationError(
-                f"post {self.id}: expected_entities must lie in [0, token_count]"
-            )
+                f"post {id}: expected_entities must lie in [0, token_count]")
+        _set_post_id(self, id)
+        _set_post_token_count(self, token_count)
+        _set_post_expected_entities(self, expected_entities)
+
+
+_set_post_id = Post.id.__set__
+_set_post_token_count = Post.token_count.__set__
+_set_post_expected_entities = Post.expected_entities.__set__
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
-import numpy as np
-
 from . import rng as streams
 from .core import (FIELD_TYPES, ContestConfig, Post, TextLines, WorkerProfile,
                    canonical_json, check_record, collector_paused, decode_json,
@@ -181,57 +179,33 @@ def generate_corpus(n_posts: int, mean_entities: float,
 
     Entity counts are capped by the token count, which thins the Poisson
     mean slightly; with the default token range the cap is rarely binding.
+    Post ``i`` takes the ``i``-th pair of scalar draws
+    ``gen.integers(lo, hi + 1)``, ``gen.poisson(mean_entities)``; below
+    `rng.POISSON_MULT_MAX` `rng.integer_poisson_draws` rebuilds them from
+    raw words, and larger means (finite: NaN and inf are refused) make the
+    scalar calls.  The posts are built with the collector paused.
     """
     if n_posts < 0:
         raise ConfigurationError("n_posts must be >= 0")
     if not 0.0 < mean_entities < math.inf:
         raise ConfigurationError("mean_entities must be positive and finite")
     gen = streams.substream(seed, streams.CORPUS)
-    if mean_entities < _POISSON_MULT_MAX:
-        counts = _corpus_counts(gen.bit_generator, n_posts, mean_entities)
-    else:
-        lo, hi = TOKEN_RANGE
-        counts = ((int(gen.integers(lo, hi + 1)), int(gen.poisson(mean_entities)))
-                  for _ in range(n_posts))
-    return [Post(id=i, token_count=tokens,
-                 expected_entities=min(entities, tokens))
-            for i, (tokens, entities) in enumerate(counts)]
-
-
-# numpy's Poisson sampler multiplies uniforms below this mean and switches
-# to PTRS at or above it, so only such means take `_corpus_counts`; larger
-# ones (finite: `generate_corpus` rejects NaN and inf) keep the scalar calls.
-_POISSON_MULT_MAX = 10.0
-# Raw words per numpy call; the corpus does not depend on it.
-_CORPUS_BLOCK = 4096
-
-
-def _corpus_counts(bit_generator: np.random.BitGenerator, n_posts: int,
-                   mean_entities: float) -> list[tuple[int, int]]:
-    """Per post, ``(int(gen.integers(lo, hi + 1)), int(gen.poisson(mean)))``
-    for ``mean < 10``, rebuilt by `rng`'s rules from raw words.  Such a
-    ``poisson`` multiplies ``random()`` values until the product is at most
-    ``exp(-mean)``; the count is the number of factors before that one."""
     lo, hi = TOKEN_RANGE
-    span = hi - lo + 1
-    limit = math.exp(-mean_entities)
-    words = streams.raw_words(bit_generator, _CORPUS_BLOCK)
-    next_tokens = streams.bounded(streams.half_words(words), span).__next__
-    next_uniform = streams.random_values(words).__next__
-    counts = []
-    for _ in range(n_posts):
-        tokens = lo + next_tokens()
-        entities = 0
-        product = next_uniform()
-        while product > limit:
-            entities += 1
-            product *= next_uniform()
-        counts.append((tokens, entities))
-    return counts
+    with collector_paused():
+        if mean_entities < streams.POISSON_MULT_MAX:
+            tokens, entities = streams.integer_poisson_draws(
+                gen.bit_generator, n_posts, lo, hi - lo + 1, mean_entities)
+        else:
+            tokens, entities = [], []
+            for _ in range(n_posts):
+                tokens.append(int(gen.integers(lo, hi + 1)))
+                entities.append(int(gen.poisson(mean_entities)))
+        return list(map(Post, range(n_posts), tokens,
+                        map(min, entities, tokens)))
 
 
 def write_corpus(posts: Sequence[Post], path: Union[str, Path]) -> None:
-    write_atomic(path, [canonical_json(json_record(p)) + "\n" for p in posts])
+    write_atomic(path, (canonical_json(json_record(p)) + "\n" for p in posts))
 
 
 _CORPUS_FIELDS = {f.name: FIELD_TYPES[f.type] for f in fields(Post)}

@@ -25,15 +25,17 @@ only a seed that passes `check_seed`, the package's one seed rule.
 
 The engine and the corpus rebuild numpy's draws from a stream's raw 64-bit
 words, read in blocks, so that numpy is called once per block and not once
-per draw.  Each of numpy's rules for PCG64 is written once, below, and
-``tests/test_rng.py`` checks each against numpy's own scalar calls.
+per draw.  Each of numpy's rules for PCG64 is written once, below:
+`random_cut` and `half_words` for the engine, and `integer_poisson_draws`,
+one flat loop over the words, for the corpus.  ``tests/test_rng.py`` checks
+each against numpy's own scalar calls.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import chain, islice, repeat
-from math import ceil
+from math import ceil, exp
 from operator import index
 from typing import Callable, Iterator, Sequence
 
@@ -207,16 +209,10 @@ def raw_words(bit_generator: np.random.BitGenerator,
     return blocks(bit_generator.random_raw, size)
 
 
-def random_values(words: Iterator[int]) -> Iterator[float]:
-    """numpy's ``random()`` draws, one whole word each: its top 53 bits
-    times ``2**-53``."""
-    for word in words:
-        yield (word >> 11) * 2.0**-53
-
-
 def random_cut(p: float) -> int:
     """The cut that makes ``random() < p`` one integer comparison on the
-    word that `random_values` reads, ``word < random_cut(p)``."""
+    whole word that numpy's ``random()`` reads, ``word < random_cut(p)``:
+    ``random()`` is the word's top 53 bits times ``2**-53``."""
     return ceil(p * 2.0**53) << 11
 
 
@@ -229,12 +225,57 @@ def half_words(words: Iterator[int]) -> Iterator[int]:
         yield word >> 32
 
 
-def bounded(halves: Iterator[int], span: int) -> Iterator[int]:
-    """``Generator.integers(0, span)`` draws for ``1 < span <= 2**32``:
-    Lemire's ``m = u * span`` on the 32-bit values ``u`` of ``halves``,
-    redone while ``m``'s low half is below ``(2**32 - span) % span``."""
+# numpy's Poisson sampler multiplies uniforms below this mean and switches
+# to another method at or above it.
+POISSON_MULT_MAX = 10.0
+# Raw words per numpy call in `integer_poisson_draws`; its draws do not
+# depend on it.
+_DRAW_BLOCK = 4096
+
+
+def integer_poisson_draws(bit_generator: np.random.BitGenerator, n: int,
+                          low: int, span: int, mean: float
+                          ) -> tuple[list[int], list[int]]:
+    """``n`` pairs of draws, ``int(gen.integers(low, low + span))`` then
+    ``int(gen.poisson(mean))``, as two lists, for ``1 < span <= 2**32``
+    and ``0 < mean < POISSON_MULT_MAX``; ``gen`` is a generator on
+    ``bit_generator``.
+
+    One loop walks the raw words, a block per numpy call:
+
+    * the integer is Lemire's ``m = u * span`` on a 32-bit value ``u``,
+      redrawn while ``m``'s low half is below ``(2**32 - span) % span``.
+      ``u`` is a fresh word's low half, or the high half that the last
+      fresh word left as a spare; whole-word draws leave the spare alone.
+    * the count is how many ``random()`` factors, each a whole word's top
+      53 bits times ``2**-53``, the product takes before it falls to
+      ``exp(-mean)`` or below.
+    """
     threshold = (2**32 - span) % span
-    for u in halves:
-        m = u * span
-        if m & _MASK32 >= threshold:
-            yield m >> 32
+    limit = exp(-mean)
+    next_word = raw_words(bit_generator, _DRAW_BLOCK).__next__
+    integers: list[int] = []
+    counts: list[int] = []
+    add_integer = integers.append
+    add_count = counts.append
+    spare = None
+    for _ in repeat(None, n):
+        while True:
+            if spare is None:
+                word = next_word()
+                u = word & _MASK32
+                spare = word >> 32
+            else:
+                u = spare
+                spare = None
+            m = u * span
+            if m & _MASK32 >= threshold:
+                break
+        add_integer(low + (m >> 32))
+        count = 0
+        product = (next_word() >> 11) * 2.0**-53
+        while product > limit:
+            count += 1
+            product *= (next_word() >> 11) * 2.0**-53
+        add_count(count)
+    return integers, counts

@@ -281,8 +281,8 @@ def _count_offsets(bit_generator: np.random.BitGenerator, p_correct: float):
         if word < cut:
             yield 0
         else:
-            # `rng.bounded` at span 4 has threshold 0: the top two bits,
-            # taken inline to keep a generator step off the event path.
+            # numpy's `integers(0, 4)`: Lemire's draw at span 4 rejects
+            # nothing, so it is the 32-bit draw's top two bits.
             yield _PERTURBATIONS[next_half() >> 30]
 
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -247,6 +248,47 @@ def test_a_post_has_no_dict_and_equal_posts_hash_equal():
     assert not hasattr(post, "__dict__")
     assert post == twin and hash(post) == hash(twin)
     assert post != Post(id=3, token_count=10, expected_entities=1)
+
+
+POST_FIELDS = ("id", "token_count", "expected_entities")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((1, 0, 0), "post 1: token_count must be >= 1"),
+    ((1, 5, 6), "post 1: expected_entities must lie in [0, token_count]"),
+    ((2, 5, -1), "post 2: expected_entities must lie in [0, token_count]"),
+])
+def test_a_bad_post_names_its_fault(fields, message):
+    for build in (lambda: Post(*fields),
+                  lambda: Post(**dict(zip(POST_FIELDS, fields))),
+                  lambda: replace(Post(fields[0], 5, 0),
+                                  **dict(zip(POST_FIELDS[1:], fields[1:])))):
+        with pytest.raises(ConfigurationError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_a_post_built_by_position_or_keyword_is_the_dataclass():
+    post = Post(3, 10, 2)
+    assert post == Post(id=3, token_count=10, expected_entities=2)
+    assert post == Post(3, expected_entities=2, token_count=10)
+    assert (post.id, post.token_count, post.expected_entities) == (3, 10, 2)
+    assert repr(post) == "Post(id=3, token_count=10, expected_entities=2)"
+    assert hash(post) == hash((3, 10, 2))
+    assert [f.name for f in dataclasses.fields(Post)] == list(POST_FIELDS)
+    assert replace(post, token_count=20) == Post(3, 20, 2)
+    with pytest.raises(TypeError):
+        Post(3, 10)
+
+
+def test_a_post_refuses_assignment():
+    post = Post(3, 10, 2)
+    for name in POST_FIELDS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(post, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(post, name)
+    assert post == Post(3, 10, 2)
 
 
 def test_worker_profile_validation():

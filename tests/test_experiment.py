@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import json
 import math
 import os
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +219,78 @@ def test_corpus_round_trips_through_disk(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_corpus(posts, path)
     assert read_corpus(path) == posts
+
+
+# sha256 of `write_corpus`'s file: the raw-word draws at mean 1.2, and the
+# scalar calls at 12.5.  CI checks `contestsim gen-corpus` against them too.
+PINNED_CORPORA = [
+    (20_000, 1.2, 0,
+     "d43317bc5fba7764aaa286622aafb18cb2ccfdda913004b59204be5a69371e9d"),
+    (300, 12.5, 1,
+     "e48fe819188d767e418f298b03ca62bfba80debca632c9c1b629c27be07bfd0c"),
+]
+
+
+@pytest.mark.parametrize("n_posts, mean_entities, seed, digest",
+                         PINNED_CORPORA, ids=["draw loop", "scalar calls"])
+def test_a_corpus_file_keeps_its_pinned_bytes(tmp_path, n_posts,
+                                              mean_entities, seed, digest):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(generate_corpus(n_posts, mean_entities, seed=seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_write_corpus_streams_its_lines(tmp_path, monkeypatch):
+    chunks = []
+    write_atomic = experiment.write_atomic
+
+    def spy(path, lines):
+        chunks.append(lines)
+        write_atomic(path, lines)
+
+    monkeypatch.setattr(experiment, "write_atomic", spy)
+    posts = generate_corpus(5, 1.2, seed=0)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(posts, path)
+    assert [type(c) for c in chunks] == [types.GeneratorType]
+    assert read_corpus(path) == posts
+
+
+@pytest.mark.parametrize("mean_entities", [1.2, 12.5],
+                         ids=["draw loop", "scalar calls"])
+def test_a_corpus_is_built_with_the_collector_off(collector_was_on,
+                                                  monkeypatch, mean_entities):
+    seen = []
+
+    class Spy(Post):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            seen.append(gc.isenabled())
+            super().__init__(*args)
+
+    monkeypatch.setattr(experiment, "Post", Spy)
+    posts = generate_corpus(30, mean_entities, seed=2)
+    assert len(seen) == 30 and not any(seen)
+    assert gc.isenabled() is collector_was_on
+    monkeypatch.undo()
+    assert list(map(dataclasses.astuple, posts)) == list(map(
+        dataclasses.astuple, generate_corpus(30, mean_entities, seed=2)))
+
+
+def test_a_corpus_draw_that_raises_leaves_the_collector_as_it_was(
+        collector_was_on, monkeypatch):
+    seen = []
+
+    def failing(*args):
+        seen.append(gc.isenabled())
+        raise ConfigurationError("synthetic fault")
+
+    monkeypatch.setattr(streams, "integer_poisson_draws", failing)
+    with pytest.raises(ConfigurationError, match="^synthetic fault$"):
+        generate_corpus(30, 1.2, seed=2)
+    assert seen == [False]
+    assert gc.isenabled() is collector_was_on
 
 
 def test_a_corpus_line_is_the_posts_fields_in_canonical_json(tmp_path):

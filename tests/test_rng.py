@@ -119,56 +119,112 @@ def _streams(seed):
     return words, streams.substream(seed, streams.COUNTS, 3)
 
 
+class _SmallBlocks:
+    """A bit generator that hands out its stream's raw words ``_WORD_BLOCK``
+    at a time, whatever block size is asked for."""
+
+    def __init__(self, bit_generator):
+        self.bit_generator = bit_generator
+
+    def random_raw(self, size):
+        return self.bit_generator.random_raw(_WORD_BLOCK)
+
+
+class _Words:
+    """A bit generator whose raw words are the given ones, and then none."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def random_raw(self, size):
+        if not self.words:
+            raise AssertionError("read past the given words")
+        block, self.words = self.words[:size], self.words[size:]
+        return np.array(block, dtype=np.uint64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=_SEED_INTS, span=st.sampled_from(_SPANS),
+       mean=st.one_of(st.floats(1e-3, 9.999),
+                      st.sampled_from([1e-300, 1.2, 9.999999999])),
+       low=st.sampled_from([0, 5, -7]), n=st.integers(0, 60))
+def test_integer_poisson_draws_are_generator_integers_then_poisson(
+        seed, span, mean, low, n):
+    # Every Poisson count reads one or more whole words between two 32-bit
+    # draws, and a rejected 32-bit draw is redrawn from the spare or the
+    # next word, so the spare crosses both.
+    bit_generator = _SmallBlocks(
+        streams.substream(seed, streams.COUNTS, 3).bit_generator)
+    oracle = streams.substream(seed, streams.COUNTS, 3)
+    want = [], []
+    for _ in range(n):
+        want[0].append(int(oracle.integers(low, low + span)))
+        want[1].append(int(oracle.poisson(mean)))
+    got = streams.integer_poisson_draws(bit_generator, n, low, span, mean)
+    assert got == want
+    assert {type(v) for v in got[0] + got[1]} <= {int}
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=_SEED_INTS)
-def test_random_values_are_generator_random(seed):
+def test_a_words_top_53_bits_are_generator_random(seed):
+    # The rule that `random_cut` and the Poisson counts read whole words by.
     words, oracle = _streams(seed)
-    assert list(islice(streams.random_values(words), 30)) == \
+    assert [(word >> 11) * 2.0**-53 for word in islice(words, 30)] == \
         [oracle.random() for _ in range(30)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(p=st.floats(0.0, 1.0), word=st.integers(0, 2**64 - 1),
        low_bits=st.sampled_from([0, 2**11 - 1]), edge=st.booleans())
-def test_random_cut_is_the_random_values_comparison(p, word, low_bits, edge):
+def test_random_cut_is_the_random_comparison(p, word, low_bits, edge):
     if edge:  # a word next to the cut, where the float rule is decided
         top = math.ceil(p * 2**53) - (word & 1)
         word = max(0, min(2**64 - 1, top << 11 | low_bits))
-    value = next(streams.random_values(iter([word])))
-    assert (word < streams.random_cut(p)) == (value < p)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=_SEED_INTS, span=st.sampled_from(_SPANS))
-def test_bounded_is_generator_integers(seed, span):
-    words, oracle = _streams(seed)
-    draws = streams.bounded(streams.half_words(words), span)
-    assert list(islice(draws, 40)) == [int(oracle.integers(0, span))
-                                       for _ in range(40)]
+    assert (word < streams.random_cut(p)) == ((word >> 11) * 2.0**-53 < p)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=_SEED_INTS,
-       pattern=st.lists(st.sampled_from(["random", *_SPANS]), max_size=60))
+       pattern=st.lists(st.sampled_from(["random", "half"]), max_size=60))
 def test_interleaved_draws_keep_numpys_spare(seed, pattern):
-    # A whole-word random() between two 32-bit draws leaves the spare half
-    # for the second, however the draws of different spans mix.
+    # The engine's pattern: a whole word read between two 32-bit draws, as
+    # a random() hit test, leaves the spare half for the second.
     words, oracle = _streams(seed)
-    uniforms = streams.random_values(words)
-    halves = streams.half_words(words)
-    draws = {span: streams.bounded(halves, span) for span in _SPANS}
-    got = [next(uniforms) if kind == "random" else next(draws[kind])
-           for kind in pattern]
+    next_half = streams.half_words(words).__next__
+    got = [(next(words) >> 11) * 2.0**-53 if kind == "random"
+           else next_half() for kind in pattern]
     want = [oracle.random() if kind == "random"
-            else int(oracle.integers(0, kind)) for kind in pattern]
+            else int(oracle.integers(0, 2**32)) for kind in pattern]
     assert got == want
 
 
-@settings(max_examples=200, deadline=None)
-@given(u=st.integers(0, 2**32 - 1))
-def test_top_two_bits_are_bounded_at_span_4(u):
+@settings(max_examples=40, deadline=None)
+@given(seed=_SEED_INTS)
+def test_top_two_bits_are_generator_integers_at_span_4(seed):
     # The engine's miss draw takes this shortcut.
-    assert next(streams.bounded(iter([u]), 4)) == u >> 30
+    words, oracle = _streams(seed)
+    assert [u >> 30 for u in islice(streams.half_words(words), 40)] == \
+        [int(oracle.integers(0, 4)) for _ in range(40)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.integers(0, 2**32 - 1), spare=st.integers(0, 2**32 - 1))
+def test_integer_draws_at_span_4_are_the_top_two_bits(u, spare):
+    # Span 4 rejects nothing; a zero word ends the Poisson product at once.
+    bit_generator = _Words([spare << 32 | u, 0, 0])
+    assert streams.integer_poisson_draws(bit_generator, 2, 0, 4, 1.0) == \
+        ([u >> 30, spare >> 30], [0, 0])
+
+
+def test_a_product_equal_to_exp_minus_mean_ends_the_count():
+    # numpy counts a factor only while the product stays above exp(-mean),
+    # here exp(-log 2) == 0.5: random() 0.5 gives 0, and 0.75 then 0.5
+    # gives 1.
+    half, three_quarters = 1 << 63, 3 << 62
+    for words, count in [([0, half], 0), ([0, three_quarters, half], 1)]:
+        assert streams.integer_poisson_draws(
+            _Words(words), 1, 0, 4, math.log(2)) == ([0], [count])
 
 
 def test_blocks_call_numpy_once_per_block():
