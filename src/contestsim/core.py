@@ -16,7 +16,7 @@ import math
 import os
 from bisect import bisect_left
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import (Callable, Collection, Hashable, Iterable, Mapping,
                     NamedTuple, Optional, Union)
@@ -144,16 +144,16 @@ def collector_paused():
     back on, unless it was already off on entering.
 
     Its callers are `run_contest`, `read_event_log`'s decode loop,
-    `experiment.generate_corpus`, and `experiment.sweep` and
-    `inference.recovery_experiment` around each contest they run.  The
-    rule for those two is that a log dies inside the block: only a
-    contest's summary, or a recovery run's per-worker totals, leaves it.
-    Freeing a record takes it off the count of objects that triggers the
-    next young-generation pass, so once the collector is back on, no pass
-    walks a log that is already gone.  A corpus does leave its block: its
-    posts still pass through the young and middle generations once the
-    collector is back on, but no pass runs while they are built, where
-    the growing corpus would otherwise set off full ones.
+    `replay_validate`'s event loop, `experiment.generate_corpus`, and
+    `experiment.sweep` and `inference.recovery_experiment` around each
+    contest they run.  The rule for those two is that a log dies inside
+    the block: only a contest's summary, or a recovery run's per-worker
+    totals, leaves it.  Freeing a record takes it off the count of objects
+    that triggers the next young-generation pass, so once the collector is
+    back on, no pass walks a log that is already gone.  Replay builds only
+    board keys, which die as they are replaced, so no pass walks the log
+    it replays.  A corpus does leave its block, but no pass runs while its
+    posts are built, where the growing corpus would set off full ones.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -293,6 +293,17 @@ class Post:
 _set_post_id = Post.id.__set__
 _set_post_token_count = Post.token_count.__set__
 _set_post_expected_entities = Post.expected_entities.__set__
+
+
+# The frozen methods `dataclass` generates name the class as it was before
+# ``slots=True`` rebuilt it, and raise a `TypeError` for a name that is no
+# field.  Pickle and copy set slots through `object.__setattr__`.
+def _refuse(post: Post, name: str, *value) -> None:
+    raise FrozenInstanceError(
+        f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+Post.__setattr__ = Post.__delattr__ = _refuse
 
 
 @dataclass(frozen=True)

@@ -564,12 +564,18 @@ def _trajectories_text(log: EventLog) -> str:
     return "\n".join(rows) + "\n"
 
 
+# Every file that `emit_outputs` may write beside the manifest.
+_OUTPUT_NAMES = ("sweep_table.csv", "summaries.jsonl", "exit_curves.csv",
+                 "trend.json", "trajectories.csv")
+
+
 def emit_outputs(result: SweepResult, output_dir: Union[str, Path], *,
                  trajectory_log: Optional[EventLog] = None) -> dict[str, Path]:
     """Write the sweep's files plus a manifest of their sha256 digests.
 
     Bytes are fully determined by the result object.  A stale
-    ``manifest.json`` is removed first, each file is written through
+    ``manifest.json`` is removed first, and so is each of `_OUTPUT_NAMES`
+    that this run does not write.  Each file is written through
     `write_atomic`, and the manifest is written last, so a write that fails
     part-way leaves a directory that `verify_manifest` does not pass.
     """
@@ -591,6 +597,8 @@ def emit_outputs(result: SweepResult, output_dir: Union[str, Path], *,
 
     manifest_path = out / "manifest.json"
     manifest_path.unlink(missing_ok=True)
+    for name in set(_OUTPUT_NAMES) - payload.keys():
+        (out / name).unlink(missing_ok=True)
     paths: dict[str, Path] = {}
     for name in sorted(payload):
         paths[name] = out / name
@@ -604,8 +612,9 @@ def verify_manifest(output_dir: Union[str, Path]) -> bool:
     """Recompute digests for a finished output directory.
 
     False if a listed file differs from its digest, is missing or cannot be
-    read, or is named by anything but a plain file name in the directory.
-    A missing or malformed ``manifest.json`` raises `ConfigurationError`
+    read, or is named by anything but a plain file name in the directory;
+    also if one of `_OUTPUT_NAMES` is in the directory but not listed.  A
+    missing or malformed ``manifest.json`` raises `ConfigurationError`
     naming its path."""
     out = Path(output_dir)
     path = out / "manifest.json"
@@ -616,7 +625,11 @@ def verify_manifest(output_dir: Union[str, Path]) -> bool:
         manifest = decode_json("\n".join(text))
         if manifest.get("format") != MANIFEST_FORMAT:
             raise ConfigurationError("unrecognized manifest format")
-        files = manifest["files"].items()
+        listed = manifest["files"]
+        files = listed.items()
+    if any(name not in listed and (out / name).exists()
+           for name in _OUTPUT_NAMES):
+        return False
     for name, digest in files:
         if name in ("", "..") or Path(name).name != name:
             return False

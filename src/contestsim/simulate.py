@@ -81,9 +81,10 @@ from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
-from itertools import islice
+from itertools import chain, compress, count, cycle, islice, repeat
 from math import ceil
-from operator import attrgetter, itemgetter
+from numbers import Integral
+from operator import attrgetter, contains, itemgetter, not_
 from pathlib import Path
 from typing import Collection, NamedTuple, Optional, Sequence, Union
 
@@ -577,22 +578,13 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
 
 # --- serialization ---------------------------------------------------------
 #
-# Annotation and exit lines are filled into fixed templates: keys in sorted
-# order, no spaces, integer fields through ``{:d}`` (which raises on a
-# non-integer, where ``%d`` would write 1.5 as 1) and booleans as JSON
-# literals, so each line equals `canonical_json` of its record.  The header
-# and the trailer go through `canonical_json` itself.
-_EVENT_LINE = (
-    '{{"annotated_count":{:d},"eligible":{},"event_index":{:d},'
-    '"event_time_ms":{:d},"holding_time_ms":{:d},"post_id":{:d},'
-    '"rank":{:d},"worker_id":{:d}}}').format
-_EXIT_LINE = (
-    '{{"eligible":{},"exit_time_ms":{:d},"rank":{:d},"worker_id":{:d}}}'
-).format
+# Annotation and exit lines are f-strings in `canonical_json`'s form, once
+# `_check_integers` has held the integer fields to its rule; the header and
+# the trailer go through `canonical_json` itself.
 _JSON_BOOL = {True: "true", False: "false"}
 
-# Body lines `read_event_log` decodes per `decode_json` call.  It bounds the
-# memory one call holds; what a log reads back as does not depend on it.
+# Body lines per string `write_event_log` writes and per `decode_json` call
+# `read_event_log` makes.  It bounds a chunk's memory, and changes no byte.
 _CHUNK_LINES = 512
 
 # What a reader accepts in each field, in the order of the record's tuple.
@@ -613,11 +605,27 @@ _event_time = attrgetter("event_time_ms")
 _event_values = itemgetter(*_EVENT_FIELDS)
 _exit_values = itemgetter(*_EXIT_FIELDS)
 _rank_values = itemgetter(*_RANK_FIELDS)
-# The one type each annotation and exit field takes, to check a whole
-# record with one comparison.  Lists, not tuples: `tuple(map(...))` resizes
-# its result, and the resized tuples pile up on the interpreter's free list.
-_EVENT_TYPES = [kind.types[0] for kind in _EVENT_FIELDS.values()]
-_EXIT_TYPES = [kind.types[0] for kind in _EXIT_FIELDS.values()]
+# The one type of each annotation field, then of each exit field.
+_COLUMN_TYPES = [kind.types[0] for kind in (*_EVENT_FIELDS.values(),
+                                            *_EXIT_FIELDS.values())]
+
+
+class _NotAnInteger(TypeError, ValueError):
+    """A field the writer's rule refuses: a value of the wrong type."""
+
+
+def _check_integers(records: Sequence[tuple], n_integers: int) -> None:
+    """Raise `_NotAnInteger` unless the first ``n_integers`` fields of every
+    record are `Integral` and not bool, in one pass over their types."""
+    if not records:
+        return
+    mask = [True] * n_integers + [False] * (len(records[0]) - n_integers)
+    for kind in set(map(type, compress(chain.from_iterable(records),
+                                       cycle(mask)))):
+        if issubclass(kind, bool) or not issubclass(kind, Integral):
+            raise _NotAnInteger(
+                f"an integer field of {type(records[0]).__name__} is a "
+                f"{kind.__name__}, not an integer")
 
 
 def event_log_lines(log: EventLog):
@@ -625,26 +633,32 @@ def event_log_lines(log: EventLog):
     (`json_record` of the log but its events, exits and final ranking, plus
     ``format``); one annotation or exit per line in time order, annotations
     first on ties, each exit placed by one binary search on the event time;
-    and a trailer with the final ranking."""
+    and a trailer with the final ranking.  An integer field that is a bool
+    or no `Integral` raises `ValueError` (a `TypeError` too) at the start."""
+    events, exits = log.events, log.exits
+    _check_integers(events, len(_EVENT_FIELDS) - 1)
+    _check_integers(exits, len(_EXIT_FIELDS) - 1)
     header = json_record(log)
     for name in ("events", "exits", "final_ranking"):
         del header[name]
     header["format"] = LOG_FORMAT
     yield canonical_json(header)
-    events = log.events
-    event_line, json_bool = _EVENT_LINE, _JSON_BOOL
+    json_bool = _JSON_BOOL
 
     def annotation_lines(lo: int, hi: int):
-        return (event_line(count, json_bool[elig], index, t, hold, post,
-                           rank, wid)
+        return (f'{{"annotated_count":{count},"eligible":{json_bool[elig]},'
+                f'"event_index":{index},"event_time_ms":{t},'
+                f'"holding_time_ms":{hold},"post_id":{post},"rank":{rank},'
+                f'"worker_id":{wid}}}'
                 for wid, index, t, hold, post, count, rank, elig, _
                 in events[lo:hi])
 
     start = 0
-    for wid, exit_ms, rank, elig in log.exits:
+    for wid, exit_ms, rank, elig in exits:
         stop = bisect_right(events, exit_ms, start, key=_event_time)
         yield from annotation_lines(start, stop)
-        yield _EXIT_LINE(json_bool[elig], exit_ms, rank, wid)
+        yield (f'{{"eligible":{json_bool[elig]},"exit_time_ms":{exit_ms},'
+               f'"rank":{rank},"worker_id":{wid}}}')
         start = stop
     yield from annotation_lines(start, len(events))
     yield canonical_json({"final_ranking": [dict(zip(_RANK_FIELDS, e))
@@ -652,10 +666,12 @@ def event_log_lines(log: EventLog):
 
 
 def write_event_log(log: EventLog, path: Union[str, Path]) -> None:
-    """Write `event_log_lines` to ``path`` through `write_atomic`, one line
-    at a time, so an interrupted or failed write never leaves a truncated
-    log behind.  The file is not fsynced."""
-    write_atomic(path, (line + "\n" for line in event_log_lines(log)))
+    """Write `event_log_lines` to ``path`` through `write_atomic`, one
+    string per `_CHUNK_LINES` lines, so an interrupted or failed write never
+    leaves a truncated log behind.  The file is not fsynced."""
+    lines = event_log_lines(log)
+    chunks = iter(lambda: "\n".join(islice(lines, _CHUNK_LINES)), "")
+    write_atomic(path, (chunk + "\n" for chunk in chunks))
 
 
 def _decode_chunk(lines: list[str]) -> Optional[list]:
@@ -713,15 +729,16 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
 
     ``annotations_remaining`` is not stored; it is rebuilt by replaying the
     solved count against the configured post total.  The lines come from
-    `TextLines`, which streams the file; body lines are decoded
+    `TextLines`, which streams the file; body lines are decoded and checked
     `_CHUNK_LINES` at a time, and a chunk that does not decode into one
-    value per line is decoded again line by line.  Each annotation's
-    ``worker_id``, ``rank_at_event`` and ``holding_time_ms``, once typed,
-    go through one dict per read, so equal values are one object across
-    the records; beyond the records it returns, a read holds that dict, one
-    block of text and one chunk.  The header must pass `check_header`; each
-    exit line must sit where the writer puts it: after every annotation at
-    or before its time and before the first one after it.  Any malformed
+    value per line, or fails a check, is read again line by line to name
+    the faulty line.  Each annotation's ``worker_id``, ``rank_at_event``
+    and ``holding_time_ms``, once typed, go through one dict per read, so
+    equal values are one object across the records; beyond the records it
+    returns, a read holds that dict, one block of text and one chunk.  The
+    header must pass `check_header`; each exit line must sit where the
+    writer puts it: after every annotation at or before its time and
+    before the first one after it.  Any malformed
     line, including a field of the wrong type, a key that is no field of
     the line's record (`core.check_record`, also for the header and its
     ``config`` and ``counters``) or a trailer that does not rank
@@ -751,10 +768,9 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
                        final_ranking=Ranking(entries=()))
         check_header(log)
         config, events, exits = log.config, log.events, log.exits
-        event_values, exit_values = _event_values, _exit_values
         n_event_fields, n_exit_fields = len(_EVENT_FIELDS), len(_EXIT_FIELDS)
         # `AnnotationEvent._make(...)` less its Python-level call and length
-        # check: the getters above give each record its number of fields.
+        # check: the getters give each record its number of fields.
         new_tuple = tuple.__new__
         per_worker_index: dict[int, int] = {}
         # One object per distinct worker id, rank and holding time, which
@@ -764,7 +780,49 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         # (line number, annotation lines before it) of each exit line.
         exit_at: list[tuple[int, int]] = []
         n_posts = config.n_posts
-        solved = 0
+
+        def take(values: list, first: int) -> bool:
+            """Take decoded body lines ``values`` (the first at line ``first``)
+            a column at a time: False, taking nothing, for a missing or extra
+            key or a wrong type; a misordered ``event_index`` raises."""
+            is_exit = list(map(contains, values, repeat("exit_time_ms")))
+            annotations = list(compress(values, map(not_, is_exit)))
+            exit_lines = list(compress(values, is_exit))
+            try:  # the annotation fields' columns, then the exit fields'
+                columns = ([*zip(*map(_event_values, annotations))]
+                           or [()] * n_event_fields)
+                columns += ([*zip(*map(_exit_values, exit_lines))]
+                            or [()] * n_exit_fields)
+            except KeyError:
+                return False
+            # Each line has its record's keys, and no other if counts add up.
+            if (sum(map(len, values)) != n_event_fields * len(annotations)
+                    + n_exit_fields * len(exit_lines)
+                    or any({*map(type, column)} - {kind}
+                           for column, kind in zip(columns, _COLUMN_TYPES))):
+                return False
+            (wids, indexes, times, holds, posts, counts, ranks, eligs,
+             *exit_columns) = columns
+            # Shared only once typed: 1 and True are one dict key.
+            wids = list(map(share, wids, wids))
+            get = per_worker_index.get
+            linenos = compress(count(first), map(not_, is_exit))
+            for wid, index, lineno in zip(wids, indexes, linenos):
+                if index != get(wid, 0):
+                    text.lineno = lineno
+                    raise ConfigurationError(
+                        f"worker {wid} event_index out of order")
+                per_worker_index[wid] = index + 1
+            exit_at.extend((first + i, len(events) + i - j) for j, i in
+                           enumerate(compress(count(), is_exit)))
+            exits.extend(map(new_tuple, repeat(ExitEvent), zip(*exit_columns)))
+            left = n_posts - len(events)
+            events.extend(map(new_tuple, repeat(AnnotationEvent), zip(
+                wids, indexes, times, map(share, holds, holds), posts, counts,
+                map(share, ranks, ranks), eligs,
+                range(left - 1, left - 1 - len(annotations), -1))))
+            return True
+
         # Each chunk is read with one line more, held back for the next
         # chunk, so the line left over at the end is the trailer.
         first = 2  # the line number of the chunk's first line
@@ -773,33 +831,16 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
             while len(chunk) > 1:
                 held = chunk.pop()
                 values = _decode_chunk(chunk)
-                for text.lineno, obj in enumerate(
-                        chunk if values is None else values, first):
-                    if values is None:
-                        obj = decode_json(obj)
-                    if "exit_time_ms" in obj:
-                        x = exit_values(obj)
-                        if (len(obj) != n_exit_fields
-                                or list(map(type, x)) != _EXIT_TYPES):
-                            check_record(obj, _EXIT_FIELDS)
-                        exits.append(new_tuple(ExitEvent, x))
-                        exit_at.append((text.lineno, len(events)))
-                        continue
-                    e = event_values(obj)
-                    if (len(obj) != n_event_fields
-                            or list(map(type, e)) != _EVENT_TYPES):
-                        check_record(obj, _EVENT_FIELDS)
-                    # Shared only once typed: 1 and True are one dict key.
-                    wid, index, t, hold, post, count, rank, elig = e
-                    wid = share(wid, wid)
-                    if index != per_worker_index.get(wid, 0):
-                        raise ConfigurationError(
-                            f"worker {wid} event_index out of order")
-                    per_worker_index[wid] = index + 1
-                    solved += 1
-                    events.append(new_tuple(AnnotationEvent, (
-                        wid, index, t, share(hold, hold), post, count,
-                        share(rank, rank), elig, n_posts - solved)))
+                if values is None or not take(values, first):
+                    # Line by line, to name the first faulty line.
+                    for text.lineno, line in enumerate(chunk, first):
+                        obj = decode_json(line)
+                        if not take([obj], text.lineno):
+                            # Raise the key or type fault `take` saw.
+                            is_exit = "exit_time_ms" in obj
+                            (_exit_values if is_exit else _event_values)(obj)
+                            check_record(obj, _EXIT_FIELDS if is_exit
+                                         else _EVENT_FIELDS)
                 first += len(chunk)
                 chunk = [held, *islice(lines, _CHUNK_LINES)]
         for (text.lineno, k), x in zip(exit_at, exits):
@@ -865,22 +906,24 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     `ConfigurationError`.
     A violation names its position in ``log.events``, worker and event
     index, its position in ``log.exits``, worker and exit time, or its
-    ``final_ranking`` row.
+    ``final_ranking`` row.  The event loop runs with the collector paused.
     """
     check_header(log)
     # A post's true count, or None once it has been annotated.
     expected: dict[int, Optional[int]] = {
         p.id: p.expected_entities for p in posts}
     _check_posts(log.config, posts, expected)
-    horizon_ms = log.horizon_ms
+    horizon_ms, n_posts = log.horizon_ms, log.config.n_posts
+    spread, base_points = log.config.reward_spread, log.config.base_points
     worker_ids = [e.worker_id for e in log.final_ranking]
-    spread = log.config.reward_spread
     board = Leaderboard(worker_ids)
-    score = {w: 0 for w in worker_ids}
-    stamp = dict.fromkeys(worker_ids)  # when the score last increased
-    last_ms = {w: 0 for w in worker_ids}
-    count = {w: 0 for w in worker_ids}
-    gov_rank = {w: board.rank(w) for w in worker_ids}
+    position = {w: k for k, w in enumerate(worker_ids)}  # into the lists below
+    score = [0] * len(worker_ids)
+    stamp = [None] * len(worker_ids)  # when the score last increased
+    last_ms = [0] * len(worker_ids)
+    count = [0] * len(worker_ids)
+    gov_rank = [board.rank(w) for w in worker_ids]
+    exit_ms = [math.inf] * len(worker_ids)
     solved = 0
     prev_t = 0
 
@@ -891,17 +934,17 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
 
     # How many checkpoints fall on each checkpoint millisecond.
     checkpoints = Counter(checkpoint_times(log.horizon_ms))
-    exit_ms = {}
     descents = 0  # worker-id descents among the exits at this millisecond
     for i, x in enumerate(log.exits):
-        if x.worker_id not in count:
+        k = position.get(x.worker_id)
+        if k is None:
             raise exit_violation(i, "worker not in the contest")
         prev = log.exits[i - 1] if i else None
         if prev and x.exit_time_ms < prev.exit_time_ms:
             raise exit_violation(i, "exits out of time order")
         if x.exit_time_ms not in checkpoints:
             raise exit_violation(i, "exit_time_ms is not a checkpoint time")
-        if x.worker_id in exit_ms:
+        if exit_ms[k] < math.inf:
             raise exit_violation(i, f"worker {x.worker_id} exits more than once")
         if x.eligible_at_exit != (x.rank_at_exit <= spread):
             raise exit_violation(i, "eligibility flag inconsistent")
@@ -916,7 +959,7 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
                     i, "exits at one checkpoint out of worker-id order")
         else:
             descents = 0
-        exit_ms[x.worker_id] = x.exit_time_ms
+        exit_ms[k] = x.exit_time_ms
     next_exit = 0
 
     def check_exits(before_ms: float) -> float:
@@ -935,52 +978,55 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
         return (log.exits[next_exit].exit_time_ms
                 if next_exit < len(log.exits) else math.inf)
 
-    def violation(what: str) -> ContractViolation:
+    def violation(pos: int, what: str) -> ContractViolation:
+        e = log.events[pos]
         return ContractViolation(f"log.events[{pos}] (worker {e.worker_id}, "
                                  f"event_index {e.event_index}): {what}")
 
     next_exit_ms = check_exits(0)
-    for pos, e in enumerate(log.events):
-        wid = e.worker_id
-        if next_exit_ms < e.event_time_ms:
-            next_exit_ms = check_exits(e.event_time_ms)
-        truth = expected.get(e.post_id)
-        if wid not in count or truth is None:
-            if wid in count and e.post_id in expected:
-                raise violation(f"post {e.post_id} annotated twice")
-            raise violation(f"worker or post {e.post_id} not in the contest")
-        if e.event_time_ms < prev_t:
-            raise violation("event log is not globally time-sorted")
-        prev_t = e.event_time_ms
-        if prev_t > horizon_ms:
-            raise violation(f"event after the horizon {horizon_ms} ms")
-        if wid in exit_ms and e.event_time_ms > exit_ms[wid]:
-            raise violation("annotated after exiting")
-        if e.event_index != count[wid]:
-            raise violation(f"event_index != replay {count[wid]}")
-        if e.event_time_ms - e.holding_time_ms != last_ms[wid]:
-            raise violation("holding-time recursion broken")
-        if e.rank_at_event != gov_rank[wid]:
-            raise violation(f"rank_at_event {e.rank_at_event} != replay {gov_rank[wid]}")
-        if e.eligible_at_event != (e.rank_at_event <= spread):
-            raise violation("eligibility flag inconsistent")
-        if e.holding_time_ms < 1:
-            raise violation("holding_time_ms must be a positive integer")
-        solved += 1
-        if e.annotations_remaining != log.config.n_posts - solved:
-            raise violation("annotations_remaining countdown broken")
-        count[wid] += 1
-        last_ms[wid] = e.event_time_ms
-        expected[e.post_id] = None
-        points = score_annotation(e.annotated_count, truth,
-                                  log.config.base_points)
-        if points > 0:
-            score[wid] += points
-            stamp[wid] = e.event_time_ms
-        gov_rank[wid] = board.update(wid, score[wid], e.event_time_ms)
+    with collector_paused():
+        for pos, (wid, index, t, hold, post, annotated, rank, elig,
+                  remaining) in enumerate(log.events):
+            if next_exit_ms < t:
+                next_exit_ms = check_exits(t)
+            truth = expected.get(post)
+            k = position.get(wid)
+            if k is None or truth is None:
+                if k is not None and post in expected:
+                    raise violation(pos, f"post {post} annotated twice")
+                raise violation(pos, f"worker or post {post} not in the contest")
+            if t < prev_t:
+                raise violation(pos, "event log is not globally time-sorted")
+            prev_t = t
+            if t > horizon_ms:
+                raise violation(pos, f"event after the horizon {horizon_ms} ms")
+            if t > exit_ms[k]:
+                raise violation(pos, "annotated after exiting")
+            if index != count[k]:
+                raise violation(pos, f"event_index != replay {count[k]}")
+            if t - hold != last_ms[k]:
+                raise violation(pos, "holding-time recursion broken")
+            if rank != gov_rank[k]:
+                raise violation(pos, f"rank_at_event {rank} != replay {gov_rank[k]}")
+            if elig != (rank <= spread):
+                raise violation(pos, "eligibility flag inconsistent")
+            if hold < 1:
+                raise violation(pos, "holding_time_ms must be a positive integer")
+            solved += 1
+            if remaining != n_posts - solved:
+                raise violation(pos, "annotations_remaining countdown broken")
+            count[k] = index + 1
+            last_ms[k] = t
+            expected[post] = None
+            points = score_annotation(annotated, truth, base_points)
+            if points > 0:
+                score[k] += points
+                stamp[k] = t
+            gov_rank[k] = board.update(wid, score[k], t)
     check_exits(math.inf)
 
-    replayed = rank_workers(score, stamp, count).entries
+    replayed = rank_workers(*(dict(zip(worker_ids, state))
+                              for state in (score, stamp, count))).entries
     for i, (entry, want) in enumerate(zip(log.final_ranking, replayed)):
         if entry != want:
             raise ContractViolation(

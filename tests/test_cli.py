@@ -181,6 +181,27 @@ def test_sweep_can_add_trajectories(tmp_path, config_file):
             for name in PINNED_SWEEP_FILES} == PINNED_SWEEP_FILES
 
 
+def test_a_sweep_into_a_used_directory_leaves_only_what_it_lists(
+        tmp_path, config_file):
+    out_dir, fresh = tmp_path / "out", tmp_path / "fresh"
+    sweep = ["sweep", "--config", str(config_file), "--out-dir"]
+    assert main([*sweep, str(out_dir), "--trajectories"]) == 0
+    (out_dir / "notes.txt").write_text("not an output\n", encoding="utf-8")
+    assert main([*sweep, str(out_dir)]) == 0
+    assert not (out_dir / "trajectories.csv").exists()
+    assert verify_manifest(out_dir)
+    # A file that is no output of a sweep is left alone.
+    assert (out_dir / "notes.txt").read_text("utf-8") == "not an output\n"
+    # The same bytes as a sweep into a fresh directory, as pinned.
+    assert main([*sweep, str(fresh)]) == 0
+    manifest = json.loads((fresh / "manifest.json").read_text("utf-8"))
+    assert manifest["files"] == {name: digest for name, digest
+                                 in PINNED_SWEEP_FILES.items()
+                                 if name != "trajectories.csv"}
+    for path in fresh.iterdir():
+        assert (out_dir / path.name).read_bytes() == path.read_bytes()
+
+
 def test_fit_covers_all_workers_or_just_one(tmp_path, config_file):
     log_path = tmp_path / "contest.jsonl"
     assert main(["simulate", "--config", str(config_file),

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 from dataclasses import dataclass, replace
 
 import pytest
@@ -283,12 +285,27 @@ def test_a_post_built_by_position_or_keyword_is_the_dataclass():
 
 def test_a_post_refuses_assignment():
     post = Post(3, 10, 2)
-    for name in POST_FIELDS:
+    # A name that is no field is refused the same way, not by a TypeError
+    # from the generated methods' ``super()``.
+    for name in (*POST_FIELDS, "extra"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(post, name, 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(post, name)
     assert post == Post(3, 10, 2)
+    assert not hasattr(post, "extra")
+
+
+def test_a_post_survives_pickle_and_copy():
+    post = Post(3, 10, 2)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        twin = pickle.loads(pickle.dumps(post, protocol))
+        assert (twin, type(twin)) == (post, Post), protocol
+    for twin in (copy.copy(post), copy.deepcopy(post)):
+        assert (twin, type(twin)) == (post, Post)
+    # Still frozen after the round trip.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        twin.id = 4
 
 
 def test_worker_profile_validation():

@@ -943,6 +943,20 @@ def test_tampering_breaks_the_manifest(tmp_path):
 
 
 
+def test_an_unlisted_output_fails_the_manifest(tmp_path):
+    out = tmp_path / "out"
+    emit_outputs(sweep(_config()), out)
+    (out / "notes.txt").write_text("not an output\n", encoding="utf-8")
+    assert verify_manifest(out)
+    (out / "trajectories.csv").write_text(
+        "worker_id,event_time_ms,cumulative_annotations\n", encoding="utf-8")
+    assert not verify_manifest(out)
+    # Writing the tree again removes it.
+    emit_outputs(sweep(_config()), out)
+    assert not (out / "trajectories.csv").exists()
+    assert verify_manifest(out)
+
+
 @pytest.mark.parametrize("fault", ["missing", "unreadable", "parent",
                                    "absolute"])
 def test_a_listed_file_missing_unreadable_or_outside_fails_verification(

@@ -674,6 +674,27 @@ def test_a_log_is_read_with_the_collector_off(collector_was_on, tmp_path,
     assert {type(x) for x in loaded.exits} == {ExitEvent}
 
 
+def test_replay_scores_with_the_collector_off(collector_was_on, make_posts,
+                                              monkeypatch):
+    log, posts = _exit_heavy_run(make_posts)
+    seen = []
+    score = simulate.score_annotation
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return score(*args)
+
+    monkeypatch.setattr(simulate, "score_annotation", spy)
+    replay_validate(log, posts)
+    assert len(seen) == len(log.events) and not any(seen)
+    assert gc.isenabled() is collector_was_on
+    # A replay that raises in the loop leaves it as it was too.
+    log.events[-1] = log.events[-1]._replace(holding_time_ms=0)
+    with pytest.raises(ContractViolation):
+        replay_validate(log, posts)
+    assert gc.isenabled() is collector_was_on
+
+
 def test_a_read_that_raises_leaves_the_collector_as_it_was(
         collector_was_on, tmp_path, contest_config, make_posts,
         make_profiles, monkeypatch):
@@ -1056,6 +1077,25 @@ def test_every_field_read_back_has_its_declared_type(field_300_log):
         assert type(entry.tie_break_stamp) in (int, type(None)), entry
 
 
+def test_a_valid_log_is_decoded_once_per_chunk(field_300_log, monkeypatch):
+    # One `decode_json` call for the header, one per chunk of body lines
+    # and one for the trailer: no chunk is taken again line by line.
+    path, n_events = field_300_log
+    decoded = []
+    decode = simulate.decode_json
+
+    def spy(text):
+        decoded.append(text)
+        return decode(text)
+
+    monkeypatch.setattr(simulate, "decode_json", spy)
+    log = read_event_log(path)
+    body = len(log.events) + len(log.exits)
+    assert len(log.events) == n_events and log.exits
+    assert body > 10 * _CHUNK_LINES
+    assert len(decoded) == 2 + math.ceil(body / _CHUNK_LINES)
+
+
 def test_a_log_read_back_holds_few_bytes_per_event(field_300_log):
     # 248 bytes per event when every record held its own worker id, rank
     # and holding time; 225 with them shared.
@@ -1065,25 +1105,40 @@ def test_a_log_read_back_holds_few_bytes_per_event(field_300_log):
     assert held / n_events < 236
 
 
-def test_write_event_log_rejects_a_float_integer_field(tmp_path,
-                                                       contest_config):
-    def one_event_log(post_id):
-        return EventLog(
-            config=contest_config(), seed=0, dispatch="windowed",
-            horizon_ms=40_000, base_hazard=0.0, accuracy_floor=0.0,
-            events=[AnnotationEvent(0, 0, 700, 700, post_id, 1, 1, True, 39)],
-            exits=[], final_ranking=Ranking(entries=(
-                RankEntry(0, 50, 1, 700), RankEntry(1, 0, 0, None))),
-            counters=PostCounters(ingested=40, solved=1, dropped=0,
-                                  pending=39))
+def _one_event_log(contest_config, post_id=1, exit_rank=2) -> EventLog:
+    return EventLog(
+        config=contest_config(), seed=0, dispatch="windowed",
+        horizon_ms=40_000, base_hazard=0.0, accuracy_floor=0.0,
+        events=[AnnotationEvent(0, 0, 700, 700, post_id, 1, 1, True, 39)],
+        exits=[ExitEvent(1, 2_000, exit_rank, False)],
+        final_ranking=Ranking(entries=(
+            RankEntry(0, 50, 1, 700), RankEntry(1, 0, 0, None))),
+        counters=PostCounters(ingested=40, solved=1, dropped=0, pending=39))
 
+
+@pytest.mark.parametrize("field", ["post_id", "exit_rank"])
+@pytest.mark.parametrize("value", [1.5, True, "0", None])
+def test_write_event_log_rejects_a_float_integer_field(tmp_path,
+                                                       contest_config,
+                                                       field, value):
     path = tmp_path / "contest.jsonl"
-    # `%d` would write 1.5 as 1; the log is refused and no file is left.
-    with pytest.raises(ValueError):
-        write_event_log(one_event_log(1.5), path)
+    # `%d` would write 1.5 as 1, `{:d}` True as 1, and a bare f-string "0"
+    # as 0: one rule refuses each, and no file is left.
+    with pytest.raises(ValueError, match="not an integer"):
+        write_event_log(_one_event_log(contest_config, **{field: value}),
+                        path)
     assert list(tmp_path.iterdir()) == []
-    write_event_log(one_event_log(1), path)
-    assert '"post_id":1,' in path.read_text(encoding="utf-8")
+    write_event_log(_one_event_log(contest_config), path)
+    text = path.read_text(encoding="utf-8")
+    assert '"post_id":1,' in text and '"rank":2,' in text
+
+
+def test_a_numpy_integer_field_writes_as_an_int(tmp_path, contest_config):
+    as_int, as_numpy = tmp_path / "int.jsonl", tmp_path / "numpy.jsonl"
+    write_event_log(_one_event_log(contest_config), as_int)
+    write_event_log(_one_event_log(contest_config, post_id=np.int64(1),
+                                   exit_rank=np.int32(2)), as_numpy)
+    assert as_numpy.read_bytes() == as_int.read_bytes()
 
 
 @pytest.mark.parametrize("line, key, value", [
