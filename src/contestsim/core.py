@@ -70,23 +70,18 @@ FIELD_TYPES = {
 }
 
 
-def check_types(record: Mapping, kinds: Mapping[str, FieldType]) -> None:
-    """Raise `ConfigurationError` naming the first field of ``kinds`` whose
-    value in ``record`` is not of a type that its kind takes."""
-    for name, kind in kinds.items():
-        if type(record[name]) not in kind.types:
-            raise ConfigurationError(f"{name} must be {kind.what}, "
-                                     f"got {quote(record[name])}")
-
-
 def check_record(record: Mapping, kinds: Mapping[str, FieldType]) -> None:
-    """`check_types` for a record whose every field ``kinds`` names: a key
-    that it does not name raises `ConfigurationError` naming the key."""
+    """Raise `ConfigurationError` naming the first key of ``record`` that
+    ``kinds`` does not name, else the first field of ``kinds`` whose value
+    in ``record`` is not of a type that its kind takes."""
     if len(record) != len(kinds):
         for name in record:
             if name not in kinds:
                 raise ConfigurationError(f"unknown key {quote(name)}")
-    check_types(record, kinds)
+    for name, kind in kinds.items():
+        if type(record[name]) not in kind.types:
+            raise ConfigurationError(f"{name} must be {kind.what}, "
+                                     f"got {quote(record[name])}")
 
 
 def json_record(obj) -> dict:

@@ -528,22 +528,19 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
 
         if dispatch == "windowed":
             queue = DropQueue()
-            size = config.task_unit_size
-            rr_offset = 0
+            deal_from = 0
             for win in build_windows(posts, config.window_size):
-                active = [w for w in id_order if w.alive]
+                # Never empty: the spread's workers never exit.
+                bins, deal_from, unassigned = allocate_round_robin(
+                    win, [w.profile.id for w in id_order if w.alive],
+                    config.task_unit_size, deal_from)
                 holders: list[_WorkerState] = []
-                if active:
-                    assignments = allocate_round_robin(
-                        win, [w.profile.id for w in active], size,
-                        start_offset=rr_offset)
-                    rr_offset = (rr_offset + len(assignments)) % len(active)
-                    for wid, bin_posts in assignments:
-                        holder = by_id[wid]
-                        holder.bin = deque(bin_posts)
-                        holders.append(holder)
+                for wid, bin_posts in bins:
+                    holder = by_id[wid]
+                    holder.bin = deque(bin_posts)
+                    holders.append(holder)
                 close_ms = (win.index + 1) * unit_ms
-                for p in win.posts[len(holders) * size:]:
+                for p in unassigned:
                     queue.push(p, close_ms)
                 run_period(holders, win.index * unit_ms, close_ms)
                 for w in holders:

@@ -1,11 +1,11 @@
-"""Stream machinery: windowing, task allocation, flow-rate formulas, drops.
+"""Stream machinery: windowing, the deal, flow-rate formulas, drops.
 
 The content stream is cut into fixed-size windows.  Window ``k`` is open
 for the ``k``-th task unit time of the contest; the engine, which owns the
-clock, opens it at ``k * unit_ms`` and closes it one unit later.  Within a
-window, posts are dealt out round-robin as bins of ``task_unit_size``, one
-bin per worker.  Posts that nobody solves before their window closes are
-dropped, never to return.
+clock, opens it at ``k * unit_ms`` and closes it one unit later.  At the
+opening, `allocate_round_robin` (the one deal) cuts it into bins of
+``task_unit_size``, one per worker still in, from where the last deal
+stopped.  Posts that nobody solves by the close are dropped for good.
 """
 
 from __future__ import annotations
@@ -73,16 +73,16 @@ def build_windows(posts: Sequence[Post], window_size: int) -> list[Window]:
 
 
 def allocate_round_robin(window: Window, worker_ids: Sequence[int],
-                         task_unit_size: int,
-                         start_offset: int = 0) -> list[Assignment]:
+                         task_unit_size: int, start_offset: int = 0
+                         ) -> tuple[list[Assignment], int, tuple[Post, ...]]:
     """Deal the window's posts into bins and hand them out in worker order.
 
     Bins of ``task_unit_size`` are cut from the window in stream order; bin
-    ``b`` goes to ``worker_ids[(start_offset + b) % len(worker_ids)]``.  Each
-    worker receives at most one bin per window, so when there are more bins
-    than workers the surplus posts are left unassigned (the engine drops
-    them at window close).  Rotating ``start_offset`` across windows keeps
-    the deal fair when workers outnumber bins.
+    ``b`` goes to ``worker_ids[(start_offset + b) % len(worker_ids)]``, and
+    each worker receives at most one.  Returns the bins; the offset that the
+    next window's deal starts from, which keeps the deal fair when workers
+    outnumber bins; and the posts that no bin took, in stream order, which
+    the engine drops at window close.
     """
     if not worker_ids:
         raise ConfigurationError("worker_ids must be non-empty")
@@ -92,12 +92,15 @@ def allocate_round_robin(window: Window, worker_ids: Sequence[int],
         raise ConfigurationError("task_unit_size must be >= 1")
     n_workers = len(worker_ids)
     posts = window.posts
+    n_bins = min(n_workers, -(-len(posts) // task_unit_size))
     # `Assignment(...)` less its Python-level `__new__`.
     new_tuple = tuple.__new__
-    return [new_tuple(Assignment, (
+    bins = [new_tuple(Assignment, (
                 worker_ids[(start_offset + b) % n_workers],
                 posts[b * task_unit_size:(b + 1) * task_unit_size]))
-            for b in range(min(n_workers, -(-len(posts) // task_unit_size)))]
+            for b in range(n_bins)]
+    return (bins, (start_offset + n_bins) % n_workers,
+            posts[n_bins * task_unit_size:])
 
 
 def total_contest_time(n_posts: int, task_unit_time_s: float,

@@ -135,7 +135,7 @@ def reference_contest(config, profiles, posts, seed, *, dispatch="windowed",
             active = sorted(w for w in ids if alive[w])
             bins = {}
             if active:
-                assignments = allocate_round_robin(
+                assignments, _, _ = allocate_round_robin(
                     win, active, config.task_unit_size,
                     start_offset=rr_offset)
                 rr_offset = (rr_offset + len(assignments)) % len(active)

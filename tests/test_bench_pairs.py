@@ -1,4 +1,5 @@
-"""The pair comparison tool's gain rule and signal handling.
+"""The pair comparison tool's gain and no-regression rules and its signal
+handling.
 
 The tool is loaded from its path; nothing here starts a process or touches
 a git worktree.
@@ -27,8 +28,8 @@ def bench_pairs():
 BASE = [1.0 + i / 100 for i in range(10)]
 
 
-def _verdict(bench_pairs, better, base, change):
-    metrics = [{"name": "m", "better": better}]
+def _verdict(bench_pairs, better, base, change, bound=0.25):
+    metrics = [{"name": "m", "better": better, "bound": bound}]
     summary = bench_pairs.summarize(metrics, [{"m": v} for v in base],
                                     [{"m": v} for v in change])
     return summary["m"]
@@ -74,6 +75,29 @@ def test_a_higher_is_better_metric_takes_the_same_rule(bench_pairs, losses,
         s["base"]["q3"] - s["base"]["q1"])
     assert s["relative_change"] > 0
     assert s["gain_rule"] is holds
+
+
+# The base median is 1.045, so a bound of 0.25 allows 0.26125 and one of
+# 0.01 allows 0.01045, less than the base's interquartile range.
+@pytest.mark.parametrize("better, sign", [("lower", 1), ("higher", -1)])
+@pytest.mark.parametrize("shift, bound, verdict", [
+    (0.0, 0.25, "holds"),
+    (0.25, 0.25, "holds"),
+    (0.27, 0.25, "fails"),
+    (0.0, 0.01, "unresolved"),
+    (-0.005, 0.01, "unresolved"),
+    (-0.1, 0.01, "holds"),
+    (0.02, 0.01, "fails"),
+])
+def test_no_regression_verdict(bench_pairs, better, sign, shift, bound,
+                               verdict):
+    """``shift`` moves every change run in the worse direction (a negative
+    shift is a gain): by more than the bound fails, inside a base spread
+    wider than the bound is unresolved unless every change run beats every
+    base run, and anything else holds."""
+    change = [b + sign * shift for b in BASE]
+    s = _verdict(bench_pairs, better, BASE, change, bound=bound)
+    assert s["no_regression"] == verdict
 
 
 def test_sigterm_and_sighup_raise_system_exit(bench_pairs):

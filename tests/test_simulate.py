@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from reference_engine import reference_contest
 
 from contestsim import (AnnotationEvent, BehaviorPrior, ConfigurationError,
                         ContestConfig, ContractViolation, EventLog, ExitEvent,
@@ -563,7 +564,7 @@ def test_rate_dominance_yields_more_annotations(contest_config, make_posts):
 
 # --- exits -----------------------------------------------------------------
 
-def _exit_heavy_run(make_posts):
+def _exit_heavy_run(make_posts, seed=2, base_hazard=1.0):
     from contestsim import ContestConfig
     config = ContestConfig(n_workers=6, n_posts=80, window_size=20,
                            task_unit_time_s=5.0, task_unit_size=5,
@@ -573,8 +574,35 @@ def _exit_heavy_run(make_posts):
     profiles = [WorkerProfile(id=i, skill=0.5, lambda_in=1.2, lambda_out=1.0,
                               exit_threshold=1.0) for i in range(6)]
     posts = make_posts(80)
-    log = run_contest(config, profiles, posts, seed=2, base_hazard=1.0)
+    log = run_contest(config, profiles, posts, seed=seed,
+                      base_hazard=base_hazard)
     return log, posts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_field_shed_to_its_spread_is_still_dealt_every_window(make_posts,
+                                                                seed):
+    """The engine deals each window without checking that anyone is still
+    in, because the spread's workers never exit.  At this hazard every
+    worker outside the spread exits at the first checkpoint, and the one
+    left is dealt a bin, and annotates, in every window after it."""
+    log, posts = _exit_heavy_run(make_posts, seed=seed, base_hazard=1000.0)
+    config = log.config
+    first_checkpoint = round(log.horizon_ms / N_CHECKPOINTS)
+    assert first_checkpoint == 1000
+    assert len(log.exits) == config.n_workers - config.reward_spread == 5
+    assert {x.exit_time_ms for x in log.exits} == {first_checkpoint}
+    (survivor,) = (set(range(config.n_workers))
+                   - {x.worker_id for x in log.exits})
+    unit_ms = round(config.task_unit_time_s * 1000)
+    n_windows = config.n_posts // config.window_size
+    later = {-(-e.event_time_ms // unit_ms) - 1 for e in log.events
+             if e.worker_id == survivor and e.event_time_ms > unit_ms}
+    assert later == set(range(1, n_windows))
+    profiles = [_profile(id=i) for i in range(config.n_workers)]
+    assert log == reference_contest(config, profiles, posts, seed,
+                                    base_hazard=1000.0)
+    replay_validate(log, posts)
 
 
 def test_exits_fall_on_checkpoints_and_never_repeat(make_posts):

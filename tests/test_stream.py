@@ -55,7 +55,7 @@ def test_build_windows_validation():
 
 def test_allocation_full_window_one_bin_per_worker():
     window = build_windows(posts(200), 200)[0]
-    assignments = allocate_round_robin(window, list(range(20)), 10)
+    assignments, _, _ = allocate_round_robin(window, list(range(20)), 10)
     assert len(assignments) == 20
     assert sorted(a.worker_id for a in assignments) == list(range(20))
     assert all(len(a.posts) == 10 for a in assignments)
@@ -63,7 +63,7 @@ def test_allocation_full_window_one_bin_per_worker():
 
 def test_allocation_underfull_window_leaves_workers_idle():
     window = build_windows(posts(5), 200)[0]
-    assignments = allocate_round_robin(window, [1, 2], 10)
+    assignments, _, _ = allocate_round_robin(window, [1, 2], 10)
     assert len(assignments) == 1
     assert assignments[0].worker_id == 1
     assert [p.id for p in assignments[0].posts] == [0, 1, 2, 3, 4]
@@ -71,14 +71,14 @@ def test_allocation_underfull_window_leaves_workers_idle():
 
 def test_allocation_more_workers_than_bins():
     window = build_windows(posts(200), 200)[0]
-    assignments = allocate_round_robin(window, list(range(100)), 10)
+    assignments, _, _ = allocate_round_robin(window, list(range(100)), 10)
     assert [a.worker_id for a in assignments] == list(range(20))
 
 
 def test_allocation_offset_rotates_the_deal():
     window = build_windows(posts(200), 200)[0]
-    assignments = allocate_round_robin(window, list(range(100)), 10,
-                                       start_offset=95)
+    assignments, _, _ = allocate_round_robin(window, list(range(100)), 10,
+                                             start_offset=95)
     assert [a.worker_id for a in assignments] == [95, 96, 97, 98, 99,
                                                   0, 1, 2, 3, 4,
                                                   5, 6, 7, 8, 9,
@@ -86,16 +86,15 @@ def test_allocation_offset_rotates_the_deal():
 
 
 def test_allocation_rotation_is_fair_across_windows():
-    """Dealing consecutive windows with a rolling offset keeps per-worker
-    bin counts within one of each other."""
+    """Dealing consecutive windows, each from the offset the last deal
+    returned, keeps per-worker bin counts within one of each other."""
     workers = list(range(100))
     counts = {w: 0 for w in workers}
     offset = 0
     for index in range(7):
         window = build_windows(posts(200), 200)[0]
-        assignments = allocate_round_robin(window, workers, 10,
-                                           start_offset=offset)
-        offset = (offset + len(assignments)) % len(workers)
+        assignments, offset, _ = allocate_round_robin(window, workers, 10,
+                                                      start_offset=offset)
         for a in assignments:
             counts[a.worker_id] += 1
     assert max(counts.values()) - min(counts.values()) <= 1
@@ -107,8 +106,8 @@ def test_allocation_rotation_is_fair_across_windows():
 def test_allocation_bins_are_disjoint_and_within_size(n_posts, n_workers,
                                                       unit, offset):
     window = build_windows(posts(n_posts), max(n_posts, 1))[0]
-    assignments = allocate_round_robin(window, list(range(n_workers)), unit,
-                                       start_offset=offset)
+    assignments, next_offset, unassigned = allocate_round_robin(
+        window, list(range(n_workers)), unit, start_offset=offset)
     seen: set[int] = set()
     for a in assignments:
         ids = {p.id for p in a.posts}
@@ -119,6 +118,10 @@ def test_allocation_bins_are_disjoint_and_within_size(n_posts, n_workers,
     ids = [a.worker_id for a in assignments]
     assert len(ids) == len(set(ids))
     assert len(assignments) == min(n_workers, -(-n_posts // unit))
+    # The bins, then the posts no bin took, are the window in stream order.
+    dealt = [p for a in assignments for p in a.posts]
+    assert dealt + list(unassigned) == list(window.posts)
+    assert next_offset == (offset + len(assignments)) % n_workers
 
 
 def test_allocation_validation():

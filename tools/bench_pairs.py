@@ -14,11 +14,20 @@ flips from one pair to the next, so a drift in host speed does not favour
 either side.
 
 For each end-to-end metric in BENCHMARK.json it prints both sides' median
-and quartiles, how many pairs the working tree won, and whether the gain
-rule holds: at least 9 wins in 10 pairs, and medians further apart, in the
-better direction, than the base's interquartile range.  Its last line is
-one JSON object holding every pair's metrics for both sides and that
-summary per metric, for a ``BENCH_<n>.json`` record.
+and quartiles, how many pairs the working tree won, whether the gain rule
+holds (at least 9 wins in 10 pairs, and medians further apart, in the
+better direction, than the base's interquartile range), and the
+no-regression verdict against the metric's ``bound``:
+
+* ``fails``: the change's median is worse than the base's by more than
+  ``bound`` times the base median;
+* ``unresolved``: otherwise, if the base's interquartile range is wider
+  than ``bound`` times its median, unless every change run beats every
+  base run;
+* ``holds``: otherwise.
+
+Its last line is one JSON object holding every pair's metrics for both
+sides and that summary per metric, for a ``BENCH_<n>.json`` record.
 
 It exits 1 if a run fails, or reports ``"correct": false`` or a failed
 check; the runs' output is printed first.
@@ -85,7 +94,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(metrics: list[dict], base: list[dict],
               change: list[dict]) -> dict:
     """Per metric: both sides' median and quartiles, how many pairs the
-    working tree won, and whether the gain rule holds."""
+    working tree won, whether the gain rule holds, and the no-regression
+    verdict."""
     pairs = len(base)
     summary = {}
     for metric in metrics:
@@ -96,6 +106,14 @@ def summarize(metrics: list[dict], base: list[dict],
         bq1, bmed, bq3 = quartiles(b)
         cq1, cmed, cq3 = quartiles(c)
         gap = (bmed - cmed) if lower else (cmed - bmed)
+        allowed = metric["bound"] * abs(bmed)
+        if -gap > allowed:
+            no_regression = "fails"
+        elif bq3 - bq1 > allowed and not (
+                max(c) < min(b) if lower else min(c) > max(b)):
+            no_regression = "unresolved"
+        else:
+            no_regression = "holds"
         summary[name] = {
             "better": metric["better"],
             "base": {"median": bmed, "q1": bq1, "q3": bq3},
@@ -104,6 +122,7 @@ def summarize(metrics: list[dict], base: list[dict],
             "wins": wins,
             "pairs": pairs,
             "gain_rule": wins * 10 >= 9 * pairs and gap > bq3 - bq1,
+            "no_regression": no_regression,
         }
     return summary
 
@@ -118,7 +137,8 @@ def report(summary: dict) -> list[str]:
             f"base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]  "
             f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  "
             f"{s['relative_change']:+.1%}  wins {s['wins']}/{s['pairs']}  "
-            f"gain rule {'holds' if s['gain_rule'] else 'fails'}")
+            f"gain rule {'holds' if s['gain_rule'] else 'fails'}  "
+            f"no regression {s['no_regression']}")
     return lines
 
 
