@@ -26,9 +26,8 @@ from .simulate import (AnnotationEvent, BehaviorPrior, EventLog, ExitEvent,
                        exit_hazard, holding_time, read_event_log,
                        replay_validate, run_contest,
                        simulate_annotated_count, write_event_log)
-from .stream import (Assignment, DropQueue, Window, advance_queue,
-                     allocate_round_robin, build_windows, total_contest_time,
-                     warp_out_rate)
+from .stream import (DropQueue, advance_queue, allocate_round_robin,
+                     build_windows, total_contest_time, warp_out_rate)
 
 __version__ = "0.1.0"
 
@@ -41,9 +40,8 @@ __all__ = [
     "Post", "WorkerProfile", "ContestConfig", "RankEntry", "Ranking",
     "score_annotation", "rank_workers", "Leaderboard",
     # stream
-    "Window", "Assignment", "DropQueue", "build_windows",
-    "allocate_round_robin", "advance_queue", "total_contest_time",
-    "warp_out_rate",
+    "DropQueue", "build_windows", "allocate_round_robin", "advance_queue",
+    "total_contest_time", "warp_out_rate",
     # simulate
     "BehaviorPrior", "AnnotationEvent", "ExitEvent", "PostCounters",
     "EventLog", "draw_behavior", "holding_time", "exit_hazard",

@@ -96,10 +96,10 @@ class ExperimentConfig:
         if self.mean_entities <= 0.0:
             raise ConfigurationError("mean_entities must be positive")
         # A fault shared by every contest is the config's, so it is raised
-        # here, before any contest runs.
-        for s in self.spreads:
-            check_run_arguments(self.contest_config(s), self.dispatch,
-                                self.base_hazard, self.accuracy_floor)
+        # here, before any contest runs; none depends on the spread.
+        check_run_arguments(self.contest_config(self.spreads[0]),
+                            self.dispatch, self.base_hazard,
+                            self.accuracy_floor)
         _ = self.prior
 
     @property

@@ -529,20 +529,21 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
         if dispatch == "windowed":
             queue = DropQueue()
             deal_from = 0
-            for win in build_windows(posts, config.window_size):
+            for index, window in enumerate(
+                    build_windows(posts, config.window_size)):
                 # Never empty: the spread's workers never exit.
                 bins, deal_from, unassigned = allocate_round_robin(
-                    win, [w.profile.id for w in id_order if w.alive],
+                    window, [w.profile.id for w in id_order if w.alive],
                     config.task_unit_size, deal_from)
                 holders: list[_WorkerState] = []
                 for wid, bin_posts in bins:
                     holder = by_id[wid]
                     holder.bin = deque(bin_posts)
                     holders.append(holder)
-                close_ms = (win.index + 1) * unit_ms
+                close_ms = (index + 1) * unit_ms
                 for p in unassigned:
                     queue.push(p, close_ms)
-                run_period(holders, win.index * unit_ms, close_ms)
+                run_period(holders, index * unit_ms, close_ms)
                 for w in holders:
                     while w.bin:
                         queue.push(w.bin.popleft(), close_ms)
@@ -834,10 +835,8 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
                         obj = decode_json(line)
                         if not take([obj], text.lineno):
                             # Raise the key or type fault `take` saw.
-                            is_exit = "exit_time_ms" in obj
-                            (_exit_values if is_exit else _event_values)(obj)
-                            check_record(obj, _EXIT_FIELDS if is_exit
-                                         else _EVENT_FIELDS)
+                            check_record(obj, _EXIT_FIELDS if "exit_time_ms"
+                                         in obj else _EVENT_FIELDS)
                 first += len(chunk)
                 chunk = [held, *islice(lines, _CHUNK_LINES)]
         for (text.lineno, k), x in zip(exit_at, exits):

@@ -1,41 +1,22 @@
 """Stream machinery: windowing, the deal, flow-rate formulas, drops.
 
-The content stream is cut into fixed-size windows.  Window ``k`` is open
-for the ``k``-th task unit time of the contest; the engine, which owns the
-clock, opens it at ``k * unit_ms`` and closes it one unit later.  At the
-opening, `allocate_round_robin` (the one deal) cuts it into bins of
-``task_unit_size``, one per worker still in, from where the last deal
-stopped.  Posts that nobody solves by the close are dropped for good.
+The content stream is cut into fixed-size windows, each a tuple of posts;
+window ``k`` is item ``k`` of `build_windows`' list and is open for the
+``k``-th task unit time of the contest.  The engine, which owns the clock,
+opens it at ``k * unit_ms`` and closes it one unit later.  At the opening,
+`allocate_round_robin` (the one deal) cuts it into bins of
+``task_unit_size``, each a ``(worker_id, posts)`` pair, one per worker still
+in, from where the last deal stopped.  Posts that nobody solves by the close
+are dropped for good.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .core import Post
 from .errors import ConfigurationError, ContractViolation
-
-
-@dataclass(frozen=True)
-class Window:
-    """One slice of the stream, open for the contest's ``index``-th task
-    unit time, counting from 0."""
-
-    index: int
-    posts: tuple[Post, ...]
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ConfigurationError("window index must be >= 0")
-
-
-class Assignment(NamedTuple):
-    """A bin of the window's posts, in stream order, handed to one worker."""
-
-    worker_id: int
-    posts: tuple[Post, ...]
 
 
 class DropQueue:
@@ -58,31 +39,32 @@ class DropQueue:
         return len(self.pending)
 
 
-def build_windows(posts: Sequence[Post], window_size: int) -> list[Window]:
+def build_windows(posts: Sequence[Post], window_size: int
+                  ) -> list[tuple[Post, ...]]:
     """Chunk the post stream into consecutive windows of ``window_size``
-    posts, order preserved, indexed from 0.
+    posts, order preserved; window ``k`` is item ``k``.
 
     The final window may be underfull but stays open the full task unit
     time.  An empty stream yields no windows.
     """
     if window_size < 1:
         raise ConfigurationError("window_size must be >= 1")
-    return [Window(index=i // window_size,
-                   posts=tuple(posts[i:i + window_size]))
+    return [tuple(posts[i:i + window_size])
             for i in range(0, len(posts), window_size)]
 
 
-def allocate_round_robin(window: Window, worker_ids: Sequence[int],
+def allocate_round_robin(window: tuple[Post, ...], worker_ids: Sequence[int],
                          task_unit_size: int, start_offset: int = 0
-                         ) -> tuple[list[Assignment], int, tuple[Post, ...]]:
+                         ) -> tuple[list[tuple[int, tuple[Post, ...]]], int,
+                                    tuple[Post, ...]]:
     """Deal the window's posts into bins and hand them out in worker order.
 
     Bins of ``task_unit_size`` are cut from the window in stream order; bin
-    ``b`` goes to ``worker_ids[(start_offset + b) % len(worker_ids)]``, and
-    each worker receives at most one.  Returns the bins; the offset that the
-    next window's deal starts from, which keeps the deal fair when workers
-    outnumber bins; and the posts that no bin took, in stream order, which
-    the engine drops at window close.
+    ``b`` is the pair ``(worker_ids[(start_offset + b) % len(worker_ids)],
+    posts)``, and each worker receives at most one.  Returns the bins; the
+    offset that the next window's deal starts from, which keeps the deal
+    fair when workers outnumber bins; and the posts that no bin took, in
+    stream order, which the engine drops at window close.
     """
     if not worker_ids:
         raise ConfigurationError("worker_ids must be non-empty")
@@ -91,16 +73,12 @@ def allocate_round_robin(window: Window, worker_ids: Sequence[int],
     if task_unit_size < 1:
         raise ConfigurationError("task_unit_size must be >= 1")
     n_workers = len(worker_ids)
-    posts = window.posts
-    n_bins = min(n_workers, -(-len(posts) // task_unit_size))
-    # `Assignment(...)` less its Python-level `__new__`.
-    new_tuple = tuple.__new__
-    bins = [new_tuple(Assignment, (
-                worker_ids[(start_offset + b) % n_workers],
-                posts[b * task_unit_size:(b + 1) * task_unit_size]))
+    n_bins = min(n_workers, -(-len(window) // task_unit_size))
+    bins = [(worker_ids[(start_offset + b) % n_workers],
+             window[b * task_unit_size:(b + 1) * task_unit_size])
             for b in range(n_bins)]
     return (bins, (start_offset + n_bins) % n_workers,
-            posts[n_bins * task_unit_size:])
+            window[n_bins * task_unit_size:])
 
 
 def total_contest_time(n_posts: int, task_unit_time_s: float,

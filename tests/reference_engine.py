@@ -131,7 +131,7 @@ def reference_contest(config, profiles, posts, seed, *, dispatch="windowed",
     dropped = pending = 0
     if dispatch == "windowed":
         rr_offset = 0
-        for win in windows:
+        for index, win in enumerate(windows):
             active = sorted(w for w in ids if alive[w])
             bins = {}
             if active:
@@ -141,8 +141,8 @@ def reference_contest(config, profiles, posts, seed, *, dispatch="windowed",
                 rr_offset = (rr_offset + len(assignments)) % len(active)
                 for wid, bin_posts in assignments:
                     bins[ids.index(wid)] = deque(bin_posts)
-            dropped += len(win.posts) - sum(len(b) for b in bins.values())
-            run_period(bins, win.index * unit_ms, (win.index + 1) * unit_ms)
+            dropped += len(win) - sum(len(b) for b in bins.values())
+            run_period(bins, index * unit_ms, (index + 1) * unit_ms)
             dropped += sum(len(b) for b in bins.values())
     else:
         pool = deque(posts)

@@ -1571,6 +1571,52 @@ def test_replay_rejects_a_post_annotated_twice(stock_log_path):
         f"{second.event_index}): post 110 annotated twice")
 
 
+# The replay checks neither the deal nor the count rule (ROADMAP item 11),
+# so each tamper below, which leaves every score as it was, passes today.
+# Only `pytest.raises` failing counts as the expected failure: a drifted
+# precondition fails the test.
+_REPLAY_GAP = pytest.mark.xfail(
+    strict=True, raises=pytest.fail.Exception,
+    reason="replay checks neither the deal nor the count rule")
+
+
+@_REPLAY_GAP
+@pytest.mark.parametrize("log_path, pos, true_count", [
+    ("stock_log_path", 3, 3), ("shared_log_path", 5, 2)])
+def test_replay_rejects_a_count_the_count_rule_cannot_give(
+        request, log_path, pos, true_count):
+    # A miss of 1 becomes a miss of 99, which no perturbation reaches.
+    log = read_event_log(request.getfixturevalue(log_path))
+    posts = generate_corpus(log.config.n_posts, 1.2, seed=0)
+    event = log.events[pos]
+    assert event.annotated_count == 1
+    assert posts[event.post_id].expected_entities == true_count
+    replay_validate(log, posts)
+    log.events[pos] = event._replace(annotated_count=99)
+    with pytest.raises(ContractViolation):
+        replay_validate(log, posts)
+
+
+@_REPLAY_GAP
+@pytest.mark.parametrize("log_path, pos, times_ms", [
+    ("stock_log_path", 1276, (49, 78465)),
+    ("shared_log_path", 1516, (49, 71976))])
+def test_replay_rejects_posts_swapped_between_workers(request, log_path,
+                                                      pos, times_ms):
+    # Event 0 takes a post that, by the deal, only a later event could.
+    log = read_event_log(request.getfixturevalue(log_path))
+    posts = generate_corpus(log.config.n_posts, 1.2, seed=0)
+    first, later = log.events[0], log.events[pos]
+    assert (first.event_time_ms, later.event_time_ms) == times_ms
+    assert (posts[first.post_id].expected_entities
+            == posts[later.post_id].expected_entities)
+    replay_validate(log, posts)
+    log.events[0] = first._replace(post_id=later.post_id)
+    log.events[pos] = later._replace(post_id=first.post_id)
+    with pytest.raises(ContractViolation):
+        replay_validate(log, posts)
+
+
 def _after_first_exit(log):
     """Position of the first event after the first exit."""
     return next(i for i, e in enumerate(log.events)

@@ -20,7 +20,7 @@ def posts(n: int) -> list[Post]:
 def test_build_windows_chunks_the_reference_stream():
     windows = build_windows(posts(7600), 200)
     assert len(windows) == 38
-    assert all(len(w.posts) == 200 for w in windows)
+    assert all(len(w) == 200 for w in windows)
 
 
 def test_build_windows_single_post():
@@ -34,16 +34,15 @@ def test_build_windows_empty_stream():
 
 def test_build_windows_last_window_may_be_underfull():
     windows = build_windows(posts(250), 100)
-    assert [len(w.posts) for w in windows] == [100, 100, 50]
+    assert [len(w) for w in windows] == [100, 100, 50]
 
 
 @given(n=st.integers(0, 60), size=st.integers(1, 12))
 def test_build_windows_partition_preserves_the_stream(n, size):
     stream = posts(n)
     windows = build_windows(stream, size)
-    flattened = [p for w in windows for p in w.posts]
+    flattened = [p for w in windows for p in w]
     assert flattened == stream
-    assert [w.index for w in windows] == list(range(len(windows)))
 
 
 def test_build_windows_validation():
@@ -57,32 +56,33 @@ def test_allocation_full_window_one_bin_per_worker():
     window = build_windows(posts(200), 200)[0]
     assignments, _, _ = allocate_round_robin(window, list(range(20)), 10)
     assert len(assignments) == 20
-    assert sorted(a.worker_id for a in assignments) == list(range(20))
-    assert all(len(a.posts) == 10 for a in assignments)
+    assert sorted(wid for wid, _ in assignments) == list(range(20))
+    assert all(len(bin_posts) == 10 for _, bin_posts in assignments)
 
 
 def test_allocation_underfull_window_leaves_workers_idle():
     window = build_windows(posts(5), 200)[0]
     assignments, _, _ = allocate_round_robin(window, [1, 2], 10)
     assert len(assignments) == 1
-    assert assignments[0].worker_id == 1
-    assert [p.id for p in assignments[0].posts] == [0, 1, 2, 3, 4]
+    (wid, bin_posts), = assignments
+    assert wid == 1
+    assert [p.id for p in bin_posts] == [0, 1, 2, 3, 4]
 
 
 def test_allocation_more_workers_than_bins():
     window = build_windows(posts(200), 200)[0]
     assignments, _, _ = allocate_round_robin(window, list(range(100)), 10)
-    assert [a.worker_id for a in assignments] == list(range(20))
+    assert [wid for wid, _ in assignments] == list(range(20))
 
 
 def test_allocation_offset_rotates_the_deal():
     window = build_windows(posts(200), 200)[0]
     assignments, _, _ = allocate_round_robin(window, list(range(100)), 10,
                                              start_offset=95)
-    assert [a.worker_id for a in assignments] == [95, 96, 97, 98, 99,
-                                                  0, 1, 2, 3, 4,
-                                                  5, 6, 7, 8, 9,
-                                                  10, 11, 12, 13, 14]
+    assert [wid for wid, _ in assignments] == [95, 96, 97, 98, 99,
+                                               0, 1, 2, 3, 4,
+                                               5, 6, 7, 8, 9,
+                                               10, 11, 12, 13, 14]
 
 
 def test_allocation_rotation_is_fair_across_windows():
@@ -95,8 +95,8 @@ def test_allocation_rotation_is_fair_across_windows():
         window = build_windows(posts(200), 200)[0]
         assignments, offset, _ = allocate_round_robin(window, workers, 10,
                                                       start_offset=offset)
-        for a in assignments:
-            counts[a.worker_id] += 1
+        for wid, _ in assignments:
+            counts[wid] += 1
     assert max(counts.values()) - min(counts.values()) <= 1
     assert sum(counts.values()) == 7 * 20
 
@@ -109,18 +109,18 @@ def test_allocation_bins_are_disjoint_and_within_size(n_posts, n_workers,
     assignments, next_offset, unassigned = allocate_round_robin(
         window, list(range(n_workers)), unit, start_offset=offset)
     seen: set[int] = set()
-    for a in assignments:
-        ids = {p.id for p in a.posts}
-        assert 1 <= len(a.posts) <= unit
+    for _, bin_posts in assignments:
+        ids = {p.id for p in bin_posts}
+        assert 1 <= len(bin_posts) <= unit
         assert seen.isdisjoint(ids)
         seen.update(ids)
     # One bin per worker at most.
-    ids = [a.worker_id for a in assignments]
+    ids = [wid for wid, _ in assignments]
     assert len(ids) == len(set(ids))
     assert len(assignments) == min(n_workers, -(-n_posts // unit))
     # The bins, then the posts no bin took, are the window in stream order.
-    dealt = [p for a in assignments for p in a.posts]
-    assert dealt + list(unassigned) == list(window.posts)
+    dealt = [p for _, bin_posts in assignments for p in bin_posts]
+    assert dealt + list(unassigned) == list(window)
     assert next_offset == (offset + len(assignments)) % n_workers
 
 
