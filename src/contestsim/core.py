@@ -447,20 +447,24 @@ class Leaderboard:
     def update(self, worker_id: Hashable, score: float, stamp: int) -> int:
         """Move ``worker_id`` to ``score``, reached at ``stamp``, and return
         their new rank.  The board is unchanged if the score is, since the
-        stamp marks when the score last rose.
+        stamp marks when the score last rose.  A risen score's key is built
+        inline, as `rank_key` builds it for an integer stamp, and the
+        unchanged and fallen cases are told apart only when the score did
+        not rise: the engine and the replay call this once per event.
         """
         key_of, keys = self._key_of, self._keys
         try:
             old = key_of[worker_id]
         except KeyError:
             raise _not_on_board(worker_id) from None
-        pos = bisect_left(keys, old)
-        if old[0] == -score:
-            return self._ranks[pos]
-        if old[0] < -score:
+        if old[0] <= -score:
+            if old[0] == -score:
+                return self._ranks[bisect_left(keys, old)]
             raise ContractViolation(f"worker {worker_id}: score fell from "
                                     f"{-old[0]} to {score}")
-        new = key_of[worker_id] = rank_key(worker_id, score, stamp)
+        # `rank_key(worker_id, score, stamp)`: a risen score has a stamp.
+        new = key_of[worker_id] = (-score, stamp, worker_id)
+        pos = bisect_left(keys, old)
         if pos and keys[pos - 1] > new:
             # The key passes at least the one above it: search above that.
             del keys[pos]

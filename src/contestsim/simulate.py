@@ -49,18 +49,23 @@ the whole field in one `rng.substreams` call (equal bit for bit to one
   reciprocal of the governing rate, the worker's ``1.0 / lambda_in`` or
   ``1.0 / lambda_out``, computed once;
 * COUNTS: one uniform per annotation, and on a miss one perturbation index
-  in 0..3;
-* EXITS: one uniform per checkpoint the worker is still in the contest.
+  in 0..3.  A worker sure to hit (skill + ``accuracy_floor`` at least 1)
+  reads none: every word would be a hit;
+* EXITS: one uniform per checkpoint the worker is still in the contest,
+  none for a worker whose exit bound (below) is 0.
 
 The engine reads these draws from blocks (`rng.blocks`, 32 per numpy
 call; the twenty exit draws at once): EVENTS as unit-rate `holding_time`
 calls with ``size=32``, COUNTS from raw words by `rng`'s rules.  Draw for
 draw they equal the scalar `holding_time` and `simulate_annotated_count`
 calls on the same substream, so a log does not depend on the block size.
-A worker's EXITS draw for a checkpoint is taken whether or not it is read:
-the hazard is 0 inside the spread, so `exit_hazard` is consulted only for
-workers outside it, and the benchmark's ``simulate.exit_hazard.calls``
-counts out-of-spread worker-checkpoints.
+A worker's EXITS draw for a checkpoint is taken whether or not it is read.
+The hazard is 0 inside the spread and at most the worker's exit bound,
+``min(1, base_hazard * exit_threshold)``, outside it, so `exit_hazard` is
+consulted only for a worker outside the spread whose draw lies below that
+bound, and the benchmark's ``simulate.exit_hazard.calls`` counts those
+worker-checkpoints.  A contest in which every bound is 0 runs no
+checkpoint at all.
 
 A log (``contest-log-v1``) is one JSON object per line: a header with the
 `EventLog` fields but the body's, one line per annotation or exit in time
@@ -80,7 +85,7 @@ import math
 from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, fields
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from itertools import chain, compress, count, cycle, islice, repeat
 from math import ceil
 from numbers import Integral
@@ -290,22 +295,26 @@ def _count_offsets(bit_generator: np.random.BitGenerator, p_correct: float):
 class _WorkerState:
     """One worker's contest state and random draws.
 
-    ``next_exp`` yields standard-exponential draws from ``event_rng``,
-    ``next_offset`` count offsets from ``count_rng``, and ``exit_draws[ci]``
-    is ``exit_rng``'s draw at checkpoint ``ci``: a worker alive there drew
-    at every earlier checkpoint.  ``inv_in`` / ``inv_out`` are the
-    reciprocal two-state rates.
+    ``next_exp`` yields standard-exponential draws from ``event_rng``, and
+    ``next_offset`` count offsets from ``count_rng``: always 0, reading no
+    word, for a worker sure to hit.  ``exit_bound`` is the most that
+    `exit_hazard` can return for the worker, ``min(1, base_hazard *
+    exit_threshold)``, and ``exit_draws[ci]`` is ``exit_rng``'s draw at
+    checkpoint ``ci`` (a worker alive there drew at every earlier
+    checkpoint), or None, drawing nothing, when that bound is 0.
+    ``inv_in`` / ``inv_out`` are the reciprocal two-state rates.
     """
 
     __slots__ = ("idx", "profile", "score", "stamp", "annotations",
                  "last_ms", "alive", "gov_rank", "gov_elig", "inv_in",
-                 "inv_out", "next_exp", "next_offset", "exit_draws", "bin")
+                 "inv_out", "next_exp", "next_offset", "exit_bound",
+                 "exit_draws", "bin")
 
     def __init__(self, idx: int, profile: WorkerProfile,
                  event_rng: np.random.Generator,
                  count_rng: np.random.Generator,
                  exit_rng: np.random.Generator,
-                 accuracy_floor: float) -> None:
+                 accuracy_floor: float, base_hazard: float) -> None:
         self.idx = idx
         self.profile = profile
         self.score = 0
@@ -323,10 +332,16 @@ class _WorkerState:
         self.next_exp = streams.blocks(
             lambda size: holding_time(1.0, event_rng, size),
             _BLOCK).__next__
-        self.next_offset = _count_offsets(
-            count_rng.bit_generator,
-            _p_correct(profile.skill, accuracy_floor)).__next__
-        self.exit_draws = exit_rng.random(N_CHECKPOINTS).tolist()
+        p_correct = _p_correct(profile.skill, accuracy_floor)
+        # `random_cut(1.0)` is 2**64, so at 1 every word would be a hit.
+        self.next_offset = (
+            repeat(0).__next__ if p_correct == 1.0
+            else _count_offsets(count_rng.bit_generator, p_correct).__next__)
+        # `exit_hazard`'s product only shrinks by factors at most 1, also in
+        # floating point, so a draw at or above this bound never exits.
+        self.exit_bound = min(1.0, base_hazard * profile.exit_threshold)
+        self.exit_draws = (exit_rng.random(N_CHECKPOINTS).tolist()
+                           if self.exit_bound > 0.0 else None)
         self.bin: deque[Post] = deque()
 
 
@@ -422,8 +437,11 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
         rngs = streams.substreams(
             seed, (streams.EVENTS, streams.COUNTS, streams.EXITS), n)
         workers = [_WorkerState(i, profiles[i], *(r[i] for r in rngs),
-                                accuracy_floor=accuracy_floor)
+                                accuracy_floor=accuracy_floor,
+                                base_hazard=base_hazard)
                    for i in range(n)]
+        # With no worker able to leave, no checkpoint has anything to do.
+        at_risk = any(w.exit_draws for w in workers)
         by_id = {w.profile.id: w for w in workers}
         id_order = sorted(workers, key=lambda w: w.profile.id)
         board = Leaderboard(by_id)
@@ -442,6 +460,8 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
             """Run every checkpoint not yet run at or before ``through_ms``;
             return the time of the next one (infinity after the last)."""
             nonlocal cp_idx
+            if not at_risk:
+                return math.inf
             while (cp_idx < N_CHECKPOINTS
                    and checkpoint_ms[cp_idx] <= through_ms):
                 ci = cp_idx
@@ -450,13 +470,16 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
                 # No score moves during a checkpoint, so the workers outside
                 # the spread and their ranks are read off the board at once.
                 # The hazard is 0 inside the spread; the draw for this
-                # checkpoint, `exit_draws[ci]`, of a worker there goes unread.
+                # checkpoint, `exit_draws[ci]`, of a worker there goes unread,
+                # and `exit_hazard` is asked only under the worker's bound.
                 leaving = []
                 for r, wid in enumerate(board_from(spread + 1), spread + 1):
                     w = by_id[wid]
-                    if w.alive and w.exit_draws[ci] < exit_hazard(
-                            r - spread, frac, w.profile, n_workers=n,
-                            base_hazard=base_hazard):
+                    draws = w.exit_draws
+                    if (draws and w.alive and draws[ci] < w.exit_bound
+                            and draws[ci] < exit_hazard(
+                                r - spread, frac, w.profile, n_workers=n,
+                                base_hazard=base_hazard)):
                         w.alive = False
                         leaving.append(ExitEvent(wid, checkpoint_ms[ci], r,
                                                  False))
@@ -490,14 +513,16 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
                     heappush(heap, (t, w.idx))
             # None is due: this finds the next.
             next_cp = run_checkpoints(open_ms - 1)
+            # The worker served stays at ``heap[0]`` until it is rescheduled
+            # in place or, once done, popped; keys are unique, so this pops in
+            # the order that a pop per event would.
             while heap:
-                t, widx = heappop(heap)
+                t, widx = heap[0]
                 w = workers[widx]
-                if not w.alive:
-                    continue
-                if next_cp < t:
+                if w.alive and next_cp < t:
                     next_cp = run_checkpoints(t - 1)
                 if not w.alive or not w.bin:
+                    heappop(heap)
                     continue
                 post = w.bin.popleft()
                 # A miss (non-zero offset) never lands on a non-zero true
@@ -523,7 +548,9 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
                                * (w.inv_in if elig else w.inv_out) * 1000.0)
                     t += gap if gap > 1 else 1
                     if t <= close_ms:
-                        heappush(heap, (t, widx))
+                        heapreplace(heap, (t, widx))
+                        continue
+                heappop(heap)
             run_checkpoints(close_ms)
 
         if dispatch == "windowed":
@@ -890,13 +917,15 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     order, once per worker, outside the reward spread (the exit hazard is
     0 inside it), in rising worker id among the exits of one checkpoint,
     and that its rank and eligibility equal the leaderboard state after
-    every event at or before it.  Globally: that the header passes
-    `check_header` and no event falls after ``horizon_ms``, post
-    conservation of all ``n_posts`` (an unsolved post is dropped under
-    windowed dispatch, pending under shared), the remaining-post
-    countdown, that no post is annotated twice, and that the trailer
-    equals `rank_workers` of the replayed scores, last scoring times and
-    counts: a ranking made apart from the engine's board.
+    every event at or before it; at ``base_hazard`` 0 no exit at all.  Per
+    annotation at ``accuracy_floor`` 1 or more: the true count, since
+    skill lies in [0, 1] and every worker is sure to hit.  Globally: that
+    the header passes `check_header` and no event falls after
+    ``horizon_ms``, post conservation of all ``n_posts`` (an unsolved post
+    is dropped under windowed dispatch, pending under shared), the
+    remaining-post countdown, that no post is annotated twice, and that the
+    trailer equals `rank_workers` of the replayed scores, last scoring times
+    and counts: a ranking made apart from the engine's board.
     Needs the contest's posts to re-score events, held to `run_contest`'s
     rule (`_check_posts`): exactly ``n_posts`` of them with unique ids, or
     `ConfigurationError`.
@@ -911,6 +940,8 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     _check_posts(log.config, posts, expected)
     horizon_ms, n_posts = log.horizon_ms, log.config.n_posts
     spread, base_points = log.config.reward_spread, log.config.base_points
+    # The least skill is 0, so the floor alone may make every hit sure.
+    sure_hit = _p_correct(0.0, log.accuracy_floor) == 1.0
     worker_ids = [e.worker_id for e in log.final_ranking]
     board = Leaderboard(worker_ids)
     position = {w: k for k, w in enumerate(worker_ids)}  # into the lists below
@@ -946,6 +977,9 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
             raise exit_violation(i, "eligibility flag inconsistent")
         if x.eligible_at_exit:
             raise exit_violation(i, "exit inside the reward spread")
+        if log.base_hazard == 0.0:
+            raise exit_violation(i, "exit at base_hazard 0, where the exit "
+                                 "hazard is 0")
         # A checkpoint writes its exits in rising worker id, so the exits at
         # a millisecond that m checkpoints share descend at most m - 1 times.
         if prev and x.exit_time_ms == prev.exit_time_ms:
@@ -1008,6 +1042,11 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
                 raise violation(pos, "eligibility flag inconsistent")
             if hold < 1:
                 raise violation(pos, "holding_time_ms must be a positive integer")
+            if annotated != truth and sure_hit:
+                raise violation(pos, f"annotated_count {annotated} != true "
+                                f"count {truth} at accuracy_floor "
+                                f"{log.accuracy_floor}, where every count "
+                                "is exact")
             solved += 1
             if remaining != n_posts - solved:
                 raise violation(pos, "annotations_remaining countdown broken")

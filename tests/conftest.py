@@ -198,6 +198,19 @@ def stock_log_path(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def hazard_log_path(tmp_path_factory):
+    """Log of the README config's contest at spread 1, replication 0, at
+    ``base_hazard`` 1.0: 15 exits, the first of worker 15 at 12000 ms."""
+    cfg = parse_experiment_config(README_CONFIG + "base_hazard=1.0\n")
+    posts = generate_corpus(cfg.n_posts, cfg.mean_entities,
+                            seed=cfg.master_seed)
+    _, log = run_condition(cfg, 1, 0, posts)
+    path = tmp_path_factory.mktemp("hazard") / "hazard.jsonl"
+    write_event_log(log, path)
+    return path
+
+
+@pytest.fixture(scope="session")
 def shared_log_path(tmp_path_factory):
     """Log of the README config's contest at spread 5, replication 0, with
     shared dispatch and a 0.25 accuracy floor."""

@@ -1,14 +1,15 @@
-"""The pair comparison tool's gain and no-regression rules and its signal
-handling.
+"""The pair comparison tool's gain and no-regression rules, its signal
+handling and the copies that both sides run from.
 
-The tool is loaded from its path; nothing here starts a process or touches
-a git worktree.
+The tool is loaded from its path.  No benchmark runs here; the copy test
+runs git in a repository it makes under ``tmp_path``.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import signal
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -113,3 +114,46 @@ def test_sigterm_and_sighup_raise_system_exit(bench_pairs):
     finally:
         for signum, handler in saved.items():
             signal.signal(signum, handler)
+
+
+def _git(repo, *args):
+    return subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@localhost", *args],
+        cwd=repo, check=True, text=True, capture_output=True).stdout
+
+
+def test_both_sides_run_from_temporary_copies(bench_pairs, tmp_path):
+    """The base revision and the working tree are each checked out afresh:
+    the change side holds the edited, the deleted and the untracked files
+    but not the ignored one, and both copies go on exit, leaving the
+    repository as it was."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    for name, text in [("edited.txt", "committed"), ("deleted.txt", "x"),
+                       (".gitignore", "ignored.txt\n")]:
+        (repo / name).write_text(text)
+    _git(repo, "add", "--all")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "edited.txt").write_text("edited")
+    (repo / "deleted.txt").unlink()
+    (repo / "untracked.txt").write_text("new")
+    (repo / "ignored.txt").write_text("build output")
+    head, status = _git(repo, "rev-parse", "HEAD"), _git(repo, "status")
+
+    with bench_pairs.checkouts(repo, "HEAD") as (base, change):
+        for tree in (base, change):
+            assert tree.is_dir() and not tree.is_relative_to(repo)
+        assert base.parent == change.parent
+        assert (base / "edited.txt").read_text() == "committed"
+        assert (base / "deleted.txt").exists()
+        assert not (base / "untracked.txt").exists()
+        assert (change / "edited.txt").read_text() == "edited"
+        assert not (change / "deleted.txt").exists()
+        assert (change / "untracked.txt").read_text() == "new"
+        assert not (change / "ignored.txt").exists()
+    assert not base.exists() and not change.exists()
+    assert not base.parent.exists()
+    assert _git(repo, "worktree", "list").count("\n") == 1
+    assert _git(repo, "rev-parse", "HEAD") == head
+    assert _git(repo, "status") == status

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from contestsim import (BehaviorPrior, ConfigurationError,
+from contestsim import (BehaviorPrior, ConfigurationError, generate_corpus,
                         parse_experiment_config, read_corpus, read_event_log,
                         run_contest, verify_manifest, write_corpus,
                         write_event_log)
@@ -617,6 +617,26 @@ def _run_on_log(command, corpus, log_path, tmp_path, capsys):
              else ["--out", str(tmp_path / "fits.jsonl")])
     code = main([command, "--log", str(log_path)] + extra)
     return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("log_fixture, key, value, where", [
+    ("hazard_log_path", "base_hazard", 0.0, "log.exits[0] (worker 15,"),
+    ("stock_log_path", "accuracy_floor", 1.0, "log.events[0] (worker")],
+    ids=["base_hazard", "accuracy_floor"])
+def test_validate_refuses_a_header_the_body_could_not_come_from(
+        request, tmp_path, capsys, log_fixture, key, value, where):
+    """Exits at ``base_hazard`` 0, or misses at ``accuracy_floor`` 1."""
+    log_path = tmp_path / "contest.jsonl"
+    log_path.write_bytes(request.getfixturevalue(log_fixture).read_bytes())
+    corpus = tmp_path / "corpus.jsonl"
+    n_posts = read_event_log(log_path).config.n_posts
+    write_corpus(generate_corpus(n_posts, 1.2, seed=0), corpus)
+    assert _run_on_log("validate", corpus, log_path, tmp_path, capsys)[0] == 0
+    _edit_line(log_path, 0, lambda record: record.update({key: value}))
+    code, err = _run_on_log("validate", corpus, log_path, tmp_path, capsys)
+    assert code == 2
+    assert err.startswith(f"error: {where}")
+    assert "Traceback" not in err
 
 
 # `check_run_arguments`'s rule and `check_header`'s horizon rule, which the

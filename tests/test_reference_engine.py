@@ -41,7 +41,10 @@ def contests(draw):
     # profile index and the worker id order differ.
     id_stride = draw(st.integers(1, 5))
     ids = [id_stride * k + 2 for k in draw(st.permutations(range(n)))]
-    profiles = [WorkerProfile(id=wid, skill=draw(st.floats(0.0, 1.0)),
+    # Skill 1, like an accuracy floor of 1, makes every hit sure, so the
+    # engine reads no count draw: both are drawn on purpose.
+    skills = st.one_of(st.just(1.0), st.floats(0.0, 1.0))
+    profiles = [WorkerProfile(id=wid, skill=draw(skills),
                               lambda_in=speed * draw(_RATES),
                               lambda_out=speed * draw(_RATES),
                               exit_threshold=draw(st.floats(0.0, 1.0)))
@@ -59,7 +62,8 @@ def contests(draw):
         dispatch=draw(st.sampled_from(["windowed", "shared"])),
         base_hazard=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0),
                                    st.floats(1.0, 1000.0))),
-        accuracy_floor=draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))))
+        accuracy_floor=draw(st.one_of(st.just(0.0), st.just(1.0),
+                                      st.floats(-1.0, 1.0))))
 
 
 @settings(max_examples=150, deadline=None)

@@ -29,8 +29,8 @@ from contestsim import (AnnotationEvent, BehaviorPrior, ConfigurationError,
 from contestsim import rng as streams
 from contestsim import simulate
 from contestsim.simulate import (_BLOCK, _CHUNK_LINES, _PERTURBATIONS,
-                                 DEFAULT_BASE_HAZARD, N_CHECKPOINTS,
-                                 _count_offsets, _WorkerState)
+                                 DEFAULT_BASE_HAZARD, DISPATCH_MODES,
+                                 N_CHECKPOINTS, _count_offsets, _WorkerState)
 
 
 def _profile(**overrides) -> WorkerProfile:
@@ -229,12 +229,13 @@ _SEEDS = [*range(40), (0, 0), (0, 49), (7, 3), (2**40, 1)]
 _N_DRAWS = 3 * _BLOCK + 5
 
 
-def _worker(idx, profile, seed, accuracy_floor):
+def _worker(idx, profile, seed, accuracy_floor,
+            base_hazard=DEFAULT_BASE_HAZARD):
     """Worker ``idx`` seeded as `run_contest` seeds it."""
     rngs = streams.substreams(
         seed, (streams.EVENTS, streams.COUNTS, streams.EXITS), idx + 1)
     return _WorkerState(idx, profile, *(r[idx] for r in rngs),
-                        accuracy_floor=accuracy_floor)
+                        accuracy_floor=accuracy_floor, base_hazard=base_hazard)
 
 
 def test_block_holding_times_match_holding_time():
@@ -633,23 +634,146 @@ def test_full_spread_disables_exits(contest_config, make_posts,
     assert log.exits == []
 
 
+# --- draws and hazard tests that cannot change a log ------------------------
+
+class _FixedExitDraws:
+    """An EXITS generator whose every uniform is ``draw``."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def random(self, size):
+        return np.full(size, self.draw)
+
+
+def _spy_substreams(monkeypatch, exit_draw=None):
+    """Record the generators `run_contest` builds, one dict of purpose to
+    per-worker list per call; with ``exit_draw``, each worker's EXITS
+    generator is a `_FixedExitDraws`."""
+    built = []
+    substreams = streams.substreams
+
+    def spy(seed, purposes, n):
+        rngs = substreams(seed, purposes, n)
+        if exit_draw is not None:
+            rngs[purposes.index(streams.EXITS)] = [
+                _FixedExitDraws(exit_draw)] * n
+        built.append(dict(zip(purposes, rngs)))
+        return rngs
+
+    monkeypatch.setattr(streams, "substreams", spy)
+    return built
+
+
+def _spy_exit_hazard(monkeypatch):
+    """Record the arguments of every `exit_hazard` call the engine makes."""
+    calls = []
+    hazard = simulate.exit_hazard
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return hazard(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "exit_hazard", spy)
+    return calls
+
+
+def _untouched(rng, seed, purpose, idx):
+    """Whether ``rng`` has drawn nothing since `rng.substream` built it."""
+    fresh = streams.substream(seed, purpose, idx).bit_generator.state
+    return rng.bit_generator.state == fresh
+
+
+def test_a_sure_hit_reads_no_count_word(contest_config, make_posts,
+                                        monkeypatch):
+    """Worker 0 is sure to hit (skill 1): no `_count_offsets` is built for
+    them and their COUNTS generator reads nothing, while worker 1, at skill
+    0.5, draws from theirs."""
+    built = _spy_substreams(monkeypatch)
+    p_corrects = []
+    count_offsets = simulate._count_offsets
+
+    def spy(bit_generator, p_correct):
+        p_corrects.append(p_correct)
+        return count_offsets(bit_generator, p_correct)
+
+    monkeypatch.setattr(simulate, "_count_offsets", spy)
+    profiles = [_profile(id=0, skill=1.0), _profile(id=1, skill=0.5)]
+    posts = make_posts(40)
+    log = run_contest(contest_config(), profiles, posts, seed=3)
+    assert {e.worker_id for e in log.events} == {0, 1}
+    assert p_corrects == [0.5]
+    (counts,) = (rngs[streams.COUNTS] for rngs in built)
+    assert _untouched(counts[0], 3, streams.COUNTS, 0)
+    assert not _untouched(counts[1], 3, streams.COUNTS, 1)
+    assert log == reference_contest(contest_config(), profiles, posts, 3)
+
+
+@pytest.mark.parametrize("base_hazard, exit_threshold", [(0.0, 1.0),
+                                                         (1.0, 0.0)])
+@pytest.mark.parametrize("dispatch", DISPATCH_MODES)
+def test_a_zero_exit_bound_asks_no_hazard_and_draws_no_exit_uniform(
+        contest_config, make_posts, make_profiles, monkeypatch, base_hazard,
+        exit_threshold, dispatch):
+    built = _spy_substreams(monkeypatch)
+    calls = _spy_exit_hazard(monkeypatch)
+    contest = dict(config=contest_config(n_workers=4),
+                   profiles=make_profiles(4, skill=0.5,
+                                          exit_threshold=exit_threshold),
+                   posts=make_posts(40), seed=8, dispatch=dispatch,
+                   base_hazard=base_hazard)
+    log = run_contest(**contest)
+    assert calls == []
+    (exits,) = (rngs[streams.EXITS] for rngs in built)
+    assert all(_untouched(rng, 8, streams.EXITS, i)
+               for i, rng in enumerate(exits))
+    assert log.events and not log.exits
+    assert log == reference_contest(**contest)
+
+
+@pytest.mark.parametrize("base_hazard, exit_threshold, n_exits", [
+    (1000.0, 1.0, 1), (0.5, 0.5, 0)])
+def test_a_draw_at_the_exit_bound_asks_no_hazard_and_does_not_exit(
+        contest_config, make_posts, make_profiles, monkeypatch, base_hazard,
+        exit_threshold, n_exits):
+    """At spread 1 of 2, one worker is outside the spread at every
+    checkpoint.  A draw exactly at the bound, ``min(1, base_hazard *
+    exit_threshold)``, never exits, and the hazard is not asked; one just
+    below it is asked at each checkpoint until the worker exits (at a
+    bound of 1, at once: the hazard there is 1 too)."""
+    bound = min(1.0, base_hazard * exit_threshold)
+    for draw, want_calls, want_exits in [
+            (bound, 0, 0),
+            (math.nextafter(bound, 0.0), N_CHECKPOINTS if not n_exits else 1,
+             n_exits)]:
+        with monkeypatch.context() as patch:
+            _spy_substreams(patch, exit_draw=draw)
+            calls = _spy_exit_hazard(patch)
+            log = run_contest(contest_config(),
+                              make_profiles(2, exit_threshold=exit_threshold),
+                              make_posts(40), seed=0, base_hazard=base_hazard)
+        assert (len(calls), len(log.exits)) == (want_calls, want_exits), draw
+
+
 # --- the paused collector --------------------------------------------------
 
 def test_a_contest_runs_with_the_collector_off(
         collector_was_on, contest_config, make_posts, make_profiles,
         monkeypatch):
     # At spread 1 one of the two workers is outside the spread at every
-    # checkpoint, so the engine consults `exit_hazard` at each of them.
+    # checkpoint.  Each worker's exit bound is 1, so every draw lies below
+    # it and the engine consults `exit_hazard` at each checkpoint; the spy's
+    # hazard of 0 keeps both workers in.
     seen = []
-    hazard = simulate.exit_hazard
 
     def spy(*args, **kwargs):
         seen.append(gc.isenabled())
-        return hazard(*args, **kwargs)
+        return 0.0
 
     monkeypatch.setattr(simulate, "exit_hazard", spy)
-    log = run_contest(contest_config(n_posts=40), make_profiles(2),
-                      make_posts(40), seed=0)
+    log = run_contest(contest_config(n_posts=40),
+                      make_profiles(2, exit_threshold=1.0), make_posts(40),
+                      seed=0, base_hazard=1.0)
     assert log.events and len(seen) == N_CHECKPOINTS and not any(seen)
     assert gc.isenabled() is collector_was_on
 
@@ -667,8 +791,9 @@ def test_a_contest_that_raises_leaves_the_collector_as_it_was(
 
     monkeypatch.setattr(simulate, "exit_hazard", spy)
     with pytest.raises(ConfigurationError, match="hazard model failed"):
-        run_contest(contest_config(n_posts=40), make_profiles(2),
-                    make_posts(40), seed=0)
+        run_contest(contest_config(n_posts=40),
+                    make_profiles(2, exit_threshold=1.0), make_posts(40),
+                    seed=0, base_hazard=1.0)
     assert len(seen) == 6 and not any(seen)
     assert gc.isenabled() is collector_was_on
 
@@ -1617,6 +1742,40 @@ def test_replay_rejects_posts_swapped_between_workers(request, log_path,
         replay_validate(log, posts)
 
 
+# Header-only rules: a header whose hazard or floor the body's exits or
+# misses could not come from.
+
+def test_replay_rejects_exits_at_base_hazard_zero(hazard_log_path):
+    log = read_event_log(hazard_log_path)
+    posts = generate_corpus(log.config.n_posts, 1.2, seed=0)
+    assert len(log.exits) == 15
+    replay_validate(log, posts)
+    log.base_hazard = 0.0
+    with pytest.raises(ContractViolation, match=re.escape(
+            "log.exits[0] (worker 15, exit_time_ms 12000): exit at "
+            "base_hazard 0")):
+        replay_validate(log, posts)
+
+
+@pytest.mark.parametrize("accuracy_floor", [1.0, 3.5])
+def test_replay_rejects_misses_at_an_accuracy_floor_of_one(stock_log_path,
+                                                          accuracy_floor):
+    log = read_event_log(stock_log_path)
+    posts = generate_corpus(log.config.n_posts, 1.2, seed=0)
+    misses = [i for i, e in enumerate(log.events)
+              if e.annotated_count != posts[e.post_id].expected_entities]
+    assert len(misses) == 596 and misses[0] == 0
+    replay_validate(log, posts)
+    log.accuracy_floor = accuracy_floor
+    first = log.events[0]
+    truth = posts[first.post_id].expected_entities
+    with pytest.raises(ContractViolation, match=re.escape(
+            f"log.events[0] (worker {first.worker_id}, event_index 0): "
+            f"annotated_count {first.annotated_count} != true count "
+            f"{truth} at accuracy_floor {accuracy_floor}")):
+        replay_validate(log, posts)
+
+
 def _after_first_exit(log):
     """Position of the first event after the first exit."""
     return next(i for i, e in enumerate(log.events)
@@ -1773,13 +1932,15 @@ def test_replay_counts_worker_id_descents_against_shared_checkpoints(
         order, ok, make_posts, make_profiles, contest_config):
     # A 10 ms horizon puts two checkpoints on its last millisecond, so the
     # exits there may come from two checkpoints: two rising runs of ids.
+    # The hazard is positive, since replay refuses any exit at 0; the
+    # profiles' zero exit thresholds keep the run itself free of exits.
     config = contest_config(n_workers=4, n_posts=4, window_size=4,
                             task_unit_time_s=0.01, task_unit_size=1,
                             arrival_rate=400.0)
     posts = make_posts(4)
     log = run_contest(config, make_profiles(4, lambda_in=1e-3,
                                             lambda_out=1e-3),
-                      posts, seed=0, base_hazard=0.0)
+                      posts, seed=0, base_hazard=1.0)
     assert log.horizon_ms == 10 and not log.events
     assert simulate.checkpoint_times(10).count(10) == 2
     # No one annotates, so worker w holds rank w + 1 throughout.

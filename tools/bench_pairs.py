@@ -3,15 +3,19 @@
     python3 tools/bench_pairs.py --base REV --workload NAME
         [--seed N] [--seconds S] [--pairs P]
 
-Run from anywhere inside the repository.  The base revision is checked out
-into a temporary ``git worktree`` (under ``$TMPDIR``), which is removed on
-exit, also when SIGTERM or SIGHUP stops the run.  Each pair runs
+Run from anywhere inside the repository.  Both sides run from fresh
+copies, made the same way: the base revision, and a commit on no branch of
+the working tree's tracked files and its untracked files that are not
+ignored, are each checked out into a temporary ``git worktree`` (under
+``$TMPDIR``).  The repository's index, refs and files are left alone, and
+both copies are removed on exit, also when SIGTERM or SIGHUP stops the run.
+Each pair runs
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0
 
-once in the base and once in the working tree; the side that runs first
-flips from one pair to the next, so a drift in host speed does not favour
-either side.
+once in the base copy and once in the working tree's; the side that runs
+first flips from one pair to the next, so a drift in host speed does not
+favour either side.
 
 For each end-to-end metric in BENCHMARK.json it prints both sides' median
 and quartiles, how many pairs the working tree won, whether the gain rule
@@ -37,17 +41,55 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import statistics
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 
-def git(*args: str, cwd: Path) -> str:
+def git(*args: str, cwd: Path, env: dict | None = None) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, text=True,
-                          capture_output=True).stdout.strip()
+                          capture_output=True, env=env).stdout.strip()
+
+
+def working_tree_commit(root: Path, index: Path) -> str:
+    """A commit, on no branch, of the working tree's tracked files and its
+    untracked files that are not ignored, staged in a scratch ``index``
+    file; the repository's own index and refs are left alone."""
+    name = "bench_pairs"
+    env = {**os.environ, "GIT_INDEX_FILE": str(index),
+           "GIT_AUTHOR_NAME": name, "GIT_AUTHOR_EMAIL": f"{name}@localhost",
+           "GIT_COMMITTER_NAME": name,
+           "GIT_COMMITTER_EMAIL": f"{name}@localhost"}
+    git("read-tree", "HEAD", cwd=root, env=env)
+    git("add", "--all", cwd=root, env=env)
+    tree = git("write-tree", cwd=root, env=env)
+    return git("commit-tree", tree, "-p", "HEAD", "-m", "working tree",
+               cwd=root, env=env)
+
+
+@contextmanager
+def checkouts(root: Path, base: str):
+    """Yield ``(base_tree, change_tree)``: temporary ``git worktree``s of
+    the revision ``base`` and of `working_tree_commit`, both removed on
+    exit."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        revs = {"base": base,
+                "change": working_tree_commit(root, Path(tmp) / "index")}
+        trees = []
+        try:
+            for name, rev in revs.items():
+                tree = Path(tmp) / name
+                git("worktree", "add", "--detach", str(tree), rev, cwd=root)
+                trees.append(tree)
+            yield tuple(trees)
+        finally:
+            for tree in trees:
+                git("worktree", "remove", "--force", str(tree), cwd=root)
 
 
 class RunFailed(Exception):
@@ -55,8 +97,8 @@ class RunFailed(Exception):
 
 
 def exit_on_signal(signum: int, frame) -> None:
-    """Raise `SystemExit`, so that ``finally`` blocks run and the base
-    worktree is removed."""
+    """Raise `SystemExit`, so that ``finally`` blocks run and both
+    worktrees are removed."""
     raise SystemExit(128 + signum)
 
 
@@ -159,28 +201,25 @@ def main(argv=None) -> int:
     metrics = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
     base_commit = git("rev-parse", "--verify", f"{args.base}^{{commit}}",
                       cwd=root)
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        base_tree = Path(tmp) / "base"
-        git("worktree", "add", "--detach", str(base_tree), args.base, cwd=root)
+    with checkouts(root, args.base) as (base_tree, change_tree):
         try:
-            runs: dict[Path, list[dict]] = {base_tree: [], root: []}
+            runs: dict[Path, list[dict]] = {base_tree: [], change_tree: []}
             for i in range(args.pairs):
-                order = (base_tree, root) if i % 2 == 0 else (root, base_tree)
+                order = ((base_tree, change_tree) if i % 2 == 0
+                         else (change_tree, base_tree))
                 for checkout in order:
                     runs[checkout].append(run_benchmark(
                         checkout, args.workload, args.seed, args.seconds))
                 print(f"pair {i + 1}: " + "  ".join(
                     f"{m['name']} {runs[base_tree][-1][m['name']]:.6g} -> "
-                    f"{runs[root][-1][m['name']]:.6g}" for m in metrics),
-                    flush=True)
+                    f"{runs[change_tree][-1][m['name']]:.6g}"
+                    for m in metrics), flush=True)
         except RunFailed as exc:
             print(f"bench_pairs: {exc}", file=sys.stderr)
             return 1
-        finally:
-            git("worktree", "remove", "--force", str(base_tree), cwd=root)
     print(f"{args.workload} seed={args.seed} seconds={args.seconds} "
           f"pairs={args.pairs} base={args.base}")
-    summary = summarize(metrics, runs[base_tree], runs[root])
+    summary = summarize(metrics, runs[base_tree], runs[change_tree])
     for line in report(summary):
         print(line)
     print(json.dumps({
@@ -188,7 +227,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds, "base": args.base,
         "base_commit": base_commit,
         "pairs": [{"base": b, "change": c}
-                  for b, c in zip(runs[base_tree], runs[root])],
+                  for b, c in zip(runs[base_tree], runs[change_tree])],
         "metrics": summary,
     }, sort_keys=True))
     return 0
