@@ -211,7 +211,3 @@ def main(argv=None) -> int:
     except (ContestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

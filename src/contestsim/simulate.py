@@ -118,6 +118,14 @@ DISPATCH_MODES = ("windowed", "shared")
 _RATE_FLOOR = 1e-12
 _PERTURBATIONS = (-2, -1, 1, 2)
 
+
+def _miss_counts(truth: int) -> frozenset:
+    """The counts a miss on a post of ``truth`` entities can report:
+    ``max(0, truth + o)`` for each ``o`` in `_PERTURBATIONS`.  The engine
+    draws its offsets inline; `replay_validate` holds a miss to this set."""
+    return frozenset(max(0, truth + o) for o in _PERTURBATIONS)
+
+
 Seed = Union[int, Sequence[int]]
 
 
@@ -918,8 +926,10 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     0 inside it), in rising worker id among the exits of one checkpoint,
     and that its rank and eligibility equal the leaderboard state after
     every event at or before it; at ``base_hazard`` 0 no exit at all.  Per
-    annotation at ``accuracy_floor`` 1 or more: the true count, since
-    skill lies in [0, 1] and every worker is sure to hit.  Globally: that
+    annotation: the true count or a count a miss gives (`_miss_counts`).
+    Skill lies in [0, 1], so at ``accuracy_floor`` 1 or more every worker
+    is sure to hit and each count is the true one, and at -1 or less every
+    draw misses and no non-empty post gets its true count.  Globally: that
     the header passes `check_header` and no event falls after
     ``horizon_ms``, post conservation of all ``n_posts`` (an unsolved post
     is dropped under windowed dispatch, pending under shared), the
@@ -940,8 +950,11 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
     _check_posts(log.config, posts, expected)
     horizon_ms, n_posts = log.horizon_ms, log.config.n_posts
     spread, base_points = log.config.reward_spread, log.config.base_points
-    # The least skill is 0, so the floor alone may make every hit sure.
+    # The least skill is 0 and the most 1, so the floor alone may make
+    # every hit sure or every draw a miss.
     sure_hit = _p_correct(0.0, log.accuracy_floor) == 1.0
+    sure_miss = _p_correct(1.0, log.accuracy_floor) == 0.0
+    miss_counts = {t: _miss_counts(t) for t in {*expected.values()}}
     worker_ids = [e.worker_id for e in log.final_ranking]
     board = Leaderboard(worker_ids)
     position = {w: k for k, w in enumerate(worker_ids)}  # into the lists below
@@ -1042,11 +1055,21 @@ def replay_validate(log: EventLog, posts: Sequence[Post]) -> None:
                 raise violation(pos, "eligibility flag inconsistent")
             if hold < 1:
                 raise violation(pos, "holding_time_ms must be a positive integer")
-            if annotated != truth and sure_hit:
-                raise violation(pos, f"annotated_count {annotated} != true "
-                                f"count {truth} at accuracy_floor "
-                                f"{log.accuracy_floor}, where every count "
-                                "is exact")
+            if annotated != truth:
+                if sure_hit:
+                    raise violation(pos, f"annotated_count {annotated} != "
+                                    f"true count {truth} at accuracy_floor "
+                                    f"{log.accuracy_floor}, where every "
+                                    "count is exact")
+                if annotated not in miss_counts[truth]:
+                    raise violation(pos, f"annotated_count {annotated} is "
+                                    f"neither the true count {truth} nor a "
+                                    f"miss of it {sorted(miss_counts[truth])}")
+            elif sure_miss and truth:
+                raise violation(pos, f"annotated_count {annotated} is the true "
+                                f"count at accuracy_floor "
+                                f"{log.accuracy_floor}, where every draw "
+                                "misses")
             solved += 1
             if remaining != n_posts - solved:
                 raise violation(pos, "annotations_remaining countdown broken")

@@ -1,13 +1,19 @@
-"""End-to-end checks of the command-line front end, run in-process."""
+"""End-to-end checks of the command-line front end, run in-process, and
+one run of ``python -m contestsim`` for its entry point and exit status."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import contestsim
 from contestsim import (BehaviorPrior, ConfigurationError, generate_corpus,
                         parse_experiment_config, read_corpus, read_event_log,
                         run_contest, verify_manifest, write_corpus,
@@ -49,6 +55,27 @@ def test_gen_corpus_writes_the_requested_posts(tmp_path, capsys):
     assert main(["gen-corpus", "--n-posts", "30", "--out", str(out)]) == 0
     assert len(read_corpus(out)) == 30
     assert "wrote 30 posts" in capsys.readouterr().out
+
+
+def test_python_m_contestsim_exits_with_mains_status(tmp_path):
+    # `__main__.py` and the process exit code, which in-process calls of
+    # `main` never reach.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(contestsim.__file__).parents[1]))
+
+    def run(n_posts, out):
+        return subprocess.run(
+            [sys.executable, "-m", "contestsim", "gen-corpus", "--n-posts",
+             n_posts, "--out", out], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=60)
+
+    good = run("3", "corpus.jsonl")
+    assert (good.returncode, good.stderr) == (0, "")
+    assert len(read_corpus(tmp_path / "corpus.jsonl")) == 3
+    bad = run("-1", "bad.jsonl")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert re.fullmatch(r"error: [^\n]*\n", bad.stderr)
+    assert not (tmp_path / "bad.jsonl").exists()
 
 
 def test_gen_corpus_rejects_bad_arguments(tmp_path, capsys):
@@ -283,8 +310,8 @@ def test_fit_without_worker_covers_idle_workers(tmp_path, contest_config,
 @pytest.mark.parametrize("model", ["two_state", "log_linear"])
 def test_fit_names_the_first_non_positive_holding_time(tmp_path, capsys,
                                                        model):
-    # The CI workflow's config and corpus, with the first event's holding
-    # time set to 0 as `sed '2s/"holding_time_ms":[0-9]*/.../'` would.
+    # CONFIG at master seed 0 and one replication, on the seed-0 corpus,
+    # with the first event's holding time set to 0.
     config = tmp_path / "sweep.cfg"
     config.write_text(CONFIG.replace("replications=2", "replications=1")
                       .replace("master_seed=7", "master_seed=0"),
@@ -386,7 +413,10 @@ def test_recover_rejects_an_infinite_rate(capsys):
     assert "Traceback" not in err
 
 
-def test_validate_accepts_an_untouched_log(tmp_path, config_file, capsys):
+@pytest.mark.parametrize("dispatch", ["windowed", "shared"])
+def test_validate_accepts_an_untouched_log(tmp_path, capsys, dispatch):
+    config_file = tmp_path / "sweep.cfg"
+    config_file.write_text(CONFIG + f"dispatch={dispatch}\n", encoding="utf-8")
     corpus = tmp_path / "corpus.jsonl"
     log_path = tmp_path / "contest.jsonl"
     assert main(["gen-corpus", "--n-posts", "40", "--seed", "7",
@@ -687,13 +717,16 @@ def test_wrong_typed_log_header_field_fails_cleanly(
     assert err == f"error: {log_path}:1: {rule}\n"
 
 
+@pytest.mark.parametrize("index, key", [(0, "mystery"), (1, "x")],
+                         ids=["header", "body"])
 @pytest.mark.parametrize("command", ["validate", "fit"])
-def test_an_unknown_key_on_a_body_line_fails_cleanly(
-        tmp_path, contest_files, capsys, command):
+def test_an_unknown_key_on_a_log_line_fails_cleanly(
+        tmp_path, contest_files, capsys, command, index, key):
     corpus, log_path = contest_files
-    _edit_line(log_path, 1, lambda record: record.update(x=1))
+    _edit_line(log_path, index, lambda record: record.update({key: 1}))
     code, err = _run_on_log(command, corpus, log_path, tmp_path, capsys)
-    assert (code, err) == (2, f'error: {log_path}:2: unknown key "x"\n')
+    assert (code, err) == (
+        2, f'error: {log_path}:{index + 1}: unknown key "{key}"\n')
     assert not (tmp_path / "fits.jsonl").exists()
 
 
@@ -813,7 +846,8 @@ def test_validate_flags_a_header_base_hazard_run_contest_refuses(
     # The log_linear fit would scale elapsed time by this horizon.
     ({"horizon_ms": 7},
      "{path}:1: horizon_ms 7 != 20000 from the config and windowed dispatch"),
-], ids=["base_hazard", "horizon_ms"])
+    ({"seed": [0, -1]}, f"{{path}}:1: seed must be {_SEED_RULE}, got [0,-1]"),
+], ids=["base_hazard", "horizon_ms", "seed"])
 def test_fit_refuses_a_header_that_validate_refuses(
         tmp_path, contest_files, capsys, forged, rule, model):
     corpus, log_path = contest_files
@@ -829,18 +863,29 @@ def test_fit_refuses_a_header_that_validate_refuses(
                        capsys) == (code, err)
 
 
+@pytest.mark.parametrize("after_exits, event_index", [(False, 2), (True, 99)],
+                         ids=["first", "after the exits"])
 @pytest.mark.parametrize("command", ["validate", "fit"])
 def test_an_event_index_out_of_order_names_its_line(
-        tmp_path, contest_files, capsys, command):
+        tmp_path, contest_files, capsys, command, after_exits, event_index):
+    # The reader reads a chunk that fails a check again line by line, so
+    # the message names the line, also after the exit lines.
     corpus, log_path = contest_files
     lines = log_path.read_text("utf-8").splitlines()
-    index = next(i for i, line in enumerate(lines)
-                 if '"event_index":1,' in line)
+    annotations = [i for i, line in enumerate(lines)
+                   if '"holding_time_ms"' in line]
+    if after_exits:
+        index = annotations[-1]
+        assert any('"exit_time_ms"' in line for line in lines[:index])
+    else:
+        index = next(i for i in annotations if '"event_index":1,' in lines[i])
     worker = json.loads(lines[index])["worker_id"]
-    _edit_line(log_path, index, lambda record: record.update(event_index=2))
+    _edit_line(log_path, index,
+               lambda record: record.update(event_index=event_index))
     code, err = _run_on_log(command, corpus, log_path, tmp_path, capsys)
     assert (code, err) == (2, f"error: {log_path}:{index + 1}: worker "
                               f"{worker} event_index out of order\n")
+    assert not (tmp_path / "fits.jsonl").exists()
 
 
 def _spread_four_files(tmp_path, dispatch):
@@ -1098,9 +1143,8 @@ def test_recover_out_is_json_without_nan(tmp_path, capsys):
     assert record["unidentifiable"] == 2
 
 
-# The sha256 of each `recover --out` file: the CI workflow's run and one
-# more drawn from the default prior.  A change to the engine, the fit or the
-# pooling of runs moves them.
+# The sha256 of each `recover --out` file, two runs drawn from the default
+# prior.  A change to the engine, the fit or the pooling of runs moves them.
 PINNED_RECOVER_FILES = {
     "--target 200 --seeds 0,1":
         "be330560bff3a843edd008d540160da56a449b22802dd91783a875af5d8ca9f6",

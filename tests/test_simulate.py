@@ -1696,16 +1696,6 @@ def test_replay_rejects_a_post_annotated_twice(stock_log_path):
         f"{second.event_index}): post 110 annotated twice")
 
 
-# The replay checks neither the deal nor the count rule (ROADMAP item 11),
-# so each tamper below, which leaves every score as it was, passes today.
-# Only `pytest.raises` failing counts as the expected failure: a drifted
-# precondition fails the test.
-_REPLAY_GAP = pytest.mark.xfail(
-    strict=True, raises=pytest.fail.Exception,
-    reason="replay checks neither the deal nor the count rule")
-
-
-@_REPLAY_GAP
 @pytest.mark.parametrize("log_path, pos, true_count", [
     ("stock_log_path", 3, 3), ("shared_log_path", 5, 2)])
 def test_replay_rejects_a_count_the_count_rule_cannot_give(
@@ -1718,8 +1708,20 @@ def test_replay_rejects_a_count_the_count_rule_cannot_give(
     assert posts[event.post_id].expected_entities == true_count
     replay_validate(log, posts)
     log.events[pos] = event._replace(annotated_count=99)
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match=re.escape(
+            f"log.events[{pos}] (worker {event.worker_id}, event_index "
+            f"{event.event_index}): annotated_count 99 is neither the true "
+            f"count {true_count} nor a miss of it")):
         replay_validate(log, posts)
+
+
+# The replay does not check the deal (ROADMAP item 11), so the tamper
+# below, which leaves every score as it was, passes today.  Only
+# `pytest.raises` failing counts as the expected failure: a drifted
+# precondition fails the test.
+_REPLAY_GAP = pytest.mark.xfail(
+    strict=True, raises=pytest.fail.Exception,
+    reason="replay does not check the deal")
 
 
 @_REPLAY_GAP
@@ -1773,6 +1775,25 @@ def test_replay_rejects_misses_at_an_accuracy_floor_of_one(stock_log_path,
             f"log.events[0] (worker {first.worker_id}, event_index 0): "
             f"annotated_count {first.annotated_count} != true count "
             f"{truth} at accuracy_floor {accuracy_floor}")):
+        replay_validate(log, posts)
+
+
+@pytest.mark.parametrize("accuracy_floor", [-1.0, -3.5])
+def test_replay_rejects_hits_at_an_accuracy_floor_of_minus_one(
+        stock_log_path, accuracy_floor):
+    # Skill lies in [0, 1], so at a floor of -1 or less every draw misses,
+    # and a miss on a non-empty post never lands on its true count.
+    log = read_event_log(stock_log_path)
+    posts = generate_corpus(log.config.n_posts, 1.2, seed=0)
+    pos, hit = next((i, e) for i, e in enumerate(log.events)
+                    if e.annotated_count
+                    == posts[e.post_id].expected_entities > 0)
+    replay_validate(log, posts)
+    log.accuracy_floor = accuracy_floor
+    with pytest.raises(ContractViolation, match=re.escape(
+            f"log.events[{pos}] (worker {hit.worker_id}, event_index "
+            f"{hit.event_index}): annotated_count {hit.annotated_count} is "
+            f"the true count at accuracy_floor {accuracy_floor}")):
         replay_validate(log, posts)
 
 
