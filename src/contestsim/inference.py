@@ -14,6 +14,11 @@ its Hessian X^T diag(r * tau) X is cheap; it is fitted by damped Newton
 steps (iteratively reweighted least squares) with a backtracking line
 search.  Each log-linear fit records why it stopped (``stop_reason``) and
 which features its data cannot identify (``unidentified``).
+
+A fit reads the fields it needs from its events in one numpy pass
+(`_event_columns`) and builds its design matrix from those columns by numpy
+arithmetic, so each row equals `FeatureNorms.vector` of its event bit for
+bit while ranks, times and counts are integers below 2**53.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -51,8 +58,10 @@ class FeatureNorms:
     n_posts: int
 
     def __post_init__(self) -> None:
-        if self.n_workers < 1 or self.horizon_ms < 1 or self.n_posts < 1:
-            raise ConfigurationError("feature norms must be positive")
+        if not all(1 <= total < math.inf for total in (
+                self.n_workers, self.horizon_ms, self.n_posts)):
+            raise ConfigurationError(
+                f"feature norms must be positive and finite, got {self}")
 
     @classmethod
     def from_log(cls, log: EventLog) -> "FeatureNorms":
@@ -63,7 +72,8 @@ class FeatureNorms:
                eligible: bool) -> tuple[float, ...]:
         """Standardized features, in `FEATURE_NAMES` order, of a worker at
         ``rank`` ``elapsed_ms`` into the contest with ``remaining`` posts
-        left to annotate."""
+        left to annotate.  `_log_linear_data` builds these rows for a whole
+        event sequence at once."""
         return (1.0, rank / self.n_workers, elapsed_ms / self.horizon_ms,
                 remaining / self.n_posts, 1.0 if eligible else 0.0)
 
@@ -101,11 +111,23 @@ def _non_positive_holding(e: AnnotationEvent) -> DegenerateDataError:
         f"holding_time_ms must be positive, got {e.holding_time_ms}")
 
 
-def _holding_seconds(events: Sequence[AnnotationEvent]) -> np.ndarray:
-    tau = np.array([e.holding_time_ms for e in events], dtype=float) / 1000.0
-    if len(tau) and tau.min() <= 0.0:
-        raise _non_positive_holding(events[int(np.argmax(tau <= 0.0))])
-    return tau
+# The fields a fit reads from each event, in `_event_columns` order.
+_FIT_FIELDS = itemgetter(*map(AnnotationEvent._fields.index, (
+    "event_time_ms", "holding_time_ms", "rank_at_event", "eligible_at_event",
+    "annotations_remaining")))
+
+
+def _event_columns(events: Sequence[AnnotationEvent]) -> np.ndarray:
+    """Event times, holding times, ranks, eligibility flags and remaining-
+    post counts of a non-empty event sequence: five float columns, read in
+    one pass."""
+    n = len(events)
+    columns = np.fromiter(chain.from_iterable(map(_FIT_FIELDS, events)),
+                          float, count=5 * n).reshape(n, 5).T
+    holding = columns[1]
+    if holding.min() <= 0.0:
+        raise _non_positive_holding(events[int(np.argmax(holding <= 0.0))])
+    return columns
 
 
 def _log_linear_data(events: Sequence[AnnotationEvent],
@@ -114,16 +136,18 @@ def _log_linear_data(events: Sequence[AnnotationEvent],
     """Design matrix and holding seconds of a non-empty event sequence."""
     if norms is None:
         raise ConfigurationError("log-linear likelihood needs feature norms")
-    tau = _holding_seconds(events)
+    time, holding, rank, eligible, remaining = _event_columns(events)
     # Each row describes the interval that ended with the event: its rank
     # and eligibility already do, the elapsed time comes from the
     # holding-time recursion, and the remaining-post count is stepped back
-    # over the event itself.
-    return np.array([norms.vector(e.rank_at_event,
-                                  e.event_time_ms - e.holding_time_ms,
-                                  e.annotations_remaining + 1,
-                                  e.eligible_at_event)
-                     for e in events], dtype=float), tau
+    # over the event itself.  The columns are `FeatureNorms.vector`'s.
+    x = np.empty((len(events), len(FEATURE_NAMES)))
+    x[:, 0] = 1.0
+    x[:, 1] = rank / norms.n_workers
+    x[:, 2] = (time - holding) / norms.horizon_ms
+    x[:, 3] = (remaining + 1.0) / norms.n_posts
+    x[:, 4] = eligible
+    return x, holding / 1000.0
 
 
 def _as_theta(theta: Sequence[float], name: str = "theta") -> np.ndarray:
@@ -131,6 +155,8 @@ def _as_theta(theta: Sequence[float], name: str = "theta") -> np.ndarray:
     if th.shape != (len(FEATURE_NAMES),):
         raise ConfigurationError(
             f"{name} must have {len(FEATURE_NAMES)} components")
+    if not np.isfinite(th).all():
+        raise ConfigurationError(f"{name} must be finite, got {th.tolist()}")
     return th
 
 
@@ -149,7 +175,7 @@ def _log_linear_terms(x: np.ndarray, tau: np.ndarray, theta: np.ndarray
     eta = x @ theta
     growth = tau * np.expm1(eta)
     mu = tau + growth
-    return float(np.sum(growth - eta)), x.T @ (mu - 1.0), (x.T * mu) @ x, mu
+    return float((growth - eta).sum()), x.T @ (mu - 1.0), (x.T * mu) @ x, mu
 
 
 def negative_log_likelihood(events: Sequence[AnnotationEvent],
@@ -160,16 +186,18 @@ def negative_log_likelihood(events: Sequence[AnnotationEvent],
     if not events:
         return 0.0
     if model_kind == "two_state":
-        tau = _holding_seconds(events)
         lam_in, lam_out = params
-        if lam_in <= 0.0 or lam_out <= 0.0:
-            raise ConfigurationError("two-state rates must be positive")
-        rates = np.where([e.eligible_at_event for e in events], lam_in, lam_out)
-        return float(np.sum(-np.log(rates) + rates * tau))
+        if not (0.0 < lam_in < math.inf and 0.0 < lam_out < math.inf):
+            raise ConfigurationError(
+                "two-state rates must be positive and finite, "
+                f"got {lam_in!r} and {lam_out!r}")
+        _, holding, _, eligible, _ = _event_columns(events)
+        rates = np.where(eligible != 0.0, lam_in, lam_out)
+        return float((-np.log(rates) + rates * (holding / 1000.0)).sum())
     if model_kind == "log_linear":
         theta = _as_theta(params)
         x, tau = _log_linear_data(events, norms)
-        return float(np.sum(tau)) + _log_linear_terms(x, tau, theta)[0]
+        return float(tau.sum()) + _log_linear_terms(x, tau, theta)[0]
     raise ConfigurationError(f"unknown model kind {model_kind!r}")
 
 
@@ -267,12 +295,11 @@ def fit_log_linear(events: Sequence[AnnotationEvent], norms: FeatureNorms,
     """
     if max_iters < 1:
         raise ConfigurationError("max_iters must be >= 1")
-    if tolerance <= 0.0:
-        raise ConfigurationError("tolerance must be positive")
+    if not 0.0 < tolerance < math.inf:
+        raise ConfigurationError(
+            f"tolerance must be positive and finite, got {tolerance!r}")
     theta = (np.zeros(len(FEATURE_NAMES)) if init_theta is None
              else _as_theta(init_theta, "init_theta"))
-    n_in = sum(1 for e in events if e.eligible_at_event)
-    n_out = len(events) - n_in
     if not events:
         return FittedBehavior(worker_id=worker_id, model_kind="log_linear",
                               lambda_in_hat=None, lambda_out_hat=None,
@@ -281,16 +308,19 @@ def fit_log_linear(events: Sequence[AnnotationEvent], norms: FeatureNorms,
                               stop_reason="empty", unidentified=FEATURE_NAMES)
 
     x, tau = _log_linear_data(events, norms)
-    unidentified = tuple(name for name, column in zip(FEATURE_NAMES, x.T)
-                         if not column.any())
+    n_in = int(np.count_nonzero(x[:, FEATURE_NAMES.index("eligible")]))
+    n_out = len(events) - n_in
+    unidentified = tuple(name for name, seen in zip(FEATURE_NAMES,
+                                                    x.any(axis=0))
+                         if not seen)
     change, g, h, mu = _log_linear_terms(x, tau, theta)
-    nll = float(np.sum(tau)) + change
+    nll = float(tau.sum()) + change
     if not math.isfinite(nll):
         raise DegenerateDataError("loss is non-finite at the starting point")
     history = [nll]
     stop_reason = "max_iters"
     for iterations in range(max_iters + 1):
-        g_norm = float(np.max(np.abs(g)))
+        g_norm = float(np.abs(g).max())
         if g_norm < tolerance:
             stop_reason = "converged"
             break
@@ -311,7 +341,7 @@ def fit_log_linear(events: Sequence[AnnotationEvent], norms: FeatureNorms,
             # full step is still progress if the loss holds and g shrinks.
             step, trial = 1.0, _log_linear_terms(x, mu, -newton)
             if not (trial[0] <= 0.0
-                    and float(np.max(np.abs(trial[1]))) < g_norm):
+                    and float(np.abs(trial[1]).max()) < g_norm):
                 stop_reason = "stalled"
                 break
         theta = theta - step * newton

@@ -25,10 +25,10 @@ from contestsim.inference import (_log_linear_data, _recovery_config,
 NORMS = FeatureNorms(n_workers=10, horizon_ms=20_000, n_posts=40)
 
 
-def _random_chain(event_chain, gen, n):
+def _random_chain(event_chain, gen, n, p_eligible=0.5):
     specs = []
     for _ in range(n):
-        eligible = gen.random() < 0.5
+        eligible = gen.random() < p_eligible
         rank = 1 if eligible else int(gen.integers(2, 11))
         specs.append((int(gen.integers(50, 3000)), eligible, rank))
     return event_chain(specs)
@@ -44,9 +44,56 @@ def test_feature_vector_describes_the_interval_start(event_chain):
     assert tuple(x[0]) == (1.0, 0.5, 0.5, 0.2, 0.0)
 
 
+def _listed_data(events, norms):
+    """The design matrix and holding seconds built one event at a time."""
+    x = np.array([norms.vector(e.rank_at_event,
+                               e.event_time_ms - e.holding_time_ms,
+                               e.annotations_remaining + 1,
+                               e.eligible_at_event)
+                  for e in events], dtype=float)
+    tau = np.array([e.holding_time_ms for e in events], dtype=float) / 1000.0
+    return x, tau
+
+
+def _assert_rows_are_feature_vectors(events, norms):
+    for got, want in zip(_log_linear_data(events, norms),
+                         _listed_data(events, norms)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_design_rows_are_feature_vectors_on_the_stock_log(stock_log_path):
+    log = read_event_log(stock_log_path)
+    by_worker = defaultdict(list)
+    for e in log.events:
+        by_worker[e.worker_id].append(e)
+    norms = FeatureNorms.from_log(log)
+    assert len(by_worker) == 20
+    for events in by_worker.values():
+        _assert_rows_are_feature_vectors(events, norms)
+
+
+@pytest.mark.parametrize("p_eligible", [0.0, 1.0, 0.5],
+                         ids=["never eligible", "always eligible", "mixed"])
+@pytest.mark.parametrize("norms", [
+    NORMS, FeatureNorms(n_workers=7, horizon_ms=19_997, n_posts=43)],
+    ids=["round norms", "odd norms"])
+def test_design_rows_are_feature_vectors_on_random_chains(
+        event_chain, p_eligible, norms):
+    gen = np.random.default_rng(71)
+    for _ in range(20):
+        events = _random_chain(event_chain, gen, int(gen.integers(1, 80)),
+                               p_eligible)
+        _assert_rows_are_feature_vectors(events, norms)
+
+
 def test_feature_norms_require_positive_totals():
-    for bad in (dict(n_workers=0), dict(horizon_ms=0), dict(n_posts=0)):
-        with pytest.raises(ConfigurationError):
+    for bad in (dict(n_workers=0), dict(horizon_ms=0), dict(n_posts=0),
+                dict(n_workers=math.nan), dict(horizon_ms=math.inf),
+                dict(n_posts=math.nan)):
+        with pytest.raises(ConfigurationError,
+                           match="^feature norms must be positive and finite"):
             FeatureNorms(**{**dict(n_workers=2, horizon_ms=1000, n_posts=10),
                             **bad})
 
@@ -87,6 +134,48 @@ def test_log_linear_nll_at_zero_theta_is_total_holding_seconds(event_chain):
     events = event_chain([(500, True), (1500, False)])
     got = negative_log_likelihood(events, [0.0] * 5, "log_linear", NORMS)
     assert got == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("rates", [
+    (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+    (1.0, -math.inf)], ids=["nan in", "nan out", "inf in", "inf out",
+                            "-inf out"])
+def test_two_state_nll_refuses_non_finite_rates(event_chain, rates):
+    events = event_chain([(1000, True), (500, False)])
+    with pytest.raises(ConfigurationError, match=(
+            "^two-state rates must be positive and finite, got ")):
+        negative_log_likelihood(events, rates)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_log_linear_loss_and_gradient_refuse_a_non_finite_theta(event_chain,
+                                                                 bad):
+    events = event_chain([(1000, True), (500, False)])
+    theta = [0.0, bad, 0.0, 0.0, 0.0]
+    message = r"^theta must be finite, got \[0.0, -?(nan|inf), 0.0, 0.0, 0.0\]$"
+    with pytest.raises(ConfigurationError, match=message):
+        negative_log_likelihood(events, theta, "log_linear", NORMS)
+    with pytest.raises(ConfigurationError, match=message):
+        nll_gradient(events, theta, NORMS)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda events: negative_log_likelihood(events, (1.0, 1.0)),
+    lambda events: negative_log_likelihood(events, [0.0] * 5, "log_linear",
+                                           NORMS),
+    lambda events: nll_gradient(events, [0.0] * 5, NORMS),
+    lambda events: fit_log_linear(events, NORMS),
+], ids=["two-state loss", "log-linear loss", "gradient", "log-linear fit"])
+def test_losses_and_log_linear_fit_name_the_first_non_positive_holding_time(
+        event_chain, fit):
+    events = event_chain([(1000, True), (500, False), (700, True),
+                          (300, False)], worker_id=4)
+    events[2] = events[2]._replace(holding_time_ms=0)
+    events[3] = events[3]._replace(holding_time_ms=-5)
+    with pytest.raises(DegenerateDataError, match=(
+            r"^worker 4, event_index 2: holding_time_ms must be positive, "
+            r"got 0$")):
+        fit(events)
 
 
 def test_nll_validation(event_chain):
@@ -352,6 +441,22 @@ def test_log_linear_validation(event_chain):
         fit_log_linear(events, NORMS, tolerance=0.0)
     with pytest.raises(ConfigurationError):
         fit_log_linear(events, NORMS, init_theta=[0.0, 1.0])
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+def test_log_linear_fit_refuses_a_non_finite_tolerance(event_chain, tolerance):
+    events = event_chain([(1000, True), (500, False)])
+    with pytest.raises(ConfigurationError, match=(
+            "^tolerance must be positive and finite, got ")):
+        fit_log_linear(events, NORMS, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_log_linear_fit_refuses_a_non_finite_start(event_chain, bad):
+    # A start the caller chose, not the data, is at fault.
+    events = event_chain([(1000, True), (500, False)])
+    with pytest.raises(ConfigurationError, match="^init_theta must be finite"):
+        fit_log_linear(events, NORMS, init_theta=[bad, 0.0, 0.0, 0.0, 0.0])
 
 
 # --- fitted-model serialization ---------------------------------------------
