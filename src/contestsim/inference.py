@@ -35,7 +35,7 @@ import numpy as np
 
 from . import rng as streams
 from .core import (ContestConfig, Post, WorkerProfile, canonical_json,
-                   collector_paused, write_atomic)
+                   collector_paused, quote, write_atomic)
 from .errors import ConfigurationError, DegenerateDataError
 from .simulate import AnnotationEvent, EventLog, draw_behavior, run_contest
 
@@ -293,8 +293,10 @@ def fit_log_linear(events: Sequence[AnnotationEvent], norms: FeatureNorms,
 
     Only ``"converged"`` sets ``converged``.
     """
-    if max_iters < 1:
-        raise ConfigurationError("max_iters must be >= 1")
+    if (isinstance(max_iters, bool)
+            or not isinstance(max_iters, (int, np.integer)) or max_iters < 1):
+        raise ConfigurationError(
+            f"max_iters must be an integer >= 1, got {quote(max_iters)}")
     if not 0.0 < tolerance < math.inf:
         raise ConfigurationError(
             f"tolerance must be positive and finite, got {tolerance!r}")

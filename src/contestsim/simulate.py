@@ -72,11 +72,12 @@ A log (``contest-log-v1``) is one JSON object per line: a header with the
 order (annotations first on ties), and a trailer with the final ranking.
 Its bytes are the format contract: keys in sorted order, no spaces,
 integer fields as JSON integers and flags as ``true``/``false``, so equal
-logs are equal files.  `read_event_log` decodes the body in chunks of
-lines whose every line is one flat object, holds every line to its
-record's keys and every field to its exact type, the header to
-`check_header` and each exit line to its place among the annotations, and
-names ``path:line`` for a malformed line.
+logs are equal files.  `read_event_log` decodes each chunk of body lines
+in that form as one flat array of integers, checked by the chunk's
+digit-free skeleton, and any other chunk line by line.  It holds every
+line to its record's keys and every field to its exact type, the header
+to `check_header` and each exit line to its place among the annotations,
+and names ``path:line`` for a malformed line.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ from heapq import heappop, heappush, heapreplace
 from itertools import chain, compress, count, cycle, islice, repeat
 from math import ceil
 from numbers import Integral
-from operator import attrgetter, contains, itemgetter, not_
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Collection, NamedTuple, Optional, Sequence, Union
 
@@ -638,9 +639,18 @@ _event_time = attrgetter("event_time_ms")
 _event_values = itemgetter(*_EVENT_FIELDS)
 _exit_values = itemgetter(*_EXIT_FIELDS)
 _rank_values = itemgetter(*_RANK_FIELDS)
-# The one type of each annotation field, then of each exit field.
-_COLUMN_TYPES = [kind.types[0] for kind in (*_EVENT_FIELDS.values(),
-                                            *_EXIT_FIELDS.values())]
+# What `_decode_canonical` reads a canonical chunk by: the flags, which it
+# turns into digits; the bytes of a JSON integer; each record's line less
+# those bytes, its skeleton, with the line break; the translation of ``:``
+# to ``,`` and of ``,`` and ``}`` to a space; and the skeletons' other bytes.
+_TRUE, _FALSE = b'"eligible":true,', b'"eligible":false,'
+_INTEGER_BYTES = b"-0123456789"
+_ANNOTATION_SKELETON = (b'{"annotated_count":,"eligible":,"event_index":,'
+                        b'"event_time_ms":,"holding_time_ms":,"post_id":,'
+                        b'"rank":,"worker_id":}\n')
+_EXIT_SKELETON = b'{"eligible":,"exit_time_ms":,"rank":,"worker_id":}\n'
+_TO_NUMBERS = bytes.maketrans(b":,}", b",  ")
+_SKELETON_BYTES = b'\n"_abcdeghiklmnoprstuvwx{'
 
 
 class _NotAnInteger(TypeError, ValueError):
@@ -707,30 +717,59 @@ def write_event_log(log: EventLog, path: Union[str, Path]) -> None:
     write_atomic(path, (chunk + "\n" for chunk in chunks))
 
 
-def _decode_chunk(lines: list[str]) -> Optional[list]:
-    """Decode ``lines`` in one `decode_json` call; None if they might not
-    decode to one value per line, each the value of its own line.
+def _decode_canonical(lines: list[str]) -> Optional[tuple]:
+    """Decode body ``lines`` in one `decode_json` call, as one flat array of
+    integers: the annotation fields' columns in record order, the exits and
+    each exit line's place; None unless every line is in canonical form.
 
-    The lines are joined with ``",\n"``.  No line holds a line break and no
-    JSON string a raw one, so nothing but that whitespace spans a joint.  A
-    body line is one flat object of integers and booleans, so the check is
-    that every line starts with ``{``, ends with ``}``, and holds no other
-    ``{``.  Then the object a line opens can close neither before the
-    line's last ``}`` (which would be left unmatched) nor after it (no
-    string or nested object can hold it), so each value is exactly one
-    line.  Counting values alone is not enough: a line holding two records
-    and a record split over two lines at a comma cancel out.
+    The ``n`` lines must hold ``n`` flags, which become digits.  With ``-``
+    and the digits deleted, the skeleton left must be tiled by annotation
+    and exit skeleton lines: each starts with its only ``{`` and ends with
+    its only line break, so none overlap, and their lengths add up only if
+    each line is one of them (without the line break, a line holding two
+    records could stand beside an empty one).  Each has one flag slot, so
+    each line holds its flag there.  The second translation keeps the runs
+    of ``-`` and digits, puts a ``,`` for each ``:`` and a space for each
+    ``,`` and ``}``, and deletes the rest, so a field's run follows a ``,``
+    and any other run a space, beside a field's number, or the leading
+    ``0``.  With no empty field (``", "``), the text decodes only if each
+    field holds one JSON integer and no other byte of a line is a digit.
     """
-    text = ",\n".join(lines)
-    n = len(lines)
-    if not (text.count("{") == n and text.count("},\n{") == n - 1
-            and text.startswith("{") and text.endswith("}")):
+    text = ("\n".join(lines) + "\n").encode()
+    flagged = text.replace(_TRUE, b'"eligible":1,')
+    digits = flagged.replace(_FALSE, b'"eligible":0,')
+    # A true flag replaced shortens the text by 3 bytes, a false one by 4.
+    n_flags = ((len(text) - len(flagged)) // 3
+               + (len(flagged) - len(digits)) // 4)
+    skeleton = digits.translate(None, _INTEGER_BYTES)
+    n_exits = skeleton.count(_EXIT_SKELETON)
+    if n_flags != len(lines) or len(skeleton) != (
+            n_exits * len(_EXIT_SKELETON) + len(_ANNOTATION_SKELETON)
+            * skeleton.count(_ANNOTATION_SKELETON)):
+        return None
+    numbers = digits.translate(_TO_NUMBERS, _SKELETON_BYTES)
+    if b", " in numbers:
         return None
     try:
-        values = decode_json("[" + text + "]")
-    except (ValueError, RecursionError, ConfigurationError):
+        values = decode_json("[0" + numbers.decode() + "]")
+    except ValueError:
         return None
-    return values if len(values) == n else None
+    exit_lines, at = [], 0
+    for j in range(n_exits):  # exit line j, at k, follows k - j annotations
+        at = skeleton.find(_EXIT_SKELETON, at)
+        exit_lines.append(
+            j + (at - j * len(_EXIT_SKELETON)) // len(_ANNOTATION_SKELETON))
+        at += len(_EXIT_SKELETON)
+    # Value 1 + f is field f of the first line, in the line's key order; an
+    # exit line's come after 8 per annotation line and 4 per exit line.
+    starts = [1 + 8 * (k - j) + 4 * j for j, k in enumerate(exit_lines)]
+    exits = [ExitEvent(values[i + 3], values[i + 1], values[i + 2],
+                       values[i] == 1) for i in starts]
+    for i in reversed(starts):
+        del values[i:i + 4]
+    columns = [values[f::8] for f in (8, 3, 4, 5, 6, 1, 7)]
+    columns.append([*map(bool, values[2::8])])
+    return columns, exits, exit_lines
 
 
 def _header_kinds() -> tuple[dict, dict, dict]:
@@ -762,9 +801,9 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
 
     ``annotations_remaining`` is not stored; it is rebuilt by replaying the
     solved count against the configured post total.  The lines come from
-    `TextLines`, which streams the file; body lines are decoded and checked
-    `_CHUNK_LINES` at a time, and a chunk that does not decode into one
-    value per line, or fails a check, is read again line by line to name
+    `TextLines`, which streams the file; body lines are read `_CHUNK_LINES`
+    at a time.  A chunk in the writer's canonical form is decoded in one
+    pass (`_decode_canonical`); any other is read line by line, which names
     the faulty line.  Each annotation's ``worker_id``, ``rank_at_event``
     and ``holding_time_ms``, once typed, go through one dict per read, so
     equal values are one object across the records; beyond the records it
@@ -801,7 +840,7 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
                        final_ranking=Ranking(entries=()))
         check_header(log)
         config, events, exits = log.config, log.events, log.exits
-        n_event_fields, n_exit_fields = len(_EVENT_FIELDS), len(_EXIT_FIELDS)
+        n_event_fields = len(_EVENT_FIELDS)
         # `AnnotationEvent._make(...)` less its Python-level call and length
         # check: the getters give each record its number of fields.
         new_tuple = tuple.__new__
@@ -814,47 +853,32 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         exit_at: list[tuple[int, int]] = []
         n_posts = config.n_posts
 
-        def take(values: list, first: int) -> bool:
-            """Take decoded body lines ``values`` (the first at line ``first``)
-            a column at a time: False, taking nothing, for a missing or extra
-            key or a wrong type; a misordered ``event_index`` raises."""
-            is_exit = list(map(contains, values, repeat("exit_time_ms")))
-            annotations = list(compress(values, map(not_, is_exit)))
-            exit_lines = list(compress(values, is_exit))
-            try:  # the annotation fields' columns, then the exit fields'
-                columns = ([*zip(*map(_event_values, annotations))]
-                           or [()] * n_event_fields)
-                columns += ([*zip(*map(_exit_values, exit_lines))]
-                            or [()] * n_exit_fields)
-            except KeyError:
-                return False
-            # Each line has its record's keys, and no other if counts add up.
-            if (sum(map(len, values)) != n_event_fields * len(annotations)
-                    + n_exit_fields * len(exit_lines)
-                    or any({*map(type, column)} - {kind}
-                           for column, kind in zip(columns, _COLUMN_TYPES))):
-                return False
-            (wids, indexes, times, holds, posts, counts, ranks, eligs,
-             *exit_columns) = columns
+        def take(first: int, columns: list, new_exits: list,
+                 exit_lines: list) -> None:
+            """Take the body lines from line ``first`` on: their annotation
+            fields' columns in record order, their exits and the place of
+            each exit line among them.  A misordered ``event_index``
+            raises."""
+            wids, indexes, times, holds, posts, counts, ranks, eligs = columns
             # Shared only once typed: 1 and True are one dict key.
             wids = list(map(share, wids, wids))
+            # Exit line j, at place k, has k - j annotation lines before it.
+            before = [k - j for j, k in enumerate(exit_lines)]
             get = per_worker_index.get
-            linenos = compress(count(first), map(not_, is_exit))
-            for wid, index, lineno in zip(wids, indexes, linenos):
+            for i, wid, index in zip(count(), wids, indexes):
                 if index != get(wid, 0):
-                    text.lineno = lineno
+                    text.lineno = first + i + bisect_right(before, i)
                     raise ConfigurationError(
                         f"worker {wid} event_index out of order")
                 per_worker_index[wid] = index + 1
-            exit_at.extend((first + i, len(events) + i - j) for j, i in
-                           enumerate(compress(count(), is_exit)))
-            exits.extend(map(new_tuple, repeat(ExitEvent), zip(*exit_columns)))
+            exit_at.extend((first + k, len(events) + b)
+                           for k, b in zip(exit_lines, before))
+            exits.extend(new_exits)
             left = n_posts - len(events)
             events.extend(map(new_tuple, repeat(AnnotationEvent), zip(
                 wids, indexes, times, map(share, holds, holds), posts, counts,
                 map(share, ranks, ranks), eligs,
-                range(left - 1, left - 1 - len(annotations), -1))))
-            return True
+                range(left - 1, left - 1 - len(wids), -1))))
 
         # Each chunk is read with one line more, held back for the next
         # chunk, so the line left over at the end is the trailer.
@@ -863,15 +887,24 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         with collector_paused():
             while len(chunk) > 1:
                 held = chunk.pop()
-                values = _decode_chunk(chunk)
-                if values is None or not take(values, first):
-                    # Line by line, to name the first faulty line.
+                decoded = _decode_canonical(chunk)
+                if decoded is not None:
+                    take(first, *decoded)
+                else:  # line by line, to name the first faulty line
                     for text.lineno, line in enumerate(chunk, first):
                         obj = decode_json(line)
-                        if not take([obj], text.lineno):
-                            # Raise the key or type fault `take` saw.
-                            check_record(obj, _EXIT_FIELDS if "exit_time_ms"
-                                         in obj else _EVENT_FIELDS)
+                        is_exit = "exit_time_ms" in obj
+                        if type(obj) is dict:
+                            check_record(obj, _EXIT_FIELDS if is_exit
+                                         else _EVENT_FIELDS)
+                        # Any other value has no keys: the getter raises.
+                        if is_exit:
+                            take(text.lineno, [()] * n_event_fields,
+                                 [new_tuple(ExitEvent, _exit_values(obj))],
+                                 [0])
+                        else:
+                            take(text.lineno, [*zip(_event_values(obj))],
+                                 [], [])
                 first += len(chunk)
                 chunk = [held, *islice(lines, _CHUNK_LINES)]
         for (text.lineno, k), x in zip(exit_at, exits):

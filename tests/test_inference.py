@@ -443,6 +443,24 @@ def test_log_linear_validation(event_chain):
         fit_log_linear(events, NORMS, init_theta=[0.0, 1.0])
 
 
+@pytest.mark.parametrize("max_iters", [math.nan, 2.5, True, np.True_, "3",
+                                       None, 0, -1])
+def test_log_linear_fit_refuses_a_max_iters_that_is_no_positive_integer(
+        event_chain, max_iters):
+    # A float once failed in `range` with a bare TypeError, and True ran
+    # one iteration.
+    events = event_chain([(1000, True), (500, False)])
+    with pytest.raises(ConfigurationError, match=(
+            "^max_iters must be an integer >= 1, got ")):
+        fit_log_linear(events, NORMS, max_iters=max_iters)
+
+
+def test_log_linear_fit_takes_a_numpy_integer_max_iters(event_chain):
+    events = event_chain([(1000, True), (500, False)])
+    assert (fit_log_linear(events, NORMS, max_iters=np.int64(1))
+            == fit_log_linear(events, NORMS, max_iters=1))
+
+
 @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
 def test_log_linear_fit_refuses_a_non_finite_tolerance(event_chain, tolerance):
     events = event_chain([(1000, True), (500, False)])

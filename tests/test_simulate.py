@@ -11,6 +11,7 @@ import math
 import re
 import tracemalloc
 from typing import get_type_hints
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -799,15 +800,15 @@ def test_a_contest_that_raises_leaves_the_collector_as_it_was(
 
 
 def _chunks_seen_with(monkeypatch) -> list[bool]:
-    """Record `gc.isenabled()` at each `_decode_chunk` call."""
+    """Record `gc.isenabled()` at each `_decode_canonical` call."""
     seen = []
-    decode_chunk = simulate._decode_chunk
+    decode_canonical = simulate._decode_canonical
 
     def spy(lines):
         seen.append(gc.isenabled())
-        return decode_chunk(lines)
+        return decode_canonical(lines)
 
-    monkeypatch.setattr(simulate, "_decode_chunk", spy)
+    monkeypatch.setattr(simulate, "_decode_canonical", spy)
     return seen
 
 
@@ -1258,6 +1259,97 @@ def test_a_log_read_back_holds_few_bytes_per_event(field_300_log):
     assert held / n_events < 236
 
 
+def _read_line_by_line(path) -> EventLog:
+    """``read_event_log`` with the canonical chunk decoder declining every
+    chunk, so each body line is decoded on its own."""
+    with mock.patch.object(simulate, "_decode_canonical",
+                           lambda lines: None):
+        return read_event_log(path)
+
+
+def _exit_chunks_log(tmp_path, contest_config):
+    """A log whose second chunk holds only exit lines and whose third
+    starts with one: an annotation, ``2 * _CHUNK_LINES`` exits, and an
+    annotation after them."""
+    log = _one_event_log(contest_config)
+    first = log.events[0]
+    log.events.append(first._replace(event_index=1, event_time_ms=5_000,
+                                     holding_time_ms=4_300, post_id=2,
+                                     annotations_remaining=38))
+    log.exits[:] = [ExitEvent(1, 2_000 + i, 2, False)
+                    for i in range(2 * _CHUNK_LINES)]
+    path = tmp_path / "exit-chunks.jsonl"
+    write_event_log(log, path)
+    return path, log
+
+
+@pytest.mark.parametrize("source", ["stock_log_path", "shared_log_path",
+                                    "field_300_log", "exit chunks"])
+def test_a_canonical_read_equals_a_line_by_line_read(
+        request, tmp_path, contest_config, monkeypatch, source):
+    if source == "exit chunks":
+        path, written = _exit_chunks_log(tmp_path, contest_config)
+    else:
+        path, written = request.getfixturevalue(source), None
+        if source == "field_300_log":
+            path = path[0]
+    line_by_line = _read_line_by_line(path)
+    declined = []
+    decode_canonical = simulate._decode_canonical
+
+    def spy(lines):
+        decoded = decode_canonical(lines)
+        declined.append(decoded is None)
+        return decoded
+
+    monkeypatch.setattr(simulate, "_decode_canonical", spy)
+    canonical = read_event_log(path)
+    assert declined and not any(declined)
+    assert canonical == line_by_line
+    assert written is None or canonical == written
+    assert canonical.exits
+    for records, cls in ((canonical.events, AnnotationEvent),
+                         (canonical.exits, ExitEvent)):
+        declared = list(get_type_hints(cls).values())
+        assert declared.count(bool) == 1 and set(declared) == {int, bool}
+        for record in records:
+            assert type(record) is cls
+            assert list(map(type, record)) == declared, record
+
+
+@pytest.mark.parametrize("edit", ["two records on a line, then none",
+                                  "a value past its comma"])
+def test_a_chunk_whose_counts_alone_add_up_is_read_line_by_line(
+        tmp_path, stock_log_path, edit):
+    lines = stock_log_path.read_text(encoding="utf-8").splitlines()
+    body = lines[1:1 + _CHUNK_LINES]
+    if edit == "two records on a line, then none":
+        # The same skeleton lines and line breaks, but not one per line.
+        body[3:5] = [body[3] + body[4], ""]
+    else:
+        body[3], moved = re.subn(r'"rank":(\d+),', r'"rank":,\1', body[3])
+        assert moved == 1
+    assert simulate._decode_canonical(body) is None
+    path = tmp_path / "contest.jsonl"
+    path.write_text("\n".join([lines[0], *body, *lines[1 + _CHUNK_LINES:]])
+                    + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}:5: ")):
+        read_event_log(path)
+
+
+def test_the_canonical_skeletons_are_the_writers_lines_less_integers(
+        tmp_path, contest_config):
+    _, log = _exit_chunks_log(tmp_path, contest_config)
+    lines = list(event_log_lines(log))[1:-1]
+    skeletons = {re.sub(r"-?\d+|true|false", "", line).encode() + b"\n"
+                 for line in lines}
+    assert skeletons == {simulate._ANNOTATION_SKELETON,
+                         simulate._EXIT_SKELETON}
+    # The bytes the second translation deletes are the skeletons' others.
+    assert (set(simulate._SKELETON_BYTES)
+            == set(b"".join(skeletons)) - set(b":,}"))
+
+
 def _one_event_log(contest_config, post_id=1, exit_rank=2) -> EventLog:
     return EventLog(
         config=contest_config(), seed=0, dispatch="windowed",
@@ -1298,11 +1390,11 @@ def test_a_numpy_integer_field_writes_as_an_int(tmp_path, contest_config):
     *[("annotation", key, value) for key, value in [
         ("worker_id", 1.5), ("event_index", "0"), ("event_time_ms", True),
         ("holding_time_ms", 2.0), ("post_id", 1.5),
-        ("annotated_count", None), ("rank", "3"), ("eligible", 1),
-        ("eligible", "true")]],
+        ("annotated_count", None), ("rank", "3"), ("rank", True),
+        ("rank", 1.0), ("eligible", 1), ("eligible", "true")]],
     *[("exit", key, value) for key, value in [
         ("worker_id", True), ("exit_time_ms", 1.5), ("rank", "3"),
-        ("eligible", 0)]],
+        ("rank", 1e3), ("eligible", 0), ("eligible", 1)]],
     *[("trailer", key, value) for key, value in [
         ("worker_id", "0"), ("score", 1.5), ("annotations", True),
         ("last_scored_ms", 2.5), ("last_scored_ms", False)]],
@@ -1418,7 +1510,14 @@ def _leaves(obj, trail=()):
 
 
 _MUTATIONS = ("delete", "duplicate", "split", "split at a comma", "join",
-              "join with a comma", "1,2", "swap a value", "truncate")
+              "join with a comma", "1,2", "swap a value", "truncate",
+              "respace", "reorder keys", "negate a value", "retype a value",
+              "drop a key", "add a key", "move a value past its comma")
+
+# Raw values that no integer field takes, and that a flag does not.
+_NOT_AN_INTEGER = ("true", "false", "1.0", "1e3", "-2.5", "007", "-", "null",
+                   '"1"')
+_NOT_A_FLAG = ("1", "0", "null", '"true"')
 
 
 def _mutation(lines, kind, k, data):
@@ -1451,6 +1550,48 @@ def _mutation(lines, kind, k, data):
     if kind == "truncate":
         cut = data.draw(st.integers(0, len(line) - 1), label="cut")
         return [line[:cut]], 1, {k}, True
+    # The same record, written another way: no line may be named.
+    if kind == "respace":
+        return [line.replace(":", ": ").replace(",", ", ")], 1, set(), False
+    if kind == "reorder keys":
+        record = json.loads(line)
+        return ([json.dumps(dict(reversed(record.items())),
+                            separators=(",", ":"))], 1, set(), False)
+    if kind == "negate a value":  # a field that the reader does not check
+        fields = [found for found in re.finditer(r'"(\w+)":(\d+)', line)
+                  if found.group(1) in ("annotated_count", "post_id", "rank")]
+        if fields:
+            found = data.draw(st.sampled_from(fields), label="field")
+            line = line[:found.start(2)] + "-" + line[found.start(2):]
+        return [line], 1, set(), False
+    if kind == "move a value past its comma":
+        # ``"rank":,7`` holds no JSON value after its colon.
+        fields = list(re.finditer(r':(-?\d+)([,}])', line))
+        if not fields:
+            return [line], 1, {k}, False
+        found = data.draw(st.sampled_from(fields), label="field")
+        return ([line[:found.start(1)] + found.group(2) + found.group(1)
+                 + line[found.end(2):]], 1, {k}, True)
+    if kind in ("retype a value", "drop a key", "add a key"):
+        # A body line that its record's rule refuses; the header and the
+        # trailer are left as they are.
+        if not 1 < k < len(lines):
+            return [line], 1, {k}, False
+        if kind == "retype a value":
+            found = data.draw(st.sampled_from(list(re.finditer(
+                r'"(\w+)":(-?\d+|true|false)', line))), label="field")
+            raw = data.draw(st.sampled_from(
+                _NOT_A_FLAG if found.group(1) == "eligible"
+                else _NOT_AN_INTEGER), label="raw")
+            return ([line[:found.start(2)] + raw + line[found.end(2):]], 1,
+                    {k}, True)
+        record = json.loads(line)
+        if kind == "add a key":
+            record["x"] = 1
+        else:
+            del record[data.draw(st.sampled_from(sorted(record)),
+                                 label="key")]
+        return [_canonical(record)], 1, {k}, True
     record = json.loads(line)
     trail = data.draw(st.sampled_from(list(_leaves(record))), label="field")
     value = data.draw(st.one_of(st.floats(), st.text(max_size=4),
@@ -1467,13 +1608,20 @@ def _mutation(lines, kind, k, data):
 
 
 def _read_mutated(path, mutated, named, must_fail, note):
+    """Read the mutated file; a rejection must name a line of ``named``.
+    The read must match a line-by-line read: the same log, or the same
+    message."""
     path.write_text("\n".join(mutated) + "\n", encoding="utf-8")
     try:
-        read_event_log(path)
+        log = read_event_log(path)
     except ConfigurationError as exc:
         assert _named_line(path, exc) in named, (note, str(exc))
+        with pytest.raises(ConfigurationError) as line_by_line:
+            _read_line_by_line(path)
+        assert str(line_by_line.value) == str(exc), note
     else:
         assert not must_fail, note
+        assert _read_line_by_line(path) == log, note
 
 
 @settings(max_examples=300, deadline=None)
