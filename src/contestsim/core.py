@@ -2,8 +2,9 @@
 
 Nothing here draws random numbers.  `Leaderboard` is the one stateful type:
 the ranking that the engine and the replay validator update as scores move.
-`write_atomic`, `TextLines`, `canonical_json` and `decode_json` are the
-package's one file writer, line reader, JSON encoder and JSON decoder;
+`write_atomic`, `TextLines`, `canonical_json`, `decode_json` and
+`check_object` are the package's one file writer, line reader, JSON
+encoder, JSON decoder and test that a decoded value is a record;
 `collector_paused` is its one switch of the cyclic garbage collector.
 """
 
@@ -70,10 +71,19 @@ FIELD_TYPES = {
 }
 
 
+def check_object(value) -> dict:
+    """``value`` if it is a JSON object (a dict), else raise
+    `ConfigurationError`: a reader calls it before it looks into a record."""
+    if type(value) is not dict:
+        raise ConfigurationError(f"expected a JSON object, got {quote(value)}")
+    return value
+
+
 def check_record(record: Mapping, kinds: Mapping[str, FieldType]) -> None:
-    """Raise `ConfigurationError` naming the first key of ``record`` that
-    ``kinds`` does not name, else the first field of ``kinds`` whose value
-    in ``record`` is not of a type that its kind takes."""
+    """Raise `ConfigurationError` if ``record`` is no object (`check_object`),
+    else naming its first key that ``kinds`` does not name, else the first
+    field of ``kinds`` whose value is not of a type that its kind takes."""
+    check_object(record)
     if len(record) != len(kinds):
         for name in record:
             if name not in kinds:

@@ -21,8 +21,9 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from . import rng as streams
 from .core import (FIELD_TYPES, ContestConfig, Post, TextLines, WorkerProfile,
-                   canonical_json, check_record, collector_paused, decode_json,
-                   json_record, quote, require_finite, write_atomic)
+                   canonical_json, check_object, check_record,
+                   collector_paused, decode_json, json_record, quote,
+                   require_finite, write_atomic)
 from .errors import ConfigurationError, ContestError
 from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, AnnotationEvent,
                        BehaviorPrior, EventLog, check_run_arguments,
@@ -622,10 +623,10 @@ def verify_manifest(output_dir: Union[str, Path]) -> bool:
         raise ConfigurationError(f"{path}: no manifest; the tree is unfinished")
     with TextLines(path, "manifest") as text:
         text.lineno = 1
-        manifest = decode_json("\n".join(text))
+        manifest = check_object(decode_json("\n".join(text)))
         if manifest.get("format") != MANIFEST_FORMAT:
             raise ConfigurationError("unrecognized manifest format")
-        listed = manifest["files"]
+        listed = check_object(manifest.get("files"))
         files = listed.items()
     if any(name not in listed and (out / name).exists()
            for name in _OUTPUT_NAMES):

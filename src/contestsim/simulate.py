@@ -72,12 +72,12 @@ A log (``contest-log-v1``) is one JSON object per line: a header with the
 order (annotations first on ties), and a trailer with the final ranking.
 Its bytes are the format contract: keys in sorted order, no spaces,
 integer fields as JSON integers and flags as ``true``/``false``, so equal
-logs are equal files.  `read_event_log` decodes each chunk of body lines
-in that form as one flat array of integers, checked by the chunk's
-digit-free skeleton, and any other chunk line by line.  It holds every
-line to its record's keys and every field to its exact type, the header
-to `check_header` and each exit line to its place among the annotations,
-and names ``path:line`` for a malformed line.
+logs are equal files.  `read_event_log` builds every record from a chunk of
+body lines in that form, decoded as one flat array of integers checked by
+its digit-free skeleton.  A line pass first names ``path:line`` for any
+other chunk's first line not held to its record's keys and exact field
+types, shape before order, and rewrites each line in that form.  The reader
+also holds the header to `check_header` and each exit line to its place.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ import numpy as np
 from . import rng as streams
 from .core import (EXACT_MATCH_MULTIPLIER, FIELD_TYPES, ContestConfig,
                    Leaderboard, Post, RankEntry, Ranking, TextLines,
-                   WorkerProfile, canonical_json, check_record,
+                   WorkerProfile, canonical_json, check_object, check_record,
                    collector_paused, decode_json, json_record, quote,
                    rank_workers, require_finite, score_annotation,
                    write_atomic)
@@ -636,8 +636,6 @@ _RANK_FIELDS = {"worker_id": _INTEGER, "score": _INTEGER,
 _TRAILER_FIELDS = {"final_ranking": _INTEGER._replace(what="a list",
                                                       types=(list,))}
 _event_time = attrgetter("event_time_ms")
-_event_values = itemgetter(*_EVENT_FIELDS)
-_exit_values = itemgetter(*_EXIT_FIELDS)
 _rank_values = itemgetter(*_RANK_FIELDS)
 # What `_decode_canonical` reads a canonical chunk by: the flags, which it
 # turns into digits; the bytes of a JSON integer; each record's line less
@@ -720,7 +718,8 @@ def write_event_log(log: EventLog, path: Union[str, Path]) -> None:
 def _decode_canonical(lines: list[str]) -> Optional[tuple]:
     """Decode body ``lines`` in one `decode_json` call, as one flat array of
     integers: the annotation fields' columns in record order, the exits and
-    each exit line's place; None unless every line is in canonical form.
+    the number of annotation lines before each exit line; None unless every
+    line is in canonical form.
 
     The ``n`` lines must hold ``n`` flags, which become digits.  With ``-``
     and the digits deleted, the skeleton left must be tiled by annotation
@@ -754,22 +753,22 @@ def _decode_canonical(lines: list[str]) -> Optional[tuple]:
         values = decode_json("[0" + numbers.decode() + "]")
     except ValueError:
         return None
-    exit_lines, at = [], 0
-    for j in range(n_exits):  # exit line j, at k, follows k - j annotations
+    before, at = [], 0
+    for j in range(n_exits):
         at = skeleton.find(_EXIT_SKELETON, at)
-        exit_lines.append(
-            j + (at - j * len(_EXIT_SKELETON)) // len(_ANNOTATION_SKELETON))
+        before.append((at - j * len(_EXIT_SKELETON))
+                      // len(_ANNOTATION_SKELETON))
         at += len(_EXIT_SKELETON)
     # Value 1 + f is field f of the first line, in the line's key order; an
     # exit line's come after 8 per annotation line and 4 per exit line.
-    starts = [1 + 8 * (k - j) + 4 * j for j, k in enumerate(exit_lines)]
+    starts = [1 + 8 * b + 4 * j for j, b in enumerate(before)]
     exits = [ExitEvent(values[i + 3], values[i + 1], values[i + 2],
                        values[i] == 1) for i in starts]
     for i in reversed(starts):
         del values[i:i + 4]
     columns = [values[f::8] for f in (8, 3, 4, 5, 6, 1, 7)]
     columns.append([*map(bool, values[2::8])])
-    return columns, exits, exit_lines
+    return columns, exits, before
 
 
 def _header_kinds() -> tuple[dict, dict, dict]:
@@ -800,26 +799,25 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
     """Parse a log written by `write_event_log`, reconstructing derived fields.
 
     ``annotations_remaining`` is not stored; it is rebuilt by replaying the
-    solved count against the configured post total.  The lines come from
-    `TextLines`, which streams the file; body lines are read `_CHUNK_LINES`
-    at a time.  A chunk in the writer's canonical form is decoded in one
-    pass (`_decode_canonical`); any other is read line by line, which names
-    the faulty line.  Each annotation's ``worker_id``, ``rank_at_event``
-    and ``holding_time_ms``, once typed, go through one dict per read, so
-    equal values are one object across the records; beyond the records it
-    returns, a read holds that dict, one block of text and one chunk.  The
-    header must pass `check_header`; each exit line must sit where the
-    writer puts it: after every annotation at or before its time and
-    before the first one after it.  Any malformed
-    line, including a field of the wrong type, a key that is no field of
+    solved count against the configured post total.  Body lines come from
+    `TextLines`, which streams the file, `_CHUNK_LINES` at a time, and
+    `_decode_canonical` builds every record.  A chunk it declines first goes
+    through a line pass, which holds each line to its record and rewrites it
+    in the writer's form, so there every line's keys and types are checked
+    before any line's order.  Equal worker ids, ranks and holding times, once
+    typed, are one object across the records, through one dict per read;
+    beyond the records, a read holds that dict, one block of text and one
+    chunk.  The header must pass `check_header`; each exit line must sit where
+    the writer puts it: after every annotation at or before its time and
+    before the first one after it.  Any malformed line, including a value that
+    is no JSON object, a field of the wrong type, a key that is no field of
     the line's record (`core.check_record`, also for the header and its
-    ``config`` and ``counters``) or a trailer that does not rank
-    ``n_workers`` workers, raises `ConfigurationError` naming ``path:line``;
-    a file that is not UTF-8 text raises it naming the path.  A body line
-    holding ``exit_time_ms`` is an exit line, so an annotation line that
-    also holds it is refused at its own line.
-    The cyclic garbage collector is off while the body lines are decoded
-    (`core.collector_paused`).
+    ``config`` and ``counters``) or a trailer that does not rank ``n_workers``
+    workers, raises `ConfigurationError` naming ``path:line``; a file that is
+    not UTF-8 text raises it naming the path.  A body line holding
+    ``exit_time_ms`` is an exit line, so an annotation line that also holds it
+    is refused there.  The cyclic garbage collector is off while the body is
+    decoded (`core.collector_paused`).
     """
     with TextLines(path, "event log") as text:
         lines = iter(text)
@@ -827,7 +825,7 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         header_line = next(lines, None)
         if header_line is None:
             raise ConfigurationError("empty event log")
-        header = decode_json(header_line)
+        header = check_object(decode_json(header_line))
         if header.pop("format", None) != LOG_FORMAT:
             raise ConfigurationError(f"not a {LOG_FORMAT} file")
         header_kinds, config_kinds, counter_kinds = _header_kinds()
@@ -840,9 +838,8 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
                        final_ranking=Ranking(entries=()))
         check_header(log)
         config, events, exits = log.config, log.events, log.exits
-        n_event_fields = len(_EVENT_FIELDS)
         # `AnnotationEvent._make(...)` less its Python-level call and length
-        # check: the getters give each record its number of fields.
+        # check: `zip` gives each record its number of fields.
         new_tuple = tuple.__new__
         per_worker_index: dict[int, int] = {}
         # One object per distinct worker id, rank and holding time, which
@@ -852,34 +849,6 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         # (line number, annotation lines before it) of each exit line.
         exit_at: list[tuple[int, int]] = []
         n_posts = config.n_posts
-
-        def take(first: int, columns: list, new_exits: list,
-                 exit_lines: list) -> None:
-            """Take the body lines from line ``first`` on: their annotation
-            fields' columns in record order, their exits and the place of
-            each exit line among them.  A misordered ``event_index``
-            raises."""
-            wids, indexes, times, holds, posts, counts, ranks, eligs = columns
-            # Shared only once typed: 1 and True are one dict key.
-            wids = list(map(share, wids, wids))
-            # Exit line j, at place k, has k - j annotation lines before it.
-            before = [k - j for j, k in enumerate(exit_lines)]
-            get = per_worker_index.get
-            for i, wid, index in zip(count(), wids, indexes):
-                if index != get(wid, 0):
-                    text.lineno = first + i + bisect_right(before, i)
-                    raise ConfigurationError(
-                        f"worker {wid} event_index out of order")
-                per_worker_index[wid] = index + 1
-            exit_at.extend((first + k, len(events) + b)
-                           for k, b in zip(exit_lines, before))
-            exits.extend(new_exits)
-            left = n_posts - len(events)
-            events.extend(map(new_tuple, repeat(AnnotationEvent), zip(
-                wids, indexes, times, map(share, holds, holds), posts, counts,
-                map(share, ranks, ranks), eligs,
-                range(left - 1, left - 1 - len(wids), -1))))
-
         # Each chunk is read with one line more, held back for the next
         # chunk, so the line left over at the end is the trailer.
         first = 2  # the line number of the chunk's first line
@@ -888,23 +857,36 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
             while len(chunk) > 1:
                 held = chunk.pop()
                 decoded = _decode_canonical(chunk)
-                if decoded is not None:
-                    take(first, *decoded)
-                else:  # line by line, to name the first faulty line
-                    for text.lineno, line in enumerate(chunk, first):
-                        obj = decode_json(line)
-                        is_exit = "exit_time_ms" in obj
-                        if type(obj) is dict:
-                            check_record(obj, _EXIT_FIELDS if is_exit
-                                         else _EVENT_FIELDS)
-                        # Any other value has no keys: the getter raises.
-                        if is_exit:
-                            take(text.lineno, [()] * n_event_fields,
-                                 [new_tuple(ExitEvent, _exit_values(obj))],
-                                 [0])
-                        else:
-                            take(text.lineno, [*zip(_event_values(obj))],
-                                 [], [])
+                if decoded is None:
+                    # Name the first line not held to its record, and write
+                    # each in the writer's form, which the decoder takes.
+                    for i, line in enumerate(chunk):
+                        text.lineno = first + i
+                        obj = check_object(decode_json(line))
+                        check_record(obj, _EXIT_FIELDS if "exit_time_ms" in
+                                     obj else _EVENT_FIELDS)
+                        chunk[i] = canonical_json(obj)
+                    decoded = _decode_canonical(chunk)
+                columns, new_exits, before = decoded
+                (wids, indexes, times, holds, posts, counts, ranks,
+                 eligs) = columns
+                # Shared only once typed: 1 and True are one dict key.
+                wids = list(map(share, wids, wids))
+                get = per_worker_index.get
+                for i, wid, index in zip(count(), wids, indexes):
+                    if index != get(wid, 0):
+                        text.lineno = first + i + bisect_right(before, i)
+                        raise ConfigurationError(
+                            f"worker {wid} event_index out of order")
+                    per_worker_index[wid] = index + 1
+                exit_at.extend((first + j + b, len(events) + b)
+                               for j, b in enumerate(before))
+                exits.extend(new_exits)
+                left = n_posts - len(events)
+                events.extend(map(new_tuple, repeat(AnnotationEvent), zip(
+                    wids, indexes, times, map(share, holds, holds), posts,
+                    counts, map(share, ranks, ranks), eligs,
+                    range(left - 1, left - 1 - len(wids), -1))))
                 first += len(chunk)
                 chunk = [held, *islice(lines, _CHUNK_LINES)]
         for (text.lineno, k), x in zip(exit_at, exits):
@@ -917,7 +899,7 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         # A file of one line has its header as its trailer.
         text.lineno = first - 1 + len(chunk)
         trailer = decode_json(chunk[0] if chunk else header_line)
-        if "final_ranking" not in trailer:
+        if "final_ranking" not in check_object(trailer):
             raise ConfigurationError("missing final-ranking trailer")
         check_record(trailer, _TRAILER_FIELDS)
         entries = []

@@ -13,7 +13,8 @@ from hypothesis import example, given, strategies as st
 import contestsim
 from contestsim import (ConfigurationError, ContestConfig, ContractViolation,
                         Leaderboard, Post, Ranking, RankEntry, WorkerProfile,
-                        rank_workers, score_annotation)
+                        rank_workers, read_corpus, read_event_log,
+                        score_annotation, verify_manifest, write_corpus)
 from contestsim import core
 from contestsim.core import (EXACT_MATCH_MULTIPLIER, TextLines, canonical_json,
                              json_record)
@@ -398,6 +399,40 @@ def test_json_record_writes_nan_as_null():
     assert record == {"a": None, "b": (1, 2)}
     assert canonical_json(record) == '{"a":null,"b":[1,2]}'
     assert json_record(Stub(a=0.5, b=())) == {"a": 0.5, "b": ()}
+
+
+@pytest.mark.parametrize("value", ["5", "[1,2]", '"x"', "null"])
+@pytest.mark.parametrize("place", [
+    "log header", "log body line", "log trailer", "final_ranking row",
+    "corpus line", "manifest", "manifest files"])
+def test_a_json_value_that_is_no_object_is_refused_where_a_record_is_read(
+        tmp_path, stock_log_path, make_posts, place, value):
+    if place == "corpus line":
+        path, read, lineno = tmp_path / "corpus.jsonl", read_corpus, 2
+        write_corpus(make_posts(3), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = value
+    elif place.startswith("manifest"):
+        path, lineno = tmp_path / "manifest.json", 1
+        lines = [value if place == "manifest" else
+                 f'{{"files":{value},"format":"sweep-outputs-v1"}}']
+
+        def read(path):
+            return verify_manifest(path.parent)
+    else:
+        path, read = tmp_path / "contest.jsonl", read_event_log
+        lines = stock_log_path.read_text(encoding="utf-8").splitlines()
+        lineno = {"log header": 1, "log body line": 4}.get(place, len(lines))
+        if place == "final_ranking row":
+            lines[-1] = lines[-1].replace('"final_ranking":[',
+                                          f'"final_ranking":[{value},')
+        else:
+            lines[lineno - 1] = value
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError) as caught:
+        read(path)
+    assert str(caught.value) == (
+        f"{path}:{lineno}: expected a JSON object, got {value}")
 
 
 # --- line reader -----------------------------------------------------------

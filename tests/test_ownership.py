@@ -3,17 +3,21 @@
 with no owner, in none.
 
 Each row also carries a planted line that its pattern must match, so a row
-that can no longer match anything fails rather than passing unseen.
+that can no longer match anything fails rather than passing unseen.  The
+last test holds the names the benchmark's tracer wraps to the package.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-_SRC = Path(__file__).resolve().parents[1] / "src" / "contestsim"
+_REPO = Path(__file__).resolve().parents[1]
+_SRC = _REPO / "src" / "contestsim"
 
 # (owning module or None, pattern, message, a line the pattern must match)
 ROWS = [
@@ -66,3 +70,23 @@ def test_only_the_owner_states_the_rule(owner, pattern, message, planted):
                      path.read_text(encoding="utf-8").splitlines(), 1)
                  if rule.search(line)]
     assert not offenders, "\n".join([message, *offenders])
+
+
+def test_every_attribute_the_benchmark_wraps_exists(monkeypatch):
+    # The benchmark's tracer wraps the (module, attribute) rows of its
+    # ``WRAPPED`` by name and reports a missing one as absent rather than
+    # failing, so a deleted hook would otherwise show only in the
+    # benchmark's own self-test.  ``tracing.py`` imports only the standard
+    # library; its dataclasses need it in `sys.modules` while it runs.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", _REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    hooks = tracing.WRAPPED
+    assert hooks
+    missing = [f"contestsim.{module}.{attribute}"
+               for module, attribute, *_ in hooks
+               if not hasattr(importlib.import_module(f"contestsim.{module}"),
+                              attribute)]
+    assert not missing, missing

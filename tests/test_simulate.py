@@ -29,6 +29,7 @@ from contestsim import (AnnotationEvent, BehaviorPrior, ConfigurationError,
                         write_corpus, write_event_log)
 from contestsim import rng as streams
 from contestsim import simulate
+from contestsim.core import canonical_json, decode_json
 from contestsim.simulate import (_BLOCK, _CHUNK_LINES, _PERTURBATIONS,
                                  DEFAULT_BASE_HAZARD, DISPATCH_MODES,
                                  N_CHECKPOINTS, _count_offsets, _WorkerState)
@@ -408,6 +409,23 @@ def test_run_contest_rejects_a_bad_hazard_or_floor_before_drawing(
     with pytest.raises(ConfigurationError, match=match):
         run_contest(config, make_profiles(4, exit_threshold=1.0),
                     make_posts(config.n_posts), seed=0, **bad)
+
+
+def test_a_shared_horizon_of_one_ms_runs_and_one_that_rounds_to_zero_does_not(
+        contest_config, make_posts, make_profiles):
+    # n_posts * task_unit_time_s / window_size is 1 ms at window_size 1 and
+    # a third of a millisecond, which rounds to 0, at window_size 3.
+    posts = make_posts(1)
+    config = contest_config(n_posts=1, window_size=1, task_unit_time_s=0.001,
+                            task_unit_size=1)
+    log = run_contest(config, make_profiles(2), posts, seed=0,
+                      dispatch="shared")
+    assert log.horizon_ms == 1
+    replay_validate(log, posts)
+    with pytest.raises(ConfigurationError,
+                       match="below the 1 ms clock resolution"):
+        run_contest(dataclasses.replace(config, window_size=3),
+                    make_profiles(2), posts, seed=0, dispatch="shared")
 
 
 _SEED_RULE = ("seed must be a non-negative integer or a non-empty list of "
@@ -1260,10 +1278,12 @@ def test_a_log_read_back_holds_few_bytes_per_event(field_300_log):
 
 
 def _read_line_by_line(path) -> EventLog:
-    """``read_event_log`` with the canonical chunk decoder declining every
-    chunk, so each body line is decoded on its own."""
-    with mock.patch.object(simulate, "_decode_canonical",
-                           lambda lines: None):
+    """``read_event_log`` with the canonical chunk decoder declining its
+    first call on each chunk, so every body line goes through the line
+    pass, whose rewritten chunk the decoder then takes."""
+    calls, decode_canonical = itertools.count(), simulate._decode_canonical
+    with mock.patch.object(simulate, "_decode_canonical", lambda lines: (
+            decode_canonical(lines) if next(calls) % 2 else None)):
         return read_event_log(path)
 
 
@@ -1348,6 +1368,55 @@ def test_the_canonical_skeletons_are_the_writers_lines_less_integers(
     # The bytes the second translation deletes are the skeletons' others.
     assert (set(simulate._SKELETON_BYTES)
             == set(b"".join(skeletons)) - set(b":,}"))
+
+
+@pytest.mark.parametrize("source", ["stock_log_path", "shared_log_path",
+                                    "field_300_log"])
+def test_canonical_json_gives_back_every_body_line_the_writer_wrote(
+        request, source):
+    # The reader's line pass rewrites each line it has checked this way.
+    path = request.getfixturevalue(source)
+    if source == "field_300_log":
+        path = path[0]
+    body = path.read_text(encoding="utf-8").splitlines()[1:-1]
+    assert body
+    for line in body:
+        assert canonical_json(decode_json(line)) == line
+
+
+def _records(fields):
+    """Dicts with ``fields``' keys: integers negative, small or past 2**63,
+    and a bool flag."""
+    integers = st.one_of(st.integers(-2**70, -1), st.integers(0, 300),
+                         st.integers(2**63, 2**70))
+    return st.fixed_dictionaries({
+        name: st.booleans() if kind.types == (bool,) else integers
+        for name, kind in fields.items()})
+
+
+@given(records=st.lists(st.one_of(_records(simulate._EVENT_FIELDS),
+                                  _records(simulate._EXIT_FIELDS)),
+                        min_size=1, max_size=12))
+def test_the_canonical_decoder_gives_back_each_records_values_and_types(
+        records):
+    decoded = simulate._decode_canonical([canonical_json(r) for r in records])
+    assert decoded is not None
+    columns, exits, before = decoded
+    exit_at = [k for k, r in enumerate(records) if "exit_time_ms" in r]
+    annotations = [r for r in records if "exit_time_ms" not in r]
+    want_columns = [[r[name] for r in annotations]
+                    for name in simulate._EVENT_FIELDS]
+    want_exits = [ExitEvent(*map(records[k].get, simulate._EXIT_FIELDS))
+                  for k in exit_at]
+    assert columns == want_columns
+    assert exits == want_exits
+    assert before == [k - j for j, k in enumerate(exit_at)]
+    # True == 1, so equality alone does not tell a flag from an integer.
+    assert ([list(map(type, c)) for c in columns]
+            == [list(map(type, c)) for c in want_columns])
+    assert {type(x) for x in exits} <= {ExitEvent}
+    assert ([list(map(type, x)) for x in exits]
+            == [list(map(type, x)) for x in want_exits])
 
 
 def _one_event_log(contest_config, post_id=1, exit_rank=2) -> EventLog:
@@ -2050,6 +2119,9 @@ def _with_exit(exits, i, **changes):
      "rank_at_exit 5 != replay 6"),
     (lambda xs: _with_exit(xs, 0, eligible_at_exit=True), 0,
      "eligibility flag inconsistent"),
+    # Rank 2 is inside the spread of 2, so a false flag there is wrong.
+    (lambda xs: _with_exit(xs, 0, rank_at_exit=2), 0,
+     "eligibility flag inconsistent"),
     (lambda xs: xs + [xs[-1]._replace(exit_time_ms=60000)], 4,
      "worker 0 exits more than once"),
     (lambda xs: [xs[1], xs[0], *xs[2:]], 1, "exits out of time order"),
@@ -2063,7 +2135,8 @@ def _with_exit(exits, i, **changes):
     # exit is wrong, since the hazard is 0 inside the spread.
     (lambda xs: xs + [ExitEvent(5, 60000, 1, True)], 4,
      "exit inside the reward spread"),
-], ids=["time", "rank", "flag", "repeat", "order", "time, rank and flag",
+], ids=["time", "rank", "flag", "flag at the spread", "repeat", "order",
+        "time, rank and flag",
         "last rank", "stranger", "inside the spread"])
 def test_replay_names_a_bad_exit(spread_two_contest, tamper, position,
                                  what):
@@ -2081,6 +2154,40 @@ def _exit_message(log, position, what):
     x = log.exits[position]
     return (f"log.exits[{position}] (worker {x.worker_id}, exit_time_ms "
             f"{x.exit_time_ms}): {what}")
+
+
+def _passed_on_its_exit_ms(rank_at_exit: int) -> tuple[EventLog, list]:
+    """A 4-worker, spread-1 log (log, posts) whose worker 1 exits at
+    2000 ms with ``rank_at_exit``: worker 0 scores at 500 ms, worker 3
+    exits at 1000 ms, and worker 2 scores at 2000 ms, passing worker 1 from
+    rank 2 to rank 3.  No annotation falls between the two exits."""
+    config = ContestConfig(n_workers=4, n_posts=4, window_size=4,
+                           task_unit_time_s=20.0, task_unit_size=1,
+                           arrival_rate=0.1, reward_spread=1, prize_value=1.0,
+                           base_points=10, leaderboard_k=3,
+                           quality_constraint=0, reduction_rate=2.0)
+    log = EventLog(
+        config=config, seed=0, dispatch="windowed", horizon_ms=20_000,
+        base_hazard=DEFAULT_BASE_HAZARD, accuracy_floor=0.0,
+        events=[AnnotationEvent(0, 0, 500, 500, 0, 1, 1, True, 3),
+                AnnotationEvent(2, 0, 2_000, 2_000, 1, 1, 3, False, 2)],
+        exits=[ExitEvent(3, 1_000, 4, False),
+               ExitEvent(1, 2_000, rank_at_exit, False)],
+        final_ranking=Ranking(entries=(
+            RankEntry(0, 50, 1, 500), RankEntry(2, 50, 1, 2_000),
+            RankEntry(1, 0, 0, None), RankEntry(3, 0, 0, None))),
+        counters=PostCounters(ingested=4, solved=2, dropped=2, pending=0))
+    posts = [Post(id=i, token_count=10, expected_entities=1) for i in range(4)]
+    return log, posts
+
+
+def test_an_exit_is_ranked_after_the_annotations_on_its_own_millisecond():
+    log, posts = _passed_on_its_exit_ms(rank_at_exit=3)
+    replay_validate(log, posts)
+    log, posts = _passed_on_its_exit_ms(rank_at_exit=2)
+    with pytest.raises(ContractViolation) as info:
+        replay_validate(log, posts)
+    assert str(info.value) == _exit_message(log, 1, "rank_at_exit 2 != replay 3")
 
 
 def test_replay_rejects_exits_at_one_checkpoint_out_of_worker_id_order(
