@@ -2,9 +2,9 @@
 
 Nothing here draws random numbers.  `Leaderboard` is the one stateful type:
 the ranking that the engine and the replay validator update as scores move.
-`write_atomic`, `TextLines`, `canonical_json`, `decode_json` and
-`check_object` are the package's one file writer, line reader, JSON
-encoder, JSON decoder and test that a decoded value is a record;
+`write_atomic`, `TextLines`, `canonical_json`, `decode_json`, `check_object`
+and `field_kinds` are the package's one file writer, line reader, JSON
+encoder, JSON decoder, record test and table of a record's field kinds;
 `collector_paused` is its one switch of the cyclic garbage collector.
 """
 
@@ -18,6 +18,7 @@ import os
 from bisect import bisect_left
 from contextlib import contextmanager, suppress
 from dataclasses import FrozenInstanceError, dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
 from typing import (Callable, Collection, Hashable, Iterable, Mapping,
                     NamedTuple, Optional, Union)
@@ -57,6 +58,9 @@ def _reject_constant(token: str):
 # never writes NaN or an infinity, so it takes neither.
 decode_json = json.JSONDecoder(parse_constant=_reject_constant).decode
 
+# The exact types of a decoded JSON value.
+JSON_TYPES = (dict, list, str, int, float, bool, type(None))
+
 # Per declared field type: what a value must be, the parser of its config
 # text, and the exact types of its JSON value.  JSON ``true`` is not an
 # integer, nor ``1`` a boolean; a number may be written as an integer.
@@ -71,6 +75,16 @@ FIELD_TYPES = {
 }
 
 
+@cache
+def field_kinds(record: type, omit: tuple = (),
+                **kinds: FieldType) -> dict[str, FieldType]:
+    """Each field of the dataclass ``record`` but ``omit``'s, in order, with
+    the kind a reader holds it to: ``kinds[name]``, else its declared type's
+    `FIELD_TYPES` entry.  Built once per type (cached); do not change it."""
+    return {f.name: kinds[f.name] if f.name in kinds else FIELD_TYPES[f.type]
+            for f in fields(record) if f.name not in omit}
+
+
 def check_object(value) -> dict:
     """``value`` if it is a JSON object (a dict), else raise
     `ConfigurationError`: a reader calls it before it looks into a record."""
@@ -82,16 +96,18 @@ def check_object(value) -> dict:
 def check_record(record: Mapping, kinds: Mapping[str, FieldType]) -> None:
     """Raise `ConfigurationError` if ``record`` is no object (`check_object`),
     else naming its first key that ``kinds`` does not name, else the first
-    field of ``kinds`` whose value is not of a type that its kind takes."""
+    field of ``kinds`` whose value is not of a type that its kind takes,
+    quoting a value of no `JSON_TYPES` type (a numpy scalar) by its repr."""
     check_object(record)
     if len(record) != len(kinds):
         for name in record:
             if name not in kinds:
                 raise ConfigurationError(f"unknown key {quote(name)}")
     for name, kind in kinds.items():
-        if type(record[name]) not in kind.types:
-            raise ConfigurationError(f"{name} must be {kind.what}, "
-                                     f"got {quote(record[name])}")
+        value = record[name]
+        if type(value) not in kind.types:
+            shown = quote(value) if type(value) in JSON_TYPES else repr(value)
+            raise ConfigurationError(f"{name} must be {kind.what}, got {shown}")
 
 
 def json_record(obj) -> dict:
@@ -357,6 +373,9 @@ class ContestConfig:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        # Each field as a log header's reader takes it, so a config that
+        # builds is one that its log can give back.
+        check_record(self.__dict__, field_kinds(ContestConfig))
         for name in ("n_workers", "n_posts", "window_size", "task_unit_size",
                      "base_points", "leaderboard_k", "reward_spread"):
             if getattr(self, name) < 1:

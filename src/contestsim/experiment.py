@@ -22,8 +22,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 from . import rng as streams
 from .core import (FIELD_TYPES, ContestConfig, Post, TextLines, WorkerProfile,
                    canonical_json, check_object, check_record,
-                   collector_paused, decode_json, json_record, quote,
-                   require_finite, write_atomic)
+                   collector_paused, decode_json, field_kinds, json_record,
+                   quote, require_finite, write_atomic)
 from .errors import ConfigurationError, ContestError
 from .simulate import (DEFAULT_BASE_HAZARD, N_CHECKPOINTS, AnnotationEvent,
                        BehaviorPrior, EventLog, check_run_arguments,
@@ -209,7 +209,7 @@ def write_corpus(posts: Sequence[Post], path: Union[str, Path]) -> None:
     write_atomic(path, (canonical_json(json_record(p)) + "\n" for p in posts))
 
 
-_CORPUS_FIELDS = {f.name: FIELD_TYPES[f.type] for f in fields(Post)}
+_CORPUS_FIELDS = field_kinds(Post)
 _corpus_values = itemgetter(*_CORPUS_FIELDS)
 
 
@@ -403,6 +403,9 @@ def anova_f(groups: Sequence[Sequence[float]]) -> AnovaResult:
     df_within = n_total - k
     if df_within < 1:
         raise ConfigurationError("anova needs replication within groups")
+    for x in chain.from_iterable(groups):
+        if not math.isfinite(x):
+            raise ConfigurationError(f"anova values must be finite, got {x}")
     grand = math.fsum(math.fsum(g) for g in groups) / n_total
     group_means = [math.fsum(g) / len(g) for g in groups]
     ss_between = math.fsum(len(g) * (m - grand) ** 2
@@ -557,12 +560,10 @@ def _summaries_text(result: SweepResult) -> str:
 
 
 def _trajectories_text(log: EventLog) -> str:
-    rows = ["worker_id,event_time_ms,cumulative_annotations"]
-    cumulative: dict[int, int] = defaultdict(int)
-    for e in log.events:
-        cumulative[e.worker_id] += 1
-        rows.append(f"{e.worker_id},{e.event_time_ms},{cumulative[e.worker_id]}")
-    return "\n".join(rows) + "\n"
+    # The reader and the replay hold event_index to the running count.
+    return "worker_id,event_time_ms,cumulative_annotations\n" + "".join(
+        f"{e.worker_id},{e.event_time_ms},{e.event_index + 1}\n"
+        for e in log.events)
 
 
 # Every file that `emit_outputs` may write beside the manifest.

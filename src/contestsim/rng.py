@@ -26,9 +26,9 @@ only a seed that passes `check_seed`, the package's one seed rule.
 The engine and the corpus rebuild numpy's draws from a stream's raw 64-bit
 words, read in blocks, so that numpy is called once per block and not once
 per draw.  Each of numpy's rules for PCG64 is written once, below:
-`random_cut` and `half_words` for the engine, and `integer_poisson_draws`,
-one flat loop over the words, for the corpus.  ``tests/test_rng.py`` checks
-each against numpy's own scalar calls.
+`random_cut` and `half_words`, which the engine's counts and the corpus's
+one loop over the words, `integer_poisson_draws`, both read.
+``tests/test_rng.py`` checks each against numpy's own scalar calls.
 """
 
 from __future__ import annotations
@@ -243,34 +243,24 @@ def integer_poisson_draws(bit_generator: np.random.BitGenerator, n: int,
 
     One loop walks the raw words, a block per numpy call:
 
-    * the integer is Lemire's ``m = u * span`` on a 32-bit value ``u``,
-      redrawn while ``m``'s low half is below ``(2**32 - span) % span``.
-      ``u`` is a fresh word's low half, or the high half that the last
-      fresh word left as a spare; whole-word draws leave the spare alone.
+    * the integer is Lemire's ``m = u * span`` on a 32-bit draw ``u``
+      (`half_words`), redrawn while ``m``'s low half is below
+      ``(2**32 - span) % span``;
     * the count is how many ``random()`` factors, each a whole word's top
       53 bits times ``2**-53``, the product takes before it falls to
       ``exp(-mean)`` or below.
     """
     threshold = (2**32 - span) % span
     limit = exp(-mean)
-    next_word = raw_words(bit_generator, _DRAW_BLOCK).__next__
-    integers: list[int] = []
-    counts: list[int] = []
-    add_integer = integers.append
-    add_count = counts.append
-    spare = None
+    words = raw_words(bit_generator, _DRAW_BLOCK)
+    next_word = words.__next__
+    next_half = half_words(words).__next__
+    integers, counts = [], []
+    add_integer, add_count = integers.append, counts.append
     for _ in repeat(None, n):
-        while True:
-            if spare is None:
-                word = next_word()
-                u = word & _MASK32
-                spare = word >> 32
-            else:
-                u = spare
-                spare = None
-            m = u * span
-            if m & _MASK32 >= threshold:
-                break
+        m = next_half() * span
+        while m & _MASK32 < threshold:
+            m = next_half() * span
         add_integer(low + (m >> 32))
         count = 0
         product = (next_word() >> 11) * 2.0**-53

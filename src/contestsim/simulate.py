@@ -97,12 +97,12 @@ from typing import Collection, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import rng as streams
-from .core import (EXACT_MATCH_MULTIPLIER, FIELD_TYPES, ContestConfig,
-                   Leaderboard, Post, RankEntry, Ranking, TextLines,
-                   WorkerProfile, canonical_json, check_object, check_record,
-                   collector_paused, decode_json, json_record, quote,
-                   rank_workers, require_finite, score_annotation,
-                   write_atomic)
+from .core import (EXACT_MATCH_MULTIPLIER, FIELD_TYPES, JSON_TYPES,
+                   ContestConfig, Leaderboard, Post, RankEntry, Ranking,
+                   TextLines, WorkerProfile, canonical_json, check_object,
+                   check_record, collector_paused, decode_json, field_kinds,
+                   json_record, quote, rank_workers, require_finite,
+                   score_annotation, write_atomic)
 from .errors import ConfigurationError, ContractViolation
 from .stream import DropQueue, advance_queue, allocate_round_robin, build_windows, total_contest_time
 
@@ -222,6 +222,8 @@ def holding_time(rate: float, rng: np.random.Generator,
     """
     if not rate > 0.0:
         raise ConfigurationError("holding_time requires a positive rate")
+    if rate == math.inf:
+        raise ConfigurationError("holding_time requires a finite rate")
     if size is None:
         return float(rng.exponential(1.0 / rate))
     return rng.exponential(1.0 / rate, size=size)
@@ -433,9 +435,7 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
     unit_ms, horizon_ms = check_run_arguments(config, dispatch, base_hazard,
                                               accuracy_floor)
     seed = streams.check_seed(seed)
-    ids = [p.id for p in profiles]
-    if len(set(ids)) != len(ids):
-        raise ConfigurationError("worker ids must be unique")
+    board = Leaderboard([p.id for p in profiles])
 
     with collector_paused():
         n = config.n_workers
@@ -453,7 +453,6 @@ def run_contest(config: ContestConfig, profiles: Sequence[WorkerProfile],
         at_risk = any(w.exit_draws for w in workers)
         by_id = {w.profile.id: w for w in workers}
         id_order = sorted(workers, key=lambda w: w.profile.id)
-        board = Leaderboard(by_id)
         board_update, board_from = board.update, board.workers_from
         for w in workers:
             w.gov_rank = board.rank(w.profile.id)
@@ -635,6 +634,14 @@ _RANK_FIELDS = {"worker_id": _INTEGER, "score": _INTEGER,
                                                     types=(int, type(None)))}
 _TRAILER_FIELDS = {"final_ranking": _INTEGER._replace(what="a list",
                                                       types=(list,))}
+# The `EventLog` fields that the body holds and the header leaves out.
+_BODY_FIELDS = ("events", "exits", "final_ranking")
+# A header field takes its declared type, but ``config`` and ``counters`` an
+# object, and ``seed`` and ``dispatch`` any value, for `check_header`'s rules.
+_OBJECT = _INTEGER._replace(what="an object", types=(dict,))
+_ANY = _INTEGER._replace(what="a JSON value", types=JSON_TYPES)
+_HEADER_FIELDS = field_kinds(EventLog, _BODY_FIELDS, config=_OBJECT,
+                             counters=_OBJECT, seed=_ANY, dispatch=_ANY)
 _event_time = attrgetter("event_time_ms")
 _rank_values = itemgetter(*_RANK_FIELDS)
 # What `_decode_canonical` reads a canonical chunk by: the flags, which it
@@ -680,7 +687,7 @@ def event_log_lines(log: EventLog):
     _check_integers(events, len(_EVENT_FIELDS) - 1)
     _check_integers(exits, len(_EXIT_FIELDS) - 1)
     header = json_record(log)
-    for name in ("events", "exits", "final_ranking"):
+    for name in _BODY_FIELDS:
         del header[name]
     header["format"] = LOG_FORMAT
     yield canonical_json(header)
@@ -771,30 +778,6 @@ def _decode_canonical(lines: list[str]) -> Optional[tuple]:
     return columns, exits, before
 
 
-def _header_kinds() -> tuple[dict, dict, dict]:
-    """The kind of each field of a log header, of its ``config`` and of its
-    ``counters``: the declared type of the `EventLog`, `ContestConfig` or
-    `PostCounters` field it fills.  ``config`` and ``counters`` must be
-    objects.  ``seed`` and ``dispatch`` take any JSON value here, since
-    `check_header` holds them to the seed rule and the dispatch modes, with
-    those rules' own messages.
-
-    Built per read, not held by the module: module-level tables raised the
-    peak RSS of a sweep, which reads no log, by about 0.3 MB, far more than
-    their own size.
-    """
-    some_object = _INTEGER._replace(what="an object", types=(dict,))
-    any_value = _INTEGER._replace(what="a JSON value", types=(
-        dict, list, str, int, float, bool, type(None)))
-    header = {f.name: FIELD_TYPES.get(f.type, any_value)
-              for f in fields(EventLog)
-              if f.name not in ("events", "exits", "final_ranking")}
-    header.update(config=some_object, counters=some_object)
-    return (header,
-            {f.name: FIELD_TYPES[f.type] for f in fields(ContestConfig)},
-            {f.name: FIELD_TYPES[f.type] for f in fields(PostCounters)})
-
-
 def read_event_log(path: Union[str, Path]) -> EventLog:
     """Parse a log written by `write_event_log`, reconstructing derived fields.
 
@@ -828,10 +811,9 @@ def read_event_log(path: Union[str, Path]) -> EventLog:
         header = check_object(decode_json(header_line))
         if header.pop("format", None) != LOG_FORMAT:
             raise ConfigurationError(f"not a {LOG_FORMAT} file")
-        header_kinds, config_kinds, counter_kinds = _header_kinds()
-        check_record(header, header_kinds)
-        check_record(header["config"], config_kinds)
-        check_record(header["counters"], counter_kinds)
+        check_record(header, _HEADER_FIELDS)
+        check_record(header["config"], field_kinds(ContestConfig))
+        check_record(header["counters"], field_kinds(PostCounters))
         header["config"] = ContestConfig(**header["config"])
         header["counters"] = PostCounters(**header["counters"])
         log = EventLog(**header, events=[], exits=[],

@@ -12,6 +12,7 @@ are dropped for good.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Sequence
 
@@ -88,6 +89,9 @@ def total_contest_time(n_posts: int, task_unit_time_s: float,
         raise ConfigurationError("n_posts and window_size must be >= 1")
     if task_unit_time_s <= 0.0:
         raise ConfigurationError("task_unit_time_s must be positive")
+    if not math.isfinite(task_unit_time_s):
+        raise ConfigurationError(
+            f"task_unit_time_s must be finite, got {task_unit_time_s}")
     return n_posts * task_unit_time_s / window_size
 
 
@@ -101,6 +105,9 @@ def warp_out_rate(n_posts: int, reduction_rate: float) -> float:
         raise ConfigurationError("reduction_rate must be >= 1")
     if n_posts <= reduction_rate:
         raise ConfigurationError("n_posts must exceed reduction_rate")
+    if not math.isfinite(reduction_rate):
+        raise ConfigurationError(
+            f"reduction_rate must be finite, got {reduction_rate}")
     return (n_posts - 1) / (n_posts - reduction_rate)
 
 

@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import pickle
+import re
 from dataclasses import dataclass, replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import contestsim
 from contestsim import (ConfigurationError, ContestConfig, ContractViolation,
                         Leaderboard, Post, Ranking, RankEntry, WorkerProfile,
-                        rank_workers, read_corpus, read_event_log,
-                        score_annotation, verify_manifest, write_corpus)
+                        anova_f, holding_time, rank_workers, read_corpus,
+                        read_event_log, score_annotation, total_contest_time,
+                        verify_manifest, warp_out_rate, write_corpus)
 from contestsim import core
 from contestsim.core import (EXACT_MATCH_MULTIPLIER, TextLines, canonical_json,
                              json_record)
@@ -379,6 +383,46 @@ def test_contest_config_rejects_non_finite_fields(contest_config, field, bad):
     # An infinite task-unit time used to divide by zero in the load check.
     with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
         contest_config(**{field: bad})
+
+
+# Each builds no config whose log reads back: the log reader takes a JSON
+# integer only, `build_windows` an int and the writer no numpy scalar.  A
+# numpy value is quoted by its repr, since as JSON it reads as a number.
+@pytest.mark.parametrize("field, value, message", [
+    ("base_points", 10.0, "base_points must be an integer, got 10.0"),
+    ("window_size", 6.0, "window_size must be an integer, got 6.0"),
+    ("n_workers", np.int64(3),
+     f"n_workers must be an integer, got {np.int64(3)!r}"),
+    ("task_unit_time_s", np.float64(10.0),
+     f"task_unit_time_s must be a number, got {np.float64(10.0)!r}"),
+], ids=["base_points float", "window_size float", "n_workers int64",
+        "task_unit_time_s float64"])
+def test_contest_config_holds_each_field_to_the_type_its_log_reads_back(
+        contest_config, field, value, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        contest_config(**{field: value})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: warp_out_rate(200, math.nan),
+     "reduction_rate must be finite, got nan"),
+    (lambda: total_contest_time(10, math.inf, 2),
+     "task_unit_time_s must be finite, got inf"),
+    (lambda: total_contest_time(10, math.nan, 2),
+     "task_unit_time_s must be finite, got nan"),
+    (lambda: holding_time(math.inf, np.random.default_rng(0)),
+     "holding_time requires a finite rate"),
+    (lambda: anova_f([[1.0, math.nan], [2.0, 3.0]]),
+     "anova values must be finite, got nan"),
+    (lambda: anova_f([[1.0, 2.0], [-math.inf, 3.0]]),
+     "anova values must be finite, got -inf"),
+], ids=["warp_out_rate nan", "total_contest_time inf",
+        "total_contest_time nan", "holding_time inf", "anova_f nan",
+        "anova_f -inf"])
+def test_public_helpers_refuse_non_finite_input(call, message):
+    # None of these has a finite result to give for such input.
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # --- JSON records ----------------------------------------------------------

@@ -52,13 +52,16 @@ ROWS = [
     ("stream.py", r"start_offset|rr_offset|\bwin(dow)?\[",
      "deal a window through contestsim.stream.allocate_round_robin",
      "first = window[0]"),
+    ("core.py", r"FIELD_TYPES\[f\.type\]|FIELD_TYPES\.get\(f\.type",
+     "derive a record's field kinds through contestsim.core.field_kinds",
+     "kinds = {f.name: FIELD_TYPES[f.type] for f in fields(Post)}"),
 ]
 
 
 @pytest.mark.parametrize("owner, pattern, message, planted", ROWS, ids=[
     "writer", "decoder", "line reader", "record encoder", "collector switch",
     "collector thresholds", "leaderboard", "draw layer", "generators",
-    "deal"])
+    "deal", "field kinds"])
 def test_only_the_owner_states_the_rule(owner, pattern, message, planted):
     rule = re.compile(pattern)
     assert rule.search(planted), f"{pattern!r} no longer matches {planted!r}"

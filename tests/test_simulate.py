@@ -380,6 +380,20 @@ def test_run_contest_validates_inputs(contest_config, make_posts,
         run_contest(config, profiles, bad_posts, seed=0)
 
 
+def test_run_contest_refuses_duplicate_worker_ids_before_drawing(
+        monkeypatch, contest_config, make_posts, make_profiles):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking its workers")
+
+    monkeypatch.setattr(streams, "substreams", no_draws)
+    config = contest_config()
+    first, second = make_profiles(2)
+    with pytest.raises(ConfigurationError,
+                       match="^duplicate worker ids on the leaderboard$"):
+        run_contest(config, [first, dataclasses.replace(second, id=first.id)],
+                    make_posts(config.n_posts), seed=0)
+
+
 @pytest.mark.parametrize("spread, bad, match", [
     (1, dict(base_hazard=math.nan), "base_hazard"),
     (1, dict(base_hazard=math.inf), "base_hazard"),
